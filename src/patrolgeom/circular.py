@@ -2,28 +2,39 @@
 
 In the frame co-rotating with the fleet the vehicles sit still at radius R
 while the intruder, launched at angle psi from the circle of radius R + r,
-spirals inward: radius R + r - u*t, angle psi - (v/R)*t.  The set of launch
-angles psi caught by vehicle i is a union of arcs F_i on [0, 2*pi); by
-symmetry F_i is F_0 rotated by 2*pi*i/n, and the interception probability is
-the normalized measure of the union of the F_i.
+spirals inward: after covering distance d = u*t it is at radius
+rho = R + r - d and angle psi - k*d, with k = v/(R*u).  Only d in [0, 2r]
+matters: outside it |rho - R| > r and every vehicle is out of reach.
 
-The detection test itself is numerical but certified: the distance from the
-object to a vehicle is Lipschitz in t with constant vmax (radial speed u plus
-tangential speed at most (v/R)(R + r)), so on a time grid of step
-r/(4*vmax) any dip below r forces a grid value below r + vmax*dt.  Grid
-intervals at or below that threshold are polished with golden-section search;
-everything else is provably clear of the scan disk.
+At radius rho the scan disk of vehicle 0 spans the angles within h of 0,
+where
+
+    sin^2(h/2) = (r^2 - (rho - R)^2) / (4*R*rho) = d*(2r - d) / (4*R*rho),
+
+the law of cosines in a form free of cancellation.  So vehicle 0 catches
+launch angle psi at distance d exactly when psi lies in the interval
+[k*d - h(d), k*d + h(d)].  These intervals move continuously with d and
+each contains its centre k*d, so their union over d in [0, 2r] is connected:
+one arc [lo, hi] with lo = min(k*d - h) and hi = max(k*d + h).  Each
+extremum takes one golden-section search, because h is concave: in polar
+coordinates the disk is |theta| <= h(rho) with
+cos h = (rho + (R^2 - r^2)/rho) / (2R), the argument of acos is convex in
+rho, and acos is concave and decreasing on [0, 1].
+
+The other vehicles' arcs are rotations by 2*pi*i/n, so n equally spaced
+copies of an arc of length L cover min(1, n*L/(2*pi)) of the circle.  The
+exact solver, `detects` and both Monte Carlo indicators read this one arc;
+the dense-grid oracles of the test suite are the independent check.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from ._golden import golden_min
 from .montecarlo import EstimateWithCI, SeedSchedule, run_bernoulli_trials
 from .scenario import CircularPatrolScenario, derived_angles, validate
 
@@ -42,22 +53,14 @@ __all__ = [
 
 TWO_PI = 2.0 * math.pi
 
-# Angular grid size used by detection_arc_set when none is given.
+# Kept so that existing callers and the CLI's --resolution still validate;
+# the arc is found by search, not on an angular grid, so it has no effect.
 DEFAULT_RESOLUTION = 4096
 
-# Arc endpoints are bisected to this angular tolerance (radians).
-ARC_TOLERANCE_RAD = 1e-9
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
-# Golden-section time tolerance, relative to the searched time window.
-TIME_TOLERANCE_FACTOR = 1e-10
-
-# Time grid step is r / (GRID_SAFETY * vmax); 4 leaves a wide certification
-# margin (a missed dip would need the distance to fall r/4 below the grid
-# threshold, which the Lipschitz bound forbids).
-GRID_SAFETY = 4.0
-
-# Row blocks are capped so intermediate (rows x grid) arrays stay small.
-_MAX_BLOCK_ELEMENTS = 4_000_000
+# 0.618**80 < 2**-55: the bracket ends below one ulp of the searched window.
+_GOLDEN_STEPS = 80
 
 
 # ---- arc sets on the circle ----
@@ -145,175 +148,110 @@ def union_measure(sets: Sequence[CircleIntervalSet]) -> float:
     return CircleIntervalSet.from_intervals(arcs).measure() / TWO_PI
 
 
-# ---- certified detection kernel ----
+# ---- the single-arc envelope ----
 
-def _time_grid(s: CircularPatrolScenario) -> tuple[np.ndarray, float, float]:
-    """Uniform grid on the reachable window [0, 2r/u], step <= r/(GRID_SAFETY*vmax).
-
-    Outside that window the object's radius leaves [R - r, R + r], where its
-    distance to every vehicle exceeds |rho - R| > r, so restricting the
-    search there loses nothing.  The window length scales with r, which
-    keeps the grid size bounded (about 2*GRID_SAFETY*vmax/u points) even
-    for vanishing scan radii.
-    """
-    window = 2.0 * s.r / s.u
-    vmax = math.hypot(s.u, s.v * (s.R + s.r) / s.R)
-    segments = max(1, math.ceil(window * GRID_SAFETY * vmax / s.r))
-    return np.linspace(0.0, window, segments + 1), window, vmax
-
-
-def _reduced_sq_distance(t, delta0, period: float, s: CircularPatrolScenario):
-    """Squared distance from the object to the nearest vehicle of the lattice
-    {angle = 0 mod period}; delta0 is the launch angle offset.  Broadcasts."""
-    rho = (s.R + s.r) - s.u * t
-    ang = delta0 - (s.v / s.R) * t
-    half = 0.5 * period
-    red = np.abs((ang + half) % period - half)
-    return rho * rho + s.R * s.R - 2.0 * s.R * rho * np.cos(red)
+def _golden_max(f: Callable[[float], float], a: float, b: float) -> float:
+    """Maximum of a concave f on [a, b], endpoints included."""
+    best_end = max(f(a), f(b))
+    c = b - _INVPHI * (b - a)
+    d = a + _INVPHI * (b - a)
+    fc, fd = f(c), f(d)
+    for _ in range(_GOLDEN_STEPS):
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - _INVPHI * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _INVPHI * (b - a)
+            fd = f(d)
+    return max(fc, fd, best_end)
 
 
-def _detects_block(delta0: np.ndarray, period: float, s: CircularPatrolScenario,
-                   t: np.ndarray, window: float, vmax: float) -> np.ndarray:
-    dt = t[1] - t[0]
-    r2 = s.r * s.r
-    thr2 = (s.r + vmax * dt) ** 2
-    d2 = _reduced_sq_distance(t[None, :], delta0[:, None], period, s)
-    grid_min = d2.min(axis=1)
-    detected = grid_min <= r2
-    pending = ~detected & (grid_min <= thr2)
-    if not np.any(pending):
-        return detected
-    rows = np.nonzero(pending)[0]
-    low = d2[rows] <= thr2
-    # refine every grid interval with a sub-threshold endpoint
-    cand = low[:, :-1] | low[:, 1:]
-    ridx, cidx = np.nonzero(cand)
-    if ridx.size == 0:
-        return detected
-    dvals = delta0[rows[ridx]]
+def _detection_arc(s: CircularPatrolScenario) -> tuple[float, float]:
+    """(lo, L): vehicle 0 detects exactly the launch angles in [lo, lo + L]
+    mod 2*pi, tangency included; L >= 2*pi means every angle."""
+    k = s.v / (s.R * s.u)
+    two_r = 2.0 * s.r
+    four_R = 4.0 * s.R
 
-    def f(tv: np.ndarray) -> np.ndarray:
-        return _reduced_sq_distance(tv, dvals, period, s)
+    def h(d: float) -> float:
+        arg = d * (two_r - d) / (four_R * (s.R + s.r - d))
+        return 2.0 * math.asin(math.sqrt(min(1.0, max(0.0, arg))))
 
-    fmin = golden_min(f, t[cidx], t[cidx + 1], TIME_TOLERANCE_FACTOR * window)
-    hit = fmin <= r2
-    if np.any(hit):
-        detected[rows[ridx[hit]]] = True
-    return detected
+    hi = _golden_max(lambda d: k * d + h(d), 0.0, two_r)
+    lo = -_golden_max(lambda d: h(d) - k * d, 0.0, two_r)
+    return lo, hi - lo
 
 
-def _detects_batch(delta0: np.ndarray, period: float,
-                   s: CircularPatrolScenario) -> np.ndarray:
-    """Detection indicator for an array of launch angle offsets.
+def _check_resolution(resolution: int) -> None:
+    if resolution < 16:
+        raise ValueError("resolution must be at least 16")
 
-    True where the spiral comes within r (tangency included) of a vehicle of
-    the angular lattice with the given period: period = 2*pi tests a single
-    vehicle, period = 2*pi/n the nearest of the whole fleet.
-    """
-    delta0 = np.atleast_1d(np.asarray(delta0, dtype=float))
-    t, window, vmax = _time_grid(s)
-    block = max(1, _MAX_BLOCK_ELEMENTS // t.size)
-    if delta0.size <= block:
-        return _detects_block(delta0, period, s, t, window, vmax)
-    out = np.empty(delta0.size, dtype=bool)
-    for lo in range(0, delta0.size, block):
-        hi = min(lo + block, delta0.size)
-        out[lo:hi] = _detects_block(delta0[lo:hi], period, s, t, window, vmax)
-    return out
+
+def _vehicle_angle(vehicle_index: int, s: CircularPatrolScenario) -> float:
+    """Angle of a vehicle of the fleet, after checking its index."""
+    if not 0 <= vehicle_index < s.n:
+        raise ValueError("vehicle_index must lie in [0, n)")
+    return TWO_PI * vehicle_index / s.n
 
 
 def detects(psi: float, vehicle_index: int, s: CircularPatrolScenario) -> bool:
     """True iff the run launched at angle psi passes within r of vehicle
     vehicle_index at some time in [0, (R + r)/u]."""
     validate(s)
-    if not 0 <= vehicle_index < s.n:
-        raise ValueError("vehicle_index must lie in [0, n)")
-    beta = TWO_PI * vehicle_index / s.n
-    return bool(_detects_batch(np.array([psi - beta]), TWO_PI, s)[0])
+    beta = _vehicle_angle(vehicle_index, s)
+    lo, length = _detection_arc(s)
+    return (psi - beta - lo) % TWO_PI <= length
 
 
-# ---- arc extraction and probabilities ----
+# ---- arc sets and probabilities ----
 
 def detection_arc_set(vehicle_index: int, s: CircularPatrolScenario,
                       resolution: int = DEFAULT_RESOLUTION) -> CircleIntervalSet:
-    """Launch angles detected by one vehicle, as a canonical arc set.
-
-    The indicator is sampled on `resolution` equally spaced angles; every
-    transition bracket is then bisected to ARC_TOLERANCE_RAD.  An arc
-    narrower than the angular grid spacing can be missed entirely, so the
-    resolution bounds the scale of features this can resolve.
-    """
+    """Launch angles detected by one vehicle: a single arc (or the full
+    circle), as a canonical arc set.  `resolution` is validated but unused."""
     validate(s)
-    if not 0 <= vehicle_index < s.n:
-        raise ValueError("vehicle_index must lie in [0, n)")
-    if resolution < 16:
-        raise ValueError("resolution must be at least 16")
-    beta = TWO_PI * vehicle_index / s.n
-    step = TWO_PI / resolution
-    psi = step * np.arange(resolution)
-    det = _detects_batch(psi - beta, TWO_PI, s)
-    if det.all():
-        return CircleIntervalSet(((0.0, TWO_PI),))
-    if not det.any():
-        return CircleIntervalSet(())
-
-    flips = np.nonzero(det != np.roll(det, -1))[0]  # state changes g -> g+1
-    lo = psi[flips]
-    hi = lo + step
-    lo_state = det[flips]
-    iterations = math.ceil(math.log2(step / ARC_TOLERANCE_RAD))
-    for _ in range(iterations):
-        mid = 0.5 * (lo + hi)
-        mid_state = _detects_batch(mid - beta, TWO_PI, s)
-        same = mid_state == lo_state
-        lo = np.where(same, mid, lo)
-        hi = np.where(same, hi, mid)
-    boundary = 0.5 * (lo + hi)
-
-    # pair each rising edge (False -> True) with the next falling edge
-    rising = np.sort(boundary[~lo_state])
-    falling = np.sort(boundary[lo_state])
-    arcs = []
-    for start in rising:
-        j = np.searchsorted(falling, start)
-        end = falling[j] if j < falling.size else falling[0] + TWO_PI
-        arcs.append((float(start), float(end)))
-    return CircleIntervalSet.from_intervals(arcs)
+    beta = _vehicle_angle(vehicle_index, s)
+    _check_resolution(resolution)
+    lo, length = _detection_arc(s)
+    return CircleIntervalSet.from_intervals([(beta + lo, beta + lo + length)])
 
 
 def exact_probability(s: CircularPatrolScenario,
                       resolution: int = DEFAULT_RESOLUTION) -> float:
-    """Interception probability: measure of the union of all vehicle arc
-    sets over 2*pi.  The arc set is computed once for vehicle 0 and rotated
-    into the other n - 1 positions."""
+    """Interception probability min(1, n*L/(2*pi)), L the length of one
+    vehicle's arc: n equally spaced copies of one arc overlap only once they
+    cover the circle.  `resolution` is validated but unused."""
     validate(s)
-    base = detection_arc_set(0, s, resolution)
-    sets = [base.shifted(TWO_PI * i / s.n) for i in range(s.n)]
-    return union_measure(sets)
+    _check_resolution(resolution)
+    _, length = _detection_arc(s)
+    return min(1.0, s.n * length / TWO_PI)
 
 
 class _AnyVehicleIndicator:
     """psi ~ U[0, 2*pi); detect against the nearest vehicle.  Folding the
-    angular offset modulo the fleet spacing 2*pi/n collapses all n vehicles
-    onto a single lattice test."""
+    angle modulo the fleet spacing 2*pi/n collapses all n vehicle arcs onto
+    one."""
 
     n_draws = 1
 
     def __init__(self, s: CircularPatrolScenario):
-        self._s = s
+        self._lo, self._length = _detection_arc(s)
         self._period = TWO_PI / s.n
 
     def evaluate_batch(self, u: np.ndarray) -> np.ndarray:
         psi = u[:, 0] * TWO_PI
-        return _detects_batch(psi, self._period, self._s)
+        return np.mod(psi - self._lo, self._period) <= self._length
 
 
 def mc_probability(s: CircularPatrolScenario, trials: int, seed: int,
                    workers: int = 1) -> EstimateWithCI:
     """Monte Carlo interception probability over uniform launch angles.
 
-    Runs the same certified detection kernel as `detects` per trial, so it
-    cross-checks exact_probability rather than reusing its arcs."""
+    Each trial tests its angle against the same arc as exact_probability,
+    so the two agree up to sampling noise by construction; the dense-grid
+    oracle of the test suite is the independent check of that arc."""
     validate(s)
     return run_bernoulli_trials(_AnyVehicleIndicator(s), trials,
                                 SeedSchedule(seed), workers)

@@ -6,7 +6,8 @@ parameters come from a JSON file (--scenario) and/or inline flags, inline
 winning on overlap.  Reports are JSON by default or CSV with --format csv;
 --no-timing drops the wall-clock field so repeated runs are byte-identical.
 
-Exit codes: 0 success, 1 validation error, 2 usage error.
+Exit codes: 0 success, 1 validation error (or input too extreme to
+compute: MemoryError, OverflowError), 2 usage error.
 """
 
 from __future__ import annotations
@@ -401,7 +402,8 @@ def _mc_parent() -> argparse.ArgumentParser:
 
 def _resolution_arg(p: argparse.ArgumentParser) -> None:
     p.add_argument("--resolution", type=int, default=DEFAULT_RESOLUTION,
-                   help=f"angular grid size for arc extraction "
+                   help=f"accepted for compatibility (at least 16); the arc "
+                        f"is found without an angular grid "
                         f"(default {DEFAULT_RESOLUTION})")
 
 
@@ -491,6 +493,12 @@ def main(argv=None) -> int:
     except ValueError as err:
         # covers ValidationError and bad numeric domains
         print(f"error: {err}", file=sys.stderr)
+        return 1
+    except (MemoryError, OverflowError) as err:
+        # extreme input (say, a fleet size beyond float range): one line,
+        # no traceback
+        reason = type(err).__name__ + (f": {err}" if str(err) else "")
+        print(f"error: {reason}", file=sys.stderr)
         return 1
 
 

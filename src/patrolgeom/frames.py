@@ -116,13 +116,14 @@ def distance_to_vehicle(psi: float, t: float, vehicle_index: int,
     """Distance from the object to vehicle vehicle_index at time t.
 
     Vehicles are fixed in the rotating frame at radius R and angles
-    2*pi*i/n.  Law of cosines on (radius, R, angle difference).
+    2*pi*i/n.  Law of cosines on (radius, R, angle difference), written as
+    (radius - R)^2 + 4*R*radius*sin^2(delta/2) so that it does not cancel
+    when the object is near the vehicle's circle.
     """
     validate(s)
     if not 0 <= vehicle_index < s.n:
         raise ValueError("vehicle_index must lie in [0, n)")
     p = object_position_rotating(psi, t, s)
     beta = TWO_PI * vehicle_index / s.n
-    d2 = (p.radius * p.radius + s.R * s.R
-          - 2.0 * p.radius * s.R * math.cos(p.angle - beta))
-    return math.sqrt(max(0.0, d2))
+    half = math.sin(0.5 * (p.angle - beta))
+    return math.sqrt((p.radius - s.R) ** 2 + 4.0 * s.R * p.radius * half * half)

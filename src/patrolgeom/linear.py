@@ -9,14 +9,18 @@ transverse offset satisfies |y| <= r (a window of length 2r/u with
 y(t) = r - u*t), and the crossing ensemble is uniform in a on [0, R] and
 the fleet phase b on [0, 2R/n].
 
-Detection lives on the cylinder surface: the horizontal separation between
-the object and a vehicle is the circular distance between their unrolled
-coordinates mod 2R.  On this surface the relative motion is an exact
-straight line, so the per-vehicle detectable set of phases is a chord of
-length exactly 2r/sin(alpha) out of each period 2R/n.
-
-The detection test reuses the certified grid-plus-golden-section scheme of
-the circular kernel with Lipschitz constant hypot(u, v).
+Detection lives on the cylinder surface, where the horizontal separation
+between the object and a vehicle is the circular distance between their
+unrolled coordinates mod 2R.  Seen from the fleet, the intruder moves on
+the straight line (b - a + v*t, r - u*t), of inclination alpha =
+atan2(u, v), against scan disks of radius r centred on the lattice
+(2R/n)*Z of the axis y = 0.  The line crosses that axis at
+x0 = b - a + v*r/u.  It meets a disk iff its perpendicular distance from
+the centre, dist(x0, lattice) * sin(alpha), is at most r, and the foot of
+that perpendicular lies inside the disk, hence inside the exposure window
+|y| <= r: the window never cuts a chord short.  So detection is the O(1)
+test dist(x0, (2R/n)*Z) <= r/sin(alpha), whatever n is, and the detected
+phases form a chord of length exactly 2r/sin(alpha) out of each period 2R/n.
 """
 
 from __future__ import annotations
@@ -26,9 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._golden import golden_min
-from .circular import (GRID_SAFETY, TIME_TOLERANCE_FACTOR, _MAX_BLOCK_ELEMENTS,
-                       AsymptoticSummary, minimum_fleet_size)
+from .circular import AsymptoticSummary, minimum_fleet_size
 from .montecarlo import EstimateWithCI, SeedSchedule, run_bernoulli_trials
 from .scenario import LinearPatrolScenario, ValidationError, validate
 
@@ -66,65 +68,14 @@ def vehicle_position_linear(j: int, b: float, t: float,
     return c if c <= s.R else two_R - c
 
 
-def _grid(s: LinearPatrolScenario) -> tuple[np.ndarray, float, float]:
-    window = 2.0 * s.r / s.u
-    vmax = math.hypot(s.u, s.v)
-    segments = max(1, math.ceil(window * GRID_SAFETY * vmax / s.r))
-    return np.linspace(0.0, window, segments + 1), window, vmax
-
-
-def _detects_linear_block(a: np.ndarray, b: np.ndarray, s: LinearPatrolScenario,
-                          t: np.ndarray, window: float, vmax: float) -> np.ndarray:
-    dt = t[1] - t[0]
-    r2 = s.r * s.r
-    thr2 = (s.r + vmax * dt) ** 2
-    two_R = 2.0 * s.R
-    offsets = (two_R / s.n) * np.arange(s.n)
-    y2 = (s.r - s.u * t) ** 2
-    # horizontal separation on the cylinder: circular distance mod 2R
-    sep = (b[:, None, None] + offsets[None, :, None] + s.v * t[None, None, :]
-           - a[:, None, None]) % two_R
-    dx = np.minimum(sep, two_R - sep)
-    d2 = dx * dx + y2[None, None, :]
-    grid_min = d2.min(axis=(1, 2))
-    detected = grid_min <= r2
-    pending = ~detected & (grid_min <= thr2)
-    if not np.any(pending):
-        return detected
-    rows = np.nonzero(pending)[0]
-    low = d2[rows] <= thr2
-    cand = low[:, :, :-1] | low[:, :, 1:]
-    ridx, vidx, tidx = np.nonzero(cand)
-    if ridx.size == 0:
-        return detected
-    delta0 = (b[rows[ridx]] + offsets[vidx] - a[rows[ridx]])
-
-    def f(tv: np.ndarray) -> np.ndarray:
-        sv = (delta0 + s.v * tv) % two_R
-        xv = np.minimum(sv, two_R - sv)
-        yv = s.r - s.u * tv
-        return xv * xv + yv * yv
-
-    fmin = golden_min(f, t[tidx], t[tidx + 1], TIME_TOLERANCE_FACTOR * window)
-    hit = fmin <= r2
-    if np.any(hit):
-        detected[rows[ridx[hit]]] = True
-    return detected
-
-
-def _detects_linear_batch(a: np.ndarray, b: np.ndarray,
-                          s: LinearPatrolScenario) -> np.ndarray:
-    a = np.atleast_1d(np.asarray(a, dtype=float))
-    b = np.atleast_1d(np.asarray(b, dtype=float))
-    t, window, vmax = _grid(s)
-    block = max(1, _MAX_BLOCK_ELEMENTS // (s.n * t.size))
-    if a.size <= block:
-        return _detects_linear_block(a, b, s, t, window, vmax)
-    out = np.empty(a.size, dtype=bool)
-    for lo in range(0, a.size, block):
-        hi = min(lo + block, a.size)
-        out[lo:hi] = _detects_linear_block(a[lo:hi], b[lo:hi], s, t, window, vmax)
-    return out
+def _lattice_detects(a, b, s: LinearPatrolScenario):
+    """Detection indicator for crossings at a with fleet phase b (scalars or
+    arrays): the relative line's axis crossing lies within r/sin(alpha) of
+    the vehicle lattice (2R/n)*Z."""
+    period = 2.0 * s.R / s.n
+    reach = s.r / math.sin(math.atan2(s.u, s.v))
+    x = np.mod(b - a + s.v * s.r / s.u, period)
+    return np.minimum(x, period - x) <= reach
 
 
 def detects_linear(sample: CrossingSample, s: LinearPatrolScenario) -> bool:
@@ -133,15 +84,15 @@ def detects_linear(sample: CrossingSample, s: LinearPatrolScenario) -> bool:
 
     The squared separation is dx(t)^2 + (r - u*t)^2 over t in [0, 2r/u],
     where dx is the cylinder distance between the vehicle's unrolled
-    coordinate b + j*(2R/n) + v*t and the crossing coordinate a, mod 2R.
+    coordinate b + j*(2R/n) + v*t and the crossing coordinate a, mod 2R;
+    its minimum over t and j has the closed form of the module docstring.
     """
     validate(s)
     if not 0.0 <= sample.a <= s.R:
         raise ValidationError("a must lie in [0, R]")
     if not 0.0 <= sample.b <= 2.0 * s.R / s.n:
         raise ValidationError("b must lie in [0, 2R/n]")
-    return bool(_detects_linear_batch(np.array([sample.a]),
-                                      np.array([sample.b]), s)[0])
+    return bool(_lattice_detects(sample.a, sample.b, s))
 
 
 class _CrossingIndicator:
@@ -156,7 +107,7 @@ class _CrossingIndicator:
         s = self._s
         a = u[:, 0] * s.R
         b = u[:, 1] * (2.0 * s.R / s.n)
-        return _detects_linear_batch(a, b, s)
+        return _lattice_detects(a, b, s)
 
 
 def mc_probability_linear(s: LinearPatrolScenario, trials: int, seed: int,

@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .circular import TWO_PI, _detects_batch
+from .circular import TWO_PI, _detection_arc
 from .montecarlo import EstimateWithCI, SeedSchedule, run_bernoulli_trials
 from .scenario import CircularPatrolScenario, ValidationError, derived_angles, validate
 
@@ -126,28 +126,24 @@ def asymptotic_probability_randomized(s: CircularPatrolScenario,
 
 class _RandomRadiusIndicator:
     """Two draws per trial: slot 0 picks the atom by cumulative weight, slot
-    1 the launch angle psi ~ U[0, 2*pi).  Each trial runs the full detection
-    kernel on the scenario with patrol radius k*R (launch circle k*R + r)."""
+    1 the launch angle psi ~ U[0, 2*pi).  Each atom k has its own detection
+    arc, that of the scenario with patrol radius k*R (launch circle
+    k*R + r), computed once here."""
 
     n_draws = 2
 
     def __init__(self, s: CircularPatrolScenario, d: RadiusDistribution):
-        self._s = s
         self._cum = np.asarray(d.cumulative_weights())
-        self._multipliers = [k for k, _ in d.atoms]
+        arcs = [_detection_arc(replace(s, R=k * s.R)) for k, _ in d.atoms]
+        self._lo = np.array([lo for lo, _ in arcs])
+        self._length = np.array([length for _, length in arcs])
+        self._period = TWO_PI / s.n
 
     def evaluate_batch(self, u: np.ndarray) -> np.ndarray:
         idx = np.minimum(np.searchsorted(self._cum, u[:, 0], side="right"),
-                         len(self._multipliers) - 1)
+                         self._lo.size - 1)
         psi = u[:, 1] * TWO_PI
-        out = np.zeros(u.shape[0], dtype=bool)
-        for j, k in enumerate(self._multipliers):
-            rows = np.nonzero(idx == j)[0]
-            if rows.size == 0:
-                continue
-            scaled = replace(self._s, R=k * self._s.R)
-            out[rows] = _detects_batch(psi[rows], TWO_PI / scaled.n, scaled)
-        return out
+        return np.mod(psi - self._lo[idx], self._period) <= self._length[idx]
 
 
 def mc_probability_random_radius(s: CircularPatrolScenario, d: RadiusDistribution,

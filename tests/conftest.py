@@ -1,9 +1,10 @@
 """Shared scenarios and independent brute-force oracles.
 
 The oracles here deliberately avoid every shortcut the library takes
-(vehicle folding, reachable-window restriction, golden-section refinement,
-interval merging): they walk dense grids over the full motion and every
-vehicle explicitly, so agreement with the production code is meaningful.
+(vehicle folding, reachable-window restriction, the single-arc envelope and
+the lattice-distance closed form, interval merging): they walk dense grids
+over the full motion and every vehicle explicitly, so agreement with the
+production code is meaningful.
 
 Each detection oracle is three-valued: True or False when the dense grid
 certifies the answer through the Lipschitz bound on the distance, None when
@@ -43,8 +44,10 @@ def oracle_detects_circular(psi, s, samples=40_001):
     rho = s.R + s.r - s.u * t
     ang = psi - (s.v / s.R) * t
     betas = TWO_PI * np.arange(s.n) / s.n
-    d2 = ((rho * rho + s.R * s.R)[None, :]
-          - 2.0 * s.R * rho[None, :] * np.cos(ang[None, :] - betas[:, None]))
+    # (rho - R)^2 + 4 R rho sin^2(delta/2): the law of cosines without the
+    # cancellation of rho^2 + R^2 - 2 R rho cos(delta) at small r/R
+    half = np.sin(0.5 * (ang[None, :] - betas[:, None]))
+    d2 = ((rho - s.R) ** 2)[None, :] + 4.0 * s.R * rho[None, :] * half * half
     dmin = math.sqrt(max(0.0, float(d2.min())))
     # the distance along the trajectory changes at most vmax per unit time
     vmax = math.hypot(s.u, s.v * (s.R + s.r) / s.R)

@@ -2,6 +2,7 @@
 
 import json
 import math
+import time
 
 import pytest
 
@@ -190,9 +191,8 @@ def test_compare_static_report(capsys, tmp_path):
     assert results["exact"]["probability"] == pytest.approx(closed, abs=1e-6)
     assert results["asymptotic"]["probability"] == pytest.approx(
         0.5 / math.pi, abs=1e-12)
-    # exact probability carries the 1e-9 rad endpoint tolerance, so the
-    # reported gap matches the analytic correction well inside the 10%
-    # regime bound but not to machine precision
+    # the reported gap is the static ring's analytic correction, checked
+    # well inside the 10% regime bound
     correction = (10.0 / math.pi) * (math.asin(0.05) - 0.05)
     assert results["gap_exact_asymptotic"] == pytest.approx(correction,
                                                             rel=1e-3)
@@ -262,3 +262,41 @@ def test_polar_image_approx_flag(capsys):
     rows = [line.split(",") for line in out.strip().splitlines()[1:]]
     assert float(rows[0][1]) == pytest.approx(1.0)   # psi = 0
     assert float(rows[0][2]) == pytest.approx(0.1)
+
+
+@pytest.mark.parametrize("fields", [
+    dict(R=1.0, r=0.1, n=1, v=1e9, u=1.0),        # v/u = 1e9
+    dict(R=1.0, r=1e-7, n=10 ** 9, v=2.0, u=1.0),  # n = 1e9
+])
+def test_extreme_exact_input_is_bounded(capsys, fields):
+    argv = ["circular", "exact", "--no-timing"]
+    for key, value in fields.items():
+        argv += [f"--{key}", str(value)]
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - t0 < 5.0
+    assert code == 0 and err == ""
+    assert 0.0 < json.loads(out)["results"]["probability"] <= 1.0
+
+
+def test_fleet_size_beyond_float_range_exits_one(capsys):
+    code, out, err = run_cli(capsys, "circular", "exact", "--R", "1",
+                             "--r", "0.1", "--n", str(10 ** 400),
+                             "--v", "1", "--u", "1")
+    assert code == 1 and out == ""
+    assert err.startswith("error: OverflowError")
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_memory_error_exits_one_without_traceback(capsys, monkeypatch):
+    import patrolgeom.cli as cli
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "exact_probability", exhausted)
+    code, out, err = run_cli(capsys, "circular", "exact", "--R", "100",
+                             "--r", "5", "--n", "10", "--v", "2", "--u", "1")
+    assert code == 1 and out == ""
+    assert err == "error: MemoryError\n"
+    assert "Traceback" not in err

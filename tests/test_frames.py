@@ -109,6 +109,16 @@ def test_distance_to_vehicle_reference_values(static_circular):
     assert d == pytest.approx(9.995833854135666, abs=1e-9)
 
 
+def test_distance_to_vehicle_does_not_cancel_at_tiny_radius():
+    s = CircularPatrolScenario(R=100.0, r=1e-5, n=1, v=0.0, u=1.0)
+    # launched straight over the vehicle: the distance is exactly r
+    assert distance_to_vehicle(0.0, 0.0, 0, s) == pytest.approx(1e-5,
+                                                                rel=1e-9)
+    # on the vehicle's circle, 1e-7 rad away: a chord of the R-circle
+    d = distance_to_vehicle(1e-7, 1e-5, 0, s)
+    assert d == pytest.approx(200.0 * math.sin(0.5e-7), rel=1e-9)
+
+
 def test_distance_to_vehicle_index_validation(ref_circular):
     with pytest.raises(ValueError):
         distance_to_vehicle(0.0, 0.0, -1, ref_circular)
