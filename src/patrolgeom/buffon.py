@@ -65,9 +65,13 @@ class _NeedleIndicator:
         self.L = L
 
     def evaluate_batch(self, u: np.ndarray) -> np.ndarray:
-        z = u[:, 0] * self.L
-        phi = u[:, 1] * math.pi
-        return self.l * np.sin(phi) >= z
+        """Crossing flags; computes in place, overwriting u."""
+        z, proj = u[:, 0], u[:, 1]
+        np.multiply(z, self.L, out=z)
+        np.multiply(proj, math.pi, out=proj)
+        np.sin(proj, out=proj)
+        np.multiply(proj, self.l, out=proj)
+        return proj >= z
 
 
 def buffon_mc(p: NeedleProblem, trials: int, seed: int,

@@ -241,8 +241,12 @@ class _AnyVehicleIndicator:
         self._period = TWO_PI / s.n
 
     def evaluate_batch(self, u: np.ndarray) -> np.ndarray:
-        psi = u[:, 0] * TWO_PI
-        return np.mod(psi - self._lo, self._period) <= self._length
+        """Detection flags; computes in place, overwriting u."""
+        x = u[:, 0]
+        np.multiply(x, TWO_PI, out=x)
+        np.subtract(x, self._lo, out=x)
+        np.mod(x, self._period, out=x)
+        return x <= self._length
 
 
 def mc_probability(s: CircularPatrolScenario, trials: int, seed: int,

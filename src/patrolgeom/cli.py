@@ -82,7 +82,9 @@ def _emit(args, command: str, scenario: Optional[dict], results: dict,
     return 0
 
 
-def _scenario_from_args(args, kind: str):
+def _scenario_data(args) -> dict:
+    """Scenario fields from the --scenario file, if any, with inline flags
+    overriding them; not yet validated."""
     data: dict = {}
     path = getattr(args, "scenario", None)
     if path:
@@ -100,6 +102,11 @@ def _scenario_from_args(args, kind: str):
         value = getattr(args, key, None)
         if value is not None:
             data[key] = value
+    return data
+
+
+def _scenario_from_args(args, kind: str):
+    data = _scenario_data(args)
     data.setdefault("kind", kind)
     if data.get("kind") != kind:
         raise ValidationError(f"{kind} scenario required, got kind "
@@ -290,22 +297,7 @@ def _cmd_sweep(args) -> int:
                               + ", ".join(_ESTIMATORS) + ")")
     estimators = sorted(set(estimators))
 
-    base: dict = {}
-    if args.scenario:
-        try:
-            with open(args.scenario, "r", encoding="utf-8") as fh:
-                raw = json.load(fh)
-        except OSError as err:
-            raise ValidationError(f"cannot read scenario file: {err}")
-        except json.JSONDecodeError as err:
-            raise ValidationError(f"malformed scenario file: {err}")
-        if not isinstance(raw, dict):
-            raise ValidationError("scenario file must hold a JSON object")
-        base.update(raw)
-    for key in ("R", "r", "n", "v", "u"):
-        value = getattr(args, key, None)
-        if value is not None:
-            base[key] = value
+    base = _scenario_data(args)
     base.setdefault("kind", "circular")
 
     values = sorted(_sweep_values(args))
@@ -396,7 +388,9 @@ def _mc_parent() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=DEFAULT_SEED,
                    help=f"root seed (default {DEFAULT_SEED})")
     p.add_argument("--workers", type=int, default=1,
-                   help="worker threads; never changes the result")
+                   help="worker threads; never changes the result, and "
+                        "pays off only from about 10^6 trials with a free "
+                        "core per worker")
     return p
 
 
@@ -495,7 +489,7 @@ def main(argv=None) -> int:
         print(f"error: {err}", file=sys.stderr)
         return 1
     except (MemoryError, OverflowError) as err:
-        # extreme input (say, a fleet size beyond float range): one line,
+        # input that validates but is too extreme to compute: one line,
         # no traceback
         reason = type(err).__name__ + (f": {err}" if str(err) else "")
         print(f"error: {reason}", file=sys.stderr)

@@ -68,14 +68,19 @@ def vehicle_position_linear(j: int, b: float, t: float,
     return c if c <= s.R else two_R - c
 
 
-def _lattice_detects(a, b, s: LinearPatrolScenario):
-    """Detection indicator for crossings at a with fleet phase b (scalars or
-    arrays): the relative line's axis crossing lies within r/sin(alpha) of
-    the vehicle lattice (2R/n)*Z."""
+def _lattice_detects(a: np.ndarray, b: np.ndarray,
+                     s: LinearPatrolScenario) -> np.ndarray:
+    """Detection flags for crossings at a with fleet phase b (float64
+    arrays, both overwritten): the relative line's axis crossing lies within
+    r/sin(alpha) of the vehicle lattice (2R/n)*Z."""
     period = 2.0 * s.R / s.n
     reach = s.r / math.sin(math.atan2(s.u, s.v))
-    x = np.mod(b - a + s.v * s.r / s.u, period)
-    return np.minimum(x, period - x) <= reach
+    x = np.subtract(b, a, out=b)
+    np.add(x, s.v * s.r / s.u, out=x)
+    np.mod(x, period, out=x)
+    np.subtract(period, x, out=a)
+    np.minimum(x, a, out=x)
+    return x <= reach
 
 
 def detects_linear(sample: CrossingSample, s: LinearPatrolScenario) -> bool:
@@ -92,7 +97,8 @@ def detects_linear(sample: CrossingSample, s: LinearPatrolScenario) -> bool:
         raise ValidationError("a must lie in [0, R]")
     if not 0.0 <= sample.b <= 2.0 * s.R / s.n:
         raise ValidationError("b must lie in [0, 2R/n]")
-    return bool(_lattice_detects(sample.a, sample.b, s))
+    a, b = np.array([sample.a], dtype=float), np.array([sample.b], dtype=float)
+    return bool(_lattice_detects(a, b, s)[0])
 
 
 class _CrossingIndicator:
@@ -104,9 +110,11 @@ class _CrossingIndicator:
         self._s = s
 
     def evaluate_batch(self, u: np.ndarray) -> np.ndarray:
+        """Detection flags; computes in place, overwriting u."""
         s = self._s
-        a = u[:, 0] * s.R
-        b = u[:, 1] * (2.0 * s.R / s.n)
+        a, b = u[:, 0], u[:, 1]
+        np.multiply(a, s.R, out=a)
+        np.multiply(b, 2.0 * s.R / s.n, out=b)
         return _lattice_detects(a, b, s)
 
 

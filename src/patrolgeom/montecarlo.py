@@ -4,6 +4,14 @@ Every estimate is a pure function of (indicator, trials, root seed).  Trials
 are seeded individually from the root seed through a fixed 64-bit mixing rule,
 so the result does not depend on chunk size, scheduling order, or worker
 count, and the scalar and vectorized draw paths are bit-identical.
+
+The vectorized path is allocation-free per chunk.  Each worker thread of
+`run_bernoulli_trials` owns one `DrawWorkspace`, allocated once, and walks
+its own share of the fixed chunk list.  `SeedSchedule.uniform_block` runs
+splitmix64 through ufuncs writing into the workspace's uint64 buffers and
+stores the draws draw-major, as a (draws, m) block, returning its (m, draws)
+transpose: each column u[:, j] is contiguous.  The block is runner-owned
+scratch, so a batch indicator may overwrite it while computing in place.
 """
 
 from __future__ import annotations
@@ -13,12 +21,13 @@ from bisect import bisect_right
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from statistics import NormalDist
-from typing import Callable, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
 __all__ = [
     "DEFAULT_SEED",
+    "DrawWorkspace",
     "EstimateWithCI",
     "SeedSchedule",
     "TrialSource",
@@ -32,8 +41,17 @@ __all__ = [
 DEFAULT_SEED = 1729
 
 # Trials are processed in fixed-size chunks.  The size is a pure performance
-# knob: per-trial draws depend only on the trial index, never on the chunk.
-CHUNK_TRIALS = 8192
+# constant: per-trial draws depend only on the trial index, never on the
+# chunk.  Each chunk costs a few dozen ufunc calls, whose Python overhead
+# holds the interpreter lock.  At 8192 trials that overhead serialized two
+# worker threads (buffon_mc, 10^7 trials, 2-core host: 1.08x); at 32768 two
+# workers ran about 1.6x faster than one, and larger chunks gained no more
+# while each doubling added 1.5 MB of workspace per worker.  Chunks this
+# large are cheap only because the draws and the indicators' intermediates
+# live in a per-worker workspace, not in per-chunk float64 temporaries of
+# 256 KiB (above glibc's 128 KiB mmap threshold): the needle indicator's old
+# temporaries took one worker from 0.38 s to 0.52 s there.
+CHUNK_TRIALS = 32768
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15  # odd increment of the splitmix64 sequence
@@ -50,16 +68,38 @@ def mix64(x: int) -> int:
     return x ^ (x >> 31)
 
 
-def _mix64_array(x: np.ndarray) -> np.ndarray:
-    # uint64 arithmetic wraps mod 2**64, matching the masked scalar path
-    x = x.astype(np.uint64, copy=True)
-    with np.errstate(over="ignore"):
-        x ^= x >> np.uint64(30)
-        x *= np.uint64(_MULT_A)
-        x ^= x >> np.uint64(27)
-        x *= np.uint64(_MULT_B)
-        x ^= x >> np.uint64(31)
-    return x
+def _mix64_inplace(x: np.ndarray, scratch: np.ndarray) -> None:
+    """mix64 on a uint64 array, in place; scratch is a same-size buffer.
+    uint64 arithmetic wraps mod 2**64, matching the masked scalar path."""
+    np.right_shift(x, 30, out=scratch)
+    np.bitwise_xor(x, scratch, out=x)
+    np.multiply(x, _MULT_A, out=x)
+    np.right_shift(x, 27, out=scratch)
+    np.bitwise_xor(x, scratch, out=x)
+    np.multiply(x, _MULT_B, out=x)
+    np.right_shift(x, 31, out=scratch)
+    np.bitwise_xor(x, scratch, out=x)
+
+
+class DrawWorkspace:
+    """Reusable buffers for `SeedSchedule.uniform_block` on up to `capacity`
+    trials of `draws` draws each.  Reusing one across chunks makes the draw
+    path allocation-free; each block it returns is overwritten by the next
+    call that is handed the same workspace."""
+
+    __slots__ = ("capacity", "draws", "_ramp", "_keys", "_bits", "_scratch",
+                 "_block")
+
+    def __init__(self, capacity: int, draws: int):
+        self.capacity = capacity
+        self.draws = draws
+        # i*GAMMA mod 2**64: trial keys are a fixed offset from this ramp
+        self._ramp = np.arange(capacity, dtype=np.uint64)
+        np.multiply(self._ramp, _GAMMA, out=self._ramp)
+        self._keys = np.empty(capacity, dtype=np.uint64)
+        self._bits = np.empty(capacity, dtype=np.uint64)
+        self._scratch = np.empty(capacity, dtype=np.uint64)
+        self._block = np.empty(draws * capacity, dtype=np.float64)
 
 
 class TrialSource:
@@ -110,27 +150,35 @@ class SeedSchedule:
     def trial_source(self, index: int) -> TrialSource:
         return TrialSource(self.trial_key(index))
 
-    def uniform_block(self, start: int, stop: int, draws: int) -> np.ndarray:
+    def uniform_block(self, start: int, stop: int, draws: int,
+                      out: Optional[DrawWorkspace] = None) -> np.ndarray:
         """Uniform draws for trials [start, stop), shape (stop-start, draws).
 
         Row i is bit-identical to the first `draws` uniforms produced by
-        trial_source(start + i).
+        trial_source(start + i).  The result is the transpose of a
+        draw-major (draws, stop-start) block, so each column is contiguous.
+        Without `out` the block is a fresh array; with a workspace it lives
+        in the workspace and the next call with that workspace reuses it.
         """
         if not 0 <= start <= stop:
             raise ValueError("need 0 <= start <= stop")
-        idx = np.arange(start, stop, dtype=np.uint64)
-        with np.errstate(over="ignore"):
-            keys = _mix64_array(
-                np.uint64(self.root_seed & _MASK64)
-                + (idx + np.uint64(1)) * np.uint64(_GAMMA)
-            )
-        out = np.empty((stop - start, draws), dtype=np.float64)
+        m = stop - start
+        if out is None:
+            out = DrawWorkspace(m, draws)
+        elif m > out.capacity or draws != out.draws:
+            raise ValueError("workspace does not fit the requested block")
+        keys, bits, scratch = out._keys[:m], out._bits[:m], out._scratch[:m]
+        block = out._block[:draws * m].reshape(draws, m)
+        # key of trial start + i: mix64(root_seed + (start + 1 + i)*GAMMA)
+        offset = (self.root_seed + (start + 1) * _GAMMA) & _MASK64
+        np.add(out._ramp[:m], offset, out=keys)
+        _mix64_inplace(keys, scratch)
         for j in range(draws):
-            step = np.uint64(((j + 1) * _GAMMA) & _MASK64)
-            with np.errstate(over="ignore"):
-                bits = _mix64_array(keys + step)
-            out[:, j] = (bits >> np.uint64(11)).astype(np.float64) * _INV_2_53
-        return out
+            np.add(keys, ((j + 1) * _GAMMA) & _MASK64, out=bits)
+            _mix64_inplace(bits, scratch)
+            np.right_shift(bits, 11, out=bits)
+            np.multiply(bits, _INV_2_53, out=block[j])
+        return block.T
 
 
 @dataclass(frozen=True)
@@ -192,10 +240,13 @@ def run_bernoulli_trials(indicator: Indicator, trials: int,
     or an object with attributes n_draws (draws consumed per trial) and
     evaluate_batch(u) mapping a (m, n_draws) uniform array to a boolean
     vector.  Both forms must agree draw for draw; the batch form exists only
-    for speed.
+    for speed.  The array handed to evaluate_batch is runner-owned scratch,
+    valid only during the call: the indicator may overwrite it in place.
 
-    Successes are accumulated as exact integers over fixed-size chunks, so
-    the estimate is independent of `workers`.
+    Trials are cut into fixed chunks of CHUNK_TRIALS; worker k of `workers`
+    threads takes chunks k, k + workers, ... and draws them into its own
+    workspace.  Successes are accumulated as exact integers, so the
+    estimate is independent of the chunk size and of `workers`.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -205,22 +256,26 @@ def run_bernoulli_trials(indicator: Indicator, trials: int,
     if hasattr(indicator, "evaluate_batch"):
         draws = int(indicator.n_draws)
 
-        def count(chunk: tuple[int, int]) -> int:
-            lo, hi = chunk
-            u = schedule.uniform_block(lo, hi, draws)
-            return int(np.count_nonzero(indicator.evaluate_batch(u)))
+        def count(share: list[tuple[int, int]]) -> int:
+            workspace = DrawWorkspace(min(CHUNK_TRIALS, trials), draws)
+            total = 0
+            for lo, hi in share:
+                u = schedule.uniform_block(lo, hi, draws, out=workspace)
+                total += int(np.count_nonzero(indicator.evaluate_batch(u)))
+            return total
     else:
 
-        def count(chunk: tuple[int, int]) -> int:
-            lo, hi = chunk
-            return sum(1 for i in range(lo, hi)
+        def count(share: list[tuple[int, int]]) -> int:
+            return sum(1 for lo, hi in share for i in range(lo, hi)
                        if indicator(schedule.trial_source(i)))
 
     chunks = [(lo, min(lo + CHUNK_TRIALS, trials))
               for lo in range(0, trials, CHUNK_TRIALS)]
+    workers = min(workers, len(chunks))
     if workers > 1:
+        shares = [chunks[k::workers] for k in range(workers)]
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            successes = sum(pool.map(count, chunks))
+            successes = sum(pool.map(count, shares))
     else:
-        successes = sum(map(count, chunks))
+        successes = count(chunks)
     return estimate_from_counts(successes, trials)

@@ -140,10 +140,15 @@ class _RandomRadiusIndicator:
         self._period = TWO_PI / s.n
 
     def evaluate_batch(self, u: np.ndarray) -> np.ndarray:
-        idx = np.minimum(np.searchsorted(self._cum, u[:, 0], side="right"),
-                         self._lo.size - 1)
-        psi = u[:, 1] * TWO_PI
-        return np.mod(psi - self._lo[idx], self._period) <= self._length[idx]
+        """Detection flags; computes in place, overwriting u."""
+        atom, x = u[:, 0], u[:, 1]
+        # mode="clip" maps the index past the last atom (u beyond a final
+        # cumulative weight rounded below 1) onto the last atom
+        idx = np.searchsorted(self._cum, atom, side="right")
+        np.multiply(x, TWO_PI, out=x)
+        np.subtract(x, np.take(self._lo, idx, out=atom, mode="clip"), out=x)
+        np.mod(x, self._period, out=x)
+        return x <= np.take(self._length, idx, out=atom, mode="clip")
 
 
 def mc_probability_random_radius(s: CircularPatrolScenario, d: RadiusDistribution,

@@ -83,6 +83,11 @@ def validate(s: Scenario) -> Scenario:
     _require(isinstance(s.n, int) and not isinstance(s.n, bool),
              "n must be an integer")
     _require(s.n >= 1, "n must be a positive integer")
+    try:
+        float(s.n)  # the models compute with n as a float: n*L, 2*pi/n
+    except OverflowError:
+        raise ValidationError("n must not exceed the float range "
+                              "(about 1.8e308)") from None
     for name in ("R", "r", "v", "u"):
         value = getattr(s, name)
         _require(isinstance(value, (int, float)) and not isinstance(value, bool),

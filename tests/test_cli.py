@@ -284,7 +284,7 @@ def test_fleet_size_beyond_float_range_exits_one(capsys):
                              "--r", "0.1", "--n", str(10 ** 400),
                              "--v", "1", "--u", "1")
     assert code == 1 and out == ""
-    assert err.startswith("error: OverflowError")
+    assert err.startswith("error: n must not exceed the float range")
     assert len(err.strip().splitlines()) == 1
 
 

@@ -1,13 +1,22 @@
 """Deterministic Monte Carlo machinery: seeding, intervals, trial runner."""
 
 import math
+import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from patrolgeom.montecarlo import (CHUNK_TRIALS, EstimateWithCI, SeedSchedule,
-                                   TrialSource, estimate_from_counts, mix64,
+from patrolgeom import montecarlo
+from patrolgeom.buffon import _NeedleIndicator
+from patrolgeom.circular import TWO_PI, _AnyVehicleIndicator, _detection_arc
+from patrolgeom.linear import _CrossingIndicator
+from patrolgeom.montecarlo import (CHUNK_TRIALS, DrawWorkspace, EstimateWithCI,
+                                   SeedSchedule, TrialSource,
+                                   estimate_from_counts, mix64,
                                    run_bernoulli_trials, wilson_interval)
+from patrolgeom.randomradius import RadiusDistribution, _RandomRadiusIndicator
+from patrolgeom.scenario import CircularPatrolScenario, LinearPatrolScenario
 
 # Reference outputs of the well-known 64-bit split-and-mix generator for
 # seed 1234567; the trial-key schedule reproduces them by construction.
@@ -56,6 +65,42 @@ def test_uniform_block_matches_scalar_sources_bit_for_bit():
 def test_uniform_block_validates_range():
     with pytest.raises(ValueError):
         SeedSchedule(0).uniform_block(5, 3, 1)
+
+
+def test_uniform_block_columns_are_contiguous():
+    block = SeedSchedule(3).uniform_block(0, 100, 3)
+    assert all(block[:, j].flags.c_contiguous for j in range(3))
+
+
+@pytest.mark.parametrize("start", [0, 3, 2 ** 40, 2 ** 40 + 12_345, 2 ** 62])
+def test_uniform_block_into_workspace_matches_fresh_and_scalar(start):
+    sched = SeedSchedule(20260825)
+    ws = DrawWorkspace(64, 3)
+    for stop in (start, start + 1, start + 37, start + 64):
+        into = sched.uniform_block(start, stop, 3, out=ws)
+        fresh = sched.uniform_block(start, stop, 3)
+        assert into.shape == fresh.shape == (stop - start, 3)
+        assert np.array_equal(into.view(np.uint64), fresh.view(np.uint64))
+        for row, index in enumerate(range(start, stop)):
+            src = sched.trial_source(index)
+            assert into[row].tolist() == [src.uniform() for _ in range(3)]
+
+
+def test_fresh_block_is_not_clobbered_by_later_calls():
+    sched = SeedSchedule(11)
+    first = sched.uniform_block(0, 50, 2)
+    kept = first.copy()
+    sched.uniform_block(50, 100, 2)
+    sched.uniform_block(0, 50, 2)[:] = -1.0
+    assert np.array_equal(first, kept)
+
+
+def test_workspace_rejects_a_block_it_cannot_hold():
+    ws = DrawWorkspace(10, 2)
+    with pytest.raises(ValueError):
+        SeedSchedule(0).uniform_block(0, 11, 2, out=ws)
+    with pytest.raises(ValueError):
+        SeedSchedule(0).uniform_block(0, 5, 3, out=ws)
 
 
 def test_uniform_draws_lie_in_the_requested_interval():
@@ -202,3 +247,80 @@ def test_interval_coverage_near_nominal_level():
         if est.ci_low <= p <= est.ci_high:
             covered += 1
     assert covered >= 93
+
+
+# ---- the package's batch indicators on the in-place pipeline ----
+
+_CIRCLE = CircularPatrolScenario(R=100.0, r=5.0, n=10, v=2.0, u=1.0)
+_SEGMENT = LinearPatrolScenario(R=100.0, r=5.0, n=5, v=2.0, u=1.0)
+_ATOMS = RadiusDistribution.from_atoms([(0.8, 0.25), (1.0, 0.5), (1.2, 0.25)])
+
+
+def _circle_reference(u):
+    lo, length = _detection_arc(_CIRCLE)
+    return np.mod(u[:, 0] * TWO_PI - lo, TWO_PI / _CIRCLE.n) <= length
+
+
+def _segment_reference(u):
+    s = _SEGMENT
+    a = u[:, 0] * s.R
+    b = u[:, 1] * (2.0 * s.R / s.n)
+    period = 2.0 * s.R / s.n
+    x = np.mod(b - a + s.v * s.r / s.u, period)
+    return np.minimum(x, period - x) <= s.r / math.sin(math.atan2(s.u, s.v))
+
+
+def _needle_reference(u):
+    return 0.6 * np.sin(u[:, 1] * math.pi) >= u[:, 0] * 1.3
+
+
+def _random_radius_reference(u):
+    cum = np.asarray(_ATOMS.cumulative_weights())
+    arcs = [_detection_arc(replace(_CIRCLE, R=k * _CIRCLE.R))
+            for k, _ in _ATOMS.atoms]
+    lo = np.array([a for a, _ in arcs])
+    length = np.array([b for _, b in arcs])
+    idx = np.minimum(np.searchsorted(cum, u[:, 0], side="right"), lo.size - 1)
+    return np.mod(u[:, 1] * TWO_PI - lo[idx], TWO_PI / _CIRCLE.n) <= length[idx]
+
+
+# (indicator, out-of-place formula with the same floating-point operations)
+_INDICATORS = {
+    "circle": (lambda: _AnyVehicleIndicator(_CIRCLE), _circle_reference),
+    "segment": (lambda: _CrossingIndicator(_SEGMENT), _segment_reference),
+    "needle": (lambda: _NeedleIndicator(0.6, 1.3), _needle_reference),
+    "random_radius": (lambda: _RandomRadiusIndicator(_CIRCLE, _ATOMS),
+                      _random_radius_reference),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_INDICATORS))
+def test_in_place_indicators_match_their_out_of_place_formulas(name):
+    make, reference = _INDICATORS[name]
+    indicator = make()
+    u = SeedSchedule(404).uniform_block(0, 50_000, indicator.n_draws)
+    expected = reference(u)
+    assert 0 < np.count_nonzero(expected) < expected.size
+    # strided columns (a row-major copy), then the contiguous ones
+    for block in (u.copy(order="C"), u):
+        assert np.array_equal(indicator.evaluate_batch(block), expected)
+
+
+@pytest.mark.parametrize("name", sorted(_INDICATORS))
+def test_indicator_counts_ignore_chunk_size_and_workers(name, monkeypatch):
+    make, _ = _INDICATORS[name]
+    indicator = make()
+    trials = 8192 + 300
+    sched = SeedSchedule(8080)
+    u = sched.uniform_block(0, trials, indicator.n_draws)
+    expected = int(np.count_nonzero(indicator.evaluate_batch(u)))
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # interleave worker threads as much as possible
+    try:
+        for chunk in (1, 7, 8192, CHUNK_TRIALS, trials + 1):
+            monkeypatch.setattr(montecarlo, "CHUNK_TRIALS", chunk)
+            for workers in (1, 2, 3):
+                est = run_bernoulli_trials(indicator, trials, sched, workers)
+                assert est.successes == expected, (chunk, workers)
+    finally:
+        sys.setswitchinterval(switch)

@@ -3,10 +3,13 @@
 import io
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
 
+from patrolgeom.circular import exact_probability
+from patrolgeom.linear import mc_probability_linear
 from patrolgeom.scenario import (CircularPatrolScenario, LinearPatrolScenario,
                                  ValidationError, derived_angles, load_scenario,
                                  scenario_from_dict, scenario_to_dict, validate)
@@ -24,6 +27,18 @@ def test_validate_rejects_bad_fleet_size():
         validate(CircularPatrolScenario(R=1.0, r=0.1, n=True, v=1.0, u=1.0))
     with pytest.raises(ValidationError, match="n must be a positive integer"):
         validate(CircularPatrolScenario(R=1.0, r=0.1, n=0, v=1.0, u=1.0))
+
+
+def test_validate_rejects_fleet_size_beyond_float_range():
+    huge = 10 ** 400
+    with pytest.raises(ValidationError, match="n must not exceed the float range"):
+        exact_probability(CircularPatrolScenario(R=1.0, r=0.1, n=huge, v=1.0, u=1.0))
+    with pytest.raises(ValidationError, match="n must not exceed the float range"):
+        mc_probability_linear(LinearPatrolScenario(R=1.0, r=0.1, n=huge, v=1.0,
+                                                   u=1.0), 10, 0)
+    largest = int(sys.float_info.max)
+    s = CircularPatrolScenario(R=1.0, r=0.1, n=largest, v=1.0, u=1.0)
+    assert validate(s) is s
 
 
 def test_validate_rejects_nonnumeric_and_nonfinite_fields():
