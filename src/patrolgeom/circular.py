@@ -35,6 +35,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+from .frames import TWO_PI
 from .montecarlo import EstimateWithCI, SeedSchedule, run_bernoulli_trials
 from .scenario import CircularPatrolScenario, derived_angles, validate
 
@@ -50,8 +51,6 @@ __all__ = [
     "minimum_fleet_size",
     "union_measure",
 ]
-
-TWO_PI = 2.0 * math.pi
 
 # Kept so that existing callers and the CLI's --resolution still validate;
 # the arc is found by search, not on an angular grid, so it has no effect.

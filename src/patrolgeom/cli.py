@@ -6,15 +6,21 @@ parameters come from a JSON file (--scenario) and/or inline flags, inline
 winning on overlap.  Reports are JSON by default or CSV with --format csv;
 --no-timing drops the wall-clock field so repeated runs are byte-identical.
 
-Exit codes: 0 success, 1 validation error (or input too extreme to
-compute: MemoryError, OverflowError), 2 usage error.
+Each estimator yields one record (_estimate); a report prints it as its
+JSON `results`, or nests several by name, and every CSV row carries the
+record's fields of the same name under the fixed header
+estimator,probability,ci_low,ci_high,m_min,chord_l,trials,seed (sweep puts
+parameter,value in front).  jensen --format csv prints quantity,value rows.
+
+Exit codes: 0 success, 1 validation error (a malformed radius distribution
+included) or input too extreme to compute (MemoryError, OverflowError),
+2 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import time
 from typing import Optional
@@ -46,34 +52,57 @@ def _write_csv(header, rows) -> None:
         out.write(",".join("" if cell is None else str(cell) for cell in row) + "\n")
 
 
-def _estimate_dict(est: EstimateWithCI) -> dict:
-    return {
-        "probability": est.mean,
-        "ci_low": est.ci_low,
-        "ci_high": est.ci_high,
-        "stderr": est.stderr,
-        "successes": est.successes,
-        "trials": est.trials,
-    }
+def _csv_row(record: dict) -> tuple:
+    """A record's cells under _CSV_HEADER, None where it has no such field."""
+    return tuple(record.get(col) for col in _CSV_HEADER)
+
+
+def _mc_record(est: EstimateWithCI, seed: int) -> dict:
+    return {"estimator": "mc", "seed": seed, "probability": est.mean,
+            "ci_low": est.ci_low, "ci_high": est.ci_high,
+            "stderr": est.stderr, "successes": est.successes,
+            "trials": est.trials}
+
+
+def _nested(record: dict) -> dict:
+    """A record as reports with several estimators nest it under its name."""
+    return {k: v for k, v in record.items() if k not in ("estimator", "seed")}
+
+
+def _estimate(name: str, scen, args) -> dict:
+    """The results record of estimator `name` on `scen`: the one place that
+    maps an estimator and a patrol model to a library call."""
+    circular = isinstance(scen, CircularPatrolScenario)
+    if name == "exact":
+        if not circular:
+            raise ValidationError("exact estimator requires a circular scenario")
+        return {"estimator": "exact",
+                "probability": exact_probability(scen, resolution=args.resolution),
+                "resolution": args.resolution}
+    if name == "asymptotic":
+        summary = (asymptotic_summary(scen) if circular
+                   else asymptotic_summary_linear(scen))
+        return {"estimator": "asymptotic", "probability": summary.p_asym,
+                "chord_l": summary.chord_l, "m_min": summary.m_min}
+    runner = mc_probability if circular else mc_probability_linear
+    return _mc_record(runner(scen, args.trials, args.seed, args.workers), args.seed)
 
 
 def _ratio_warnings(s) -> list[str]:
-    if s.r / s.R > LARGE_RATIO:
+    if isinstance(s, CircularPatrolScenario) and s.r / s.R > LARGE_RATIO:
         return [f"large-parameter regime: r/R = {s.r / s.R:.6g} exceeds "
                 f"{LARGE_RATIO}; small-radius closed forms degrade"]
     return []
 
 
-def _emit(args, command: str, scenario: Optional[dict], results: dict,
-          t0: float, warnings: Optional[list[str]] = None,
-          csv_rows: Optional[list[tuple]] = None) -> int:
-    if args.format == "csv" and csv_rows is not None:
-        _write_csv(_CSV_HEADER, csv_rows)
+def _emit(args, command: str, scenario: dict, results: dict,
+          t0: float, rows: list, header: tuple = _CSV_HEADER,
+          warnings: Optional[list[str]] = None) -> int:
+    if args.format == "csv":
+        _write_csv(header, rows)
         return 0
-    report = {"tool": "patrolgeom", "version": __version__, "command": command}
-    if scenario is not None:
-        report["scenario"] = scenario
-    report["results"] = results
+    report = {"tool": "patrolgeom", "version": __version__, "command": command,
+              "scenario": scenario, "results": results}
     if warnings:
         report["warnings"] = warnings
     if not args.no_timing:
@@ -82,19 +111,23 @@ def _emit(args, command: str, scenario: Optional[dict], results: dict,
     return 0
 
 
+def _read_json(path: str, what: str):
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as err:
+        raise ValidationError(f"cannot read {what} file: {err}")
+    except json.JSONDecodeError as err:
+        raise ValidationError(f"malformed {what} file: {err}")
+
+
 def _scenario_data(args) -> dict:
     """Scenario fields from the --scenario file, if any, with inline flags
     overriding them; not yet validated."""
     data: dict = {}
     path = getattr(args, "scenario", None)
     if path:
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                raw = json.load(fh)
-        except OSError as err:
-            raise ValidationError(f"cannot read scenario file: {err}")
-        except json.JSONDecodeError as err:
-            raise ValidationError(f"malformed scenario file: {err}")
+        raw = _read_json(path, "scenario")
         if not isinstance(raw, dict):
             raise ValidationError("scenario file must hold a JSON object")
         data.update(raw)
@@ -125,13 +158,7 @@ def _distribution_from_args(args) -> RadiusDistribution:
     if not path:
         raise ValidationError("a radius distribution is required "
                               "(--distribution FILE or --atoms JSON)")
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except OSError as err:
-        raise ValidationError(f"cannot read distribution file: {err}")
-    except json.JSONDecodeError as err:
-        raise ValidationError(f"malformed distribution file: {err}")
+    raw = _read_json(path, "distribution")
     if not isinstance(raw, dict) or "atoms" not in raw:
         raise ValidationError("distribution file must hold an object "
                               "with an 'atoms' array")
@@ -148,71 +175,22 @@ def _distribution_from_args(args) -> RadiusDistribution:
 def _cmd_buffon(args) -> int:
     t0 = time.perf_counter()
     problem = NeedleProblem(l=args.l, L=args.L)
-    analytic = buffon_probability(problem)
-    est = buffon_mc(problem, args.trials, args.seed, args.workers)
-    results = {"analytic": analytic, "mc": _estimate_dict(est)}
-    rows = [("analytic", analytic, None, None, None, None, None, None),
-            ("mc", est.mean, est.ci_low, est.ci_high, None, None,
-             est.trials, args.seed)]
+    analytic = {"estimator": "analytic",
+                "probability": buffon_probability(problem)}
+    mc = _mc_record(buffon_mc(problem, args.trials, args.seed, args.workers),
+                    args.seed)
+    results = {"analytic": analytic["probability"], "mc": _nested(mc)}
     return _emit(args, "buffon", {"kind": "needle", "l": args.l, "L": args.L},
-                 results, t0, csv_rows=rows)
+                 results, t0, [_csv_row(analytic), _csv_row(mc)])
 
 
-def _cmd_circular_exact(args) -> int:
+def _cmd_estimate(args) -> int:
+    """circular {exact,mc,asymptotic} and linear {mc,asymptotic}."""
     t0 = time.perf_counter()
-    scen = _scenario_from_args(args, "circular")
-    p = exact_probability(scen, resolution=args.resolution)
-    results = {"estimator": "exact", "probability": p,
-               "resolution": args.resolution}
-    rows = [("exact", p, None, None, None, None, None, None)]
-    return _emit(args, "circular-exact", scenario_to_dict(scen), results, t0,
-                 warnings=_ratio_warnings(scen), csv_rows=rows)
-
-
-def _cmd_circular_mc(args) -> int:
-    t0 = time.perf_counter()
-    scen = _scenario_from_args(args, "circular")
-    est = mc_probability(scen, args.trials, args.seed, args.workers)
-    results = {"estimator": "mc", "seed": args.seed, **_estimate_dict(est)}
-    rows = [("mc", est.mean, est.ci_low, est.ci_high, None, None,
-             est.trials, args.seed)]
-    return _emit(args, "circular-mc", scenario_to_dict(scen), results, t0,
-                 warnings=_ratio_warnings(scen), csv_rows=rows)
-
-
-def _cmd_circular_asymptotic(args) -> int:
-    t0 = time.perf_counter()
-    scen = _scenario_from_args(args, "circular")
-    summary = asymptotic_summary(scen)
-    results = {"estimator": "asymptotic", "probability": summary.p_asym,
-               "chord_l": summary.chord_l, "m_min": summary.m_min}
-    rows = [("asymptotic", summary.p_asym, None, None, summary.m_min,
-             summary.chord_l, None, None)]
-    return _emit(args, "circular-asymptotic", scenario_to_dict(scen), results,
-                 t0, warnings=_ratio_warnings(scen), csv_rows=rows)
-
-
-def _cmd_linear_mc(args) -> int:
-    t0 = time.perf_counter()
-    scen = _scenario_from_args(args, "linear")
-    est = mc_probability_linear(scen, args.trials, args.seed, args.workers)
-    results = {"estimator": "mc", "seed": args.seed, **_estimate_dict(est)}
-    rows = [("mc", est.mean, est.ci_low, est.ci_high, None, None,
-             est.trials, args.seed)]
-    return _emit(args, "linear-mc", scenario_to_dict(scen), results, t0,
-                 csv_rows=rows)
-
-
-def _cmd_linear_asymptotic(args) -> int:
-    t0 = time.perf_counter()
-    scen = _scenario_from_args(args, "linear")
-    summary = asymptotic_summary_linear(scen)
-    results = {"estimator": "asymptotic", "probability": summary.p_asym,
-               "chord_l": summary.chord_l, "m_min": summary.m_min}
-    rows = [("asymptotic", summary.p_asym, None, None, summary.m_min,
-             summary.chord_l, None, None)]
-    return _emit(args, "linear-asymptotic", scenario_to_dict(scen), results,
-                 t0, csv_rows=rows)
+    scen = _scenario_from_args(args, args.kind)
+    record = _estimate(args.mode, scen, args)
+    return _emit(args, f"{args.kind}-{args.mode}", scenario_to_dict(scen),
+                 record, t0, [_csv_row(record)], warnings=_ratio_warnings(scen))
 
 
 def _cmd_jensen(args) -> int:
@@ -226,34 +204,24 @@ def _cmd_jensen(args) -> int:
                "mean_inverse_k": dist.mean_inverse(),
                "asymptotic_fixed": fixed,
                "asymptotic_randomized": randomized}
-    if args.format == "csv":
-        _write_csv(("quantity", "value"), sorted(results.items()))
-        return 0
     return _emit(args, "jensen", scenario_to_dict(scen), results, t0,
+                 sorted(results.items()), header=("quantity", "value"),
                  warnings=_ratio_warnings(scen))
 
 
 def _cmd_compare(args) -> int:
     t0 = time.perf_counter()
     scen = _scenario_from_args(args, "circular")
-    exact = exact_probability(scen, resolution=args.resolution)
-    est = mc_probability(scen, args.trials, args.seed, args.workers)
-    summary = asymptotic_summary(scen)
-    results = {
-        "exact": {"probability": exact, "resolution": args.resolution},
-        "mc": _estimate_dict(est),
-        "asymptotic": {"probability": summary.p_asym,
-                       "chord_l": summary.chord_l, "m_min": summary.m_min},
-        "gap_exact_asymptotic": abs(exact - summary.p_asym),
-        "exact_within_mc_ci": bool(est.ci_low <= exact <= est.ci_high),
-    }
-    rows = [("asymptotic", summary.p_asym, None, None, summary.m_min,
-             summary.chord_l, None, None),
-            ("exact", exact, None, None, None, None, None, None),
-            ("mc", est.mean, est.ci_low, est.ci_high, None, None,
-             est.trials, args.seed)]
+    exact, mc, asym = (_estimate(name, scen, args)
+                       for name in ("exact", "mc", "asymptotic"))
+    results = {r["estimator"]: _nested(r) for r in (exact, mc, asym)}
+    results["gap_exact_asymptotic"] = abs(exact["probability"]
+                                          - asym["probability"])
+    results["exact_within_mc_ci"] = bool(
+        mc["ci_low"] <= exact["probability"] <= mc["ci_high"])
     return _emit(args, "compare", scenario_to_dict(scen), results, t0,
-                 warnings=_ratio_warnings(scen), csv_rows=rows)
+                 [_csv_row(r) for r in (asym, exact, mc)],
+                 warnings=_ratio_warnings(scen))
 
 
 _SWEEPABLE = ("R", "r", "n", "v", "u")
@@ -312,31 +280,8 @@ def _cmd_sweep(args) -> int:
         data[param] = value
         scenarios.append((value, scenario_from_dict(data)))
 
-    if "exact" in estimators:
-        for _, scen in scenarios:
-            if not isinstance(scen, CircularPatrolScenario):
-                raise ValidationError("exact estimator requires a "
-                                      "circular scenario")
-
-    rows = []
-    for value, scen in scenarios:
-        circular = isinstance(scen, CircularPatrolScenario)
-        for name in estimators:
-            if name == "exact":
-                p = exact_probability(scen, resolution=args.resolution)
-                rows.append((param, value, "exact", p, None, None,
-                             None, None, None, None))
-            elif name == "asymptotic":
-                summary = (asymptotic_summary(scen) if circular
-                           else asymptotic_summary_linear(scen))
-                rows.append((param, value, "asymptotic", summary.p_asym,
-                             None, None, summary.m_min, summary.chord_l,
-                             None, None))
-            else:
-                runner = mc_probability if circular else mc_probability_linear
-                est = runner(scen, args.trials, args.seed, args.workers)
-                rows.append((param, value, "mc", est.mean, est.ci_low,
-                             est.ci_high, None, None, est.trials, args.seed))
+    rows = [(param, value) + _csv_row(_estimate(name, scen, args))
+            for value, scen in scenarios for name in estimators]
     _write_csv(_SWEEP_HEADER, rows)
     return 0
 
@@ -418,20 +363,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     circ = sub.add_parser("circular", help="circular patrol estimators")
     circ_sub = circ.add_subparsers(dest="mode", required=True)
-    p = circ_sub.add_parser("exact", parents=[scen, out])
-    _resolution_arg(p)
-    p.set_defaults(func=_cmd_circular_exact)
-    p = circ_sub.add_parser("mc", parents=[scen, out, mc])
-    p.set_defaults(func=_cmd_circular_mc)
-    p = circ_sub.add_parser("asymptotic", parents=[scen, out])
-    p.set_defaults(func=_cmd_circular_asymptotic)
+    circ.set_defaults(func=_cmd_estimate, kind="circular")
+    _resolution_arg(circ_sub.add_parser("exact", parents=[scen, out]))
+    circ_sub.add_parser("mc", parents=[scen, out, mc])
+    circ_sub.add_parser("asymptotic", parents=[scen, out])
 
     lin = sub.add_parser("linear", help="segment patrol estimators")
     lin_sub = lin.add_subparsers(dest="mode", required=True)
-    p = lin_sub.add_parser("mc", parents=[scen, out, mc])
-    p.set_defaults(func=_cmd_linear_mc)
-    p = lin_sub.add_parser("asymptotic", parents=[scen, out])
-    p.set_defaults(func=_cmd_linear_asymptotic)
+    lin.set_defaults(func=_cmd_estimate, kind="linear")
+    lin_sub.add_parser("mc", parents=[scen, out, mc])
+    lin_sub.add_parser("asymptotic", parents=[scen, out])
 
     p = sub.add_parser("jensen", parents=[scen, out],
                        help="randomized-radius convexity check")

@@ -34,6 +34,13 @@ __all__ = [
 _MEAN_TOL = 1e-12
 
 
+def _real(value, name: str) -> float:
+    # bool and str are not numbers here, as in scenario_from_dict
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValidationError(f"{name} must be a real number")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class RadiusDistribution:
     """Discrete distribution of the radius multiplier k.
@@ -41,7 +48,9 @@ class RadiusDistribution:
     atoms are (k, p) pairs: positive multipliers with positive weights
     summing to 1, and E[k] = 1 exactly (to 1e-12).  k_minus and k_plus bound
     the support, with k_minus <= 1 <= k_plus; both equal 1 only for the
-    degenerate point mass at k = 1.  Build through from_atoms.
+    degenerate point mass at k = 1.  Build through from_atoms, which raises
+    ValidationError on malformed input too: atoms that are not a list of
+    [k, p] pairs, or a k, p, k_minus or k_plus that is not a real number.
     """
 
     atoms: tuple[tuple[float, float], ...]
@@ -52,7 +61,12 @@ class RadiusDistribution:
     def from_atoms(atoms: Sequence[tuple[float, float]],
                    k_minus: Optional[float] = None,
                    k_plus: Optional[float] = None) -> "RadiusDistribution":
-        clean = tuple((float(k), float(p)) for k, p in atoms)
+        if not isinstance(atoms, (list, tuple)) or not all(
+                isinstance(atom, (list, tuple)) and len(atom) == 2
+                for atom in atoms):
+            raise ValidationError("atoms must be a list of [k, p] pairs")
+        clean = tuple((_real(k, "atom multiplier k"), _real(p, "atom weight p"))
+                      for k, p in atoms)
         if not clean:
             raise ValidationError("distribution needs at least one atom")
         for k, p in clean:
@@ -68,8 +82,8 @@ class RadiusDistribution:
             raise ValidationError("multiplier mean must equal 1")
         low = min(k for k, _ in clean)
         high = max(k for k, _ in clean)
-        k_minus = low if k_minus is None else float(k_minus)
-        k_plus = high if k_plus is None else float(k_plus)
+        k_minus = low if k_minus is None else _real(k_minus, "k_minus")
+        k_plus = high if k_plus is None else _real(k_plus, "k_plus")
         if not 0.0 < k_minus <= low:
             raise ValidationError("k_minus must satisfy 0 < k_minus <= min k")
         if not high <= k_plus:

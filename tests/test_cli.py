@@ -49,6 +49,52 @@ def test_buffon_csv_output(capsys):
     assert lines[2].startswith("mc,")
 
 
+_REF_FLAGS = ("--R", "100", "--r", "5", "--n", "10", "--v", "2", "--u", "1")
+_LINEAR_FLAGS = ("--R", "100", "--r", "5", "--n", "5", "--v", "2", "--u", "1")
+_MC_FLAGS = ("--trials", "3000", "--seed", "7")
+
+
+@pytest.mark.parametrize("argv", [
+    ("buffon", "--l", "1", "--L", "2") + _MC_FLAGS,
+    ("circular", "exact") + _REF_FLAGS,
+    ("circular", "mc") + _REF_FLAGS + _MC_FLAGS,
+    ("circular", "asymptotic") + _REF_FLAGS,
+    ("linear", "mc") + _LINEAR_FLAGS + _MC_FLAGS,
+    ("linear", "asymptotic") + _LINEAR_FLAGS,
+    ("compare",) + _REF_FLAGS + _MC_FLAGS,
+    ("jensen",) + _REF_FLAGS + ("--atoms", "[[0.9, 0.5], [1.1, 0.5]]"),
+], ids=lambda argv: "-".join(a for a in argv[:2] if not a.startswith("-")))
+def test_csv_cells_match_json_fields(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv, "--no-timing")
+    assert code == 0
+    results = json.loads(out)["results"]
+    code, out, _ = run_cli(capsys, *argv, "--format", "csv")
+    assert code == 0
+    header, *lines = out.splitlines()
+    columns = header.split(",")
+    rows = [dict(zip(columns, line.split(","))) for line in lines]
+    assert rows and all(len(row) == len(columns) for row in rows)
+    if columns == ["quantity", "value"]:
+        assert ({row["quantity"]: row["value"] for row in rows}
+                == {key: str(value) for key, value in results.items()})
+        return
+    for row in rows:
+        if "estimator" in results:
+            record = results
+        else:
+            # reports with several estimators nest one record per name;
+            # nested Monte Carlo records leave the seed to the --seed flag
+            nested = results[row["estimator"]]
+            record = dict(nested) if isinstance(nested, dict) else {
+                "probability": nested}
+            record["estimator"] = row["estimator"]
+            if "trials" in record:
+                record["seed"] = argv[argv.index("--seed") + 1]
+        filled = {col: cell for col, cell in row.items() if cell != ""}
+        assert filled == {col: str(record[col]) for col in columns
+                          if col in record}
+
+
 def test_circular_exact_from_scenario_file(capsys, tmp_path):
     path = write_scenario(tmp_path, **{**REF, "v": 0.0})
     code, out, _ = run_cli(capsys, "circular", "exact", "--scenario", path,
@@ -239,6 +285,29 @@ def test_jensen_distribution_file(capsys, tmp_path):
     assert code == 0
     assert json.loads(out)["results"]["mean_inverse_k"] == pytest.approx(
         100.0 / 99.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("source", [
+    ("--atoms", "5"),
+    ("--atoms", "true"),
+    ("--atoms", "[[null, 1]]"),
+    ("--atoms", "[[1]]"),
+    ("--atoms", '[["1", 1]]'),
+    ("--distribution", {"atoms": [[0.9, 0.5], [1.1, 0.5]], "k_minus": [1]}),
+    ("--distribution", {"atoms": 5}),
+])
+def test_malformed_distribution_exits_one(capsys, tmp_path, source):
+    flag, value = source
+    if flag == "--distribution":
+        path = tmp_path / "dist.json"
+        path.write_text(json.dumps(value), encoding="utf-8")
+        value = str(path)
+    code, out, err = run_cli(capsys, "jensen", "--R", "100", "--r", "5",
+                             "--n", "10", "--v", "2", "--u", "1", flag, value)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ")
+    assert len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
 
 
 def test_polar_image_csv(capsys):

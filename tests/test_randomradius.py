@@ -44,6 +44,37 @@ def test_from_atoms_validation():
         RadiusDistribution.from_atoms(TWO_POINT, k_plus=1.05)
 
 
+@pytest.mark.parametrize("atoms, bounds", [
+    (5, {}),
+    (True, {}),
+    ("[[0.9, 0.5], [1.1, 0.5]]", {}),
+    ({"0.9": 0.5, "1.1": 0.5}, {}),
+    ([0.9, 1.1], {}),
+    ([[1.0]], {}),
+    ([[0.9, 0.5, 0.0], [1.1, 0.5, 0.0]], {}),
+    ([[None, 1.0]], {}),
+    ([[1.0, None]], {}),
+    ([["1", 1.0]], {}),
+    ([[True, 1.0]], {}),
+    ([[1.0, [1.0]]], {}),
+    (TWO_POINT, {"k_minus": [1]}),
+    (TWO_POINT, {"k_minus": "0.8"}),
+    (TWO_POINT, {"k_plus": True}),
+    (TWO_POINT, {"k_plus": {"k": 1.2}}),
+])
+def test_from_atoms_rejects_malformed_input(atoms, bounds):
+    with pytest.raises(ValidationError):
+        RadiusDistribution.from_atoms(atoms, **bounds)
+
+
+def test_from_atoms_accepts_lists_tuples_and_ints():
+    d = RadiusDistribution.from_atoms([[1, 1]], k_minus=1, k_plus=2)
+    assert d.atoms == ((1.0, 1.0),)
+    assert (d.k_minus, d.k_plus) == (1.0, 2.0)
+    assert all(type(x) is float for atom in d.atoms for x in atom)
+    assert RadiusDistribution.from_atoms(tuple(TWO_POINT)).atoms == tuple(TWO_POINT)
+
+
 def test_from_atoms_defaults_bounds_to_support():
     d = RadiusDistribution.from_atoms(TWO_POINT)
     assert d.k_minus == 0.9
