@@ -20,7 +20,8 @@ from .montecarlo import (DEFAULT_SEED, EstimateWithCI, SeedSchedule, TrialSource
                          wilson_interval)
 from .randomradius import (PiecewiseRadiusProcess, RadiusDistribution,
                            asymptotic_probability_randomized,
-                           ergodic_time_average, jensen_sides,
+                           ergodic_time_average,
+                           exact_probability_random_radius, jensen_sides,
                            mc_probability_random_radius, validate_process)
 from .scenario import (CircularPatrolScenario, DerivedAngles,
                        LinearPatrolScenario, Scenario, ValidationError,
@@ -59,6 +60,7 @@ __all__ = [
     "ergodic_time_average",
     "estimate_from_counts",
     "exact_probability",
+    "exact_probability_random_radius",
     "jensen_sides",
     "load_scenario",
     "mc_probability",

@@ -11,8 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .montecarlo import EstimateWithCI, SeedSchedule, run_bernoulli_trials
 from .scenario import ValidationError
 
@@ -61,11 +59,15 @@ class _NeedleIndicator:
     n_draws = 2
 
     def __init__(self, l: float, L: float):
+        import numpy  # noqa: F401  loaded in the constructing thread
+
         self.l = l
         self.L = L
 
     def evaluate_batch(self, u: np.ndarray) -> np.ndarray:
         """Crossing flags; computes in place, overwriting u."""
+        import numpy as np
+
         z, proj = u[:, 0], u[:, 1]
         np.multiply(z, self.L, out=z)
         np.multiply(proj, math.pi, out=proj)

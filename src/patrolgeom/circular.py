@@ -33,8 +33,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-import numpy as np
-
 from .frames import TWO_PI
 from .montecarlo import EstimateWithCI, SeedSchedule, run_bernoulli_trials
 from .scenario import CircularPatrolScenario, derived_angles, validate
@@ -236,11 +234,15 @@ class _AnyVehicleIndicator:
     n_draws = 1
 
     def __init__(self, s: CircularPatrolScenario):
+        import numpy  # noqa: F401  loaded in the constructing thread
+
         self._lo, self._length = _detection_arc(s)
         self._period = TWO_PI / s.n
 
     def evaluate_batch(self, u: np.ndarray) -> np.ndarray:
         """Detection flags; computes in place, overwriting u."""
+        import numpy as np
+
         x = u[:, 0]
         np.multiply(x, TWO_PI, out=x)
         np.subtract(x, self._lo, out=x)

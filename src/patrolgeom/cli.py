@@ -33,7 +33,7 @@ from .frames import TWO_PI, scan_circle_polar_approx, scan_circle_polar_exact
 from .linear import asymptotic_summary_linear, mc_probability_linear
 from .montecarlo import DEFAULT_SEED, EstimateWithCI
 from .randomradius import (RadiusDistribution, asymptotic_probability_randomized,
-                           jensen_sides)
+                           exact_probability_random_radius, jensen_sides)
 from .scenario import (CircularPatrolScenario, ValidationError,
                        scenario_from_dict, scenario_to_dict)
 
@@ -203,7 +203,8 @@ def _cmd_jensen(args) -> int:
     results = {"lhs": lhs, "rhs": rhs, "ratio": lhs / rhs,
                "mean_inverse_k": dist.mean_inverse(),
                "asymptotic_fixed": fixed,
-               "asymptotic_randomized": randomized}
+               "asymptotic_randomized": randomized,
+               "exact_randomized": exact_probability_random_radius(scen, dist)}
     return _emit(args, "jensen", scenario_to_dict(scen), results, t0,
                  sorted(results.items()), header=("quantity", "value"),
                  warnings=_ratio_warnings(scen))

@@ -28,8 +28,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .circular import AsymptoticSummary, minimum_fleet_size
 from .montecarlo import EstimateWithCI, SeedSchedule, run_bernoulli_trials
 from .scenario import LinearPatrolScenario, ValidationError, validate
@@ -73,6 +71,8 @@ def _lattice_detects(a: np.ndarray, b: np.ndarray,
     """Detection flags for crossings at a with fleet phase b (float64
     arrays, both overwritten): the relative line's axis crossing lies within
     r/sin(alpha) of the vehicle lattice (2R/n)*Z."""
+    import numpy as np
+
     period = 2.0 * s.R / s.n
     reach = s.r / math.sin(math.atan2(s.u, s.v))
     x = np.subtract(b, a, out=b)
@@ -97,6 +97,8 @@ def detects_linear(sample: CrossingSample, s: LinearPatrolScenario) -> bool:
         raise ValidationError("a must lie in [0, R]")
     if not 0.0 <= sample.b <= 2.0 * s.R / s.n:
         raise ValidationError("b must lie in [0, 2R/n]")
+    import numpy as np
+
     a, b = np.array([sample.a], dtype=float), np.array([sample.b], dtype=float)
     return bool(_lattice_detects(a, b, s)[0])
 
@@ -107,10 +109,14 @@ class _CrossingIndicator:
     n_draws = 2
 
     def __init__(self, s: LinearPatrolScenario):
+        import numpy  # noqa: F401  loaded in the constructing thread
+
         self._s = s
 
     def evaluate_batch(self, u: np.ndarray) -> np.ndarray:
         """Detection flags; computes in place, overwriting u."""
+        import numpy as np
+
         s = self._s
         a, b = u[:, 0], u[:, 1]
         np.multiply(a, s.R, out=a)

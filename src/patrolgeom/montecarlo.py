@@ -12,23 +12,26 @@ splitmix64 through ufuncs writing into the workspace's uint64 buffers and
 stores the draws draw-major, as a (draws, m) block, returning its (m, draws)
 transpose: each column u[:, j] is contiguous.  The block is runner-owned
 scratch, so a batch indicator may overwrite it while computing in place.
+
+numpy, the thread pool and `statistics` are imported by the functions that
+use them, not at module level, so the closed-form commands, which never
+call them, start without loading them.  `run_bernoulli_trials` and each
+indicator's constructor import numpy in the calling thread, before any
+worker starts.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from statistics import NormalDist
 from typing import Callable, Optional, Sequence, Union
-
-import numpy as np
 
 __all__ = [
     "DEFAULT_SEED",
     "DrawWorkspace",
     "EstimateWithCI",
+    "MAX_WORKERS",
     "SeedSchedule",
     "TrialSource",
     "estimate_from_counts",
@@ -53,6 +56,11 @@ DEFAULT_SEED = 1729
 # temporaries took one worker from 0.38 s to 0.52 s there.
 CHUNK_TRIALS = 32768
 
+# Ceiling on worker threads.  The estimate does not depend on `workers`, and
+# a count far above the cores only adds threads: unbounded, a large request
+# would start one thread per chunk.
+MAX_WORKERS = 64
+
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15  # odd increment of the splitmix64 sequence
 _MULT_A = 0xBF58476D1CE4E5B9
@@ -71,6 +79,8 @@ def mix64(x: int) -> int:
 def _mix64_inplace(x: np.ndarray, scratch: np.ndarray) -> None:
     """mix64 on a uint64 array, in place; scratch is a same-size buffer.
     uint64 arithmetic wraps mod 2**64, matching the masked scalar path."""
+    import numpy as np
+
     np.right_shift(x, 30, out=scratch)
     np.bitwise_xor(x, scratch, out=x)
     np.multiply(x, _MULT_A, out=x)
@@ -91,6 +101,8 @@ class DrawWorkspace:
                  "_block")
 
     def __init__(self, capacity: int, draws: int):
+        import numpy as np
+
         self.capacity = capacity
         self.draws = draws
         # i*GAMMA mod 2**64: trial keys are a fixed offset from this ramp
@@ -160,6 +172,8 @@ class SeedSchedule:
         Without `out` the block is a fresh array; with a workspace it lives
         in the workspace and the next call with that workspace reuses it.
         """
+        import numpy as np
+
         if not 0 <= start <= stop:
             raise ValueError("need 0 <= start <= stop")
         m = stop - start
@@ -210,6 +224,8 @@ def wilson_interval(successes: int, trials: int,
         raise ValueError("successes must lie in [0, trials]")
     if not 0.0 < confidence < 1.0:
         raise ValueError("confidence must lie in (0, 1)")
+    from statistics import NormalDist
+
     z = NormalDist().inv_cdf(0.5 + confidence / 2.0)
     phat = successes / trials
     z2n = z * z / trials
@@ -246,12 +262,17 @@ def run_bernoulli_trials(indicator: Indicator, trials: int,
     Trials are cut into fixed chunks of CHUNK_TRIALS; worker k of `workers`
     threads takes chunks k, k + workers, ... and draws them into its own
     workspace.  Successes are accumulated as exact integers, so the
-    estimate is independent of the chunk size and of `workers`.
+    estimate is independent of the chunk size and of `workers`, which may
+    not exceed MAX_WORKERS.
     """
+    import numpy as np
+
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if workers < 1:
         raise ValueError("workers must be >= 1")
+    if workers > MAX_WORKERS:
+        raise ValueError(f"workers must be <= {MAX_WORKERS}")
 
     if hasattr(indicator, "evaluate_batch"):
         draws = int(indicator.n_draws)
@@ -273,6 +294,8 @@ def run_bernoulli_trials(indicator: Indicator, trials: int,
               for lo in range(0, trials, CHUNK_TRIALS)]
     workers = min(workers, len(chunks))
     if workers > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         shares = [chunks[k::workers] for k in range(workers)]
         with ThreadPoolExecutor(max_workers=workers) as pool:
             successes = sum(pool.map(count, shares))

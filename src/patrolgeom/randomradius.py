@@ -4,9 +4,10 @@ If the patrol radius is scaled by a positive random multiplier k with
 E[k] = 1, the small-radius detection probability scales by E[1/k], and
 convexity of x -> 1/x makes E[1/k] >= 1: randomizing the radius never hurts.
 This module carries the discrete distribution record, both sides of that
-convexity inequality, the randomized closed form, a Monte Carlo estimator
-that actually redraws the radius per trial, and a time-average check that a
-single patroller hopping through radius states reproduces the ensemble mean.
+convexity inequality, the randomized closed form, the exact randomized
+probability, a Monte Carlo estimator that actually redraws the radius per
+trial, and a time-average check that a single patroller hopping through
+radius states reproduces the ensemble mean.
 """
 
 from __future__ import annotations
@@ -14,8 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
-
-import numpy as np
 
 from .circular import TWO_PI, _detection_arc
 from .montecarlo import EstimateWithCI, SeedSchedule, run_bernoulli_trials
@@ -26,6 +25,7 @@ __all__ = [
     "RadiusDistribution",
     "asymptotic_probability_randomized",
     "ergodic_time_average",
+    "exact_probability_random_radius",
     "jensen_sides",
     "mc_probability_random_radius",
     "validate_process",
@@ -138,23 +138,46 @@ def asymptotic_probability_randomized(s: CircularPatrolScenario,
     return min(1.0, value)
 
 
+def _atom_arcs(s: CircularPatrolScenario,
+               d: RadiusDistribution) -> list[tuple[float, float]]:
+    """(lo, L) of each atom's detection arc: the arc of the scenario with
+    patrol radius k*R (launch circle k*R + r)."""
+    return [_detection_arc(replace(s, R=k * s.R)) for k, _ in d.atoms]
+
+
+def exact_probability_random_radius(s: CircularPatrolScenario,
+                                    d: RadiusDistribution) -> float:
+    """Exact interception probability with the radius redrawn per run:
+    sum over atoms of p_k * min(1, n*L_k/(2*pi)), L_k the arc length at
+    patrol radius k*R, as circular.exact_probability gives per atom."""
+    validate(s)
+    _check_radius_margin(d, s.r, s.R)
+    value = math.fsum(p * min(1.0, s.n * length / TWO_PI)
+                      for (_, p), (_, length) in zip(d.atoms, _atom_arcs(s, d)))
+    # the weights sum to 1 only to 1e-12
+    return min(1.0, value)
+
+
 class _RandomRadiusIndicator:
     """Two draws per trial: slot 0 picks the atom by cumulative weight, slot
     1 the launch angle psi ~ U[0, 2*pi).  Each atom k has its own detection
-    arc, that of the scenario with patrol radius k*R (launch circle
-    k*R + r), computed once here."""
+    arc (`_atom_arcs`), computed once here."""
 
     n_draws = 2
 
     def __init__(self, s: CircularPatrolScenario, d: RadiusDistribution):
+        import numpy as np
+
         self._cum = np.asarray(d.cumulative_weights())
-        arcs = [_detection_arc(replace(s, R=k * s.R)) for k, _ in d.atoms]
+        arcs = _atom_arcs(s, d)
         self._lo = np.array([lo for lo, _ in arcs])
         self._length = np.array([length for _, length in arcs])
         self._period = TWO_PI / s.n
 
     def evaluate_batch(self, u: np.ndarray) -> np.ndarray:
         """Detection flags; computes in place, overwriting u."""
+        import numpy as np
+
         atom, x = u[:, 0], u[:, 1]
         # mode="clip" maps the index past the last atom (u beyond a final
         # cumulative weight rounded below 1) onto the last atom

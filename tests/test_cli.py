@@ -267,6 +267,23 @@ def test_jensen_inline_atoms(capsys, tmp_path):
     assert results["lhs"] >= results["rhs"]
 
 
+def test_jensen_reports_exact_randomized(capsys):
+    from patrolgeom import (RadiusDistribution,
+                            exact_probability_random_radius, scenario_from_dict)
+
+    code, out, _ = run_cli(capsys, "jensen", *_REF_FLAGS,
+                           "--atoms", "[[0.9, 0.5], [1.1, 0.5]]", "--no-timing")
+    assert code == 0
+    results = json.loads(out)["results"]
+    expected = exact_probability_random_radius(
+        scenario_from_dict(REF),
+        RadiusDistribution.from_atoms([[0.9, 0.5], [1.1, 0.5]]))
+    assert results["exact_randomized"] == expected
+    # r/R = 0.05: the exact and small-radius values agree to O((r/R)^2)
+    assert results["exact_randomized"] == pytest.approx(
+        results["asymptotic_randomized"], rel=0.01)
+
+
 def test_jensen_requires_a_distribution(capsys, tmp_path):
     path = write_scenario(tmp_path, **REF)
     code, _, err = run_cli(capsys, "jensen", "--scenario", path)
@@ -355,6 +372,26 @@ def test_fleet_size_beyond_float_range_exits_one(capsys):
     assert code == 1 and out == ""
     assert err.startswith("error: n must not exceed the float range")
     assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("circular", "mc") + _REF_FLAGS,
+    ("linear", "mc") + _LINEAR_FLAGS,
+    ("compare",) + _REF_FLAGS,
+    ("buffon", "--l", "1", "--L", "1"),
+])
+def test_workers_above_ceiling_exits_one_without_threads(capsys, monkeypatch,
+                                                         argv):
+    import concurrent.futures
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("no thread pool may start")
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", refuse)
+    code, out, err = run_cli(capsys, *argv, "--workers", "100000",
+                             "--trials", "1000000000")
+    assert code == 1 and out == ""
+    assert err == "error: workers must be <= 64\n"
 
 
 def test_memory_error_exits_one_without_traceback(capsys, monkeypatch):

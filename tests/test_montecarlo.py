@@ -11,8 +11,8 @@ from patrolgeom import montecarlo
 from patrolgeom.buffon import _NeedleIndicator
 from patrolgeom.circular import TWO_PI, _AnyVehicleIndicator, _detection_arc
 from patrolgeom.linear import _CrossingIndicator
-from patrolgeom.montecarlo import (CHUNK_TRIALS, DrawWorkspace, EstimateWithCI,
-                                   SeedSchedule, TrialSource,
+from patrolgeom.montecarlo import (CHUNK_TRIALS, MAX_WORKERS, DrawWorkspace,
+                                   EstimateWithCI, SeedSchedule, TrialSource,
                                    estimate_from_counts, mix64,
                                    run_bernoulli_trials, wilson_interval)
 from patrolgeom.randomradius import RadiusDistribution, _RandomRadiusIndicator
@@ -225,6 +225,23 @@ def test_runner_rejects_bad_arguments():
     with pytest.raises(ValueError):
         run_bernoulli_trials(_ThresholdIndicator(0.5), 10, SeedSchedule(0),
                              workers=0)
+
+
+def test_runner_caps_workers_before_starting_threads(monkeypatch):
+    import concurrent.futures
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("no thread pool may start")
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", refuse)
+    with pytest.raises(ValueError, match=f"workers must be <= {MAX_WORKERS}"):
+        run_bernoulli_trials(_ThresholdIndicator(0.5), 10 ** 9, SeedSchedule(0),
+                             workers=MAX_WORKERS + 1)
+    # at the ceiling a single chunk still runs on the calling thread
+    est = run_bernoulli_trials(_ThresholdIndicator(0.5), 100, SeedSchedule(0),
+                               workers=MAX_WORKERS)
+    assert est == run_bernoulli_trials(_ThresholdIndicator(0.5), 100,
+                                       SeedSchedule(0))
 
 
 def test_runner_matches_a_manual_count_across_chunk_boundaries():

@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 
 from patrolgeom import CircularPatrolScenario
-from patrolgeom.circular import mc_probability
+from patrolgeom.circular import TWO_PI, exact_probability, mc_probability
 from patrolgeom.randomradius import (PiecewiseRadiusProcess, RadiusDistribution,
+                                     _atom_arcs,
                                      asymptotic_probability_randomized,
-                                     ergodic_time_average, jensen_sides,
-                                     mc_probability_random_radius,
+                                     ergodic_time_average,
+                                     exact_probability_random_radius,
+                                     jensen_sides, mc_probability_random_radius,
                                      validate_process)
 from patrolgeom.scenario import ValidationError
 
@@ -176,6 +178,49 @@ def test_mc_random_radius_deterministic_across_workers(ref_circular):
     b = mc_probability_random_radius(ref_circular, d, 30_000, seed=9,
                                      workers=3)
     assert a == b
+
+
+def test_exact_random_radius_point_mass_is_the_fixed_radius_value(ref_circular):
+    d = RadiusDistribution.from_atoms([(1.0, 1.0)])
+    assert exact_probability_random_radius(ref_circular, d) == \
+        exact_probability(ref_circular)
+
+
+def test_exact_random_radius_static_ring_matches_mixture_of_closed_forms(
+        static_circular):
+    # with v = 0 each radius state contributes (n/pi) asin(r / (k R))
+    d = RadiusDistribution.from_atoms(TWO_POINT)
+    expected = math.fsum(p * (static_circular.n / math.pi)
+                         * math.asin(static_circular.r / (k * static_circular.R))
+                         for k, p in d.atoms)
+    assert exact_probability_random_radius(static_circular, d) == \
+        pytest.approx(expected, rel=1e-9)
+
+
+@pytest.mark.parametrize("scenario, atoms, saturated", [
+    (dict(R=100.0, r=5.0, n=10, v=2.0, u=1.0), TWO_POINT, 0),
+    (dict(R=10.0, r=3.0, n=4, v=1.0, u=1.0), [(0.5, 0.5), (1.5, 0.5)], 1),
+    (dict(R=10.0, r=3.0, n=4, v=1.0, u=1.0), [(0.4, 0.25), (1.2, 0.75)], 1),
+    (dict(R=10.0, r=2.0, n=8, v=3.0, u=1.0), [(0.5, 0.5), (1.5, 0.5)], 2),
+    (dict(R=1.0, r=0.01, n=3, v=0.5, u=2.0),
+     [(0.5, 0.2), (1.0, 0.4), (1.25, 0.4)], 0),
+])
+def test_mc_random_radius_within_interval_of_exact(scenario, atoms, saturated):
+    s = CircularPatrolScenario(**scenario)
+    d = RadiusDistribution.from_atoms(atoms)
+    assert sum(s.n * length >= TWO_PI
+               for _, length in _atom_arcs(s, d)) == saturated
+    exact = exact_probability_random_radius(s, d)
+    trials = 100_000
+    est = mc_probability_random_radius(s, d, trials, seed=11)
+    assert abs(est.mean - exact) <= 4.0 * est.stderr + 1.0 / trials
+
+
+def test_exact_random_radius_rejects_overlapping_radius():
+    d = RadiusDistribution.from_atoms(TWO_POINT)
+    s = CircularPatrolScenario(R=100.0, r=95.0, n=1, v=2.0, u=1.0)
+    with pytest.raises(ValidationError, match="r < k_minus"):
+        exact_probability_random_radius(s, d)
 
 
 def test_mc_random_radius_rejects_overlapping_radius(ref_circular):

@@ -1,0 +1,72 @@
+"""Start-up cost: the closed-form commands never load numpy, the thread
+pool or `statistics`; the Monte Carlo path loads them on first use.
+
+Each case runs a fresh interpreter, because this test process has long
+since imported numpy."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+HEAVY = ("numpy", "concurrent.futures", "statistics")
+
+REF = ["--R", "100", "--r", "5", "--n", "10", "--v", "2", "--u", "1"]
+
+_PROBE = """
+import contextlib, io, json, sys
+import patrolgeom.cli
+codes = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(patrolgeom.cli.main(argv))
+print(json.dumps({"codes": codes, "modules": sorted(sys.modules)}))
+"""
+
+
+def _run(*commands):
+    """Exit codes of `commands` run through cli.main in one fresh process,
+    and the modules loaded afterwards."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run([sys.executable, "-c", _PROBE,
+                           json.dumps([list(c) for c in commands])],
+                          capture_output=True, text=True, env=env,
+                          timeout=120, check=True)
+    result = json.loads(proc.stdout)
+    return result["codes"], set(result["modules"])
+
+
+def test_closed_form_commands_never_load_numpy():
+    codes, modules = _run(
+        ["circular", "exact", *REF],
+        ["circular", "asymptotic", *REF],
+        ["linear", "asymptotic", "--R", "100", "--r", "5", "--n", "5",
+         "--v", "2", "--u", "1"],
+        ["jensen", *REF, "--atoms", "[[0.9, 0.5], [1.1, 0.5]]"],
+        ["sweep", *REF, "--parameter", "r", "--values", "1,2,4",
+         "--estimators", "asymptotic,exact"],
+        ["polar-image", "--r-over-R", "0.1", "--points", "8"],
+    )
+    assert codes == [0] * 6
+    assert modules.isdisjoint(HEAVY)
+
+
+def test_single_worker_monte_carlo_loads_numpy_but_no_thread_pool():
+    codes, modules = _run(["circular", "mc", *REF, "--trials", "1000",
+                           "--workers", "1"])
+    assert codes == [0]
+    assert "numpy" in modules
+    assert "concurrent.futures" not in modules
+
+
+def test_importing_the_cli_loads_every_package_module():
+    _, modules = _run()
+    package = {"patrolgeom." + name for name in (
+        "buffon", "circular", "cli", "frames", "linear", "montecarlo",
+        "randomradius", "scenario")}
+    assert package <= modules
+    assert modules.isdisjoint(HEAVY)
