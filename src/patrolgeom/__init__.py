@@ -6,10 +6,9 @@ deterministic Monte Carlo machinery."""
 __version__ = "0.1.0"
 
 from .buffon import NeedleProblem, buffon_mc, buffon_probability
-from .circular import (AsymptoticSummary, CircleIntervalSet, DEFAULT_RESOLUTION,
-                       asymptotic_summary, detection_arc_set, detects,
-                       exact_probability, mc_probability, minimum_fleet_size,
-                       union_measure)
+from .circular import (AsymptoticSummary, CircleIntervalSet, asymptotic_summary,
+                       detection_arc_set, detects, exact_probability,
+                       mc_probability, minimum_fleet_size, union_measure)
 from .frames import (PolarPoint, RotatingFramePoint, distance_to_vehicle,
                      object_position_rotating, scan_circle_polar_approx,
                      scan_circle_polar_exact, wrap_positive, wrap_signed)
@@ -33,7 +32,6 @@ __all__ = [
     "CircleIntervalSet",
     "CircularPatrolScenario",
     "CrossingSample",
-    "DEFAULT_RESOLUTION",
     "DEFAULT_SEED",
     "DerivedAngles",
     "EstimateWithCI",

@@ -40,7 +40,6 @@ from .scenario import CircularPatrolScenario, derived_angles, validate
 __all__ = [
     "AsymptoticSummary",
     "CircleIntervalSet",
-    "DEFAULT_RESOLUTION",
     "asymptotic_summary",
     "detection_arc_set",
     "detects",
@@ -49,10 +48,6 @@ __all__ = [
     "minimum_fleet_size",
     "union_measure",
 ]
-
-# Kept so that existing callers and the CLI's --resolution still validate;
-# the arc is found by search, not on an angular grid, so it has no effect.
-DEFAULT_RESOLUTION = 4096
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -181,11 +176,6 @@ def _detection_arc(s: CircularPatrolScenario) -> tuple[float, float]:
     return lo, hi - lo
 
 
-def _check_resolution(resolution: int) -> None:
-    if resolution < 16:
-        raise ValueError("resolution must be at least 16")
-
-
 def _vehicle_angle(vehicle_index: int, s: CircularPatrolScenario) -> float:
     """Angle of a vehicle of the fleet, after checking its index."""
     if not 0 <= vehicle_index < s.n:
@@ -204,24 +194,21 @@ def detects(psi: float, vehicle_index: int, s: CircularPatrolScenario) -> bool:
 
 # ---- arc sets and probabilities ----
 
-def detection_arc_set(vehicle_index: int, s: CircularPatrolScenario,
-                      resolution: int = DEFAULT_RESOLUTION) -> CircleIntervalSet:
+def detection_arc_set(vehicle_index: int,
+                      s: CircularPatrolScenario) -> CircleIntervalSet:
     """Launch angles detected by one vehicle: a single arc (or the full
-    circle), as a canonical arc set.  `resolution` is validated but unused."""
+    circle), as a canonical arc set."""
     validate(s)
     beta = _vehicle_angle(vehicle_index, s)
-    _check_resolution(resolution)
     lo, length = _detection_arc(s)
     return CircleIntervalSet.from_intervals([(beta + lo, beta + lo + length)])
 
 
-def exact_probability(s: CircularPatrolScenario,
-                      resolution: int = DEFAULT_RESOLUTION) -> float:
+def exact_probability(s: CircularPatrolScenario) -> float:
     """Interception probability min(1, n*L/(2*pi)), L the length of one
     vehicle's arc: n equally spaced copies of one arc overlap only once they
-    cover the circle.  `resolution` is validated but unused."""
+    cover the circle."""
     validate(s)
-    _check_resolution(resolution)
     _, length = _detection_arc(s)
     return min(1.0, s.n * length / TWO_PI)
 

@@ -13,22 +13,22 @@ estimator,probability,ci_low,ci_high,m_min,chord_l,trials,seed (sweep puts
 parameter,value in front).  jensen --format csv prints quantity,value rows.
 
 Exit codes: 0 success, 1 validation error (a malformed radius distribution
-included) or input too extreme to compute (MemoryError, OverflowError),
-2 usage error.
+included), input too extreme to compute (MemoryError, OverflowError) or a
+reader that closed stdout early (nothing on stderr), 2 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from typing import Optional
 
 from . import __version__
 from .buffon import NeedleProblem, buffon_mc, buffon_probability
-from .circular import (DEFAULT_RESOLUTION, asymptotic_summary, exact_probability,
-                       mc_probability)
+from .circular import asymptotic_summary, exact_probability, mc_probability
 from .frames import TWO_PI, scan_circle_polar_approx, scan_circle_polar_exact
 from .linear import asymptotic_summary_linear, mc_probability_linear
 from .montecarlo import DEFAULT_SEED, EstimateWithCI
@@ -76,9 +76,7 @@ def _estimate(name: str, scen, args) -> dict:
     if name == "exact":
         if not circular:
             raise ValidationError("exact estimator requires a circular scenario")
-        return {"estimator": "exact",
-                "probability": exact_probability(scen, resolution=args.resolution),
-                "resolution": args.resolution}
+        return {"estimator": "exact", "probability": exact_probability(scen)}
     if name == "asymptotic":
         summary = (asymptotic_summary(scen) if circular
                    else asymptotic_summary_linear(scen))
@@ -291,12 +289,16 @@ def _cmd_polar_image(args) -> int:
     if args.points < 2:
         raise ValidationError("--points must be at least 2")
     project = scan_circle_polar_approx if args.approx else scan_circle_polar_exact
-    rows = []
-    for i in range(args.points):
-        psi = TWO_PI * i / args.points
-        point = project(args.r_over_R, psi)
-        rows.append((psi, point.rho_norm, point.phi))
-    _write_csv(("psi", "rho_norm", "phi"), rows)
+    project(args.r_over_R, 0.0)  # a bad ratio raises before the header
+
+    def rows():
+        # one row at a time: memory stays flat at any --points
+        for i in range(args.points):
+            psi = TWO_PI * i / args.points
+            point = project(args.r_over_R, psi)
+            yield psi, point.rho_norm, point.phi
+
+    _write_csv(("psi", "rho_norm", "phi"), rows())
     return 0
 
 
@@ -340,13 +342,6 @@ def _mc_parent() -> argparse.ArgumentParser:
     return p
 
 
-def _resolution_arg(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--resolution", type=int, default=DEFAULT_RESOLUTION,
-                   help=f"accepted for compatibility (at least 16); the arc "
-                        f"is found without an angular grid "
-                        f"(default {DEFAULT_RESOLUTION})")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="patrolgeom",
@@ -365,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     circ = sub.add_parser("circular", help="circular patrol estimators")
     circ_sub = circ.add_subparsers(dest="mode", required=True)
     circ.set_defaults(func=_cmd_estimate, kind="circular")
-    _resolution_arg(circ_sub.add_parser("exact", parents=[scen, out]))
+    circ_sub.add_parser("exact", parents=[scen, out])
     circ_sub.add_parser("mc", parents=[scen, out, mc])
     circ_sub.add_parser("asymptotic", parents=[scen, out])
 
@@ -394,12 +389,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--estimators", default="asymptotic",
                    help="comma-separated subset of "
                         + ",".join(_ESTIMATORS))
-    _resolution_arg(p)
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("compare", parents=[scen, out, mc],
                        help="exact vs Monte Carlo vs asymptotic")
-    _resolution_arg(p)
     p.set_defaults(func=_cmd_compare)
 
     p = sub.add_parser("polar-image",
@@ -422,7 +415,16 @@ def main(argv=None) -> int:
             return 0
         return code if isinstance(code, int) else 2
     try:
-        return args.func(args)
+        code = args.func(args)
+        # a closed pipe surfaces here, while the error is still handled
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader left early; send what is still buffered to devnull so
+        # that the flush at interpreter exit cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
     except _UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 2

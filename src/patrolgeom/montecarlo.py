@@ -3,7 +3,8 @@
 Every estimate is a pure function of (indicator, trials, root seed).  Trials
 are seeded individually from the root seed through a fixed 64-bit mixing rule,
 so the result does not depend on chunk size, scheduling order, or worker
-count, and the scalar and vectorized draw paths are bit-identical.
+count, and the scalar reference draws (`TrialSource`) and the vectorized
+ones (`SeedSchedule.uniform_block`) are bit-identical.
 
 The vectorized path is allocation-free per chunk.  Each worker thread of
 `run_bernoulli_trials` owns one `DrawWorkspace`, allocated once, and walks
@@ -11,21 +12,19 @@ its own share of the fixed chunk list.  `SeedSchedule.uniform_block` runs
 splitmix64 through ufuncs writing into the workspace's uint64 buffers and
 stores the draws draw-major, as a (draws, m) block, returning its (m, draws)
 transpose: each column u[:, j] is contiguous.  The block is runner-owned
-scratch, so a batch indicator may overwrite it while computing in place.
+scratch, so an indicator may overwrite it while computing in place.
 
-numpy, the thread pool and `statistics` are imported by the functions that
-use them, not at module level, so the closed-form commands, which never
-call them, start without loading them.  `run_bernoulli_trials` and each
-indicator's constructor import numpy in the calling thread, before any
-worker starts.
+numpy and the thread pool are imported by the functions that use them, not
+at module level, so the closed-form commands, which never call them, start
+without loading them.  `run_bernoulli_trials` and each indicator's
+constructor import numpy in the calling thread, before any worker starts.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional
 
 __all__ = [
     "DEFAULT_SEED",
@@ -66,6 +65,9 @@ _GAMMA = 0x9E3779B97F4A7C15  # odd increment of the splitmix64 sequence
 _MULT_A = 0xBF58476D1CE4E5B9
 _MULT_B = 0x94D049BB133111EB
 _INV_2_53 = 2.0 ** -53
+
+# Normal quantile of the two-sided 95% level, NormalDist().inv_cdf(0.975).
+_Z95 = 1.9599639845400536
 
 
 def mix64(x: int) -> int:
@@ -115,10 +117,11 @@ class DrawWorkspace:
 
 
 class TrialSource:
-    """Random source for one trial, driven by a counter under a fixed key.
+    """Random source for one trial, driven by a counter under a fixed key:
+    the scalar reference for the draws of `SeedSchedule.uniform_block`.
 
-    Draw j (1-based) is mix64(key + j*GAMMA) mapped to [0, 1) with 53-bit
-    resolution: u = (bits >> 11) * 2**-53.
+    Draw j (1-based) is mix64(key + j*GAMMA) mapped to [0, 1) by its top 53
+    bits: u = (bits >> 11) * 2**-53.
     """
 
     __slots__ = ("key", "_count")
@@ -133,14 +136,6 @@ class TrialSource:
         bits = mix64((self.key + self._count * _GAMMA) & _MASK64)
         u = (bits >> 11) * _INV_2_53
         return low + (high - low) * u
-
-    def categorical(self, cum_weights: Sequence[float]) -> int:
-        """Index of the first cumulative weight exceeding a uniform draw.
-
-        cum_weights must be nondecreasing with final entry 1 (up to round-off).
-        """
-        u = self.uniform()
-        return min(bisect_right(cum_weights, u), len(cum_weights) - 1)
 
 
 @dataclass(frozen=True)
@@ -211,9 +206,8 @@ class EstimateWithCI:
     ci_high: float
 
 
-def wilson_interval(successes: int, trials: int,
-                    confidence: float = 0.95) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion.
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """95% Wilson score interval for a binomial proportion.
 
     Never collapses to a point at 0 or n successes, unlike the normal
     approximation interval.
@@ -222,16 +216,12 @@ def wilson_interval(successes: int, trials: int,
         raise ValueError("trials must be >= 1")
     if not 0 <= successes <= trials:
         raise ValueError("successes must lie in [0, trials]")
-    if not 0.0 < confidence < 1.0:
-        raise ValueError("confidence must lie in (0, 1)")
-    from statistics import NormalDist
-
-    z = NormalDist().inv_cdf(0.5 + confidence / 2.0)
     phat = successes / trials
-    z2n = z * z / trials
+    z2n = _Z95 * _Z95 / trials
     denom = 1.0 + z2n
     center = (phat + z2n / 2.0) / denom
-    half = z * math.sqrt(phat * (1.0 - phat) / trials + z2n / (4.0 * trials)) / denom
+    half = (_Z95 * math.sqrt(phat * (1.0 - phat) / trials + z2n / (4.0 * trials))
+            / denom)
     return max(0.0, center - half), min(1.0, center + half)
 
 
@@ -245,18 +235,13 @@ def estimate_from_counts(successes: int, trials: int) -> EstimateWithCI:
                           ci_high=max(ci_high, mean))
 
 
-Indicator = Union[Callable[[TrialSource], bool], object]
-
-
-def run_bernoulli_trials(indicator: Indicator, trials: int,
-                         schedule: SeedSchedule, workers: int = 1) -> EstimateWithCI:
+def run_bernoulli_trials(indicator, trials: int, schedule: SeedSchedule,
+                         workers: int = 1) -> EstimateWithCI:
     """Estimate P(indicator) over `trials` independently seeded trials.
 
-    indicator is either a callable taking a TrialSource and returning a bool,
-    or an object with attributes n_draws (draws consumed per trial) and
-    evaluate_batch(u) mapping a (m, n_draws) uniform array to a boolean
-    vector.  Both forms must agree draw for draw; the batch form exists only
-    for speed.  The array handed to evaluate_batch is runner-owned scratch,
+    indicator has attributes n_draws (draws consumed per trial) and
+    evaluate_batch(u), mapping a (m, n_draws) uniform array to a boolean
+    vector.  The array handed to evaluate_batch is runner-owned scratch,
     valid only during the call: the indicator may overwrite it in place.
 
     Trials are cut into fixed chunks of CHUNK_TRIALS; worker k of `workers`
@@ -274,21 +259,15 @@ def run_bernoulli_trials(indicator: Indicator, trials: int,
     if workers > MAX_WORKERS:
         raise ValueError(f"workers must be <= {MAX_WORKERS}")
 
-    if hasattr(indicator, "evaluate_batch"):
-        draws = int(indicator.n_draws)
+    draws = int(indicator.n_draws)
 
-        def count(share: list[tuple[int, int]]) -> int:
-            workspace = DrawWorkspace(min(CHUNK_TRIALS, trials), draws)
-            total = 0
-            for lo, hi in share:
-                u = schedule.uniform_block(lo, hi, draws, out=workspace)
-                total += int(np.count_nonzero(indicator.evaluate_batch(u)))
-            return total
-    else:
-
-        def count(share: list[tuple[int, int]]) -> int:
-            return sum(1 for lo, hi in share for i in range(lo, hi)
-                       if indicator(schedule.trial_source(i)))
+    def count(share: list[tuple[int, int]]) -> int:
+        workspace = DrawWorkspace(min(CHUNK_TRIALS, trials), draws)
+        total = 0
+        for lo, hi in share:
+            u = schedule.uniform_block(lo, hi, draws, out=workspace)
+            total += int(np.count_nonzero(indicator.evaluate_batch(u)))
+        return total
 
     chunks = [(lo, min(lo + CHUNK_TRIALS, trials))
               for lo in range(0, trials, CHUNK_TRIALS)]

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
-from .circular import TWO_PI, _detection_arc
+from .circular import TWO_PI, _detection_arc, exact_probability
 from .montecarlo import EstimateWithCI, SeedSchedule, run_bernoulli_trials
 from .scenario import CircularPatrolScenario, ValidationError, derived_angles, validate
 
@@ -147,13 +147,13 @@ def _atom_arcs(s: CircularPatrolScenario,
 
 def exact_probability_random_radius(s: CircularPatrolScenario,
                                     d: RadiusDistribution) -> float:
-    """Exact interception probability with the radius redrawn per run:
-    sum over atoms of p_k * min(1, n*L_k/(2*pi)), L_k the arc length at
-    patrol radius k*R, as circular.exact_probability gives per atom."""
+    """Exact interception probability with the radius redrawn per run: the
+    sum over atoms of p_k times circular.exact_probability at patrol radius
+    k*R, that is p_k * min(1, n*L_k/(2*pi))."""
     validate(s)
     _check_radius_margin(d, s.r, s.R)
-    value = math.fsum(p * min(1.0, s.n * length / TWO_PI)
-                      for (_, p), (_, length) in zip(d.atoms, _atom_arcs(s, d)))
+    value = math.fsum(p * exact_probability(replace(s, R=k * s.R))
+                      for k, p in d.atoms)
     # the weights sum to 1 only to 1e-12
     return min(1.0, value)
 

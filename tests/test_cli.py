@@ -2,7 +2,13 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import time
+import tracemalloc
+from contextlib import redirect_stdout
+from pathlib import Path
 
 import pytest
 
@@ -104,6 +110,7 @@ def test_circular_exact_from_scenario_file(capsys, tmp_path):
     expected = 10.0 * math.asin(0.05) / math.pi
     assert report["results"]["probability"] == pytest.approx(expected,
                                                              abs=1e-6)
+    assert set(report["results"]) == {"estimator", "probability"}
     assert report["scenario"]["v"] == 0.0
 
 
@@ -165,6 +172,13 @@ def test_usage_errors_exit_two(capsys):
                            "--estimators", "magic")
     assert code == 2
     assert "unknown estimator" in err
+    # the arc is found without an angular grid; --resolution is gone
+    for command in (("circular", "exact"), ("compare",),
+                    ("sweep", "--parameter", "n", "--values", "1")):
+        code, out, err = run_cli(capsys, *command, *_REF_FLAGS,
+                                 "--resolution", "64")
+        assert code == 2 and out == ""
+        assert "unrecognized arguments: --resolution 64" in err
 
 
 def test_version_flag(capsys):
@@ -339,6 +353,40 @@ def test_polar_image_csv(capsys):
     assert psi == pytest.approx(math.pi / 2.0)
     assert rho == pytest.approx(1.1, abs=1e-12)
     assert phi == pytest.approx(0.0, abs=1e-12)
+
+
+def test_polar_image_streams_its_rows():
+    tracemalloc.start()
+    try:
+        with open(os.devnull, "w") as sink, redirect_stdout(sink):
+            code = main(["polar-image", "--r-over-R", "0.1",
+                         "--points", "200000"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 2 * 1024 * 1024
+
+
+def test_polar_image_bad_ratio_prints_no_csv(capsys):
+    code, out, err = run_cli(capsys, "polar-image", "--r-over-R", "1.5")
+    assert code == 1 and out == ""
+    assert err.startswith("error: r_over_R")
+
+
+def test_closed_pipe_exits_one_quietly():
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    with subprocess.Popen([sys.executable, "-m", "patrolgeom", "polar-image",
+                           "--r-over-R", "0.1", "--points", "200000"],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          env=env) as proc:
+        assert proc.stdout.readline() == b"psi,rho_norm,phi\n"
+        proc.stdout.close()  # the reader leaves after one line
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    assert code == 1 and err == b""
 
 
 def test_polar_image_approx_flag(capsys):

@@ -1,5 +1,6 @@
 """Start-up cost: the closed-form commands never load numpy, the thread
-pool or `statistics`; the Monte Carlo path loads them on first use.
+pool or `statistics`; the Monte Carlo path loads numpy on first use, the
+thread pool only for several workers, and `statistics` never.
 
 Each case runs a fresh interpreter, because this test process has long
 since imported numpy."""
@@ -61,6 +62,7 @@ def test_single_worker_monte_carlo_loads_numpy_but_no_thread_pool():
     assert codes == [0]
     assert "numpy" in modules
     assert "concurrent.futures" not in modules
+    assert "statistics" not in modules
 
 
 def test_importing_the_cli_loads_every_package_module():
