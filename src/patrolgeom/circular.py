@@ -30,6 +30,7 @@ the dense-grid oracles of the test suite are the independent check.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -275,6 +276,15 @@ def minimum_fleet_size(per_vehicle: float) -> int:
     return m
 
 
+def _normal(*values: float) -> bool:
+    """Whether every value is a normal float.  The closed forms divide
+    products of r, R and sin(alpha); where one of those products overflows
+    (R near the top of the float range) or underflows (tiny R*sin(alpha)),
+    they form the same ratio from r/R, which lies in (0, 1), instead."""
+    return all(sys.float_info.min <= abs(x) <= sys.float_info.max
+               for x in values)
+
+
 def asymptotic_summary(s: CircularPatrolScenario) -> AsymptoticSummary:
     """First-order summary for r << R.
 
@@ -285,8 +295,13 @@ def asymptotic_summary(s: CircularPatrolScenario) -> AsymptoticSummary:
     """
     validate(s)
     sin_alpha = math.sin(derived_angles(s).alpha)
-    chord = 2.0 * s.r / (s.R * sin_alpha)
-    per_vehicle = s.r / (math.pi * s.R * sin_alpha)
+    if _normal(2.0 * s.r, s.R * sin_alpha, math.pi * s.R * sin_alpha):
+        chord = 2.0 * s.r / (s.R * sin_alpha)
+        per_vehicle = s.r / (math.pi * s.R * sin_alpha)
+    else:
+        ratio = s.r / s.R
+        chord = 2.0 * ratio / sin_alpha
+        per_vehicle = ratio / (math.pi * sin_alpha)
     return AsymptoticSummary(chord_l=chord,
                              p_asym=min(1.0, s.n * per_vehicle),
                              m_min=minimum_fleet_size(per_vehicle))

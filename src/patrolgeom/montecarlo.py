@@ -8,7 +8,7 @@ ones (`SeedSchedule.uniform_block`) are bit-identical.
 
 The vectorized path is allocation-free per chunk.  Each worker thread of
 `run_bernoulli_trials` owns one `DrawWorkspace`, allocated once, and walks
-its own share of the fixed chunk list.  `SeedSchedule.uniform_block` runs
+its own share of the fixed chunk sequence.  `SeedSchedule.uniform_block` runs
 splitmix64 through ufuncs writing into the workspace's uint64 buffers and
 stores the draws draw-major, as a (draws, m) block, returning its (m, draws)
 transpose: each column u[:, j] is contiguous.  The block is runner-owned
@@ -246,7 +246,8 @@ def run_bernoulli_trials(indicator, trials: int, schedule: SeedSchedule,
 
     Trials are cut into fixed chunks of CHUNK_TRIALS; worker k of `workers`
     threads takes chunks k, k + workers, ... and draws them into its own
-    workspace.  Successes are accumulated as exact integers, so the
+    workspace, walking its chunk starts as a range, so memory does not grow
+    with `trials`.  Successes are accumulated as exact integers, so the
     estimate is independent of the chunk size and of `workers`, which may
     not exceed MAX_WORKERS.
     """
@@ -260,24 +261,24 @@ def run_bernoulli_trials(indicator, trials: int, schedule: SeedSchedule,
         raise ValueError(f"workers must be <= {MAX_WORKERS}")
 
     draws = int(indicator.n_draws)
+    chunk = CHUNK_TRIALS
+    workers = min(workers, -(-trials // chunk))
 
-    def count(share: list[tuple[int, int]]) -> int:
-        workspace = DrawWorkspace(min(CHUNK_TRIALS, trials), draws)
+    def count(k: int) -> int:
+        """Successes in chunks k, k + workers, ..., walked lazily."""
+        workspace = DrawWorkspace(min(chunk, trials), draws)
         total = 0
-        for lo, hi in share:
-            u = schedule.uniform_block(lo, hi, draws, out=workspace)
+        for lo in range(k * chunk, trials, workers * chunk):
+            u = schedule.uniform_block(lo, min(lo + chunk, trials), draws,
+                                       out=workspace)
             total += int(np.count_nonzero(indicator.evaluate_batch(u)))
         return total
 
-    chunks = [(lo, min(lo + CHUNK_TRIALS, trials))
-              for lo in range(0, trials, CHUNK_TRIALS)]
-    workers = min(workers, len(chunks))
     if workers > 1:
         from concurrent.futures import ThreadPoolExecutor
 
-        shares = [chunks[k::workers] for k in range(workers)]
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            successes = sum(pool.map(count, shares))
+            successes = sum(pool.map(count, range(workers)))
     else:
-        successes = count(chunks)
+        successes = count(0)
     return estimate_from_counts(successes, trials)

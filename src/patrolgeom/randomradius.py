@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
-from .circular import TWO_PI, _detection_arc, exact_probability
+from .circular import TWO_PI, _detection_arc, _normal, exact_probability
 from .montecarlo import EstimateWithCI, SeedSchedule, run_bernoulli_trials
 from .scenario import CircularPatrolScenario, ValidationError, derived_angles, validate
 
@@ -134,7 +134,12 @@ def asymptotic_probability_randomized(s: CircularPatrolScenario,
     validate(s)
     _check_radius_margin(d, s.r, s.R)
     sin_alpha = math.sin(derived_angles(s).alpha)
-    value = s.n * s.r * d.mean_inverse() / (math.pi * s.R * sin_alpha)
+    numerator = s.n * s.r * d.mean_inverse()
+    denominator = math.pi * s.R * sin_alpha
+    if _normal(numerator, denominator):
+        value = numerator / denominator
+    else:
+        value = s.n * (s.r / s.R) * d.mean_inverse() / (math.pi * sin_alpha)
     return min(1.0, value)
 
 

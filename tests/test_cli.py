@@ -298,6 +298,41 @@ def test_jensen_reports_exact_randomized(capsys):
         results["asymptotic_randomized"], rel=0.01)
 
 
+@pytest.mark.parametrize("command, keys", [
+    (("circular", "asymptotic"), ("probability", "chord_l", "m_min")),
+    (("jensen", "--atoms", "[[0.9, 0.5], [1.1, 0.5]]"),
+     ("asymptotic_fixed", "asymptotic_randomized", "lhs", "rhs")),
+])
+def test_asymptotic_answers_near_the_top_of_the_float_range(capsys, command,
+                                                            keys):
+    # pi * R * sin(alpha) overflows at R = 1.5e308; the closed forms are
+    # scale-invariant, so each answer equals that at R = 1.5, r = 1e-8
+    reports = []
+    for R, r in (("1.5e308", "1e300"), ("1.5", "1e-8")):
+        code, out, err = run_cli(capsys, *command, "--R", R, "--r", r,
+                                 "--n", "10", "--v", "2", "--u", "1",
+                                 "--no-timing")
+        assert (code, err) == (0, "")
+        reports.append(json.loads(out)["results"])
+    huge, small = reports
+    for key in keys:
+        assert huge[key] == pytest.approx(small[key], rel=1e-12), key
+    assert 0.0 < huge[keys[0]] < 1e-6
+
+
+def test_asymptotic_answers_when_R_sin_alpha_underflows(capsys):
+    # R * sin(alpha) = 1e-330 is below the float range; p = n r/(pi R sin
+    # alpha) saturates, and the chord is 2 (r/R) / sin(alpha)
+    code, out, err = run_cli(capsys, "circular", "asymptotic", "--R", "1e-300",
+                             "--r", "1e-301", "--n", "10", "--v", "1",
+                             "--u", "1e-30", "--no-timing")
+    assert (code, err) == (0, "")
+    results = json.loads(out)["results"]
+    assert results["probability"] == 1.0
+    assert results["m_min"] == 1
+    assert results["chord_l"] == pytest.approx(2e29, rel=1e-12)
+
+
 def test_jensen_requires_a_distribution(capsys, tmp_path):
     path = write_scenario(tmp_path, **REF)
     code, _, err = run_cli(capsys, "jensen", "--scenario", path)

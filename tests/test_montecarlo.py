@@ -2,6 +2,7 @@
 
 import math
 import sys
+import tracemalloc
 from dataclasses import replace
 from statistics import NormalDist
 
@@ -213,6 +214,34 @@ def test_runner_caps_workers_before_starting_threads(monkeypatch):
                                workers=MAX_WORKERS)
     assert est == run_bernoulli_trials(_ThresholdIndicator(0.5), 100,
                                        SeedSchedule(0))
+
+
+class _Sentinel(Exception):
+    pass
+
+
+class _RaisingIndicator:
+    """Raises on the first chunk each worker evaluates."""
+
+    n_draws = 1
+
+    def evaluate_batch(self, u: np.ndarray) -> np.ndarray:
+        raise _Sentinel
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_runner_memory_does_not_grow_with_trials(workers):
+    # 10**10 trials are 305 176 chunks: a list of them alone would take
+    # tens of MB, one worker's workspace takes 1.25 MB
+    tracemalloc.start()
+    try:
+        with pytest.raises(_Sentinel):
+            run_bernoulli_trials(_RaisingIndicator(), 10 ** 10, SeedSchedule(0),
+                                 workers=workers)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2 ** 20
 
 
 def test_runner_matches_a_manual_count_across_chunk_boundaries():
