@@ -3,40 +3,42 @@
 In the frame co-rotating with the fleet the vehicles sit still at radius R
 while the intruder, launched at angle psi from the circle of radius R + r,
 spirals inward: after covering distance d = u*t it is at radius
-rho = R + r - d and angle psi - k*d, with k = v/(R*u).  Only d in [0, 2r]
-matters: outside it |rho - R| > r and every vehicle is out of reach.
+rho = R + r - d and angle psi - w*delta, with e = r/R, w = v/u and
+delta = d/R: every answer depends on e, w and n alone.  Only delta in
+[0, 2e] matters: outside it |rho - R| > r and every vehicle is out of reach.
 
-At radius rho the scan disk of vehicle 0 spans the angles within h of 0,
-where
+At radius rho the scan disk of vehicle 0 spans the angles within h of 0:
 
-    sin^2(h/2) = (r^2 - (rho - R)^2) / (4*R*rho) = d*(2r - d) / (4*R*rho),
+    sin^2(h/2) = (r^2 - (rho - R)^2)/(4*R*rho) = delta*(2e - delta)/(4*rho/R),
 
 the law of cosines in a form free of cancellation.  So vehicle 0 catches
-launch angle psi at distance d exactly when psi lies in the interval
-[k*d - h(d), k*d + h(d)].  These intervals move continuously with d and
-each contains its centre k*d, so their union over d in [0, 2r] is connected:
-one arc [lo, hi] with lo = min(k*d - h) and hi = max(k*d + h).  Each
-extremum takes one golden-section search, because h is concave: in polar
-coordinates the disk is |theta| <= h(rho) with
-cos h = (rho + (R^2 - r^2)/rho) / (2R), the argument of acos is convex in
-rho, and acos is concave and decreasing on [0, 1].
+launch angle psi at delta exactly when psi lies in the interval
+[w*delta - h, w*delta + h].  These intervals move continuously with delta
+and each contains its centre w*delta, so their union over [0, 2e] is
+connected: one arc [lo, hi] with lo = min(w*delta - h) and
+hi = max(w*delta + h).  Each extremum takes one golden-section search,
+because h is concave: in polar coordinates the disk is |theta| <= h(rho)
+with cos h = (rho + (R^2 - r^2)/rho) / (2R), the argument of acos is convex
+in rho, and acos is concave and decreasing on [0, 1].  Where w overflows
+to inf, the arc is the full circle.
 
 The other vehicles' arcs are rotations by 2*pi*i/n, so n equally spaced
 copies of an arc of length L cover min(1, n*L/(2*pi)) of the circle.  The
 exact solver, `detects` and both Monte Carlo indicators read this one arc;
 the dense-grid oracles of the test suite are the independent check.
+The closed forms read e and sin(alpha) alone, and raise OverflowError where
+their value leaves the float range.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from .frames import TWO_PI
 from .montecarlo import EstimateWithCI, SeedSchedule, run_bernoulli_trials
-from .scenario import CircularPatrolScenario, derived_angles, validate
+from .scenario import CircularPatrolScenario, validate
 
 __all__ = [
     "AsymptoticSummary",
@@ -161,20 +163,25 @@ def _golden_max(f: Callable[[float], float], a: float, b: float) -> float:
     return max(fc, fd, best_end)
 
 
-def _detection_arc(s: CircularPatrolScenario) -> tuple[float, float]:
-    """(lo, L): vehicle 0 detects exactly the launch angles in [lo, lo + L]
-    mod 2*pi, tangency included; L >= 2*pi means every angle."""
-    k = s.v / (s.R * s.u)
-    two_r = 2.0 * s.r
-    four_R = 4.0 * s.R
+def _arc(e: float, w: float) -> tuple[float, float]:
+    """(lo, L) for scan ratio e = r/R and speed ratio w = v/u: vehicle 0
+    detects exactly the launch angles in [lo, lo + L] mod 2*pi, tangency
+    included; L >= 2*pi means every angle."""
+    if w == math.inf:
+        return 0.0, TWO_PI
+    two_e = 2.0 * e
 
-    def h(d: float) -> float:
-        arg = d * (two_r - d) / (four_R * (s.R + s.r - d))
+    def h(delta: float) -> float:
+        arg = delta * (two_e - delta) / (4.0 * (1.0 + e - delta))
         return 2.0 * math.asin(math.sqrt(min(1.0, max(0.0, arg))))
 
-    hi = _golden_max(lambda d: k * d + h(d), 0.0, two_r)
-    lo = -_golden_max(lambda d: h(d) - k * d, 0.0, two_r)
+    hi = _golden_max(lambda delta: w * delta + h(delta), 0.0, two_e)
+    lo = -_golden_max(lambda delta: h(delta) - w * delta, 0.0, two_e)
     return lo, hi - lo
+
+
+def _detection_arc(s: CircularPatrolScenario) -> tuple[float, float]:
+    return _arc(s.r / s.R, s.v / s.u)
 
 
 def _vehicle_angle(vehicle_index: int, s: CircularPatrolScenario) -> float:
@@ -240,11 +247,8 @@ class _AnyVehicleIndicator:
 
 def mc_probability(s: CircularPatrolScenario, trials: int, seed: int,
                    workers: int = 1) -> EstimateWithCI:
-    """Monte Carlo interception probability over uniform launch angles.
-
-    Each trial tests its angle against the same arc as exact_probability,
-    so the two agree up to sampling noise by construction; the dense-grid
-    oracle of the test suite is the independent check of that arc."""
+    """Monte Carlo interception probability over uniform launch angles,
+    each tested against the arc of exact_probability."""
     validate(s)
     return run_bernoulli_trials(_AnyVehicleIndicator(s), trials,
                                 SeedSchedule(seed), workers)
@@ -276,13 +280,21 @@ def minimum_fleet_size(per_vehicle: float) -> int:
     return m
 
 
-def _normal(*values: float) -> bool:
-    """Whether every value is a normal float.  The closed forms divide
-    products of r, R and sin(alpha); where one of those products overflows
-    (R near the top of the float range) or underflows (tiny R*sin(alpha)),
-    they form the same ratio from r/R, which lies in (0, 1), instead."""
-    return all(sys.float_info.min <= abs(x) <= sys.float_info.max
-               for x in values)
+def _sin_alpha(u: float, v: float) -> float:
+    """sin(atan2(u, v)), which every closed form divides by; OverflowError
+    where it underflows to 0."""
+    sin_alpha = math.sin(math.atan2(u, v))
+    if sin_alpha == 0.0:
+        raise OverflowError("sin(alpha) underflows to 0 (v/u too large)")
+    return sin_alpha
+
+
+def _summary(chord: float, per_vehicle: float, n: int) -> AsymptoticSummary:
+    """The closed-form record, or OverflowError where a value is inf."""
+    if math.isinf(chord) or math.isinf(per_vehicle):
+        raise OverflowError("closed form exceeds the float range")
+    return AsymptoticSummary(chord_l=chord, p_asym=min(1.0, n * per_vehicle),
+                             m_min=minimum_fleet_size(per_vehicle))
 
 
 def asymptotic_summary(s: CircularPatrolScenario) -> AsymptoticSummary:
@@ -290,18 +302,9 @@ def asymptotic_summary(s: CircularPatrolScenario) -> AsymptoticSummary:
 
     In the normalized image the intruder path is a straight line of
     inclination alpha = atan2(u, v), and one scan circle shadows a chord of
-    angular length 2r/(R sin alpha).  Uniform launch angle then gives
-    p = min(1, n r / (pi R sin alpha)) and m_min = ceil(pi R sin alpha / r).
+    angular length 2e/sin(alpha), e = r/R.  Uniform launch angle then gives
+    p = min(1, n e / (pi sin alpha)) and m_min = ceil(pi sin alpha / e).
     """
     validate(s)
-    sin_alpha = math.sin(derived_angles(s).alpha)
-    if _normal(2.0 * s.r, s.R * sin_alpha, math.pi * s.R * sin_alpha):
-        chord = 2.0 * s.r / (s.R * sin_alpha)
-        per_vehicle = s.r / (math.pi * s.R * sin_alpha)
-    else:
-        ratio = s.r / s.R
-        chord = 2.0 * ratio / sin_alpha
-        per_vehicle = ratio / (math.pi * sin_alpha)
-    return AsymptoticSummary(chord_l=chord,
-                             p_asym=min(1.0, s.n * per_vehicle),
-                             m_min=minimum_fleet_size(per_vehicle))
+    e, sin_alpha = s.r / s.R, _sin_alpha(s.u, s.v)
+    return _summary(2.0 * e / sin_alpha, e / math.pi / sin_alpha, s.n)

@@ -21,6 +21,10 @@ that perpendicular lies inside the disk, hence inside the exposure window
 |y| <= r: the window never cuts a chord short.  So detection is the O(1)
 test dist(x0, (2R/n)*Z) <= r/sin(alpha), whatever n is, and the detected
 phases form a chord of length exactly 2r/sin(alpha) out of each period 2R/n.
+
+Where the reach r/sin(alpha) is at least half the period, every crossing
+is detected, whatever the shift v*r/u; sin(alpha) = 0 (v/u beyond the float
+range) gives an infinite reach, so it saturates too.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .circular import AsymptoticSummary, minimum_fleet_size
+from .circular import AsymptoticSummary, _summary
 from .montecarlo import EstimateWithCI, SeedSchedule, run_bernoulli_trials
 from .scenario import LinearPatrolScenario, ValidationError, validate
 
@@ -66,17 +70,31 @@ def vehicle_position_linear(j: int, b: float, t: float,
     return c if c <= s.R else two_R - c
 
 
+def _lattice(s: LinearPatrolScenario) -> tuple:
+    """(period, reach, shift), read by the detection test and the closed
+    forms: the vehicle lattice (2R/n)*Z, the detection distance r/sin(alpha)
+    from it, and the axis crossing's offset (v/u)*r = r*cot(alpha) from
+    b - a, which the min keeps finite where v/u overflows.  shift is None
+    where reach >= period/2: every crossing is detected."""
+    period = 2.0 * s.R / s.n
+    sin_alpha = math.sin(math.atan2(s.u, s.v))
+    reach = s.r / sin_alpha if sin_alpha else math.inf
+    if reach >= period / 2.0:
+        return period, reach, None
+    return period, reach, min(s.v / s.u * s.r, reach)
+
+
 def _lattice_detects(a: np.ndarray, b: np.ndarray,
-                     s: LinearPatrolScenario) -> np.ndarray:
+                     lattice: tuple) -> np.ndarray:
     """Detection flags for crossings at a with fleet phase b (float64
-    arrays, both overwritten): the relative line's axis crossing lies within
-    r/sin(alpha) of the vehicle lattice (2R/n)*Z."""
+    arrays, both overwritten) against the `_lattice` triple."""
     import numpy as np
 
-    period = 2.0 * s.R / s.n
-    reach = s.r / math.sin(math.atan2(s.u, s.v))
+    period, reach, shift = lattice
+    if shift is None:
+        return np.ones(a.shape, dtype=bool)
     x = np.subtract(b, a, out=b)
-    np.add(x, s.v * s.r / s.u, out=x)
+    np.add(x, shift, out=x)
     np.mod(x, period, out=x)
     np.subtract(period, x, out=a)
     np.minimum(x, a, out=x)
@@ -85,13 +103,8 @@ def _lattice_detects(a: np.ndarray, b: np.ndarray,
 
 def detects_linear(sample: CrossingSample, s: LinearPatrolScenario) -> bool:
     """True iff some vehicle's scan disk reaches the intruder while it is
-    inside the strip (tangency included).
-
-    The squared separation is dx(t)^2 + (r - u*t)^2 over t in [0, 2r/u],
-    where dx is the cylinder distance between the vehicle's unrolled
-    coordinate b + j*(2R/n) + v*t and the crossing coordinate a, mod 2R;
-    its minimum over t and j has the closed form of the module docstring.
-    """
+    inside the strip (tangency included): the lattice test of the module
+    docstring."""
     validate(s)
     if not 0.0 <= sample.a <= s.R:
         raise ValidationError("a must lie in [0, R]")
@@ -100,7 +113,7 @@ def detects_linear(sample: CrossingSample, s: LinearPatrolScenario) -> bool:
     import numpy as np
 
     a, b = np.array([sample.a], dtype=float), np.array([sample.b], dtype=float)
-    return bool(_lattice_detects(a, b, s)[0])
+    return bool(_lattice_detects(a, b, _lattice(s))[0])
 
 
 class _CrossingIndicator:
@@ -111,17 +124,17 @@ class _CrossingIndicator:
     def __init__(self, s: LinearPatrolScenario):
         import numpy  # noqa: F401  loaded in the constructing thread
 
-        self._s = s
+        self._R = s.R
+        self._lattice = _lattice(s)
 
     def evaluate_batch(self, u: np.ndarray) -> np.ndarray:
         """Detection flags; computes in place, overwriting u."""
         import numpy as np
 
-        s = self._s
         a, b = u[:, 0], u[:, 1]
-        np.multiply(a, s.R, out=a)
-        np.multiply(b, 2.0 * s.R / s.n, out=b)
-        return _lattice_detects(a, b, s)
+        np.multiply(a, self._R, out=a)
+        np.multiply(b, self._lattice[0], out=b)
+        return _lattice_detects(a, b, self._lattice)
 
 
 def mc_probability_linear(s: LinearPatrolScenario, trials: int, seed: int,
@@ -144,8 +157,5 @@ def asymptotic_summary_linear(s: LinearPatrolScenario) -> AsymptoticSummary:
     limit; Monte Carlo deviations from it are pure sampling noise.
     """
     validate(s)
-    sin_alpha = math.sin(math.atan2(s.u, s.v))
-    per_vehicle = s.r / (s.R * sin_alpha)
-    return AsymptoticSummary(chord_l=2.0 * s.r / sin_alpha,
-                             p_asym=min(1.0, s.n * per_vehicle),
-                             m_min=minimum_fleet_size(per_vehicle))
+    _, reach, _ = _lattice(s)
+    return _summary(2.0 * reach, reach / s.R, s.n)

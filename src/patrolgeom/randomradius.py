@@ -8,17 +8,23 @@ convexity inequality, the randomized closed form, the exact randomized
 probability, a Monte Carlo estimator that actually redraws the radius per
 trial, and a time-average check that a single patroller hopping through
 radius states reproduces the ensemble mean.
+
+Patrol radius k*R turns the scan ratio e = r/R into e/k and leaves v/u
+alone, so each atom k is the circular model's arc at e/k (`_atom_arcs`),
+and the exact sum and the Monte Carlo indicator read that one table.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .circular import TWO_PI, _detection_arc, _normal, exact_probability
+from .circular import TWO_PI, _arc, _sin_alpha
 from .montecarlo import EstimateWithCI, SeedSchedule, run_bernoulli_trials
-from .scenario import CircularPatrolScenario, ValidationError, derived_angles, validate
+from .scenario import (CircularPatrolScenario, ValidationError, _is_number,
+                       validate)
 
 __all__ = [
     "PiecewiseRadiusProcess",
@@ -35,8 +41,7 @@ _MEAN_TOL = 1e-12
 
 
 def _real(value, name: str) -> float:
-    # bool and str are not numbers here, as in scenario_from_dict
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if not _is_number(value):
         raise ValidationError(f"{name} must be a real number")
     return float(value)
 
@@ -98,12 +103,7 @@ class RadiusDistribution:
         return math.fsum(p / k for k, p in self.atoms)
 
     def cumulative_weights(self) -> list[float]:
-        out: list[float] = []
-        acc = 0.0
-        for _, p in self.atoms:
-            acc += p
-            out.append(acc)
-        return out
+        return list(itertools.accumulate(p for _, p in self.atoms))
 
 
 def _check_radius_margin(d: RadiusDistribution, r: float, R: float) -> None:
@@ -128,37 +128,32 @@ def jensen_sides(d: RadiusDistribution, r: float, R: float) -> tuple[float, floa
 
 def asymptotic_probability_randomized(s: CircularPatrolScenario,
                                       d: RadiusDistribution) -> float:
-    """Randomized small-r closed form min(1, n r E[1/k] / (pi R sin alpha)).
+    """Randomized small-r closed form min(1, n (r/R) E[1/k] / (pi sin alpha)).
 
     With E[1/k] >= 1 this never falls below the fixed-radius value."""
     validate(s)
     _check_radius_margin(d, s.r, s.R)
-    sin_alpha = math.sin(derived_angles(s).alpha)
-    numerator = s.n * s.r * d.mean_inverse()
-    denominator = math.pi * s.R * sin_alpha
-    if _normal(numerator, denominator):
-        value = numerator / denominator
-    else:
-        value = s.n * (s.r / s.R) * d.mean_inverse() / (math.pi * sin_alpha)
-    return min(1.0, value)
+    e, sin_alpha = s.r / s.R, _sin_alpha(s.u, s.v)
+    return min(1.0, s.n * (e * d.mean_inverse() / math.pi / sin_alpha))
 
 
 def _atom_arcs(s: CircularPatrolScenario,
                d: RadiusDistribution) -> list[tuple[float, float]]:
-    """(lo, L) of each atom's detection arc: the arc of the scenario with
-    patrol radius k*R (launch circle k*R + r)."""
-    return [_detection_arc(replace(s, R=k * s.R)) for k, _ in d.atoms]
+    """(lo, L) of each atom's detection arc: the arc at patrol radius k*R
+    (launch circle k*R + r), whose scan ratio is e/k."""
+    e, w = s.r / s.R, s.v / s.u
+    return [_arc(e / k, w) for k, _ in d.atoms]
 
 
 def exact_probability_random_radius(s: CircularPatrolScenario,
                                     d: RadiusDistribution) -> float:
     """Exact interception probability with the radius redrawn per run: the
-    sum over atoms of p_k times circular.exact_probability at patrol radius
-    k*R, that is p_k * min(1, n*L_k/(2*pi))."""
+    sum over atoms of p_k * min(1, n*L_k/(2*pi)), L_k the arc length at
+    patrol radius k*R."""
     validate(s)
     _check_radius_margin(d, s.r, s.R)
-    value = math.fsum(p * exact_probability(replace(s, R=k * s.R))
-                      for k, p in d.atoms)
+    value = math.fsum(p * min(1.0, s.n * length / TWO_PI)
+                      for (_, p), (_, length) in zip(d.atoms, _atom_arcs(s, d)))
     # the weights sum to 1 only to 1e-12
     return min(1.0, value)
 
@@ -174,9 +169,7 @@ class _RandomRadiusIndicator:
         import numpy as np
 
         self._cum = np.asarray(d.cumulative_weights())
-        arcs = _atom_arcs(s, d)
-        self._lo = np.array([lo for lo, _ in arcs])
-        self._length = np.array([length for _, length in arcs])
+        self._lo, self._length = map(np.array, zip(*_atom_arcs(s, d)))
         self._period = TWO_PI / s.n
 
     def evaluate_batch(self, u: np.ndarray) -> np.ndarray:
@@ -199,8 +192,8 @@ def mc_probability_random_radius(s: CircularPatrolScenario, d: RadiusDistributio
     """Monte Carlo interception probability with the radius redrawn per trial."""
     validate(s)
     _check_radius_margin(d, s.r, s.R)
-    indicator = _RandomRadiusIndicator(s, d)
-    return run_bernoulli_trials(indicator, trials, SeedSchedule(seed), workers)
+    return run_bernoulli_trials(_RandomRadiusIndicator(s, d), trials,
+                                SeedSchedule(seed), workers)
 
 
 @dataclass(frozen=True)

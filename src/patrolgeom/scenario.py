@@ -61,7 +61,7 @@ class LinearPatrolScenario:
 
 @dataclass(frozen=True)
 class DerivedAngles:
-    """alpha: inclination of the intruder image path, in (0, pi/2];
+    """alpha: inclination of the intruder image path, in [0, pi/2];
     omega: angular speed v/R of the co-rotating frame."""
 
     alpha: float
@@ -71,6 +71,11 @@ class DerivedAngles:
 Scenario = Union[CircularPatrolScenario, LinearPatrolScenario]
 
 _SCENARIO_KEYS = ("kind", "R", "r", "n", "v", "u")
+
+
+def _is_number(value) -> bool:
+    """int or float, and not bool: a JSON number."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _require(cond: bool, message: str) -> None:
@@ -90,8 +95,7 @@ def validate(s: Scenario) -> Scenario:
                               "(about 1.8e308)") from None
     for name in ("R", "r", "v", "u"):
         value = getattr(s, name)
-        _require(isinstance(value, (int, float)) and not isinstance(value, bool),
-                 f"{name} must be a number")
+        _require(_is_number(value), f"{name} must be a number")
         _require(math.isfinite(value), f"{name} must be finite")
     _require(s.R > 0, "R must be positive")
     _require(s.r > 0, "r must be positive")
@@ -128,27 +132,16 @@ def scenario_from_dict(data: dict) -> Scenario:
     missing = sorted(set(_SCENARIO_KEYS) - set(data))
     if missing:
         raise ValidationError(f"missing scenario key(s): {', '.join(missing)}")
-    kind = data["kind"]
-    if kind not in ("circular", "linear"):
+    if data["kind"] not in ("circular", "linear"):
         raise ValidationError("kind must be 'circular' or 'linear'")
-    fields = {}
-    for key in ("R", "r", "v", "u"):
-        value = data[key]
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ValidationError(f"{key} must be a number")
-        fields[key] = float(value)
+    fields = {key: float(data[key]) if _is_number(data[key]) else data[key]
+              for key in ("R", "r", "v", "u")}
     n = data["n"]
-    if isinstance(n, bool):
-        raise ValidationError("n must be an integer")
-    if isinstance(n, float):
-        if not n.is_integer():
-            raise ValidationError("n must be an integer")
+    if isinstance(n, float) and n.is_integer():
         n = int(n)
-    if not isinstance(n, int):
-        raise ValidationError("n must be an integer")
-    cls = CircularPatrolScenario if kind == "circular" else LinearPatrolScenario
-    return validate(cls(R=fields["R"], r=fields["r"], n=n,
-                        v=fields["v"], u=fields["u"]))
+    cls = (CircularPatrolScenario if data["kind"] == "circular"
+           else LinearPatrolScenario)
+    return validate(cls(n=n, **fields))
 
 
 def load_scenario(source: Union[str, os.PathLike, IO[str]]) -> Scenario:

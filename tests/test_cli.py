@@ -333,6 +333,80 @@ def test_asymptotic_answers_when_R_sin_alpha_underflows(capsys):
     assert results["chord_l"] == pytest.approx(2e29, rel=1e-12)
 
 
+def _strict_json(text):
+    """json.loads that rejects the non-JSON tokens Infinity and NaN."""
+    def reject(token):
+        raise ValueError(f"non-JSON token {token}")
+    return json.loads(text, parse_constant=reject)
+
+
+_FLAT = ("--R", "1", "--r", "0.1", "--n", "1", "--v", "1e300", "--u", "1e-300")
+
+
+@pytest.mark.parametrize("command", [("circular", "exact"),
+                                     ("compare", "--trials", "1000")])
+def test_tiny_R_times_u_answers_one(capsys, command):
+    # R*u = 1e-330 underflows; the rotation depends on v/u = 1e30 alone
+    code, out, err = run_cli(capsys, *command, "--R", "1e-300", "--r", "1e-301",
+                             "--n", "10", "--v", "1", "--u", "1e-30",
+                             "--no-timing")
+    assert (code, err) == (0, "")
+    results = _strict_json(out)["results"]
+    assert results.get("exact", results)["probability"] == 1.0
+
+
+@pytest.mark.parametrize("command, key", [
+    (("circular", "exact"), "probability"),
+    (("jensen", "--atoms", "[[0.9,0.5],[1.1,0.5]]"), "exact_randomized"),
+])
+def test_exact_answers_near_the_top_of_the_float_range(capsys, command, key):
+    # 4*R overflows at R = 1.5e308; the answer is that at R = 1.5, r = 1e-8
+    answers = []
+    for R, r in (("1.5e308", "1e300"), ("1.5", "1e-8")):
+        code, out, err = run_cli(capsys, *command, "--R", R, "--r", r,
+                                 "--n", "10", "--v", "2", "--u", "1",
+                                 "--no-timing")
+        assert (code, err) == (0, "")
+        answers.append(_strict_json(out)["results"][key])
+    assert answers[0] == pytest.approx(answers[1], rel=1e-12)
+    if command[0] == "circular":
+        assert answers[1] == pytest.approx(4.745083622781181e-08, rel=1e-15)
+
+
+def test_rotation_beyond_the_float_range_saturates_exact_and_mc(capsys):
+    # v/u overflows to inf: the fleet outruns the intruder, every estimator
+    # says detection is certain
+    code, out, err = run_cli(capsys, "circular", "exact", *_FLAT, "--no-timing")
+    assert (code, err) == (0, "")
+    assert _strict_json(out)["results"]["probability"] == 1.0
+    code, out, err = run_cli(capsys, "circular", "mc", *_FLAT,
+                             "--trials", "1000", "--no-timing")
+    assert (code, err) == (0, "")
+    assert _strict_json(out)["results"]["successes"] == 1000
+
+
+def test_linear_mc_detects_every_crossing_when_sin_alpha_underflows(capsys):
+    code, out, err = run_cli(capsys, "linear", "mc", "--R", "1", "--r", "0.1",
+                             "--n", "1", "--v", "1e200", "--u", "1e-200",
+                             "--trials", "1000", "--no-timing")
+    assert (code, err) == (0, "")
+    assert _strict_json(out)["results"]["successes"] == 1000
+
+
+@pytest.mark.parametrize("argv", [
+    ("circular", "asymptotic") + _FLAT,
+    ("linear", "asymptotic") + _FLAT,
+    ("linear", "asymptotic", "--R", "1e301", "--r", "1e300", "--n", "1",
+     "--v", "1e10", "--u", "1e-10"),
+])
+def test_closed_form_beyond_the_float_range_exits_one(capsys, argv):
+    # sin(alpha) underflows to 0, or the segment's chord 2r/sin(alpha)
+    # exceeds 1.8e308
+    code, out, err = run_cli(capsys, *argv, "--no-timing")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: OverflowError") and err.count("\n") == 1
+
+
 def test_jensen_requires_a_distribution(capsys, tmp_path):
     path = write_scenario(tmp_path, **REF)
     code, _, err = run_cli(capsys, "jensen", "--scenario", path)

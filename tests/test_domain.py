@@ -6,18 +6,21 @@ n up to 1e9.  Hypothesis runs derandomized, so every run draws the same
 examples.
 """
 
+import itertools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from patrolgeom import CircularPatrolScenario, LinearPatrolScenario
+from patrolgeom import (CircularPatrolScenario, LinearPatrolScenario,
+                        RadiusDistribution, exact_probability_random_radius)
 from patrolgeom.circular import (_detection_arc, asymptotic_summary,
                                  detection_arc_set, detects, exact_probability,
                                  mc_probability)
-from patrolgeom.linear import CrossingSample, detects_linear
+from patrolgeom.linear import (CrossingSample, asymptotic_summary_linear,
+                               detects_linear, mc_probability_linear)
 
 from conftest import TWO_PI, oracle_detects_circular, oracle_detects_linear
 
@@ -153,3 +156,55 @@ def test_detects_linear_matches_dense_oracle_across_regimes(ratio, speed, n,
     want = oracle_detects_linear(a, b, s)
     if want is not None:
         assert detects_linear(CrossingSample(a=a, b=b), s) == want
+
+
+# ---- scale invariance: only r/R, v/u and n matter ----
+
+@PROPERTY
+@given(_log_uniform(1e-7, 0.5), st.one_of(st.just(0.0), _log_uniform(1e-3, 1e6)),
+       st.integers(1, 1000))
+def test_answers_depend_only_on_the_ratios(e, w, n):
+    # lengths from 1e-300 to 1e300 and speeds from 1e-30 to 1e30: every
+    # input stays a normal float, while products such as R*u or 4*R*rho
+    # leave the float range
+    atoms = RadiusDistribution.from_atoms([(0.9, 0.5), (1.1, 0.5)])
+    answers = []
+    for length, speed in itertools.product((1e-300, 1.0, 1e300),
+                                           (1e-30, 1.0, 1e30)):
+        s = CircularPatrolScenario(R=length, r=e * length, n=n, v=w * speed,
+                                   u=speed)
+        summary = asymptotic_summary(s)
+        answers.append((exact_probability(s), summary.chord_l, summary.p_asym,
+                        summary.m_min, exact_probability_random_radius(s, atoms)))
+    for got in answers:
+        assert got == pytest.approx(answers[4], rel=1e-14)
+
+
+# ---- saturation: where p is 1, every estimator detects everything ----
+
+PSI_GRID = np.linspace(0.0, TWO_PI, 97, endpoint=False)
+
+
+@PROPERTY
+@given(_log_uniform(1e-7, 0.9), _log_uniform(1e-3, 1e300),
+       st.integers(1, 12), st.integers(0, 2 ** 31))
+@example(e=0.1, w=math.inf, n=1, seed=0)
+def test_circular_saturation_agrees_across_estimators(e, w, n, seed):
+    # w = inf stands for v/u beyond the float range (v = 1e300, u = 1e-300)
+    s = (CircularPatrolScenario(R=1.0, r=e, n=n, v=1e300, u=1e-300)
+         if w == math.inf else
+         CircularPatrolScenario(R=1.0, r=e, n=n, v=w, u=1.0))
+    if exact_probability(s) < 1.0:
+        return
+    assert all(any(detects(psi, i, s) for i in range(n)) for psi in PSI_GRID)
+    assert mc_probability(s, 2000, seed=seed).successes == 2000
+
+
+@PROPERTY
+@given(_log_uniform(1e-7, 0.49), _log_uniform(1e-3, 1e300),
+       st.integers(1, 1000), st.integers(0, 2 ** 31))
+def test_linear_saturation_agrees_with_mc(e, w, n, seed):
+    s = LinearPatrolScenario(R=1.0, r=e, n=n, v=w, u=1.0)
+    if asymptotic_summary_linear(s).p_asym < 1.0:
+        return
+    assert mc_probability_linear(s, 2000, seed=seed).successes == 2000

@@ -61,6 +61,17 @@ def test_detects_linear_hit_and_miss():
     assert not detects_linear(CrossingSample(a=50.0, b=150.0), s)
 
 
+@pytest.mark.parametrize("fields", [
+    dict(R=1e305, r=1e150, n=1, v=1e200, u=1e50),   # v*r overflows
+    dict(R=1e305, r=1e-10, n=1, v=1e300, u=1e-10),  # v/u overflows
+])
+def test_detects_linear_where_speed_products_overflow(fields):
+    # the axis crossing lies v*r/u = 1e300 past b - a, the reach is 1e300
+    s = LinearPatrolScenario(**fields)
+    assert detects_linear(CrossingSample(a=0.0, b=2e305 - 1e300), s)
+    assert not detects_linear(CrossingSample(a=0.0, b=1e305), s)
+
+
 def test_detects_linear_validates_sample_ranges(ref_linear):
     with pytest.raises(ValidationError, match="a must lie"):
         detects_linear(CrossingSample(a=-0.1, b=0.0), ref_linear)
