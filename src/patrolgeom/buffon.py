@@ -41,10 +41,9 @@ which both tests share, so it needs no guard.  A needle outside the guard
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .montecarlo import EstimateWithCI, SeedSchedule, run_bernoulli_trials
-from .scenario import ValidationError
+from .scenario import ValidationError, _Record
 
 __all__ = [
     "NeedleProblem",
@@ -62,8 +61,7 @@ _MARGIN = 2.0 ** -14
 _FAST_L = (2.0 ** -1022, 2.0 ** 1020)
 
 
-@dataclass(frozen=True)
-class NeedleProblem:
+class NeedleProblem(_Record):
     """Needle of length l on lines spaced L apart, short-needle regime l <= L."""
 
     l: float

@@ -33,12 +33,11 @@ their value leaves the float range.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from .frames import TWO_PI
 from .montecarlo import EstimateWithCI, SeedSchedule, run_bernoulli_trials
-from .scenario import CircularPatrolScenario, validate
+from .scenario import CircularPatrolScenario, _Record, validate
 
 __all__ = [
     "AsymptoticSummary",
@@ -60,8 +59,7 @@ _GOLDEN_STEPS = 80
 
 # ---- arc sets on the circle ----
 
-@dataclass(frozen=True)
-class CircleIntervalSet:
+class CircleIntervalSet(_Record):
     """Disjoint half-open arcs [start, end) on the circle [0, 2*pi).
 
     Canonical form: starts sorted and in [0, 2*pi); each end in
@@ -256,8 +254,7 @@ def mc_probability(s: CircularPatrolScenario, trials: int, seed: int,
 
 # ---- small-radius closed forms ----
 
-@dataclass(frozen=True)
-class AsymptoticSummary:
+class AsymptoticSummary(_Record):
     """Small-r closed forms: chord_l, the image-curve length one scan circle
     blocks; p_asym, the capped detection probability; m_min, the least fleet
     size at which the cap is reached."""

@@ -24,7 +24,7 @@ import json
 import os
 import sys
 import time
-from typing import Optional
+from typing import Iterator, Optional
 
 from . import __version__
 from .buffon import NeedleProblem, buffon_mc, buffon_probability
@@ -227,7 +227,9 @@ _SWEEPABLE = ("R", "r", "n", "v", "u")
 _ESTIMATORS = ("asymptotic", "exact", "mc")
 
 
-def _sweep_values(args) -> list[float]:
+def _sweep_values(args) -> Iterator[float]:
+    """The swept values in ascending order; a --start/--stop/--steps grid
+    is generated one value at a time, so memory stays flat at any --steps."""
     if args.values is not None:
         try:
             values = [float(v) for v in args.values.split(",") if v.strip() != ""]
@@ -236,21 +238,27 @@ def _sweep_values(args) -> list[float]:
                                   "list of numbers")
         if not values:
             raise ValidationError("--values must contain at least one number")
-        return values
+        yield from sorted(values)
+        return
     if args.start is None or args.stop is None or args.steps is None:
         raise ValidationError("sweep needs --values or all of "
                               "--start/--stop/--steps")
     if args.steps < 1:
         raise ValidationError("--steps must be >= 1")
     if args.steps == 1:
-        return [args.start]
+        yield args.start
+        return
+    indices = range(args.steps)
+    if args.start > args.stop:  # the grid falls with i: walk it backwards
+        indices = reversed(indices)
     if args.log:
         if args.start <= 0 or args.stop <= 0:
             raise ValidationError("log grids need positive --start/--stop")
         ratio = (args.stop / args.start) ** (1.0 / (args.steps - 1))
-        return [args.start * ratio ** i for i in range(args.steps)]
-    step = (args.stop - args.start) / (args.steps - 1)
-    return [args.start + step * i for i in range(args.steps)]
+        yield from (args.start * ratio ** i for i in indices)
+    else:
+        step = (args.stop - args.start) / (args.steps - 1)
+        yield from (args.start + step * i for i in indices)
 
 
 def _cmd_sweep(args) -> int:
@@ -266,21 +274,23 @@ def _cmd_sweep(args) -> int:
 
     base = _scenario_data(args)
     base.setdefault("kind", "circular")
-
-    values = sorted(_sweep_values(args))
     param = args.parameter
-    scenarios = []
-    for value in values:
-        if param == "n":
-            if float(value) != int(value):
-                raise ValidationError("swept n values must be integers")
-            value = int(value)
-        data = dict(base)
-        data[param] = value
-        scenarios.append((value, scenario_from_dict(data)))
 
-    rows = [(param, value) + _csv_row(_estimate(name, scen, args))
-            for value, scen in scenarios for name in estimators]
+    def scenarios():
+        for value in _sweep_values(args):
+            if param == "n":
+                if float(value) != int(value):
+                    raise ValidationError("swept n values must be integers")
+                value = int(value)
+            data = dict(base)
+            data[param] = value
+            yield value, scenario_from_dict(data)
+
+    for _ in scenarios():  # a bad value raises before the header
+        pass
+    # then one row at a time, as polar-image does
+    rows = ((param, value) + _csv_row(_estimate(name, scen, args))
+            for value, scen in scenarios() for name in estimators)
     _write_csv(_SWEEP_HEADER, rows)
     return 0
 

@@ -8,9 +8,8 @@ seen from the rotating frame.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .scenario import CircularPatrolScenario, validate
+from .scenario import CircularPatrolScenario, _Record, validate
 
 __all__ = [
     "PolarPoint",
@@ -27,8 +26,7 @@ __all__ = [
 TWO_PI = 2.0 * math.pi
 
 
-@dataclass(frozen=True)
-class PolarPoint:
+class PolarPoint(_Record):
     """Point of the normalized polar image: rho_norm = rho/R >= 0 and
     phi in (-pi, pi]."""
 
@@ -36,8 +34,7 @@ class PolarPoint:
     phi: float
 
 
-@dataclass(frozen=True)
-class RotatingFramePoint:
+class RotatingFramePoint(_Record):
     """Point in the co-rotating frame: radius >= 0, angle in [0, 2*pi)."""
 
     radius: float

@@ -25,16 +25,24 @@ phases form a chord of length exactly 2r/sin(alpha) out of each period 2R/n.
 Where the reach r/sin(alpha) is at least half the period, every crossing
 is detected, whatever the shift v*r/u; sin(alpha) = 0 (v/u beyond the float
 range) gives an infinite reach, so it saturates too.
+
+The test, and the vehicle positions, run in quarter units: a, b, the
+period, the shift and the reach are all divided by 4.  Scaling by a power
+of 2 is exact in binary floating point above the subnormal range, so the
+answers are those of the full-size formulas wherever their values are
+finite, and the largest value the test forms, b - a + shift < (3/4)*R/n,
+stays finite for every R the float range holds, where 2R/n itself would
+overflow from R = 9e307.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .circular import AsymptoticSummary, _summary
 from .montecarlo import EstimateWithCI, SeedSchedule, run_bernoulli_trials
-from .scenario import LinearPatrolScenario, ValidationError, validate
+from .scenario import (LinearPatrolScenario, ValidationError, _Record,
+                       validate)
 
 __all__ = [
     "CrossingSample",
@@ -45,13 +53,16 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CrossingSample:
+class CrossingSample(_Record):
     """One crossing draw: a in [0, R] is where the intruder crosses the
     patrol segment, b in [0, 2R/n] the initial unfolded phase of the fleet."""
 
     a: float
     b: float
+
+
+# every length the segment model forms is in these units (module docstring)
+_UNIT = 0.25
 
 
 def vehicle_position_linear(j: int, b: float, t: float,
@@ -65,29 +76,37 @@ def vehicle_position_linear(j: int, b: float, t: float,
     validate(s)
     if not 0 <= j < s.n:
         raise ValueError("vehicle index must lie in [0, n)")
-    two_R = 2.0 * s.R
-    c = (b + j * (two_R / s.n) + s.v * t) % two_R
-    return c if c <= s.R else two_R - c
+    # in _UNIT units, as the detection test: 2R overflows from R = 9e307
+    two_R = 2.0 * _UNIT * s.R
+    c = (b * _UNIT + j * (two_R / s.n) + s.v * (t * _UNIT)) % two_R
+    return (c if c <= s.R * _UNIT else two_R - c) / _UNIT
+
+
+def _reach(s: LinearPatrolScenario) -> float:
+    """r/sin(alpha), the detection distance from the lattice; inf where
+    sin(alpha) underflows to 0."""
+    sin_alpha = math.sin(math.atan2(s.u, s.v))
+    return s.r / sin_alpha if sin_alpha else math.inf
 
 
 def _lattice(s: LinearPatrolScenario) -> tuple:
-    """(period, reach, shift), read by the detection test and the closed
-    forms: the vehicle lattice (2R/n)*Z, the detection distance r/sin(alpha)
-    from it, and the axis crossing's offset (v/u)*r = r*cot(alpha) from
-    b - a, which the min keeps finite where v/u overflows.  shift is None
-    where reach >= period/2: every crossing is detected."""
-    period = 2.0 * s.R / s.n
-    sin_alpha = math.sin(math.atan2(s.u, s.v))
-    reach = s.r / sin_alpha if sin_alpha else math.inf
+    """(period, reach, shift) in _UNIT units, read by the detection test: the
+    vehicle lattice (2R/n)*Z, the detection distance r/sin(alpha) from it,
+    and the axis crossing's offset (v/u)*r = r*cot(alpha) from b - a, which
+    the min keeps finite where v/u overflows.  shift is None where
+    reach >= period/2: every crossing is detected."""
+    period = s.R / s.n * (2.0 * _UNIT)
+    reach = _reach(s) * _UNIT
     if reach >= period / 2.0:
         return period, reach, None
-    return period, reach, min(s.v / s.u * s.r, reach)
+    return period, reach, min(s.v / s.u * s.r * _UNIT, reach)
 
 
 def _lattice_detects(a: np.ndarray, b: np.ndarray,
                      lattice: tuple) -> np.ndarray:
     """Detection flags for crossings at a with fleet phase b (float64
-    arrays, both overwritten) against the `_lattice` triple."""
+    arrays in _UNIT units, both overwritten) against the `_lattice`
+    triple."""
     import numpy as np
 
     period, reach, shift = lattice
@@ -108,23 +127,26 @@ def detects_linear(sample: CrossingSample, s: LinearPatrolScenario) -> bool:
     validate(s)
     if not 0.0 <= sample.a <= s.R:
         raise ValidationError("a must lie in [0, R]")
-    if not 0.0 <= sample.b <= 2.0 * s.R / s.n:
+    lattice = _lattice(s)
+    if not 0.0 <= sample.b * _UNIT <= lattice[0]:
         raise ValidationError("b must lie in [0, 2R/n]")
     import numpy as np
 
-    a, b = np.array([sample.a], dtype=float), np.array([sample.b], dtype=float)
-    return bool(_lattice_detects(a, b, _lattice(s))[0])
+    a = np.array([sample.a * _UNIT], dtype=float)
+    b = np.array([sample.b * _UNIT], dtype=float)
+    return bool(_lattice_detects(a, b, lattice)[0])
 
 
 class _CrossingIndicator:
-    """Two draws per trial: slot 0 gives a = u*R, slot 1 gives b = u*2R/n."""
+    """Two draws per trial: slot 0 gives a = u*R, slot 1 gives b = u*2R/n,
+    both in _UNIT units."""
 
     n_draws = 2
 
     def __init__(self, s: LinearPatrolScenario):
         import numpy  # noqa: F401  loaded in the constructing thread
 
-        self._R = s.R
+        self._R = s.R * _UNIT
         self._lattice = _lattice(s)
 
     def evaluate_batch(self, u: np.ndarray) -> np.ndarray:
@@ -157,5 +179,5 @@ def asymptotic_summary_linear(s: LinearPatrolScenario) -> AsymptoticSummary:
     limit; Monte Carlo deviations from it are pure sampling noise.
     """
     validate(s)
-    _, reach, _ = _lattice(s)
+    reach = _reach(s)
     return _summary(2.0 * reach, reach / s.R, s.n)

@@ -23,8 +23,9 @@ constructor import numpy in the calling thread, before any worker starts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional
+
+from .scenario import _Record
 
 __all__ = [
     "DEFAULT_SEED",
@@ -138,8 +139,7 @@ class TrialSource:
         return low + (high - low) * u
 
 
-@dataclass(frozen=True)
-class SeedSchedule:
+class SeedSchedule(_Record):
     """Derives independent per-trial states from one root seed.
 
     Trial i receives the key mix64(root_seed + (i + 1)*GAMMA).  GAMMA is odd,
@@ -190,8 +190,7 @@ class SeedSchedule:
         return block.T
 
 
-@dataclass(frozen=True)
-class EstimateWithCI:
+class EstimateWithCI(_Record):
     """Bernoulli estimate with a Wilson score interval.
 
     mean is exactly successes/trials; ci bounds satisfy

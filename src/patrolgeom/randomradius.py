@@ -18,13 +18,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .circular import TWO_PI, _arc, _sin_alpha
 from .montecarlo import EstimateWithCI, SeedSchedule, run_bernoulli_trials
 from .scenario import (CircularPatrolScenario, ValidationError, _is_number,
-                       validate)
+                       _Record, validate)
 
 __all__ = [
     "PiecewiseRadiusProcess",
@@ -46,8 +45,7 @@ def _real(value, name: str) -> float:
     return float(value)
 
 
-@dataclass(frozen=True)
-class RadiusDistribution:
+class RadiusDistribution(_Record):
     """Discrete distribution of the radius multiplier k.
 
     atoms are (k, p) pairs: positive multipliers with positive weights
@@ -196,8 +194,7 @@ def mc_probability_random_radius(s: CircularPatrolScenario, d: RadiusDistributio
                                 SeedSchedule(seed), workers)
 
 
-@dataclass(frozen=True)
-class PiecewiseRadiusProcess:
+class PiecewiseRadiusProcess(_Record):
     """Radius multiplier held constant for `dwell` time units per visit.
 
     transition picks the next state: "cyclic" steps through the states in

@@ -5,7 +5,6 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
 from typing import IO, Union
 
 __all__ = [
@@ -26,8 +25,74 @@ class ValidationError(ValueError):
     """A parameter record violates one of its constraints."""
 
 
-@dataclass(frozen=True)
-class CircularPatrolScenario:
+class _Record:
+    """Immutable record whose fields are the annotated names of the class
+    body, in order; a class attribute of the same name is the default.
+
+    Construction takes the fields by position or keyword.  The repr is
+    `Name(field=value, ...)`; records are equal when they are of the same
+    class with equal fields, and hash by their fields.  Instances keep their
+    fields in `__dict__`, so pickle and copy need no hooks.
+    """
+
+    __match_args__ = ()
+    _defaults = {}
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        names = tuple(cls.__dict__.get("__annotations__", {}))
+        cls.__match_args__ = names
+        cls._defaults = {name: cls.__dict__[name] for name in names
+                         if name in cls.__dict__}
+
+    def __init__(self, *args, **kwargs):
+        names = self.__match_args__
+        if len(args) > len(names):
+            raise TypeError(f"{type(self).__name__} takes at most "
+                            f"{len(names)} positional arguments")
+        values = dict(zip(names, args))
+        for name in kwargs:
+            if name not in names:
+                raise TypeError(f"{type(self).__name__} got an unexpected "
+                                f"keyword argument '{name}'")
+            if name in values:
+                raise TypeError(f"{type(self).__name__} got multiple values "
+                                f"for argument '{name}'")
+        values.update(kwargs)
+        for name in names:
+            if name not in values:
+                if name not in self._defaults:
+                    raise TypeError(f"{type(self).__name__} missing required "
+                                    f"argument '{name}'")
+                values[name] = self._defaults[name]
+        # field order, whatever the order of the arguments
+        self.__dict__.update({name: values[name] for name in names})
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__match_args__)
+
+    def __repr__(self) -> str:
+        return "{}({})".format(type(self).__qualname__, ", ".join(
+            f"{name}={getattr(self, name)!r}" for name in self.__match_args__))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable: "
+                             f"cannot assign '{name}'")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable: "
+                             f"cannot delete '{name}'")
+
+
+class CircularPatrolScenario(_Record):
     """Fleet of n identical sensors spaced equally on a circle of radius R.
 
     r is the scan radius of each sensor, v the sensor speed along the circle
@@ -43,8 +108,7 @@ class CircularPatrolScenario:
     u: float
 
 
-@dataclass(frozen=True)
-class LinearPatrolScenario:
+class LinearPatrolScenario(_Record):
     """Fleet of n sensors sweeping a segment of length R back and forth.
 
     In the unfolded coordinate (two copies of the segment glued end to end,
@@ -59,8 +123,7 @@ class LinearPatrolScenario:
     u: float
 
 
-@dataclass(frozen=True)
-class DerivedAngles:
+class DerivedAngles(_Record):
     """alpha: inclination of the intruder image path, in [0, pi/2];
     omega: angular speed v/R of the co-rotating frame."""
 

@@ -477,6 +477,43 @@ def test_polar_image_streams_its_rows():
     assert peak < 2 * 1024 * 1024
 
 
+def test_sweep_streams_its_rows():
+    tracemalloc.start()
+    try:
+        with open(os.devnull, "w") as sink, redirect_stdout(sink):
+            code = main(["sweep", *_REF_FLAGS, "--parameter", "r",
+                         "--start", "1", "--stop", "10", "--steps", "20000",
+                         "--estimators", "asymptotic"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 2 * 1024 * 1024
+
+
+@pytest.mark.parametrize("start,stop", [("1", "100"), ("100", "1")])
+def test_sweep_bad_grid_value_prints_no_csv(capsys, start, stop):
+    # r = 100 = R is the last grid value either way round: it fails
+    # validation after 9 good values, still before the header
+    code, out, err = run_cli(capsys, "sweep", *_REF_FLAGS, "--parameter",
+                             "r", "--start", start, "--stop", stop,
+                             "--steps", "10")
+    assert code == 1 and out == ""
+    assert err == "error: r < R required\n"
+
+
+def test_sweep_stops_at_a_value_too_extreme_to_compute(capsys):
+    # v = 1e300 validates, but its closed form leaves the float range: the
+    # rows before it are already written
+    code, out, err = run_cli(capsys, "sweep", "--R", "100", "--r", "5",
+                             "--n", "10", "--u", "1e-10", "--parameter", "v",
+                             "--values", "1e300,1")
+    assert code == 1
+    assert out.splitlines()[1:] == [
+        "v,1.0,asymptotic,1.0,,,1,1000000000.0,,"]
+    assert err == "error: OverflowError: closed form exceeds the float range\n"
+
+
 def test_polar_image_bad_ratio_prints_no_csv(capsys):
     code, out, err = run_cli(capsys, "polar-image", "--r-over-R", "1.5")
     assert code == 1 and out == ""

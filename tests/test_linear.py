@@ -1,6 +1,7 @@
 """Segment patrol: folded positions, cylinder detection, exact closed forms."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -72,6 +73,20 @@ def test_detects_linear_where_speed_products_overflow(fields):
     assert not detects_linear(CrossingSample(a=0.0, b=1e305), s)
 
 
+def test_positions_and_sample_ranges_where_2R_overflows():
+    s = LinearPatrolScenario(R=1e308, r=1e306, n=2, v=1.0, u=1.0)
+    # the unfolded coordinate 1.5e308 folds back to 2R - 1.5e308
+    assert vehicle_position_linear(0, 0.0, 1.5e308, s) == \
+        pytest.approx(0.5e308)
+    assert vehicle_position_linear(1, 0.0, 0.0, s) == 1e308
+    assert vehicle_position_linear(0, 0.0, 0.25e308, s) == \
+        pytest.approx(0.25e308)
+    # b = 2R/n is a lattice point; the shift 1e306 is within the reach
+    assert detects_linear(CrossingSample(a=0.0, b=1e308), s)
+    with pytest.raises(ValidationError, match="b must lie"):
+        detects_linear(CrossingSample(a=0.0, b=1.5e308), s)
+
+
 def test_detects_linear_validates_sample_ranges(ref_linear):
     with pytest.raises(ValidationError, match="a must lie"):
         detects_linear(CrossingSample(a=-0.1, b=0.0), ref_linear)
@@ -138,6 +153,23 @@ def test_mc_matches_asymptotic_at_any_scale():
         expected = asymptotic_summary_linear(s).p_asym
         est = mc_probability_linear(s, 100_000, seed=12)
         assert abs(est.mean - expected) < 4.0 * est.stderr
+
+
+@pytest.mark.parametrize("fields", [
+    dict(R=1e308, r=1e306, n=1, v=1.0, u=1.0),
+    dict(R=1.5e308, r=1e306, n=1, v=1.0, u=1.0),
+    # shift v*r/u = 7e307: b - a + shift would leave the float range on a
+    # lattice only halved
+    dict(R=1.7e308, r=3.5e307, n=1, v=2.0, u=1.0),
+])
+def test_mc_matches_asymptotic_where_2R_overflows(fields):
+    s = LinearPatrolScenario(**fields)
+    trials = 100_000
+    expected = asymptotic_summary_linear(s).p_asym
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est = mc_probability_linear(s, trials, seed=31)
+    assert abs(est.mean - expected) <= 4.0 * est.stderr + 1.0 / trials
 
 
 def test_mc_successes_monotone_in_scan_radius():

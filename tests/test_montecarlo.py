@@ -3,7 +3,6 @@
 import math
 import sys
 import tracemalloc
-from dataclasses import replace
 from statistics import NormalDist
 
 import numpy as np
@@ -293,7 +292,9 @@ def _needle_reference(u):
 
 def _random_radius_reference(u):
     cum = np.asarray(_ATOMS.cumulative_weights())
-    arcs = [_detection_arc(replace(_CIRCLE, R=k * _CIRCLE.R))
+    arcs = [_detection_arc(CircularPatrolScenario(
+                R=k * _CIRCLE.R, r=_CIRCLE.r, n=_CIRCLE.n, v=_CIRCLE.v,
+                u=_CIRCLE.u))
             for k, _ in _ATOMS.atoms]
     lo = np.array([a for a, _ in arcs])
     length = np.array([b for _, b in arcs])

@@ -72,3 +72,10 @@ def test_importing_the_cli_loads_every_package_module():
         "randomradius", "scenario")}
     assert package <= modules
     assert modules.isdisjoint(HEAVY)
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    # the records share one small base class instead of generated code
+    _, modules = _run()
+    assert "patrolgeom.cli" in modules
+    assert modules.isdisjoint({"dataclasses", "inspect"})
