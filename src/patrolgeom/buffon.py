@@ -43,7 +43,7 @@ from __future__ import annotations
 import math
 
 from .montecarlo import EstimateWithCI, SeedSchedule, run_bernoulli_trials
-from .scenario import ValidationError, _Record
+from .scenario import ValidationError, _number, _Record
 
 __all__ = [
     "NeedleProblem",
@@ -70,14 +70,10 @@ class NeedleProblem(_Record):
 
 def validate_needle(p: NeedleProblem) -> NeedleProblem:
     for name in ("l", "L"):
-        value = getattr(p, name)
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
+        value = _number(getattr(p, name))
+        if value is None:
             raise ValidationError(f"{name} must be a number")
-        try:
-            finite = math.isfinite(value)
-        except OverflowError:  # an int beyond the float range
-            finite = False
-        if not (finite and value > 0):
+        if not (math.isfinite(value) and value > 0):
             raise ValidationError(f"{name} must be positive")
     if p.l > p.L:
         raise ValidationError("l <= L required (short-needle regime only)")
@@ -107,8 +103,6 @@ class _NeedleIndicator:
 
     def __init__(self, l: float, L: float):
         import threading
-
-        import numpy  # noqa: F401  loaded in the constructing thread
 
         self.l = l
         self.L = L

@@ -35,7 +35,7 @@ from __future__ import annotations
 import math
 from typing import Callable, Iterable, Sequence
 
-from .frames import TWO_PI
+from .frames import TWO_PI, wrap_positive
 from .montecarlo import EstimateWithCI, SeedSchedule, run_bernoulli_trials
 from .scenario import CircularPatrolScenario, _Record, validate
 
@@ -83,9 +83,7 @@ class CircleIntervalSet(_Record):
                 continue
             if length >= TWO_PI:
                 return CircleIntervalSet(((0.0, TWO_PI),))
-            s = start % TWO_PI
-            if s >= TWO_PI:
-                s = 0.0
+            s = wrap_positive(start)
             e = s + length
             if e > TWO_PI:
                 pieces.append((s, TWO_PI))
@@ -119,14 +117,12 @@ class CircleIntervalSet(_Record):
             return self
         out = []
         for s, e in self.intervals:
-            ns = (s + delta) % TWO_PI
-            if ns >= TWO_PI:
-                ns = 0.0
+            ns = wrap_positive(s + delta)
             out.append((ns, ns + (e - s)))
         return CircleIntervalSet.from_intervals(out)
 
     def contains(self, angle: float) -> bool:
-        a = angle % TWO_PI
+        a = wrap_positive(angle)
         for s, e in self.intervals:
             if s <= a < e:
                 return True
@@ -219,6 +215,18 @@ def exact_probability(s: CircularPatrolScenario) -> float:
     return min(1.0, s.n * length / TWO_PI)
 
 
+def _fold_hits(x: np.ndarray, lo: float, period: float,
+               length: float) -> np.ndarray:
+    """Flags (x - lo) mod period <= length, the test of `detects` on a
+    float64 array of positions; computes in place, overwriting x.  The
+    segment model's indicator runs it too."""
+    import numpy as np
+
+    np.subtract(x, lo, out=x)
+    np.mod(x, period, out=x)
+    return x <= length
+
+
 class _AnyVehicleIndicator:
     """psi ~ U[0, 2*pi); detect against the nearest vehicle.  Folding the
     angle modulo the fleet spacing 2*pi/n collapses all n vehicle arcs onto
@@ -227,8 +235,6 @@ class _AnyVehicleIndicator:
     n_draws = 1
 
     def __init__(self, s: CircularPatrolScenario):
-        import numpy  # noqa: F401  loaded in the constructing thread
-
         self._lo, self._length = _detection_arc(s)
         self._period = TWO_PI / s.n
 
@@ -238,9 +244,7 @@ class _AnyVehicleIndicator:
 
         x = u[:, 0]
         np.multiply(x, TWO_PI, out=x)
-        np.subtract(x, self._lo, out=x)
-        np.mod(x, self._period, out=x)
-        return x <= self._length
+        return _fold_hits(x, self._lo, self._period, self._length)
 
 
 def mc_probability(s: CircularPatrolScenario, trials: int, seed: int,

@@ -22,24 +22,26 @@ that perpendicular lies inside the disk, hence inside the exposure window
 test dist(x0, (2R/n)*Z) <= r/sin(alpha), whatever n is, and the detected
 phases form a chord of length exactly 2r/sin(alpha) out of each period 2R/n.
 
-Where the reach r/sin(alpha) is at least half the period, every crossing
-is detected, whatever the shift v*r/u; sin(alpha) = 0 (v/u beyond the float
-range) gives an infinite reach, so it saturates too.
+Equivalently, the detected offsets b - a form one window of length
+2*reach per period: with the reach r/sin(alpha) and the shift v*r/u,
 
-The test, and the vehicle positions, run in quarter units: a, b, the
-period, the shift and the reach are all divided by 4.  Scaling by a power
-of 2 is exact in binary floating point above the subnormal range, so the
-answers are those of the full-size formulas wherever their values are
-finite, and the largest value the test forms, b - a + shift < (3/4)*R/n,
-stays finite for every R the float range holds, where 2R/n itself would
-overflow from R = 9e307.
+    (b - a - lo) mod (2R/n) <= 2*reach,   lo = -(shift + reach),
+
+the fold test the circular model runs on launch angles
+(`circular._fold_hits`).  The model computes it in units of R, as the
+circle reads e = r/R: the period is 2/n, a/R lies in [0, 1], and no value
+the test forms exceeds 4 in magnitude, for every R the float range holds,
+where 2R/n itself overflows from R = 9e307.  Where the reach is at least
+half the period, the window is the whole period and every crossing is
+detected, whatever the shift; sin(alpha) = 0 (v/u beyond the float range)
+gives an infinite reach, so it saturates too.
 """
 
 from __future__ import annotations
 
 import math
 
-from .circular import AsymptoticSummary, _summary
+from .circular import AsymptoticSummary, _fold_hits, _summary
 from .montecarlo import EstimateWithCI, SeedSchedule, run_bernoulli_trials
 from .scenario import (LinearPatrolScenario, ValidationError, _Record,
                        validate)
@@ -61,10 +63,6 @@ class CrossingSample(_Record):
     b: float
 
 
-# every length the segment model forms is in these units (module docstring)
-_UNIT = 0.25
-
-
 def vehicle_position_linear(j: int, b: float, t: float,
                             s: LinearPatrolScenario) -> float:
     """Position of vehicle j on the segment [0, R] at time t.
@@ -76,10 +74,9 @@ def vehicle_position_linear(j: int, b: float, t: float,
     validate(s)
     if not 0 <= j < s.n:
         raise ValueError("vehicle index must lie in [0, n)")
-    # in _UNIT units, as the detection test: 2R overflows from R = 9e307
-    two_R = 2.0 * _UNIT * s.R
-    c = (b * _UNIT + j * (two_R / s.n) + s.v * (t * _UNIT)) % two_R
-    return (c if c <= s.R * _UNIT else two_R - c) / _UNIT
+    # h = c/2 on a circle of circumference R: 2R overflows from R = 9e307
+    h = (0.5 * b + j * (s.R / s.n) + s.v * (0.5 * t)) % s.R
+    return 2.0 * min(h, s.R - h)
 
 
 def _reach(s: LinearPatrolScenario) -> float:
@@ -89,74 +86,49 @@ def _reach(s: LinearPatrolScenario) -> float:
     return s.r / sin_alpha if sin_alpha else math.inf
 
 
-def _lattice(s: LinearPatrolScenario) -> tuple:
-    """(period, reach, shift) in _UNIT units, read by the detection test: the
-    vehicle lattice (2R/n)*Z, the detection distance r/sin(alpha) from it,
-    and the axis crossing's offset (v/u)*r = r*cot(alpha) from b - a, which
-    the min keeps finite where v/u overflows.  shift is None where
-    reach >= period/2: every crossing is detected."""
-    period = s.R / s.n * (2.0 * _UNIT)
-    reach = _reach(s) * _UNIT
+def _window(s: LinearPatrolScenario) -> tuple[float, float, float]:
+    """(lo, length, period) of the fold test of the module docstring, in
+    units of R: an offset x = (b - a)/R is detected iff
+    (x - lo) mod period <= length.  The min keeps the shift finite where
+    v/u overflows; where the reach is at least half the period, the window
+    is the whole period."""
+    period = 2.0 / s.n
+    reach = _reach(s) / s.R
     if reach >= period / 2.0:
-        return period, reach, None
-    return period, reach, min(s.v / s.u * s.r * _UNIT, reach)
-
-
-def _lattice_detects(a: np.ndarray, b: np.ndarray,
-                     lattice: tuple) -> np.ndarray:
-    """Detection flags for crossings at a with fleet phase b (float64
-    arrays in _UNIT units, both overwritten) against the `_lattice`
-    triple."""
-    import numpy as np
-
-    period, reach, shift = lattice
-    if shift is None:
-        return np.ones(a.shape, dtype=bool)
-    x = np.subtract(b, a, out=b)
-    np.add(x, shift, out=x)
-    np.mod(x, period, out=x)
-    np.subtract(period, x, out=a)
-    np.minimum(x, a, out=x)
-    return x <= reach
+        return 0.0, period, period
+    return -(min(s.v / s.u * (s.r / s.R), reach) + reach), 2.0 * reach, period
 
 
 def detects_linear(sample: CrossingSample, s: LinearPatrolScenario) -> bool:
     """True iff some vehicle's scan disk reaches the intruder while it is
-    inside the strip (tangency included): the lattice test of the module
+    inside the strip (tangency included): the fold test of the module
     docstring."""
     validate(s)
     if not 0.0 <= sample.a <= s.R:
         raise ValidationError("a must lie in [0, R]")
-    lattice = _lattice(s)
-    if not 0.0 <= sample.b * _UNIT <= lattice[0]:
+    # halving is exact, so a caller's b = 2*R/n compares equal to R/n
+    if not 0.0 <= 0.5 * sample.b <= s.R / s.n:
         raise ValidationError("b must lie in [0, 2R/n]")
-    import numpy as np
-
-    a = np.array([sample.a * _UNIT], dtype=float)
-    b = np.array([sample.b * _UNIT], dtype=float)
-    return bool(_lattice_detects(a, b, lattice)[0])
+    lo, length, period = _window(s)
+    return (sample.b / s.R - sample.a / s.R - lo) % period <= length
 
 
 class _CrossingIndicator:
-    """Two draws per trial: slot 0 gives a = u*R, slot 1 gives b = u*2R/n,
-    both in _UNIT units."""
+    """Two draws per trial: slot 0 is a/R, slot 1 gives b/R = u*2/n."""
 
     n_draws = 2
 
     def __init__(self, s: LinearPatrolScenario):
-        import numpy  # noqa: F401  loaded in the constructing thread
-
-        self._R = s.R * _UNIT
-        self._lattice = _lattice(s)
+        self._lo, self._length, self._period = _window(s)
 
     def evaluate_batch(self, u: np.ndarray) -> np.ndarray:
         """Detection flags; computes in place, overwriting u."""
         import numpy as np
 
         a, b = u[:, 0], u[:, 1]
-        np.multiply(a, self._R, out=a)
-        np.multiply(b, self._lattice[0], out=b)
-        return _lattice_detects(a, b, self._lattice)
+        np.multiply(b, self._period, out=b)
+        np.subtract(b, a, out=b)
+        return _fold_hits(b, self._lo, self._period, self._length)
 
 
 def mc_probability_linear(s: LinearPatrolScenario, trials: int, seed: int,

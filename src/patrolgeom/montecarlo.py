@@ -16,8 +16,8 @@ scratch, so an indicator may overwrite it while computing in place.
 
 numpy and the thread pool are imported by the functions that use them, not
 at module level, so the closed-form commands, which never call them, start
-without loading them.  `run_bernoulli_trials` and each indicator's
-constructor import numpy in the calling thread, before any worker starts.
+without loading them.  `run_bernoulli_trials` imports numpy in the calling
+thread, before any worker starts.
 """
 
 from __future__ import annotations

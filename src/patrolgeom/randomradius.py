@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 
 from .circular import TWO_PI, _arc, _sin_alpha
 from .montecarlo import EstimateWithCI, SeedSchedule, run_bernoulli_trials
-from .scenario import (CircularPatrolScenario, ValidationError, _is_number,
+from .scenario import (CircularPatrolScenario, ValidationError, _number,
                        _Record, validate)
 
 __all__ = [
@@ -40,9 +40,10 @@ _MEAN_TOL = 1e-12
 
 
 def _real(value, name: str) -> float:
-    if not _is_number(value):
+    number = _number(value)
+    if number is None:
         raise ValidationError(f"{name} must be a real number")
-    return float(value)
+    return number
 
 
 class RadiusDistribution(_Record):
@@ -212,14 +213,17 @@ class PiecewiseRadiusProcess(_Record):
 def validate_process(proc: PiecewiseRadiusProcess) -> PiecewiseRadiusProcess:
     if not proc.states:
         raise ValidationError("process needs at least one state")
-    for k in proc.states:
-        if not (isinstance(k, (int, float)) and math.isfinite(k) and k > 0):
+    for k in map(_number, proc.states):
+        if not (k is not None and math.isfinite(k) and k > 0):
             raise ValidationError("states must be positive multipliers")
-    if not (math.isfinite(proc.dwell) and proc.dwell > 0):
+    dwell, horizon = _number(proc.dwell), _number(proc.horizon)
+    if not (dwell is not None and math.isfinite(dwell) and dwell > 0):
         raise ValidationError("dwell must be positive")
     if proc.transition not in ("cyclic", "random"):
         raise ValidationError("transition must be 'cyclic' or 'random'")
-    if not proc.horizon >= 100.0 * proc.dwell:
+    if not (horizon is not None and math.isfinite(horizon)):
+        raise ValidationError("horizon must be finite")
+    if not horizon >= 100.0 * dwell:
         raise ValidationError("horizon >= 100 * dwell required")
     return proc
 

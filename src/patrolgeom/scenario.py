@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from typing import IO, Union
+from typing import IO, Optional, Union
 
 __all__ = [
     "CircularPatrolScenario",
@@ -136,9 +136,16 @@ Scenario = Union[CircularPatrolScenario, LinearPatrolScenario]
 _SCENARIO_KEYS = ("kind", "R", "r", "n", "v", "u")
 
 
-def _is_number(value) -> bool:
-    """int or float, and not bool: a JSON number."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+def _number(value) -> Optional[float]:
+    """The float value of a number, an int or float but not a bool (a JSON
+    number); an int beyond the float range reads as inf with its sign, and
+    anything else as None.  Every record reads its numbers by this rule."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
 
 def _require(cond: bool, message: str) -> None:
@@ -151,14 +158,12 @@ def validate(s: Scenario) -> Scenario:
     _require(isinstance(s.n, int) and not isinstance(s.n, bool),
              "n must be an integer")
     _require(s.n >= 1, "n must be a positive integer")
-    try:
-        float(s.n)  # the models compute with n as a float: n*L, 2*pi/n
-    except OverflowError:
-        raise ValidationError("n must not exceed the float range "
-                              "(about 1.8e308)") from None
+    # the models compute with n as a float: n*L, 2*pi/n
+    _require(math.isfinite(_number(s.n)),
+             "n must not exceed the float range (about 1.8e308)")
     for name in ("R", "r", "v", "u"):
-        value = getattr(s, name)
-        _require(_is_number(value), f"{name} must be a number")
+        value = _number(getattr(s, name))
+        _require(value is not None, f"{name} must be a number")
         _require(math.isfinite(value), f"{name} must be finite")
     _require(s.R > 0, "R must be positive")
     _require(s.r > 0, "r must be positive")
@@ -197,8 +202,8 @@ def scenario_from_dict(data: dict) -> Scenario:
         raise ValidationError(f"missing scenario key(s): {', '.join(missing)}")
     if data["kind"] not in ("circular", "linear"):
         raise ValidationError("kind must be 'circular' or 'linear'")
-    fields = {key: float(data[key]) if _is_number(data[key]) else data[key]
-              for key in ("R", "r", "v", "u")}
+    # a value that is no number reads as None, which validate rejects
+    fields = {key: _number(data[key]) for key in ("R", "r", "v", "u")}
     n = data["n"]
     if isinstance(n, float) and n.is_integer():
         n = int(n)

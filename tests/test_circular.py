@@ -56,6 +56,13 @@ def test_interval_set_full_circle_forms():
     assert halves.measure() == TWO_PI
 
 
+def test_interval_set_contains_tiny_negative_angles():
+    # -1e-17 % (2*pi) rounds to 2*pi itself, which wraps to 0
+    assert CircleIntervalSet(((0.0, TWO_PI),)).contains(-1e-17)
+    assert CircleIntervalSet(((0.0, 1.0),)).contains(-1e-17)
+    assert not CircleIntervalSet(((1.0, 2.0),)).contains(-1e-17)
+
+
 def test_interval_set_shift_preserves_measure():
     base = CircleIntervalSet.from_intervals([(0.2, 0.9), (3.0, 3.4)])
     for delta in (0.0, 1.0, -2.5, 6.0, TWO_PI):

@@ -559,6 +559,12 @@ def test_extreme_exact_input_is_bounded(capsys, fields):
     assert 0.0 < json.loads(out)["results"]["probability"] <= 1.0
 
 
+def test_scenario_file_number_beyond_float_range_exits_one(capsys, tmp_path):
+    path = write_scenario(tmp_path, **{**REF, "R": 10 ** 400})
+    code, out, err = run_cli(capsys, "circular", "exact", "--scenario", path)
+    assert (code, out, err) == (1, "", "error: R must be finite\n")
+
+
 def test_fleet_size_beyond_float_range_exits_one(capsys):
     code, out, err = run_cli(capsys, "circular", "exact", "--R", "1",
                              "--r", "0.1", "--n", str(10 ** 400),

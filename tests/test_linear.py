@@ -1,15 +1,20 @@
 """Segment patrol: folded positions, cylinder detection, exact closed forms."""
 
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from patrolgeom import LinearPatrolScenario
-from patrolgeom.linear import (CrossingSample, asymptotic_summary_linear,
-                               detects_linear, mc_probability_linear,
-                               vehicle_position_linear)
+from patrolgeom.linear import (CrossingSample, _CrossingIndicator,
+                               asymptotic_summary_linear, detects_linear,
+                               mc_probability_linear, vehicle_position_linear)
+from patrolgeom.montecarlo import SeedSchedule
 from patrolgeom.scenario import ValidationError
 
 from conftest import oracle_detects_linear
@@ -94,6 +99,49 @@ def test_detects_linear_validates_sample_ranges(ref_linear):
         detects_linear(CrossingSample(a=100.1, b=0.0), ref_linear)
     with pytest.raises(ValidationError, match="b must lie"):
         detects_linear(CrossingSample(a=0.0, b=40.1), ref_linear)
+
+
+@pytest.mark.parametrize("R, n", [(5.0, 3), (0.3, 7), (3.0, 17)])
+def test_detects_linear_accepts_b_at_the_end_of_its_range(R, n):
+    # the caller's b = 2*R/n, divided by R, rounds above 2/n here
+    s = LinearPatrolScenario(R=R, r=R / 100.0, n=n, v=2.0, u=1.0)
+    b = 2 * R / n
+    assert b / R > 2 / n
+    assert detects_linear(CrossingSample(a=0.0, b=b), s) == \
+        detects_linear(CrossingSample(a=0.0, b=0.0), s)
+
+
+@pytest.mark.parametrize("R", [1e-300, 1.0, 1e308])
+@pytest.mark.parametrize("n", [1, 7, 1000])
+def test_detects_linear_agrees_with_the_mc_indicator(R, n):
+    s = LinearPatrolScenario(R=R, r=0.1 * R / n, n=n, v=2.0, u=1.0)
+    u = SeedSchedule(77).uniform_block(0, 2000, 2)
+    flags = _CrossingIndicator(s).evaluate_batch(u.copy())
+    assert 0 < np.count_nonzero(flags) < flags.size
+    checked = 0
+    for (ua, ub), flag in zip(u.tolist(), flags.tolist()):
+        b = ub * (2.0 / n) * R
+        if b == math.inf:  # 2R/n leaves the float range at R = 1e308, n = 1
+            continue
+        assert detects_linear(CrossingSample(a=ua * R, b=b), s) == flag
+        checked += 1
+    assert checked >= 1500
+
+
+def test_detects_linear_loads_no_numpy():
+    # a fresh interpreter: this one has long since imported numpy
+    probe = ("import sys\n"
+             "from patrolgeom import LinearPatrolScenario\n"
+             "from patrolgeom.linear import CrossingSample, detects_linear\n"
+             "s = LinearPatrolScenario(R=100.0, r=5.0, n=5, v=2.0, u=1.0)\n"
+             "print(detects_linear(CrossingSample(a=50.0, b=30.0), s),"
+             " 'numpy' in sys.modules)\n")
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, env=env, timeout=120, check=True)
+    assert proc.stdout.split() == ["True", "False"]
 
 
 def test_detects_linear_matches_dense_oracle(ref_linear):

@@ -63,6 +63,9 @@ def test_from_atoms_validation():
     (TWO_POINT, {"k_minus": "0.8"}),
     (TWO_POINT, {"k_plus": True}),
     (TWO_POINT, {"k_plus": {"k": 1.2}}),
+    ([[10 ** 400, 1.0]], {}),
+    ([[1.0, 10 ** 400]], {}),
+    (TWO_POINT, {"k_minus": 10 ** 400}),
 ])
 def test_from_atoms_rejects_malformed_input(atoms, bounds):
     with pytest.raises(ValidationError):
@@ -242,6 +245,21 @@ def test_process_validation():
     with pytest.raises(ValidationError, match="transition must be"):
         validate_process(PiecewiseRadiusProcess((1.0,), 1.0, 200.0,
                                                 transition="markov"))
+
+
+def test_process_validation_rejects_boolean_states():
+    with pytest.raises(ValidationError, match="positive multipliers"):
+        validate_process(PiecewiseRadiusProcess((True,), 1.0, 200.0))
+
+
+def test_process_validation_rejects_nonnumeric_dwell():
+    with pytest.raises(ValidationError, match="dwell must be positive"):
+        validate_process(PiecewiseRadiusProcess((1.0,), "x", 200.0))
+
+
+def test_process_validation_rejects_infinite_horizon():
+    with pytest.raises(ValidationError, match="horizon must be finite"):
+        ergodic_time_average(PiecewiseRadiusProcess((1.0,), 1.0, math.inf), 0)
 
 
 def test_ergodic_average_single_state_is_exact():

@@ -52,6 +52,17 @@ def test_validate_rejects_nonnumeric_and_nonfinite_fields():
         validate(CircularPatrolScenario(R=1.0, r=0.1, n=1, v=1.0, u=math.nan))
 
 
+def test_ints_beyond_the_float_range_read_as_inf():
+    huge = 10 ** 400
+    with pytest.raises(ValidationError, match="R must be finite"):
+        validate(CircularPatrolScenario(R=huge, r=0.1, n=1, v=1.0, u=1.0))
+    with pytest.raises(ValidationError, match="v must be finite"):
+        validate(LinearPatrolScenario(R=1.0, r=0.1, n=1, v=-huge, u=1.0))
+    good = {"kind": "circular", "R": 100, "r": 5, "n": 10, "v": 2, "u": 1}
+    with pytest.raises(ValidationError, match="u must be finite"):
+        scenario_from_dict({**good, "u": huge})
+
+
 def test_validate_sign_constraints_circular():
     with pytest.raises(ValidationError, match="R must be positive"):
         validate(CircularPatrolScenario(R=0.0, r=0.1, n=1, v=1.0, u=1.0))
