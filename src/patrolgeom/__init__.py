@@ -22,9 +22,8 @@ from .randomradius import (PiecewiseRadiusProcess, RadiusDistribution,
                            ergodic_time_average,
                            exact_probability_random_radius, jensen_sides,
                            mc_probability_random_radius, validate_process)
-from .scenario import (CircularPatrolScenario, DerivedAngles,
-                       LinearPatrolScenario, Scenario, ValidationError,
-                       derived_angles, load_scenario, scenario_from_dict,
+from .scenario import (CircularPatrolScenario, LinearPatrolScenario, Scenario,
+                       ValidationError, load_scenario, scenario_from_dict,
                        scenario_to_dict, validate)
 
 __all__ = [
@@ -33,7 +32,6 @@ __all__ = [
     "CircularPatrolScenario",
     "CrossingSample",
     "DEFAULT_SEED",
-    "DerivedAngles",
     "EstimateWithCI",
     "LinearPatrolScenario",
     "NeedleProblem",
@@ -50,7 +48,6 @@ __all__ = [
     "asymptotic_summary_linear",
     "buffon_mc",
     "buffon_probability",
-    "derived_angles",
     "detection_arc_set",
     "detects",
     "detects_linear",

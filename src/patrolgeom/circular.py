@@ -35,9 +35,9 @@ from __future__ import annotations
 import math
 from typing import Callable, Iterable, Sequence
 
-from .frames import TWO_PI, wrap_positive
+from .frames import TWO_PI, _vehicle_angle, wrap_positive
 from .montecarlo import EstimateWithCI, SeedSchedule, run_bernoulli_trials
-from .scenario import CircularPatrolScenario, _Record, validate
+from .scenario import CircularPatrolScenario, _Record, _validate_as
 
 __all__ = [
     "AsymptoticSummary",
@@ -178,17 +178,10 @@ def _detection_arc(s: CircularPatrolScenario) -> tuple[float, float]:
     return _arc(s.r / s.R, s.v / s.u)
 
 
-def _vehicle_angle(vehicle_index: int, s: CircularPatrolScenario) -> float:
-    """Angle of a vehicle of the fleet, after checking its index."""
-    if not 0 <= vehicle_index < s.n:
-        raise ValueError("vehicle_index must lie in [0, n)")
-    return TWO_PI * vehicle_index / s.n
-
-
 def detects(psi: float, vehicle_index: int, s: CircularPatrolScenario) -> bool:
     """True iff the run launched at angle psi passes within r of vehicle
     vehicle_index at some time in [0, (R + r)/u]."""
-    validate(s)
+    _validate_as(s, CircularPatrolScenario)
     beta = _vehicle_angle(vehicle_index, s)
     lo, length = _detection_arc(s)
     return (psi - beta - lo) % TWO_PI <= length
@@ -200,7 +193,7 @@ def detection_arc_set(vehicle_index: int,
                       s: CircularPatrolScenario) -> CircleIntervalSet:
     """Launch angles detected by one vehicle: a single arc (or the full
     circle), as a canonical arc set."""
-    validate(s)
+    _validate_as(s, CircularPatrolScenario)
     beta = _vehicle_angle(vehicle_index, s)
     lo, length = _detection_arc(s)
     return CircleIntervalSet.from_intervals([(beta + lo, beta + lo + length)])
@@ -210,16 +203,17 @@ def exact_probability(s: CircularPatrolScenario) -> float:
     """Interception probability min(1, n*L/(2*pi)), L the length of one
     vehicle's arc: n equally spaced copies of one arc overlap only once they
     cover the circle."""
-    validate(s)
+    _validate_as(s, CircularPatrolScenario)
     _, length = _detection_arc(s)
     return min(1.0, s.n * length / TWO_PI)
 
 
-def _fold_hits(x: np.ndarray, lo: float, period: float,
-               length: float) -> np.ndarray:
+def _fold_hits(x: np.ndarray, lo: float | np.ndarray, period: float,
+               length: float | np.ndarray) -> np.ndarray:
     """Flags (x - lo) mod period <= length, the test of `detects` on a
-    float64 array of positions; computes in place, overwriting x.  The
-    segment model's indicator runs it too."""
+    float64 array of positions; computes in place, overwriting x.  lo and
+    length are scalars, or arrays shaped like x that give each row its own
+    window.  The segment and randomized-radius indicators run it too."""
     import numpy as np
 
     np.subtract(x, lo, out=x)
@@ -251,7 +245,7 @@ def mc_probability(s: CircularPatrolScenario, trials: int, seed: int,
                    workers: int = 1) -> EstimateWithCI:
     """Monte Carlo interception probability over uniform launch angles,
     each tested against the arc of exact_probability."""
-    validate(s)
+    _validate_as(s, CircularPatrolScenario)
     return run_bernoulli_trials(_AnyVehicleIndicator(s), trials,
                                 SeedSchedule(seed), workers)
 
@@ -306,6 +300,6 @@ def asymptotic_summary(s: CircularPatrolScenario) -> AsymptoticSummary:
     angular length 2e/sin(alpha), e = r/R.  Uniform launch angle then gives
     p = min(1, n e / (pi sin alpha)) and m_min = ceil(pi sin alpha / e).
     """
-    validate(s)
+    _validate_as(s, CircularPatrolScenario)
     e, sin_alpha = s.r / s.R, _sin_alpha(s.u, s.v)
     return _summary(2.0 * e / sin_alpha, e / math.pi / sin_alpha, s.n)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 
-from .scenario import CircularPatrolScenario, _Record, validate
+from .scenario import CircularPatrolScenario, _Record, _validate_as
 
 __all__ = [
     "PolarPoint",
@@ -99,13 +99,20 @@ def object_position_rotating(psi: float, t: float,
     drifts backwards at the frame rate: angle(t) = psi - (v/R) t.  Valid for
     t in [0, (R + r)/u], the arrival time at the center.
     """
-    validate(s)
+    _validate_as(s, CircularPatrolScenario)
     horizon = (s.R + s.r) / s.u
     if not 0.0 <= t <= horizon:
         raise ValueError(f"t must lie in [0, {horizon!r}]")
     radius = max(0.0, s.R + s.r - s.u * t)
     return RotatingFramePoint(radius=radius,
                               angle=wrap_positive(psi - (s.v / s.R) * t))
+
+
+def _vehicle_angle(vehicle_index: int, s: CircularPatrolScenario) -> float:
+    """Angle of a vehicle of the fleet, after checking its index."""
+    if not 0 <= vehicle_index < s.n:
+        raise ValueError("vehicle_index must lie in [0, n)")
+    return TWO_PI * vehicle_index / s.n
 
 
 def distance_to_vehicle(psi: float, t: float, vehicle_index: int,
@@ -117,10 +124,8 @@ def distance_to_vehicle(psi: float, t: float, vehicle_index: int,
     (radius - R)^2 + 4*R*radius*sin^2(delta/2) so that it does not cancel
     when the object is near the vehicle's circle.
     """
-    validate(s)
-    if not 0 <= vehicle_index < s.n:
-        raise ValueError("vehicle_index must lie in [0, n)")
+    _validate_as(s, CircularPatrolScenario)
+    beta = _vehicle_angle(vehicle_index, s)
     p = object_position_rotating(psi, t, s)
-    beta = TWO_PI * vehicle_index / s.n
     half = math.sin(0.5 * (p.angle - beta))
     return math.sqrt((p.radius - s.R) ** 2 + 4.0 * s.R * p.radius * half * half)

@@ -44,7 +44,7 @@ import math
 from .circular import AsymptoticSummary, _fold_hits, _summary
 from .montecarlo import EstimateWithCI, SeedSchedule, run_bernoulli_trials
 from .scenario import (LinearPatrolScenario, ValidationError, _Record,
-                       validate)
+                       _validate_as)
 
 __all__ = [
     "CrossingSample",
@@ -69,13 +69,21 @@ def vehicle_position_linear(j: int, b: float, t: float,
 
     Uniform motion at speed v on the unfolded circle of circumference 2R,
     folded back by reflection: unfolded coordinates c and 2R - c are the
-    same physical point.
+    same physical point.  Finite for every finite b and t.
     """
-    validate(s)
+    _validate_as(s, LinearPatrolScenario)
     if not 0 <= j < s.n:
         raise ValueError("vehicle index must lie in [0, n)")
+    if not (math.isfinite(b) and math.isfinite(t)):
+        raise ValueError("b and t must be finite")
     # h = c/2 on a circle of circumference R: 2R overflows from R = 9e307
     h = (0.5 * b + j * (s.R / s.n) + s.v * (0.5 * t)) % s.R
+    if not math.isfinite(h):
+        # the sum left the float range: the same terms, summed exactly
+        from fractions import Fraction as F
+
+        h = float((F(0.5 * b) + F(j * (s.R / s.n)) + F(s.v) * F(0.5 * t))
+                  % F(s.R))
     return 2.0 * min(h, s.R - h)
 
 
@@ -103,7 +111,7 @@ def detects_linear(sample: CrossingSample, s: LinearPatrolScenario) -> bool:
     """True iff some vehicle's scan disk reaches the intruder while it is
     inside the strip (tangency included): the fold test of the module
     docstring."""
-    validate(s)
+    _validate_as(s, LinearPatrolScenario)
     if not 0.0 <= sample.a <= s.R:
         raise ValidationError("a must lie in [0, R]")
     # halving is exact, so a caller's b = 2*R/n compares equal to R/n
@@ -134,7 +142,7 @@ class _CrossingIndicator:
 def mc_probability_linear(s: LinearPatrolScenario, trials: int, seed: int,
                           workers: int = 1) -> EstimateWithCI:
     """Monte Carlo detection probability over the uniform crossing ensemble."""
-    validate(s)
+    _validate_as(s, LinearPatrolScenario)
     return run_bernoulli_trials(_CrossingIndicator(s), trials,
                                 SeedSchedule(seed), workers)
 
@@ -150,6 +158,6 @@ def asymptotic_summary_linear(s: LinearPatrolScenario) -> AsymptoticSummary:
     this is exact for the uniform crossing ensemble, not just a small-r
     limit; Monte Carlo deviations from it are pure sampling noise.
     """
-    validate(s)
+    _validate_as(s, LinearPatrolScenario)
     reach = _reach(s)
     return _summary(2.0 * reach, reach / s.R, s.n)

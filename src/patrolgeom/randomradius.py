@@ -20,10 +20,10 @@ import itertools
 import math
 from typing import Optional, Sequence
 
-from .circular import TWO_PI, _arc, _sin_alpha
+from .circular import TWO_PI, _arc, _fold_hits, _sin_alpha
 from .montecarlo import EstimateWithCI, SeedSchedule, run_bernoulli_trials
 from .scenario import (CircularPatrolScenario, ValidationError, _number,
-                       _Record, validate)
+                       _Record, _validate_as)
 
 __all__ = [
     "PiecewiseRadiusProcess",
@@ -130,7 +130,7 @@ def asymptotic_probability_randomized(s: CircularPatrolScenario,
     """Randomized small-r closed form min(1, n (r/R) E[1/k] / (pi sin alpha)).
 
     With E[1/k] >= 1 this never falls below the fixed-radius value."""
-    validate(s)
+    _validate_as(s, CircularPatrolScenario)
     _check_radius_margin(d, s.r, s.R)
     e, sin_alpha = s.r / s.R, _sin_alpha(s.u, s.v)
     return min(1.0, s.n * (e * d.mean_inverse() / math.pi / sin_alpha))
@@ -149,7 +149,7 @@ def exact_probability_random_radius(s: CircularPatrolScenario,
     """Exact interception probability with the radius redrawn per run: the
     sum over atoms of p_k * min(1, n*L_k/(2*pi)), L_k the arc length at
     patrol radius k*R."""
-    validate(s)
+    _validate_as(s, CircularPatrolScenario)
     _check_radius_margin(d, s.r, s.R)
     value = math.fsum(p * min(1.0, s.n * length / TWO_PI)
                       for (_, p), (_, length) in zip(d.atoms, _atom_arcs(s, d)))
@@ -180,16 +180,16 @@ class _RandomRadiusIndicator:
         # cumulative weight rounded below 1) onto the last atom
         idx = np.searchsorted(self._cum, atom, side="right")
         np.multiply(x, TWO_PI, out=x)
-        np.subtract(x, np.take(self._lo, idx, out=atom, mode="clip"), out=x)
-        np.mod(x, self._period, out=x)
-        return x <= np.take(self._length, idx, out=atom, mode="clip")
+        return _fold_hits(x, np.take(self._lo, idx, out=atom, mode="clip"),
+                          self._period,
+                          np.take(self._length, idx, mode="clip"))
 
 
 def mc_probability_random_radius(s: CircularPatrolScenario, d: RadiusDistribution,
                                  trials: int, seed: int,
                                  workers: int = 1) -> EstimateWithCI:
     """Monte Carlo interception probability with the radius redrawn per trial."""
-    validate(s)
+    _validate_as(s, CircularPatrolScenario)
     _check_radius_margin(d, s.r, s.R)
     return run_bernoulli_trials(_RandomRadiusIndicator(s, d), trials,
                                 SeedSchedule(seed), workers)
@@ -201,7 +201,8 @@ class PiecewiseRadiusProcess(_Record):
     transition picks the next state: "cyclic" steps through the states in
     order, "random" draws the next state uniformly and independently.  The
     horizon must cover at least 100 dwell periods so the trajectory average
-    has room to settle.
+    has room to settle, and at most 10**6, because the average walks the
+    horizon one dwell at a time.
     """
 
     states: tuple[float, ...]
@@ -225,6 +226,8 @@ def validate_process(proc: PiecewiseRadiusProcess) -> PiecewiseRadiusProcess:
         raise ValidationError("horizon must be finite")
     if not horizon >= 100.0 * dwell:
         raise ValidationError("horizon >= 100 * dwell required")
+    if horizon > 1e6 * dwell:
+        raise ValidationError("horizon <= 10**6 * dwell required")
     return proc
 
 

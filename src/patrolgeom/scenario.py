@@ -9,11 +9,9 @@ from typing import IO, Optional, Union
 
 __all__ = [
     "CircularPatrolScenario",
-    "DerivedAngles",
     "LinearPatrolScenario",
     "Scenario",
     "ValidationError",
-    "derived_angles",
     "load_scenario",
     "scenario_from_dict",
     "scenario_to_dict",
@@ -123,14 +121,6 @@ class LinearPatrolScenario(_Record):
     u: float
 
 
-class DerivedAngles(_Record):
-    """alpha: inclination of the intruder image path, in [0, pi/2];
-    omega: angular speed v/R of the co-rotating frame."""
-
-    alpha: float
-    omega: float
-
-
 Scenario = Union[CircularPatrolScenario, LinearPatrolScenario]
 
 _SCENARIO_KEYS = ("kind", "R", "r", "n", "v", "u")
@@ -179,11 +169,12 @@ def validate(s: Scenario) -> Scenario:
     return s
 
 
-def derived_angles(s: CircularPatrolScenario) -> DerivedAngles:
-    """alpha = atan2(u, v), so a static ring (v = 0) gives exactly pi/2;
-    omega = v/R."""
-    validate(s)
-    return DerivedAngles(alpha=math.atan2(s.u, s.v), omega=s.v / s.R)
+def _validate_as(s, cls: type) -> Scenario:
+    """validate(s) for a model that reads only cls records: the other
+    model's record is a ValidationError too."""
+    _require(isinstance(s, cls), f"expected a {cls.__name__}, got "
+             f"{type(s).__name__}")
+    return validate(s)
 
 
 def scenario_from_dict(data: dict) -> Scenario:

@@ -59,6 +59,23 @@ def test_vehicle_position_rejects_bad_index(ref_linear):
         vehicle_position_linear(5, 0.0, 0.0, ref_linear)
 
 
+@pytest.mark.parametrize("R, n, v, j, b, t, expected", [
+    (1.7e308, 2, 1.0, 1, 1.7e308, 2e307, 2e307),  # the sum exceeds 1.8e308
+    (100.0, 5, 1e300, 0, 0.0, 1e10, 0.0),  # v*t/2 overflows
+])
+def test_vehicle_position_stays_finite_where_the_sum_overflows(R, n, v, j, b, t,
+                                                               expected):
+    s = LinearPatrolScenario(R=R, r=1.0, n=n, v=v, u=1.0)
+    assert vehicle_position_linear(j, b, t, s) == expected
+
+
+@pytest.mark.parametrize("b, t", [(0.0, math.inf), (0.0, -math.inf),
+                                  (0.0, math.nan), (math.inf, 0.0)])
+def test_vehicle_position_rejects_nonfinite_time_and_phase(ref_linear, b, t):
+    with pytest.raises(ValueError, match="b and t must be finite"):
+        vehicle_position_linear(0, b, t, ref_linear)
+
+
 def test_detects_linear_hit_and_miss():
     s = LinearPatrolScenario(R=100.0, r=1.0, n=1, v=2.0, u=1.0)
     # vehicle starts exactly where the intruder enters: tangent at t = 0

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from patrolgeom import CircularPatrolScenario
-from patrolgeom.circular import TWO_PI, exact_probability, mc_probability
+from patrolgeom.circular import (TWO_PI, _AnyVehicleIndicator,
+                                 exact_probability, mc_probability)
+from patrolgeom.montecarlo import SeedSchedule
 from patrolgeom.randomradius import (PiecewiseRadiusProcess, RadiusDistribution,
-                                     _atom_arcs,
+                                     _RandomRadiusIndicator, _atom_arcs,
                                      asymptotic_probability_randomized,
                                      ergodic_time_average,
                                      exact_probability_random_radius,
@@ -183,6 +185,22 @@ def test_mc_random_radius_deterministic_across_workers(ref_circular):
     assert a == b
 
 
+@pytest.mark.parametrize("fields", [
+    dict(R=100.0, r=5.0, n=10, v=2.0, u=1.0),
+    dict(R=100.0, r=5.0, n=10, v=0.0, u=1.0),
+    dict(R=1.0, r=1e-6, n=200, v=100.0, u=1.0),
+    dict(R=10.0, r=3.0, n=1, v=0.01, u=1.0),
+])
+def test_point_mass_indicator_flags_equal_the_fixed_radius_flags(fields):
+    # the randomized indicator reads the launch angle from draw column 1
+    s = CircularPatrolScenario(**fields)
+    d = RadiusDistribution.from_atoms([(1.0, 1.0)])
+    u = SeedSchedule(21).uniform_block(0, 50_000, 2)
+    fixed = _AnyVehicleIndicator(s).evaluate_batch(u[:, 1:].copy())
+    assert 0 < np.count_nonzero(fixed) < fixed.size
+    assert np.array_equal(_RandomRadiusIndicator(s, d).evaluate_batch(u), fixed)
+
+
 def test_exact_random_radius_point_mass_is_the_fixed_radius_value(ref_circular):
     d = RadiusDistribution.from_atoms([(1.0, 1.0)])
     assert exact_probability_random_radius(ref_circular, d) == \
@@ -260,6 +278,16 @@ def test_process_validation_rejects_nonnumeric_dwell():
 def test_process_validation_rejects_infinite_horizon():
     with pytest.raises(ValidationError, match="horizon must be finite"):
         ergodic_time_average(PiecewiseRadiusProcess((1.0,), 1.0, math.inf), 0)
+
+
+def test_process_validation_caps_the_horizon_at_a_million_dwells():
+    # the average walks the horizon one dwell at a time
+    proc = PiecewiseRadiusProcess((1.0,), 2.0, 2e6)
+    assert validate_process(proc) is proc
+    for horizon in (2e6 + 1.0, 1e300):
+        with pytest.raises(ValidationError, match=r"horizon <= 10\*\*6"):
+            ergodic_time_average(PiecewiseRadiusProcess((1.0,), 2.0, horizon),
+                                 0)
 
 
 def test_ergodic_average_single_state_is_exact():

@@ -9,8 +9,8 @@ import pickle
 import pytest
 
 from patrolgeom import (AsymptoticSummary, CircleIntervalSet,
-                        CircularPatrolScenario, CrossingSample, DerivedAngles,
-                        EstimateWithCI, LinearPatrolScenario, NeedleProblem,
+                        CircularPatrolScenario, CrossingSample, EstimateWithCI,
+                        LinearPatrolScenario, NeedleProblem,
                         PiecewiseRadiusProcess, PolarPoint, RadiusDistribution,
                         RotatingFramePoint, SeedSchedule)
 
@@ -22,8 +22,6 @@ RECORDS = [
     (LinearPatrolScenario, ("R", "r", "n", "v", "u"),
      (100.0, 5.0, 5, 2.0, 1.0),
      "LinearPatrolScenario(R=100.0, r=5.0, n=5, v=2.0, u=1.0)"),
-    (DerivedAngles, ("alpha", "omega"), (0.5, 0.02),
-     "DerivedAngles(alpha=0.5, omega=0.02)"),
     (PolarPoint, ("rho_norm", "phi"), (1.05, -0.25),
      "PolarPoint(rho_norm=1.05, phi=-0.25)"),
     (RotatingFramePoint, ("radius", "angle"), (99.0, 3.0),

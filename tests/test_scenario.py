@@ -1,4 +1,4 @@
-"""Scenario records: validation, derived angles, JSON round-trips."""
+"""Scenario records: validation, the inclination, JSON round-trips."""
 
 import io
 import json
@@ -8,10 +8,19 @@ import sys
 import numpy as np
 import pytest
 
-from patrolgeom.circular import exact_probability
-from patrolgeom.linear import mc_probability_linear
+from patrolgeom.circular import (_sin_alpha, asymptotic_summary,
+                                 detection_arc_set, detects, exact_probability,
+                                 mc_probability)
+from patrolgeom.frames import distance_to_vehicle, object_position_rotating
+from patrolgeom.linear import (CrossingSample, asymptotic_summary_linear,
+                               detects_linear, mc_probability_linear,
+                               vehicle_position_linear)
+from patrolgeom.randomradius import (RadiusDistribution,
+                                     asymptotic_probability_randomized,
+                                     exact_probability_random_radius,
+                                     mc_probability_random_radius)
 from patrolgeom.scenario import (CircularPatrolScenario, LinearPatrolScenario,
-                                 ValidationError, derived_angles, load_scenario,
+                                 ValidationError, load_scenario,
                                  scenario_from_dict, scenario_to_dict, validate)
 
 
@@ -87,27 +96,53 @@ def test_static_ring_is_legal(static_circular):
     assert validate(static_circular) is static_circular
 
 
-def test_derived_angles_reference_values(ref_circular):
-    d = derived_angles(ref_circular)
-    assert d.alpha == pytest.approx(0.4636476090008061, abs=1e-15)
-    assert d.omega == pytest.approx(0.02, abs=1e-15)
-
-
-def test_derived_angles_static_ring_is_perpendicular(static_circular):
-    assert derived_angles(static_circular).alpha == math.pi / 2.0
-
-
-def test_inclination_sine_equals_speed_ratio():
+def test_sin_alpha_equals_speed_ratio():
     rng = np.random.default_rng(314)
     for _ in range(200):
-        R = float(rng.uniform(1.0, 500.0))
-        r = float(rng.uniform(0.001, 0.5)) * R
         u = float(rng.uniform(0.01, 10.0))
         v = float(rng.uniform(0.0, 10.0))
-        s = CircularPatrolScenario(R=R, r=r, n=int(rng.integers(1, 20)), v=v, u=u)
-        alpha = derived_angles(s).alpha
-        assert math.sin(alpha) == pytest.approx(u / math.hypot(u, v), abs=1e-12)
-        assert 0.0 < alpha <= math.pi / 2.0
+        assert _sin_alpha(u, v) == pytest.approx(u / math.hypot(u, v),
+                                                 abs=1e-12)
+    # a static ring's intruder path is perpendicular: alpha is exactly pi/2
+    assert _sin_alpha(1.0, 0.0) == 1.0
+
+
+_CIRCULAR = CircularPatrolScenario(R=100.0, r=5.0, n=10, v=2.0, u=1.0)
+_LINEAR = LinearPatrolScenario(R=100.0, r=5.0, n=5, v=2.0, u=1.0)
+_TWO_POINT = RadiusDistribution.from_atoms([(0.9, 0.5), (1.1, 0.5)])
+
+# every public entry that takes a scenario, called with the record it reads
+WRONG_MODEL = {
+    "detects": lambda s: detects(0.0, 0, s),
+    "detection_arc_set": lambda s: detection_arc_set(0, s),
+    "exact_probability": exact_probability,
+    "mc_probability": lambda s: mc_probability(s, 100, 0),
+    "asymptotic_summary": asymptotic_summary,
+    "object_position_rotating": lambda s: object_position_rotating(0.0, 0.0, s),
+    "distance_to_vehicle": lambda s: distance_to_vehicle(0.0, 0.0, 0, s),
+    "asymptotic_probability_randomized":
+        lambda s: asymptotic_probability_randomized(s, _TWO_POINT),
+    "exact_probability_random_radius":
+        lambda s: exact_probability_random_radius(s, _TWO_POINT),
+    "mc_probability_random_radius":
+        lambda s: mc_probability_random_radius(s, _TWO_POINT, 100, 0),
+    "vehicle_position_linear": lambda s: vehicle_position_linear(0, 0.0, 0.0, s),
+    "detects_linear": lambda s: detects_linear(CrossingSample(0.0, 0.0), s),
+    "mc_probability_linear": lambda s: mc_probability_linear(s, 100, 0),
+    "asymptotic_summary_linear": asymptotic_summary_linear,
+}
+_LINEAR_ENTRIES = {"vehicle_position_linear", "detects_linear",
+                   "mc_probability_linear", "asymptotic_summary_linear"}
+
+
+@pytest.mark.parametrize("name", sorted(WRONG_MODEL))
+def test_each_model_rejects_the_other_models_record(name):
+    call = WRONG_MODEL[name]
+    own, other = ((_LINEAR, _CIRCULAR) if name in _LINEAR_ENTRIES
+                  else (_CIRCULAR, _LINEAR))
+    call(own)
+    with pytest.raises(ValidationError, match=f"expected a {type(own).__name__}"):
+        call(other)
 
 
 def test_scenario_from_dict_round_trip(ref_circular, ref_linear):
