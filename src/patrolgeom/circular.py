@@ -35,7 +35,7 @@ from __future__ import annotations
 import math
 from typing import Callable, Iterable, Sequence
 
-from .frames import TWO_PI, _vehicle_angle, wrap_positive
+from .frames import TWO_PI, _finite_angle, _vehicle_angle, wrap_positive
 from .montecarlo import EstimateWithCI, SeedSchedule, run_bernoulli_trials
 from .scenario import CircularPatrolScenario, _Record, _validate_as
 
@@ -72,11 +72,12 @@ class CircleIntervalSet(_Record):
 
     @staticmethod
     def from_intervals(raw: Iterable[tuple[float, float]]) -> "CircleIntervalSet":
-        """Canonicalize arbitrary (start, end) pairs: wrap starts into
-        [0, 2*pi), split arcs crossing zero, merge overlapping or touching
-        arcs.  Pairs with end <= start are dropped; any arc of length
-        >= 2*pi covers everything."""
-        pieces: list[tuple[float, float]] = []
+        """Canonicalize arbitrary (start, end) pairs: wrap each start into
+        [0, 2*pi) and keep the arc whole, merge overlapping or touching
+        arcs, then let the last arc's overhang past 2*pi absorb the first
+        arcs it reaches.  Pairs with end <= start are dropped; an arc of
+        length >= 2*pi, given or merged, covers everything."""
+        arcs: list[tuple[float, float]] = []
         for start, end in raw:
             length = end - start
             if length <= 0.0:
@@ -84,25 +85,23 @@ class CircleIntervalSet(_Record):
             if length >= TWO_PI:
                 return CircleIntervalSet(((0.0, TWO_PI),))
             s = wrap_positive(start)
-            e = s + length
-            if e > TWO_PI:
-                pieces.append((s, TWO_PI))
-                pieces.append((0.0, e - TWO_PI))
-            else:
-                pieces.append((s, e))
-        if not pieces:
+            arcs.append((s, s + length))
+        if not arcs:
             return CircleIntervalSet(())
-        pieces.sort()
-        merged: list[list[float]] = [list(pieces[0])]
-        for s, e in pieces[1:]:
+        arcs.sort()
+        merged: list[list[float]] = [list(arcs[0])]
+        for s, e in arcs[1:]:
             if s <= merged[-1][1]:
                 merged[-1][1] = max(merged[-1][1], e)
             else:
                 merged.append([s, e])
-        # arcs meeting at angle 0 on both sides stitch into one wrapped arc
-        if len(merged) > 1 and merged[0][0] <= 0.0 and merged[-1][1] >= TWO_PI:
-            first = merged.pop(0)
-            merged[-1][1] = first[1] + TWO_PI
+        # compare the overhang before shifting it by 2*pi, so a gap the merge
+        # keeps is kept across angle 0 too; an end e in [2*pi, 4*pi) comes
+        # back exactly, as e - 2*pi is exact there (Sterbenz)
+        reach = merged[-1][1] - TWO_PI
+        while len(merged) > 1 and merged[0][0] <= reach:
+            reach = max(reach, merged.pop(0)[1])
+            merged[-1][1] = reach + TWO_PI
         if len(merged) == 1 and merged[0][1] - merged[0][0] >= TWO_PI:
             return CircleIntervalSet(((0.0, TWO_PI),))
         return CircleIntervalSet(tuple((s, e) for s, e in merged))
@@ -180,11 +179,11 @@ def _detection_arc(s: CircularPatrolScenario) -> tuple[float, float]:
 
 def detects(psi: float, vehicle_index: int, s: CircularPatrolScenario) -> bool:
     """True iff the run launched at angle psi passes within r of vehicle
-    vehicle_index at some time in [0, (R + r)/u]."""
+    vehicle_index at some time in [0, (R + r)/u]; psi must be finite."""
     _validate_as(s, CircularPatrolScenario)
     beta = _vehicle_angle(vehicle_index, s)
     lo, length = _detection_arc(s)
-    return (psi - beta - lo) % TWO_PI <= length
+    return (_finite_angle(psi) - beta - lo) % TWO_PI <= length
 
 
 # ---- arc sets and probabilities ----

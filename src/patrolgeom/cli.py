@@ -74,8 +74,6 @@ def _estimate(name: str, scen, args) -> dict:
     maps an estimator and a patrol model to a library call."""
     circular = isinstance(scen, CircularPatrolScenario)
     if name == "exact":
-        if not circular:
-            raise ValidationError("exact estimator requires a circular scenario")
         return {"estimator": "exact", "probability": exact_probability(scen)}
     if name == "asymptotic":
         summary = (asymptotic_summary(scen) if circular
@@ -227,6 +225,17 @@ _SWEEPABLE = ("R", "r", "n", "v", "u")
 _ESTIMATORS = ("asymptotic", "exact", "mc")
 
 
+def _estimator_names(text: str) -> list[str]:
+    """--estimators: the sorted, distinct names of a comma-separated list,
+    which must be a nonempty subset of _ESTIMATORS."""
+    names = {e.strip() for e in text.split(",")} - {""}
+    if not names or not names <= set(_ESTIMATORS):
+        raise argparse.ArgumentTypeError(
+            f"unknown estimator list {text!r} (choose from "
+            + ", ".join(_ESTIMATORS) + ")")
+    return sorted(names)
+
+
 def _sweep_values(args) -> Iterator[float]:
     """The swept values in ascending order; a --start/--stop/--steps grid
     is generated one value at a time, so memory stays flat at any --steps."""
@@ -262,16 +271,6 @@ def _sweep_values(args) -> Iterator[float]:
 
 
 def _cmd_sweep(args) -> int:
-    estimators = [e.strip() for e in args.estimators.split(",") if e.strip()]
-    if not estimators:
-        raise _UsageError("--estimators must name at least one of "
-                          + ", ".join(_ESTIMATORS))
-    for e in estimators:
-        if e not in _ESTIMATORS:
-            raise _UsageError(f"unknown estimator '{e}' (choose from "
-                              + ", ".join(_ESTIMATORS) + ")")
-    estimators = sorted(set(estimators))
-
     base = _scenario_data(args)
     base.setdefault("kind", "circular")
     param = args.parameter
@@ -290,7 +289,7 @@ def _cmd_sweep(args) -> int:
         pass
     # then one row at a time, as polar-image does
     rows = ((param, value) + _csv_row(_estimate(name, scen, args))
-            for value, scen in scenarios() for name in estimators)
+            for value, scen in scenarios() for name in args.estimators)
     _write_csv(_SWEEP_HEADER, rows)
     return 0
 
@@ -313,10 +312,6 @@ def _cmd_polar_image(args) -> int:
 
 
 # ---- parser assembly ----
-
-class _UsageError(Exception):
-    pass
-
 
 def _scenario_parent() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(add_help=False)
@@ -396,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stop", type=float)
     p.add_argument("--steps", type=int)
     p.add_argument("--log", action="store_true", help="logarithmic grid")
-    p.add_argument("--estimators", default="asymptotic",
+    p.add_argument("--estimators", type=_estimator_names, default="asymptotic",
                    help="comma-separated subset of "
                         + ",".join(_ESTIMATORS))
     p.set_defaults(func=_cmd_sweep)
@@ -420,10 +415,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        code = exc.code
-        if code is None:
-            return 0
-        return code if isinstance(code, int) else 2
+        return exc.code
     try:
         code = args.func(args)
         # a closed pipe surfaces here, while the error is still handled
@@ -435,9 +427,6 @@ def main(argv=None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         return 1
-    except _UsageError as err:
-        print(f"usage error: {err}", file=sys.stderr)
-        return 2
     except ValueError as err:
         # covers ValidationError and bad numeric domains
         print(f"error: {err}", file=sys.stderr)

@@ -41,17 +41,24 @@ class RotatingFramePoint(_Record):
     angle: float
 
 
+def _finite_angle(angle: float) -> float:
+    """angle itself, or ValueError where it is inf or nan."""
+    if not math.isfinite(angle):
+        raise ValueError(f"angle must be finite, got {angle!r}")
+    return angle
+
+
 def wrap_signed(angle: float) -> float:
-    """Reduce an angle to (-pi, pi]."""
-    a = math.remainder(angle, TWO_PI)
+    """Reduce a finite angle to (-pi, pi]."""
+    a = math.remainder(_finite_angle(angle), TWO_PI)
     if a <= -math.pi:
         a += TWO_PI
     return a
 
 
 def wrap_positive(angle: float) -> float:
-    """Reduce an angle to [0, 2*pi)."""
-    a = angle % TWO_PI
+    """Reduce a finite angle to [0, 2*pi)."""
+    a = _finite_angle(angle) % TWO_PI
     # float round-off can push the remainder to exactly 2*pi
     return 0.0 if a >= TWO_PI else a
 

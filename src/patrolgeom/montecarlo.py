@@ -225,10 +225,11 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
 
 
 def estimate_from_counts(successes: int, trials: int) -> EstimateWithCI:
-    """Package a success count as an estimate with a 95% Wilson interval."""
+    """Package a success count as an estimate with a 95% Wilson interval;
+    the interval checks the counts first."""
+    ci_low, ci_high = wilson_interval(successes, trials)
     mean = successes / trials
     stderr = math.sqrt(mean * (1.0 - mean) / trials)
-    ci_low, ci_high = wilson_interval(successes, trials)
     return EstimateWithCI(mean=mean, trials=trials, successes=successes,
                           stderr=stderr, ci_low=min(ci_low, mean),
                           ci_high=max(ci_high, mean))

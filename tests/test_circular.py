@@ -260,6 +260,18 @@ def test_minimum_fleet_size_is_the_exact_threshold():
             assert (m - 1) * per_vehicle < 1.0
 
 
+@pytest.mark.parametrize("per_vehicle,want", [
+    # ceil(1/pv) = 397899, but 397899 * pv rounds to 0.9999999999999999
+    (2.5132005860783765e-06, 397_900),
+    # ceil(1/pv) = 9007199254740996, but (that - 1) * pv >= 1 in floats
+    (1.1102230246251562e-16, 9_007_199_254_740_995),
+])
+def test_minimum_fleet_size_guards_float_misrounding(per_vehicle, want):
+    m = minimum_fleet_size(per_vehicle)
+    assert m == want != math.ceil(1.0 / per_vehicle)
+    assert m * per_vehicle >= 1.0 > (m - 1) * per_vehicle
+
+
 def test_asymptotic_matches_exact_for_small_radius():
     s = CircularPatrolScenario(R=100.0, r=0.5, n=1, v=2.0, u=1.0)
     summary = asymptotic_summary(s)

@@ -435,6 +435,10 @@ def test_jensen_distribution_file(capsys, tmp_path):
     ("--atoms", '[["1", 1]]'),
     ("--distribution", {"atoms": [[0.9, 0.5], [1.1, 0.5]], "k_minus": [1]}),
     ("--distribution", {"atoms": 5}),
+    ("--atoms", "[[1,"),
+    ("--distribution", [[0.9, 0.5], [1.1, 0.5]]),
+    ("--distribution", {"k_minus": 0.8}),
+    ("--distribution", {"atoms": [[1.0, 1.0]], "weights": [1]}),
 ])
 def test_malformed_distribution_exits_one(capsys, tmp_path, source):
     flag, value = source
@@ -448,6 +452,92 @@ def test_malformed_distribution_exits_one(capsys, tmp_path, source):
     assert err.startswith("error: ")
     assert len(err.strip().splitlines()) == 1
     assert "Traceback" not in err
+
+
+_SWEEP_R = ("sweep",) + _REF_FLAGS + ("--parameter", "r")
+
+
+@pytest.mark.parametrize("argv,content,message", [
+    (("circular", "exact", "--scenario", "{file}"), None,
+     "cannot read scenario file: "),
+    (("circular", "exact", "--scenario", "{file}"), "{",
+     "malformed scenario file: "),
+    (("circular", "exact", "--scenario", "{file}"), "[1, 2]",
+     "scenario file must hold a JSON object"),
+    (("circular", "exact", "--scenario", "{file}"), json.dumps(REF_LINEAR),
+     "circular scenario required, got kind 'linear'"),
+    (_SWEEP_R + ("--values", "1,x"), None,
+     "--values must be a comma-separated list of numbers"),
+    (_SWEEP_R + ("--values", " , "), None,
+     "--values must contain at least one number"),
+    (_SWEEP_R + ("--start", "1", "--stop", "2"), None,
+     "sweep needs --values or all of --start/--stop/--steps"),
+    (_SWEEP_R + ("--start", "1", "--stop", "2", "--steps", "0"), None,
+     "--steps must be >= 1"),
+    (_SWEEP_R + ("--start", "0", "--stop", "2", "--steps", "3", "--log"), None,
+     "log grids need positive --start/--stop"),
+    (("polar-image", "--r-over-R", "0.1", "--points", "1"), None,
+     "--points must be at least 2"),
+], ids=["unreadable-file", "malformed-file", "file-not-object",
+        "kind-mismatch", "bad-values", "empty-values", "missing-grid",
+        "zero-steps", "log-from-zero", "one-point"])
+def test_bad_input_exits_one_before_any_output(capsys, tmp_path, argv,
+                                               content, message):
+    path = tmp_path / "input.json"
+    if content is not None:
+        path.write_text(content, encoding="utf-8")
+    argv = [str(path) if arg == "{file}" else arg for arg in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: " + message)
+    assert len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
+
+
+def test_sweep_single_step_grid_is_its_start(capsys):
+    code, out, _ = run_cli(capsys, *_SWEEP_R, "--start", "2", "--stop", "7",
+                           "--steps", "1")
+    assert code == 0
+    assert [row.split(",")[:3] for row in out.splitlines()[1:]] == [
+        ["r", "2.0", "asymptotic"]]
+
+
+def test_default_report_carries_its_timing(capsys):
+    code, out, _ = run_cli(capsys, "circular", "asymptotic", *_REF_FLAGS)
+    assert code == 0
+    timing = json.loads(out)["timing_seconds"]
+    assert isinstance(timing, float) and 0.0 <= timing < 60.0
+
+
+@pytest.mark.parametrize("estimators", ["", " , ", "exact,magic"])
+def test_bad_estimator_list_is_a_usage_error(capsys, estimators):
+    code, out, err = run_cli(capsys, *_SWEEP_R, "--values", "1",
+                             "--estimators", estimators)
+    assert code == 2 and out == ""
+    assert err.startswith("usage: ")
+    assert "argument --estimators: unknown estimator" in err
+
+
+def test_estimator_list_is_sorted_and_deduplicated(capsys):
+    argv = _SWEEP_R + ("--values", "2,1", "--trials", "500")
+    _, plain, _ = run_cli(capsys, *argv, "--estimators", "asymptotic,exact,mc")
+    code, messy, _ = run_cli(capsys, *argv, "--estimators",
+                             " mc, exact ,asymptotic,mc")
+    assert code == 0 and messy == plain
+    assert [row.split(",")[2] for row in plain.splitlines()[1:]] == [
+        "asymptotic", "exact", "mc"] * 2
+
+
+def test_linear_sweep_rejects_the_exact_estimator(capsys, tmp_path):
+    # the model's own record check answers; the rows before it are written
+    path = write_scenario(tmp_path, **REF_LINEAR)
+    code, out, err = run_cli(capsys, "sweep", "--scenario", path,
+                             "--parameter", "r", "--values", "1",
+                             "--estimators", "asymptotic,exact")
+    assert code == 1
+    assert len(out.splitlines()) == 2
+    assert err == ("error: expected a CircularPatrolScenario, "
+                   "got LinearPatrolScenario\n")
 
 
 def test_polar_image_csv(capsys):

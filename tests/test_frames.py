@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from patrolgeom import CircularPatrolScenario
+from patrolgeom.circular import CircleIntervalSet, detects
 from patrolgeom.frames import (TWO_PI, distance_to_vehicle,
                                object_position_rotating,
                                scan_circle_polar_approx,
@@ -148,3 +149,22 @@ def test_distance_mirror_symmetry_for_static_ring(static_circular):
         d1 = distance_to_vehicle(delta, t, 0, static_circular)
         d2 = distance_to_vehicle(-delta, t, 0, static_circular)
         assert d2 == pytest.approx(d1, abs=1e-9)
+
+
+_ANGLE_ENTRY_POINTS = {
+    "detects": lambda a, s: detects(a, 0, s),
+    "object_position_rotating": lambda a, s: object_position_rotating(a, 0.0, s),
+    "distance_to_vehicle": lambda a, s: distance_to_vehicle(a, 1.0, 0, s),
+    "wrap_positive": lambda a, s: wrap_positive(a),
+    "wrap_signed": lambda a, s: wrap_signed(a),
+    "contains": lambda a, s: CircleIntervalSet(((0.0, 1.0),)).contains(a),
+    "from_intervals": lambda a, s: CircleIntervalSet.from_intervals([(a, a)]),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_ANGLE_ENTRY_POINTS))
+@pytest.mark.parametrize("angle", [math.inf, -math.inf, math.nan],
+                         ids=["inf", "-inf", "nan"])
+def test_non_finite_angle_is_an_error(ref_circular, entry, angle):
+    with pytest.raises(ValueError, match="^angle must be finite, got "):
+        _ANGLE_ENTRY_POINTS[entry](angle, ref_circular)

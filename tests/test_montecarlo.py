@@ -143,6 +143,17 @@ def test_wilson_interval_input_validation():
         wilson_interval(-1, 3)
 
 
+@pytest.mark.parametrize("successes,trials,message", [
+    (0, 0, "trials must be >= 1"),
+    (5, 3, r"successes must lie in \[0, trials\]"),
+    (-1, 3, r"successes must lie in \[0, trials\]"),
+], ids=["no-trials", "too-many", "negative"])
+def test_estimate_from_counts_checks_its_counts_first(successes, trials,
+                                                       message):
+    with pytest.raises(ValueError, match=message):
+        estimate_from_counts(successes, trials)
+
+
 def test_wilson_interval_narrows_with_more_trials():
     w1 = wilson_interval(30, 100)
     w2 = wilson_interval(300, 1000)
