@@ -76,15 +76,16 @@ class CircleIntervalSet(_Record):
         [0, 2*pi) and keep the arc whole, merge overlapping or touching
         arcs, then let the last arc's overhang past 2*pi absorb the first
         arcs it reaches.  Pairs with end <= start are dropped; an arc of
-        length >= 2*pi, given or merged, covers everything."""
+        length >= 2*pi, given or merged, covers everything; an infinite or
+        NaN end is a ValueError."""
         arcs: list[tuple[float, float]] = []
         for start, end in raw:
-            length = end - start
+            s = wrap_positive(start)
+            length = _finite_angle(end) - start
             if length <= 0.0:
                 continue
             if length >= TWO_PI:
                 return CircleIntervalSet(((0.0, TWO_PI),))
-            s = wrap_positive(start)
             arcs.append((s, s + length))
         if not arcs:
             return CircleIntervalSet(())

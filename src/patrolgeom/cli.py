@@ -24,14 +24,14 @@ import json
 import os
 import sys
 import time
-from typing import Iterator, Optional
+from typing import Iterator
 
 from . import __version__
 from .buffon import NeedleProblem, buffon_mc, buffon_probability
 from .circular import asymptotic_summary, exact_probability, mc_probability
 from .frames import TWO_PI, scan_circle_polar_approx, scan_circle_polar_exact
 from .linear import asymptotic_summary_linear, mc_probability_linear
-from .montecarlo import DEFAULT_SEED, EstimateWithCI
+from .montecarlo import DEFAULT_SEED, EstimateWithCI, _check_run
 from .randomradius import (RadiusDistribution, asymptotic_probability_randomized,
                            exact_probability_random_radius, jensen_sides)
 from .scenario import (CircularPatrolScenario, ValidationError,
@@ -84,23 +84,17 @@ def _estimate(name: str, scen, args) -> dict:
     return _mc_record(runner(scen, args.trials, args.seed, args.workers), args.seed)
 
 
-def _ratio_warnings(s) -> list[str]:
-    if isinstance(s, CircularPatrolScenario) and s.r / s.R > LARGE_RATIO:
-        return [f"large-parameter regime: r/R = {s.r / s.R:.6g} exceeds "
-                f"{LARGE_RATIO}; small-radius closed forms degrade"]
-    return []
-
-
 def _emit(args, command: str, scenario: dict, results: dict,
-          t0: float, rows: list, header: tuple = _CSV_HEADER,
-          warnings: Optional[list[str]] = None) -> int:
+          t0: float, rows: list, header: tuple = _CSV_HEADER) -> int:
     if args.format == "csv":
         _write_csv(header, rows)
         return 0
     report = {"tool": "patrolgeom", "version": __version__, "command": command,
               "scenario": scenario, "results": results}
-    if warnings:
-        report["warnings"] = warnings
+    ratio = scenario["r"] / scenario["R"] if scenario["kind"] == "circular" else 0.0
+    if ratio > LARGE_RATIO:
+        report["warnings"] = [f"large-parameter regime: r/R = {ratio:.6g} exceeds "
+                              f"{LARGE_RATIO}; small-radius closed forms degrade"]
     if not args.no_timing:
         report["timing_seconds"] = time.perf_counter() - t0
     print(json.dumps(report, indent=2))
@@ -186,7 +180,7 @@ def _cmd_estimate(args) -> int:
     scen = _scenario_from_args(args, args.kind)
     record = _estimate(args.mode, scen, args)
     return _emit(args, f"{args.kind}-{args.mode}", scenario_to_dict(scen),
-                 record, t0, [_csv_row(record)], warnings=_ratio_warnings(scen))
+                 record, t0, [_csv_row(record)])
 
 
 def _cmd_jensen(args) -> int:
@@ -202,8 +196,7 @@ def _cmd_jensen(args) -> int:
                "asymptotic_randomized": randomized,
                "exact_randomized": exact_probability_random_radius(scen, dist)}
     return _emit(args, "jensen", scenario_to_dict(scen), results, t0,
-                 sorted(results.items()), header=("quantity", "value"),
-                 warnings=_ratio_warnings(scen))
+                 sorted(results.items()), header=("quantity", "value"))
 
 
 def _cmd_compare(args) -> int:
@@ -217,8 +210,7 @@ def _cmd_compare(args) -> int:
     results["exact_within_mc_ci"] = bool(
         mc["ci_low"] <= exact["probability"] <= mc["ci_high"])
     return _emit(args, "compare", scenario_to_dict(scen), results, t0,
-                 [_csv_row(r) for r in (asym, exact, mc)],
-                 warnings=_ratio_warnings(scen))
+                 [_csv_row(r) for r in (asym, exact, mc)])
 
 
 _SWEEPABLE = ("R", "r", "n", "v", "u")
@@ -287,6 +279,8 @@ def _cmd_sweep(args) -> int:
 
     for _ in scenarios():  # a bad value raises before the header
         pass
+    if "mc" in args.estimators:  # as do bad --trials and --workers
+        _check_run(args.trials, args.workers)
     # then one row at a time, as polar-image does
     rows = ((param, value) + _csv_row(_estimate(name, scen, args))
             for value, scen in scenarios() for name in args.estimators)

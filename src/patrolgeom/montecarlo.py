@@ -235,6 +235,17 @@ def estimate_from_counts(successes: int, trials: int) -> EstimateWithCI:
                           ci_high=max(ci_high, mean))
 
 
+def _check_run(trials: int, workers: int) -> None:
+    """The argument checks of run_bernoulli_trials, which a caller may make
+    before it starts any output."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
+    if workers > MAX_WORKERS:
+        raise ValueError(f"workers must be <= {MAX_WORKERS}")
+
+
 def run_bernoulli_trials(indicator, trials: int, schedule: SeedSchedule,
                          workers: int = 1) -> EstimateWithCI:
     """Estimate P(indicator) over `trials` independently seeded trials.
@@ -253,13 +264,7 @@ def run_bernoulli_trials(indicator, trials: int, schedule: SeedSchedule,
     """
     import numpy as np
 
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    if workers > MAX_WORKERS:
-        raise ValueError(f"workers must be <= {MAX_WORKERS}")
-
+    _check_run(trials, workers)
     draws = int(indicator.n_draws)
     chunk = CHUNK_TRIALS
     workers = min(workers, -(-trials // chunk))

@@ -145,6 +145,8 @@ def _require(cond: bool, message: str) -> None:
 
 def validate(s: Scenario) -> Scenario:
     """Check every field invariant; returns the record unchanged.  Idempotent."""
+    _require(isinstance(s, (CircularPatrolScenario, LinearPatrolScenario)),
+             f"unsupported scenario type: {type(s).__name__}")
     _require(isinstance(s.n, int) and not isinstance(s.n, bool),
              "n must be an integer")
     _require(s.n >= 1, "n must be a positive integer")
@@ -161,11 +163,9 @@ def validate(s: Scenario) -> Scenario:
     if isinstance(s, CircularPatrolScenario):
         _require(s.v >= 0, "v must be nonnegative")
         _require(s.r < s.R, "r < R required")
-    elif isinstance(s, LinearPatrolScenario):
+    else:
         _require(s.v > 0, "v must be positive")
         _require(2.0 * s.r < s.R, "2r < R required")
-    else:
-        raise ValidationError(f"unsupported scenario type: {type(s).__name__}")
     return s
 
 

@@ -272,6 +272,12 @@ def test_minimum_fleet_size_guards_float_misrounding(per_vehicle, want):
     assert m * per_vehicle >= 1.0 > (m - 1) * per_vehicle
 
 
+@pytest.mark.parametrize("per_vehicle", [0.0, -1.0, math.nan])
+def test_minimum_fleet_size_rejects_a_nonpositive_share(per_vehicle):
+    with pytest.raises(ValueError, match="^per_vehicle must be positive$"):
+        minimum_fleet_size(per_vehicle)
+
+
 def test_asymptotic_matches_exact_for_small_radius():
     s = CircularPatrolScenario(R=100.0, r=0.5, n=1, v=2.0, u=1.0)
     summary = asymptotic_summary(s)

@@ -478,9 +478,16 @@ _SWEEP_R = ("sweep",) + _REF_FLAGS + ("--parameter", "r")
      "log grids need positive --start/--stop"),
     (("polar-image", "--r-over-R", "0.1", "--points", "1"), None,
      "--points must be at least 2"),
+    (_SWEEP_R + ("--values", "5", "--estimators", "mc", "--trials", "0"), None,
+     "trials must be >= 1"),
+    (_SWEEP_R + ("--values", "5", "--estimators", "mc", "--workers", "0"), None,
+     "workers must be >= 1"),
+    (_SWEEP_R + ("--values", "5", "--estimators", "mc", "--workers", "65"), None,
+     "workers must be <= 64"),
 ], ids=["unreadable-file", "malformed-file", "file-not-object",
         "kind-mismatch", "bad-values", "empty-values", "missing-grid",
-        "zero-steps", "log-from-zero", "one-point"])
+        "zero-steps", "log-from-zero", "one-point", "zero-trials",
+        "zero-workers", "too-many-workers"])
 def test_bad_input_exits_one_before_any_output(capsys, tmp_path, argv,
                                                content, message):
     path = tmp_path / "input.json"

@@ -159,6 +159,8 @@ _ANGLE_ENTRY_POINTS = {
     "wrap_signed": lambda a, s: wrap_signed(a),
     "contains": lambda a, s: CircleIntervalSet(((0.0, 1.0),)).contains(a),
     "from_intervals": lambda a, s: CircleIntervalSet.from_intervals([(a, a)]),
+    "from_intervals_end": lambda a, s: CircleIntervalSet.from_intervals([(0.0, a)]),
+    "from_intervals_start": lambda a, s: CircleIntervalSet.from_intervals([(a, 0.0)]),
 }
 
 

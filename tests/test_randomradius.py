@@ -68,6 +68,8 @@ def test_from_atoms_validation():
     ([[10 ** 400, 1.0]], {}),
     ([[1.0, 10 ** 400]], {}),
     (TWO_POINT, {"k_minus": 10 ** 400}),
+    # mean one within 1e-12, but the support does not straddle 1
+    ([[1 + 1e-13, 1.0]], {}),
 ])
 def test_from_atoms_rejects_malformed_input(atoms, bounds):
     with pytest.raises(ValidationError):

@@ -29,6 +29,16 @@ def test_validate_accepts_reference_scenarios(ref_circular, ref_linear):
     assert validate(ref_linear) is ref_linear
 
 
+def test_validate_checks_the_record_type_first():
+    class LookAlike:
+        R, r, n, v, u = 1.0, 0.1, 1, 1.0, 1.0
+
+    for s in (object(), LookAlike(), {"R": 1.0}):
+        with pytest.raises(ValidationError, match="^unsupported scenario type: "
+                           + type(s).__name__ + "$"):
+            validate(s)
+
+
 def test_validate_rejects_bad_fleet_size():
     with pytest.raises(ValidationError, match="n must be an integer"):
         validate(CircularPatrolScenario(R=1.0, r=0.1, n=2.0, v=1.0, u=1.0))
