@@ -161,9 +161,10 @@ def _arc(e: float, w: float) -> tuple[float, float]:
     """(lo, L) for scan ratio e = r/R and speed ratio w = v/u: vehicle 0
     detects exactly the launch angles in [lo, lo + L] mod 2*pi, tangency
     included; L >= 2*pi means every angle."""
-    if w == math.inf:
-        return 0.0, TWO_PI
     two_e = 2.0 * e
+    # w * delta overflows for some delta in [0, 2e] only where w * 2e does
+    if w * two_e == math.inf:
+        return 0.0, TWO_PI
 
     def h(delta: float) -> float:
         arg = delta * (two_e - delta) / (4.0 * (1.0 + e - delta))

@@ -164,6 +164,14 @@ def test_arc_set_full_circle_when_rotation_dominates():
     assert arcs.intervals == ((0.0, TWO_PI),)
 
 
+def test_arc_set_full_circle_when_speed_ratio_overflows_the_arc():
+    # w = v/u is finite, but w * 2r/R overflows to inf
+    s = CircularPatrolScenario(R=1.0, r=0.9, n=1, v=1.5e308, u=1.0)
+    assert detection_arc_set(0, s).intervals == ((0.0, TWO_PI),)
+    assert exact_probability(s) == 1.0
+    assert detects(1.0, 0, s)
+
+
 def test_exact_probability_static_closed_form(static_circular):
     expected = 10.0 * math.asin(0.05) / math.pi
     assert exact_probability(static_circular) == pytest.approx(expected,
