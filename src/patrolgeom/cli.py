@@ -43,6 +43,7 @@ LARGE_RATIO = 0.2
 _CSV_HEADER = ("estimator", "probability", "ci_low", "ci_high",
                "m_min", "chord_l", "trials", "seed")
 _SWEEP_HEADER = ("parameter", "value") + _CSV_HEADER
+_FIELDS = ("R", "r", "n", "v", "u")  # a scenario's numbers, all sweepable
 
 
 def _write_csv(header, rows) -> None:
@@ -85,10 +86,11 @@ def _estimate(name: str, scen, args) -> dict:
 
 
 def _emit(args, command: str, scenario: dict, results: dict,
-          t0: float, rows: list, header: tuple = _CSV_HEADER) -> int:
+          rows: list, header: tuple = _CSV_HEADER) -> None:
+    """Print the report; its timing spans the request from main's t0."""
     if args.format == "csv":
         _write_csv(header, rows)
-        return 0
+        return
     report = {"tool": "patrolgeom", "version": __version__, "command": command,
               "scenario": scenario, "results": results}
     ratio = scenario["r"] / scenario["R"] if scenario["kind"] == "circular" else 0.0
@@ -96,9 +98,8 @@ def _emit(args, command: str, scenario: dict, results: dict,
         report["warnings"] = [f"large-parameter regime: r/R = {ratio:.6g} exceeds "
                               f"{LARGE_RATIO}; small-radius closed forms degrade"]
     if not args.no_timing:
-        report["timing_seconds"] = time.perf_counter() - t0
+        report["timing_seconds"] = time.perf_counter() - args.t0
     print(json.dumps(report, indent=2))
-    return 0
 
 
 def _read_json(path: str, what: str):
@@ -114,15 +115,11 @@ def _read_json(path: str, what: str):
 def _scenario_data(args) -> dict:
     """Scenario fields from the --scenario file, if any, with inline flags
     overriding them; not yet validated."""
-    data: dict = {}
-    path = getattr(args, "scenario", None)
-    if path:
-        raw = _read_json(path, "scenario")
-        if not isinstance(raw, dict):
-            raise ValidationError("scenario file must hold a JSON object")
-        data.update(raw)
-    for key in ("R", "r", "n", "v", "u"):
-        value = getattr(args, key, None)
+    data = _read_json(args.scenario, "scenario") if args.scenario else {}
+    if not isinstance(data, dict):
+        raise ValidationError("scenario file must hold a JSON object")
+    for key in _FIELDS:
+        value = getattr(args, key)
         if value is not None:
             data[key] = value
     return data
@@ -138,17 +135,17 @@ def _scenario_from_args(args, kind: str):
 
 
 def _distribution_from_args(args) -> RadiusDistribution:
-    if getattr(args, "atoms", None):
+    """--atoms JSON reads as the file object {"atoms": JSON} would."""
+    if args.atoms:
         try:
-            atoms = json.loads(args.atoms)
+            raw = {"atoms": json.loads(args.atoms)}
         except json.JSONDecodeError as err:
             raise ValidationError(f"malformed --atoms JSON: {err}")
-        return RadiusDistribution.from_atoms(atoms)
-    path = getattr(args, "distribution", None)
-    if not path:
+    elif args.distribution:
+        raw = _read_json(args.distribution, "distribution")
+    else:
         raise ValidationError("a radius distribution is required "
                               "(--distribution FILE or --atoms JSON)")
-    raw = _read_json(path, "distribution")
     if not isinstance(raw, dict) or "atoms" not in raw:
         raise ValidationError("distribution file must hold an object "
                               "with an 'atoms' array")
@@ -162,29 +159,26 @@ def _distribution_from_args(args) -> RadiusDistribution:
 
 # ---- subcommand handlers ----
 
-def _cmd_buffon(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_buffon(args) -> None:
     problem = NeedleProblem(l=args.l, L=args.L)
     analytic = {"estimator": "analytic",
                 "probability": buffon_probability(problem)}
     mc = _mc_record(buffon_mc(problem, args.trials, args.seed, args.workers),
                     args.seed)
     results = {"analytic": analytic["probability"], "mc": _nested(mc)}
-    return _emit(args, "buffon", {"kind": "needle", "l": args.l, "L": args.L},
-                 results, t0, [_csv_row(analytic), _csv_row(mc)])
+    _emit(args, "buffon", {"kind": "needle", "l": args.l, "L": args.L},
+          results, [_csv_row(analytic), _csv_row(mc)])
 
 
-def _cmd_estimate(args) -> int:
+def _cmd_estimate(args) -> None:
     """circular {exact,mc,asymptotic} and linear {mc,asymptotic}."""
-    t0 = time.perf_counter()
     scen = _scenario_from_args(args, args.kind)
     record = _estimate(args.mode, scen, args)
-    return _emit(args, f"{args.kind}-{args.mode}", scenario_to_dict(scen),
-                 record, t0, [_csv_row(record)])
+    _emit(args, f"{args.kind}-{args.mode}", scenario_to_dict(scen),
+          record, [_csv_row(record)])
 
 
-def _cmd_jensen(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_jensen(args) -> None:
     scen = _scenario_from_args(args, "circular")
     dist = _distribution_from_args(args)
     lhs, rhs = jensen_sides(dist, scen.r, scen.R)
@@ -195,12 +189,11 @@ def _cmd_jensen(args) -> int:
                "asymptotic_fixed": fixed,
                "asymptotic_randomized": randomized,
                "exact_randomized": exact_probability_random_radius(scen, dist)}
-    return _emit(args, "jensen", scenario_to_dict(scen), results, t0,
-                 sorted(results.items()), header=("quantity", "value"))
+    _emit(args, "jensen", scenario_to_dict(scen), results,
+          sorted(results.items()), header=("quantity", "value"))
 
 
-def _cmd_compare(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_compare(args) -> None:
     scen = _scenario_from_args(args, "circular")
     exact, mc, asym = (_estimate(name, scen, args)
                        for name in ("exact", "mc", "asymptotic"))
@@ -209,11 +202,10 @@ def _cmd_compare(args) -> int:
                                           - asym["probability"])
     results["exact_within_mc_ci"] = bool(
         mc["ci_low"] <= exact["probability"] <= mc["ci_high"])
-    return _emit(args, "compare", scenario_to_dict(scen), results, t0,
-                 [_csv_row(r) for r in (asym, exact, mc)])
+    _emit(args, "compare", scenario_to_dict(scen), results,
+          [_csv_row(r) for r in (asym, exact, mc)])
 
 
-_SWEEPABLE = ("R", "r", "n", "v", "u")
 _ESTIMATORS = ("asymptotic", "exact", "mc")
 
 
@@ -262,7 +254,7 @@ def _sweep_values(args) -> Iterator[float]:
         yield from (args.start + step * i for i in indices)
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args) -> None:
     base = _scenario_data(args)
     base.setdefault("kind", "circular")
     param = args.parameter
@@ -270,7 +262,7 @@ def _cmd_sweep(args) -> int:
     def scenarios():
         for value in _sweep_values(args):
             if param == "n":
-                if float(value) != int(value):
+                if not float(value).is_integer():
                     raise ValidationError("swept n values must be integers")
                 value = int(value)
             data = dict(base)
@@ -285,10 +277,9 @@ def _cmd_sweep(args) -> int:
     rows = ((param, value) + _csv_row(_estimate(name, scen, args))
             for value, scen in scenarios() for name in args.estimators)
     _write_csv(_SWEEP_HEADER, rows)
-    return 0
 
 
-def _cmd_polar_image(args) -> int:
+def _cmd_polar_image(args) -> None:
     if args.points < 2:
         raise ValidationError("--points must be at least 2")
     project = scan_circle_polar_approx if args.approx else scan_circle_polar_exact
@@ -302,7 +293,6 @@ def _cmd_polar_image(args) -> int:
             yield psi, point.rho_norm, point.phi
 
     _write_csv(("psi", "rho_norm", "phi"), rows())
-    return 0
 
 
 # ---- parser assembly ----
@@ -379,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", parents=[scen, mc],
                        help="parameter sweep, CSV on stdout")
-    p.add_argument("--parameter", choices=_SWEEPABLE, required=True)
+    p.add_argument("--parameter", choices=_FIELDS, required=True)
     p.add_argument("--values", help="comma-separated explicit values")
     p.add_argument("--start", type=float)
     p.add_argument("--stop", type=float)
@@ -410,11 +400,12 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code
+    args.t0 = time.perf_counter()
     try:
-        code = args.func(args)
+        args.func(args)
         # a closed pipe surfaces here, while the error is still handled
         sys.stdout.flush()
-        return code
+        return 0
     except BrokenPipeError:
         # the reader left early; send what is still buffered to devnull so
         # that the flush at interpreter exit cannot raise again

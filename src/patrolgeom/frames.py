@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import math
 
-from .scenario import CircularPatrolScenario, _Record, _validate_as
+from .scenario import (CircularPatrolScenario, _Record, _validate_as,
+                       _vehicle_index)
 
 __all__ = [
     "PolarPoint",
@@ -63,9 +64,10 @@ def wrap_positive(angle: float) -> float:
     return 0.0 if a >= TWO_PI else a
 
 
-def _check_ratio(r_over_R: float) -> None:
+def _check_polar(r_over_R: float, psi: float) -> None:
     if not 0.0 < r_over_R < 1.0:
         raise ValueError("r_over_R must lie strictly between 0 and 1")
+    _finite_angle(psi)
 
 
 def scan_circle_polar_exact(r_over_R: float, psi: float) -> PolarPoint:
@@ -78,7 +80,7 @@ def scan_circle_polar_exact(r_over_R: float, psi: float) -> PolarPoint:
         rho/R = sqrt(e^2 cos^2 psi + (1 + e sin psi)^2)
         phi   = atan2(e cos psi, 1 + e sin psi)
     """
-    _check_ratio(r_over_R)
+    _check_polar(r_over_R, psi)
     e = r_over_R
     c = math.cos(psi)
     s = math.sin(psi)
@@ -91,7 +93,7 @@ def scan_circle_polar_approx(r_over_R: float, psi: float) -> PolarPoint:
     """First-order image of a scan-circle point: rho/R = 1 + e sin psi,
     phi = e cos psi.  The error against the exact image is O(e^2),
     uniformly in psi."""
-    _check_ratio(r_over_R)
+    _check_polar(r_over_R, psi)
     e = r_over_R
     return PolarPoint(rho_norm=1.0 + e * math.sin(psi),
                       phi=e * math.cos(psi))
@@ -117,9 +119,7 @@ def object_position_rotating(psi: float, t: float,
 
 def _vehicle_angle(vehicle_index: int, s: CircularPatrolScenario) -> float:
     """Angle of a vehicle of the fleet, after checking its index."""
-    if not 0 <= vehicle_index < s.n:
-        raise ValueError("vehicle_index must lie in [0, n)")
-    return TWO_PI * vehicle_index / s.n
+    return TWO_PI * _vehicle_index(vehicle_index, s.n) / s.n
 
 
 def distance_to_vehicle(psi: float, t: float, vehicle_index: int,

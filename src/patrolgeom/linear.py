@@ -44,7 +44,7 @@ import math
 from .circular import AsymptoticSummary, _fold_hits, _summary
 from .montecarlo import EstimateWithCI, SeedSchedule, run_bernoulli_trials
 from .scenario import (LinearPatrolScenario, ValidationError, _Record,
-                       _validate_as)
+                       _validate_as, _vehicle_index)
 
 __all__ = [
     "CrossingSample",
@@ -72,8 +72,7 @@ def vehicle_position_linear(j: int, b: float, t: float,
     same physical point.  Finite for every finite b and t.
     """
     _validate_as(s, LinearPatrolScenario)
-    if not 0 <= j < s.n:
-        raise ValueError("vehicle index must lie in [0, n)")
+    j = _vehicle_index(j, s.n)
     if not (math.isfinite(b) and math.isfinite(t)):
         raise ValueError("b and t must be finite")
     # h = c/2 on a circle of circumference R: 2R overflows from R = 9e307

@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from typing import Optional
 
-from .scenario import _Record
+from .scenario import _integer, _Record
 
 __all__ = [
     "DEFAULT_SEED",
@@ -238,6 +238,9 @@ def estimate_from_counts(successes: int, trials: int) -> EstimateWithCI:
 def _check_run(trials: int, workers: int) -> None:
     """The argument checks of run_bernoulli_trials, which a caller may make
     before it starts any output."""
+    for name, value in (("trials", trials), ("workers", workers)):
+        if _integer(value) is None:
+            raise ValueError(f"{name} must be an integer")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if workers < 1:

@@ -118,8 +118,8 @@ def jensen_sides(d: RadiusDistribution, r: float, R: float) -> tuple[float, floa
     r/R the fixed-radius one; lhs >= rhs always, equality only when the
     distribution is the point mass at 1.
     """
-    if not (r > 0 and R > 0):
-        raise ValidationError("r and R must be positive")
+    if not (0 < r < math.inf and 0 < R < math.inf):
+        raise ValidationError("r and R must be positive and finite")
     _check_radius_margin(d, r, R)
     ratio = r / R
     return ratio * d.mean_inverse(), ratio

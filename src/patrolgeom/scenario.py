@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import os
 from typing import IO, Optional, Union
 
@@ -136,6 +137,26 @@ def _number(value) -> Optional[float]:
         return float(value)
     except OverflowError:
         return math.inf if value > 0 else -math.inf
+
+
+def _integer(value) -> Optional[int]:
+    """The int value of an integer, numpy's included, but not of a bool;
+    anything else reads as None."""
+    if isinstance(value, bool):
+        return None
+    try:
+        return operator.index(value)
+    except TypeError:
+        return None
+
+
+def _vehicle_index(i, n: int) -> int:
+    """The vehicle-index rule of both models: i as an int, or ValueError
+    unless it is an integer in [0, n)."""
+    index = _integer(i)
+    if index is None or not 0 <= index < n:
+        raise ValueError("vehicle index must be an integer in [0, n)")
+    return index
 
 
 def _require(cond: bool, message: str) -> None:

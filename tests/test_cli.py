@@ -484,10 +484,14 @@ _SWEEP_R = ("sweep",) + _REF_FLAGS + ("--parameter", "r")
      "workers must be >= 1"),
     (_SWEEP_R + ("--values", "5", "--estimators", "mc", "--workers", "65"), None,
      "workers must be <= 64"),
+    (_SWEEP_R[:-1] + ("n", "--values", "nan"), None,
+     "swept n values must be integers"),
+    (_SWEEP_R[:-1] + ("n", "--values", "inf"), None,
+     "swept n values must be integers"),
 ], ids=["unreadable-file", "malformed-file", "file-not-object",
         "kind-mismatch", "bad-values", "empty-values", "missing-grid",
         "zero-steps", "log-from-zero", "one-point", "zero-trials",
-        "zero-workers", "too-many-workers"])
+        "zero-workers", "too-many-workers", "nan-n", "inf-n"])
 def test_bad_input_exits_one_before_any_output(capsys, tmp_path, argv,
                                                content, message):
     path = tmp_path / "input.json"

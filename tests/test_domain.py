@@ -19,8 +19,10 @@ from patrolgeom import (CircularPatrolScenario, LinearPatrolScenario,
 from patrolgeom.circular import (_detection_arc, asymptotic_summary,
                                  detection_arc_set, detects, exact_probability,
                                  mc_probability)
+from patrolgeom.frames import distance_to_vehicle
 from patrolgeom.linear import (CrossingSample, asymptotic_summary_linear,
-                               detects_linear, mc_probability_linear)
+                               detects_linear, mc_probability_linear,
+                               vehicle_position_linear)
 
 from conftest import TWO_PI, oracle_detects_circular, oracle_detects_linear
 
@@ -208,3 +210,26 @@ def test_linear_saturation_agrees_with_mc(e, w, n, seed):
     if asymptotic_summary_linear(s).p_asym < 1.0:
         return
     assert mc_probability_linear(s, 2000, seed=seed).successes == 2000
+
+
+# both models with a fleet of ten, so that index 10 is n for each
+_CIRCLE_10 = CircularPatrolScenario(R=100.0, r=5.0, n=10, v=2.0, u=1.0)
+_SEGMENT_10 = LinearPatrolScenario(R=100.0, r=5.0, n=10, v=2.0, u=1.0)
+_VEHICLE_ENTRY_POINTS = {
+    "detects": lambda i: detects(math.pi / 10, i, _CIRCLE_10),
+    "detection_arc_set": lambda i: detection_arc_set(i, _CIRCLE_10),
+    "distance_to_vehicle": lambda i: distance_to_vehicle(0.0, 0.0, i, _CIRCLE_10),
+    "vehicle_position_linear":
+        lambda i: vehicle_position_linear(i, 0.0, 0.0, _SEGMENT_10),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_VEHICLE_ENTRY_POINTS))
+@pytest.mark.parametrize("index", [1.5, True, -1, 10],
+                         ids=["fraction", "bool", "negative", "n"])
+def test_vehicle_index_is_an_integer_in_range(entry, index):
+    # one rule for both models: an integer in [0, n), not a bool
+    with pytest.raises(ValueError,
+                       match=r"^vehicle index must be an integer in \[0, n\)$"):
+        _VEHICLE_ENTRY_POINTS[entry](index)
+    _VEHICLE_ENTRY_POINTS[entry](np.int64(9))  # numpy integers are integers

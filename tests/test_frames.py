@@ -161,6 +161,8 @@ _ANGLE_ENTRY_POINTS = {
     "from_intervals": lambda a, s: CircleIntervalSet.from_intervals([(a, a)]),
     "from_intervals_end": lambda a, s: CircleIntervalSet.from_intervals([(0.0, a)]),
     "from_intervals_start": lambda a, s: CircleIntervalSet.from_intervals([(a, 0.0)]),
+    "scan_circle_polar_exact": lambda a, s: scan_circle_polar_exact(0.1, a),
+    "scan_circle_polar_approx": lambda a, s: scan_circle_polar_approx(0.1, a),
 }
 
 

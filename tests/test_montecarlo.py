@@ -9,14 +9,16 @@ import numpy as np
 import pytest
 
 from patrolgeom import montecarlo
-from patrolgeom.buffon import _NeedleIndicator
-from patrolgeom.circular import TWO_PI, _AnyVehicleIndicator, _detection_arc
-from patrolgeom.linear import _CrossingIndicator
+from patrolgeom.buffon import NeedleProblem, _NeedleIndicator, buffon_mc
+from patrolgeom.circular import (TWO_PI, _AnyVehicleIndicator, _detection_arc,
+                                 mc_probability)
+from patrolgeom.linear import _CrossingIndicator, mc_probability_linear
 from patrolgeom.montecarlo import (CHUNK_TRIALS, MAX_WORKERS, DrawWorkspace,
                                    EstimateWithCI, SeedSchedule,
                                    estimate_from_counts, mix64,
                                    run_bernoulli_trials, wilson_interval)
-from patrolgeom.randomradius import RadiusDistribution, _RandomRadiusIndicator
+from patrolgeom.randomradius import (RadiusDistribution, _RandomRadiusIndicator,
+                                     mc_probability_random_radius)
 from patrolgeom.scenario import CircularPatrolScenario, LinearPatrolScenario
 
 # Reference outputs of the well-known 64-bit split-and-mix generator for
@@ -353,3 +355,23 @@ def test_indicator_counts_ignore_chunk_size_and_workers(name, monkeypatch):
                 assert est.successes == expected, (chunk, workers)
     finally:
         sys.setswitchinterval(switch)
+
+
+@pytest.mark.parametrize("trials,workers,message", [
+    (1000.0, 1, "trials must be an integer"),
+    (True, 1, "trials must be an integer"),
+    (1000, 1.0, "workers must be an integer"),
+    (1000, True, "workers must be an integer"),
+], ids=["float-trials", "bool-trials", "float-workers", "bool-workers"])
+def test_run_sizes_must_be_integers(trials, workers, message):
+    circular = CircularPatrolScenario(R=100.0, r=5.0, n=10, v=2.0, u=1.0)
+    linear = LinearPatrolScenario(R=100.0, r=5.0, n=5, v=2.0, u=1.0)
+    dist = RadiusDistribution.from_atoms([(0.9, 0.5), (1.1, 0.5)])
+    for run in (lambda: mc_probability(circular, trials, 1, workers),
+                lambda: mc_probability_linear(linear, trials, 1, workers),
+                lambda: mc_probability_random_radius(circular, dist, trials, 1,
+                                                     workers),
+                lambda: buffon_mc(NeedleProblem(1.0, 1.0), trials, 1, workers)):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            run()
+    assert mc_probability(circular, np.int64(1000), 1, np.int64(1)).trials == 1000

@@ -137,6 +137,15 @@ def test_jensen_sides_rejects_radius_at_or_beyond_smallest_ring():
         jensen_sides(d, -1.0, 100.0)
 
 
+@pytest.mark.parametrize("bad", [math.inf, math.nan], ids=["inf", "nan"])
+def test_jensen_sides_requires_finite_radii(bad):
+    d = RadiusDistribution.from_atoms(TWO_POINT)
+    with pytest.raises(ValidationError, match="must be positive and finite"):
+        jensen_sides(d, 5.0, bad)
+    with pytest.raises(ValidationError, match="must be positive and finite"):
+        jensen_sides(d, bad, 100.0)
+
+
 def test_randomized_asymptotic_reference_value(ref_circular):
     d = RadiusDistribution.from_atoms(TWO_POINT)
     p = asymptotic_probability_randomized(ref_circular, d)
