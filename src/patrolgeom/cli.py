@@ -297,8 +297,7 @@ def _cmd_polar_image(args) -> None:
 
 # ---- parser assembly ----
 
-def _scenario_parent() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(add_help=False)
+def _scenario_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--scenario", metavar="FILE",
                    help="JSON scenario file; inline flags override its fields")
     p.add_argument("--R", type=float, help="patrol radius / segment length")
@@ -306,20 +305,16 @@ def _scenario_parent() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, help="number of vehicles")
     p.add_argument("--v", type=float, help="vehicle speed")
     p.add_argument("--u", type=float, help="intruder speed")
-    return p
 
 
-def _output_parent() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(add_help=False)
+def _output_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("json", "csv"), default="json",
                    help="report format (default json)")
     p.add_argument("--no-timing", action="store_true",
                    help="omit wall-clock timing for byte-identical reruns")
-    return p
 
 
-def _mc_parent() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(add_help=False)
+def _mc_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--trials", type=int, default=DEFAULT_TRIALS,
                    help=f"Monte Carlo trials (default {DEFAULT_TRIALS})")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED,
@@ -328,47 +323,21 @@ def _mc_parent() -> argparse.ArgumentParser:
                    help="worker threads; never changes the result, and "
                         "pays off only from about 10^6 trials with a free "
                         "core per worker")
-    return p
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="patrolgeom",
-        description="Detection probability of a mobile intruder by a "
-                    "patrolling sensor fleet.")
-    parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
-    scen, out, mc = _scenario_parent(), _output_parent(), _mc_parent()
-
-    p = sub.add_parser("buffon", parents=[out, mc],
-                       help="short-needle crossing probability")
+def _needle_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--l", type=float, required=True, help="needle length")
     p.add_argument("--L", type=float, required=True, help="line spacing")
-    p.set_defaults(func=_cmd_buffon)
 
-    circ = sub.add_parser("circular", help="circular patrol estimators")
-    circ_sub = circ.add_subparsers(dest="mode", required=True)
-    circ.set_defaults(func=_cmd_estimate, kind="circular")
-    circ_sub.add_parser("exact", parents=[scen, out])
-    circ_sub.add_parser("mc", parents=[scen, out, mc])
-    circ_sub.add_parser("asymptotic", parents=[scen, out])
 
-    lin = sub.add_parser("linear", help="segment patrol estimators")
-    lin_sub = lin.add_subparsers(dest="mode", required=True)
-    lin.set_defaults(func=_cmd_estimate, kind="linear")
-    lin_sub.add_parser("mc", parents=[scen, out, mc])
-    lin_sub.add_parser("asymptotic", parents=[scen, out])
-
-    p = sub.add_parser("jensen", parents=[scen, out],
-                       help="randomized-radius convexity check")
+def _distribution_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--distribution", metavar="FILE",
                    help="JSON file with an 'atoms' array of [k, p] pairs")
     p.add_argument("--atoms", metavar="JSON",
                    help="inline JSON array of [k, p] pairs")
-    p.set_defaults(func=_cmd_jensen)
 
-    p = sub.add_parser("sweep", parents=[scen, mc],
-                       help="parameter sweep, CSV on stdout")
+
+def _sweep_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--parameter", choices=_FIELDS, required=True)
     p.add_argument("--values", help="comma-separated explicit values")
     p.add_argument("--start", type=float)
@@ -378,24 +347,86 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--estimators", type=_estimator_names, default="asymptotic",
                    help="comma-separated subset of "
                         + ",".join(_ESTIMATORS))
-    p.set_defaults(func=_cmd_sweep)
 
-    p = sub.add_parser("compare", parents=[scen, out, mc],
-                       help="exact vs Monte Carlo vs asymptotic")
-    p.set_defaults(func=_cmd_compare)
 
-    p = sub.add_parser("polar-image",
-                       help="polar image of a scan circle, CSV on stdout")
+def _polar_image_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--r-over-R", dest="r_over_R", type=float, required=True)
     p.add_argument("--points", type=int, default=720)
     p.add_argument("--approx", action="store_true",
                    help="first-order image instead of the exact one")
-    p.set_defaults(func=_cmd_polar_image)
+
+
+_ESTIMATE = (_scenario_args, _output_args)
+_ESTIMATE_MC = (_scenario_args, _output_args, _mc_args)
+
+# command -> (help, handler, the functions that add its arguments, in help
+# order); circular and linear map each mode to those functions instead
+_COMMANDS = {
+    "buffon": ("short-needle crossing probability", _cmd_buffon,
+               (_output_args, _mc_args, _needle_args)),
+    "circular": ("circular patrol estimators", _cmd_estimate,
+                 {"exact": _ESTIMATE, "mc": _ESTIMATE_MC,
+                  "asymptotic": _ESTIMATE}),
+    "linear": ("segment patrol estimators", _cmd_estimate,
+               {"mc": _ESTIMATE_MC, "asymptotic": _ESTIMATE}),
+    "jensen": ("randomized-radius convexity check", _cmd_jensen,
+               (_scenario_args, _output_args, _distribution_args)),
+    "sweep": ("parameter sweep, CSV on stdout", _cmd_sweep,
+              (_scenario_args, _mc_args, _sweep_args)),
+    "compare": ("exact vs Monte Carlo vs asymptotic", _cmd_compare,
+                _ESTIMATE_MC),
+    "polar-image": ("polar image of a scan circle, CSV on stdout",
+                    _cmd_polar_image, (_polar_image_args,)),
+}
+
+
+def _subparsers(parser, dest: str, names, pick):
+    """The subparsers action for `names` and the names to build under it:
+    all of them, or only `pick`, with every name still in the usage line
+    that usage errors print."""
+    if pick is None:
+        return parser.add_subparsers(dest=dest, required=True), names
+    metavar = "{" + ",".join(names) + "}"
+    return parser.add_subparsers(dest=dest, required=True,
+                                 metavar=metavar), (pick,)
+
+
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The command-line parser.  When `argv` names a command (and, for
+    circular and linear, a mode) only that chain of parsers is built, and
+    it prints and parses that request as the whole tree would; otherwise
+    the whole tree, from which the top-level -h, --version and a missing or
+    unknown command or mode print."""
+    command, mode = (list(argv or ()) + [None, None])[:2]
+    entry = _COMMANDS.get(command)
+    if entry is None or (isinstance(entry[2], dict) and mode not in entry[2]):
+        command = mode = None
+    parser = argparse.ArgumentParser(
+        prog="patrolgeom",
+        description="Detection probability of a mobile intruder by a "
+                    "patrolling sensor fleet.")
+    parser.add_argument("--version", action="version", version=__version__)
+    sub, names = _subparsers(parser, "command", _COMMANDS, command)
+    for name in names:
+        help_text, func, adders = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(func=func)
+        if isinstance(adders, dict):
+            p.set_defaults(kind=name)
+            modes, mode_names = _subparsers(p, "mode", adders, mode)
+            targets = [(modes.add_parser(m), adders[m]) for m in mode_names]
+        else:
+            targets = [(p, adders)]
+        for target, add_args in targets:
+            for add in add_args:
+                add(target)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

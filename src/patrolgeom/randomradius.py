@@ -118,7 +118,8 @@ def jensen_sides(d: RadiusDistribution, r: float, R: float) -> tuple[float, floa
     r/R the fixed-radius one; lhs >= rhs always, equality only when the
     distribution is the point mass at 1.
     """
-    if not (0 < r < math.inf and 0 < R < math.inf):
+    r, R = _number(r), _number(R)
+    if r is None or R is None or not (0 < r < math.inf and 0 < R < math.inf):
         raise ValidationError("r and R must be positive and finite")
     _check_radius_margin(d, r, R)
     ratio = r / R

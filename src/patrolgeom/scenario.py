@@ -168,11 +168,11 @@ def validate(s: Scenario) -> Scenario:
     """Check every field invariant; returns the record unchanged.  Idempotent."""
     _require(isinstance(s, (CircularPatrolScenario, LinearPatrolScenario)),
              f"unsupported scenario type: {type(s).__name__}")
-    _require(isinstance(s.n, int) and not isinstance(s.n, bool),
-             "n must be an integer")
-    _require(s.n >= 1, "n must be a positive integer")
+    n = _integer(s.n)
+    _require(n is not None, "n must be an integer")
+    _require(n >= 1, "n must be a positive integer")
     # the models compute with n as a float: n*L, 2*pi/n
-    _require(math.isfinite(_number(s.n)),
+    _require(math.isfinite(_number(n)),
              "n must not exceed the float range (about 1.8e308)")
     for name in ("R", "r", "v", "u"):
         value = _number(getattr(s, name))
@@ -235,6 +235,8 @@ def load_scenario(source: Union[str, os.PathLike, IO[str]]) -> Scenario:
 
 
 def scenario_to_dict(s: Scenario) -> dict:
-    """Inverse of scenario_from_dict, suitable for JSON round-trips."""
+    """Inverse of scenario_from_dict, suitable for JSON round-trips: n is
+    written as a plain int, whatever integer type the record holds."""
     kind = "circular" if isinstance(s, CircularPatrolScenario) else "linear"
-    return {"kind": kind, "R": s.R, "r": s.r, "n": s.n, "v": s.v, "u": s.u}
+    return {"kind": kind, "R": s.R, "r": s.r, "n": operator.index(s.n),
+            "v": s.v, "u": s.u}

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from patrolgeom.cli import main
+from patrolgeom.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -186,6 +186,35 @@ def test_version_flag(capsys):
     code, out, _ = run_cli(capsys, "--version")
     assert code == 0
     assert patrolgeom.__version__ in out
+
+
+def test_pruned_parser_prints_what_the_full_parser_prints(capsys):
+    # main parses with the parser it builds for its argv; build_parser()
+    # is the whole tree
+    requests = ([["-h"]]
+                + [[command, "-h"] for command in (
+                    "buffon", "circular", "linear", "jensen", "sweep",
+                    "compare", "polar-image")]
+                + [["circular", mode, "-h"] for mode in ("exact", "mc",
+                                                         "asymptotic")]
+                + [["linear", mode, "-h"] for mode in ("mc", "asymptotic")]
+                + [["circular", "exact", *_REF_FLAGS, "--bogus"],
+                   ["circular", "mc", "--R", "x"],
+                   ["buffon", "--l", "1"],
+                   [*_SWEEP_R, "--values", "1", "--estimators", "magic"],
+                   ["circular"], ["linear", "exact"], ["bogus"]])
+    for argv in requests:
+        pruned = run_cli(capsys, *argv)
+        with pytest.raises(SystemExit) as stop:
+            build_parser().parse_args(argv)
+        full = (stop.value.code, *capsys.readouterr())
+        assert pruned == full, argv
+        assert pruned[0] in (0, 2) and pruned[1] + pruned[2] != "", argv
+    # an abbreviated flag still parses
+    argv = ["circular", "mc", *_REF_FLAGS, "--tri", "1000", "--no-timing"]
+    assert build_parser().parse_args(argv).trials == 1000
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and json.loads(out)["results"]["trials"] == 1000
 
 
 def test_reports_are_byte_identical_across_reruns_and_workers(capsys, tmp_path):

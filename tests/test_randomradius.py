@@ -146,6 +146,15 @@ def test_jensen_sides_requires_finite_radii(bad):
         jensen_sides(d, bad, 100.0)
 
 
+@pytest.mark.parametrize("bad", ["5", None, True], ids=["str", "None", "bool"])
+def test_jensen_sides_requires_numbers(bad):
+    d = RadiusDistribution.from_atoms(TWO_POINT)
+    with pytest.raises(ValidationError, match="must be positive and finite"):
+        jensen_sides(d, bad, 100.0)
+    with pytest.raises(ValidationError, match="must be positive and finite"):
+        jensen_sides(d, 5.0, bad)
+
+
 def test_randomized_asymptotic_reference_value(ref_circular):
     d = RadiusDistribution.from_atoms(TWO_POINT)
     p = asymptotic_probability_randomized(ref_circular, d)

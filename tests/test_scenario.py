@@ -48,6 +48,19 @@ def test_validate_rejects_bad_fleet_size():
         validate(CircularPatrolScenario(R=1.0, r=0.1, n=0, v=1.0, u=1.0))
 
 
+def test_numpy_integer_fleet_size_answers_as_an_int():
+    s = CircularPatrolScenario(R=100.0, r=5.0, n=np.int64(10), v=2.0, u=1.0)
+    plain = CircularPatrolScenario(R=100.0, r=5.0, n=10, v=2.0, u=1.0)
+    assert exact_probability(s) == exact_probability(plain)
+    record = scenario_to_dict(s)
+    assert type(record["n"]) is int
+    assert json.loads(json.dumps(record)) == scenario_to_dict(plain)
+    for flag in (True, np.True_):
+        with pytest.raises(ValidationError, match="n must be an integer"):
+            exact_probability(CircularPatrolScenario(R=100.0, r=5.0, n=flag,
+                                                     v=2.0, u=1.0))
+
+
 def test_validate_rejects_fleet_size_beyond_float_range():
     huge = 10 ** 400
     with pytest.raises(ValidationError, match="n must not exceed the float range"):

@@ -1,6 +1,7 @@
 """Start-up cost: the closed-form commands never load numpy, the thread
 pool or `statistics`; the Monte Carlo path loads numpy on first use, the
-thread pool only for several workers, and `statistics` never.
+thread pool only for several workers, and `statistics` never.  A request
+builds only the argument parsers its command names.
 
 Each case runs a fresh interpreter, because this test process has long
 since imported numpy."""
@@ -18,26 +19,41 @@ HEAVY = ("numpy", "concurrent.futures", "statistics")
 REF = ["--R", "100", "--r", "5", "--n", "10", "--v", "2", "--u", "1"]
 
 _PROBE = """
-import contextlib, io, json, sys
+import argparse, contextlib, io, json, sys
 import patrolgeom.cli
-codes = []
+built = [0]
+construct = argparse.ArgumentParser.__init__
+def counted(self, *args, **kwargs):
+    built[0] += 1
+    construct(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counted
+codes, parsers = [], []
 for argv in json.loads(sys.argv[1]):
+    built[0] = 0
     with contextlib.redirect_stdout(io.StringIO()):
         codes.append(patrolgeom.cli.main(argv))
-print(json.dumps({"codes": codes, "modules": sorted(sys.modules)}))
+    parsers.append(built[0])
+print(json.dumps({"codes": codes, "parsers": parsers,
+                  "modules": sorted(sys.modules)}))
 """
 
 
-def _run(*commands):
-    """Exit codes of `commands` run through cli.main in one fresh process,
-    and the modules loaded afterwards."""
+def _probe(*commands) -> dict:
+    """Run `commands` through cli.main in one fresh process: their exit
+    codes and ArgumentParser counts, and the modules loaded afterwards."""
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
     proc = subprocess.run([sys.executable, "-c", _PROBE,
                            json.dumps([list(c) for c in commands])],
                           capture_output=True, text=True, env=env,
                           timeout=120, check=True)
-    result = json.loads(proc.stdout)
+    return json.loads(proc.stdout)
+
+
+def _run(*commands):
+    """Exit codes of `commands` run through cli.main in one fresh process,
+    and the modules loaded afterwards."""
+    result = _probe(*commands)
     return result["codes"], set(result["modules"])
 
 
@@ -63,6 +79,17 @@ def test_single_worker_monte_carlo_loads_numpy_but_no_thread_pool():
     assert "numpy" in modules
     assert "concurrent.futures" not in modules
     assert "statistics" not in modules
+
+
+def test_a_request_builds_only_its_own_parsers():
+    # circular exact: top, circular, exact; compare: top, compare.  -h in
+    # place of a command or mode builds the whole tree: top, 7 commands and
+    # 5 modes
+    result = _probe(["circular", "exact", *REF],
+                    ["compare", *REF, "--trials", "1000"],
+                    ["-h"], ["circular", "-h"])
+    assert result["codes"] == [0] * 4
+    assert result["parsers"] == [3, 2, 13, 13]
 
 
 def test_importing_the_cli_loads_every_package_module():
