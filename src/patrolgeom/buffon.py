@@ -90,7 +90,10 @@ def buffon_probability(p: NeedleProblem) -> float:
     the full projection l sin phi, which is the form sampled by buffon_mc.
     """
     validate_needle(p)
-    return 2.0 * p.l / (math.pi * p.L)
+    # l <= L, so 2*l overflows only where pi*L does (L above about 5.7e307);
+    # there the quotient is taken first
+    den = math.pi * p.L
+    return 2.0 * p.l / den if den < math.inf else p.l / p.L * (2.0 / math.pi)
 
 
 class _NeedleIndicator:

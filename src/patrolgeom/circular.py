@@ -24,8 +24,11 @@ to inf, the arc is the full circle.
 
 The other vehicles' arcs are rotations by 2*pi*i/n, so n equally spaced
 copies of an arc of length L cover min(1, n*L/(2*pi)) of the circle.  The
-exact solver, `detects` and both Monte Carlo indicators read this one arc;
-the dense-grid oracles of the test suite are the independent check.
+exact solver, `detects` and the Monte Carlo indicator read this one arc;
+the dense-grid oracles of the test suite are the independent check.  That
+indicator, `_FoldIndicator`, folds each trial's position modulo the period
+and tests it against one window; the segment and randomized-radius models
+build it with their own draw maps and windows.
 The closed forms read e and sin(alpha) alone, and raise OverflowError where
 their value leaves the float range.
 """
@@ -209,37 +212,45 @@ def exact_probability(s: CircularPatrolScenario) -> float:
     return min(1.0, s.n * length / TWO_PI)
 
 
-def _fold_hits(x: np.ndarray, lo: float | np.ndarray, period: float,
-               length: float | np.ndarray) -> np.ndarray:
-    """Flags (x - lo) mod period <= length, the test of `detects` on a
-    float64 array of positions; computes in place, overwriting x.  lo and
-    length are scalars, or arrays shaped like x that give each row its own
-    window.  The segment and randomized-radius indicators run it too."""
-    import numpy as np
+class _FoldIndicator:
+    """The fold test of `detects` on a batch of trials, for every model:
+    offset(u, period) maps the (m, n_draws) draws to positions x in place,
+    and a trial is detected iff (x - lo) mod period <= length.  With the
+    cumulative atom weights cum, lo and length are per-atom arrays and draw
+    0 picks each trial's atom."""
 
-    np.subtract(x, lo, out=x)
-    np.mod(x, period, out=x)
-    return x <= length
-
-
-class _AnyVehicleIndicator:
-    """psi ~ U[0, 2*pi); detect against the nearest vehicle.  Folding the
-    angle modulo the fleet spacing 2*pi/n collapses all n vehicle arcs onto
-    one."""
-
-    n_draws = 1
-
-    def __init__(self, s: CircularPatrolScenario):
-        self._lo, self._length = _detection_arc(s)
-        self._period = TWO_PI / s.n
+    def __init__(self, n_draws, offset, period, lo, length, cum=None):
+        self.n_draws, self._offset, self._period = n_draws, offset, period
+        self._lo, self._length, self._cum = lo, length, cum
 
     def evaluate_batch(self, u: np.ndarray) -> np.ndarray:
         """Detection flags; computes in place, overwriting u."""
         import numpy as np
 
-        x = u[:, 0]
-        np.multiply(x, TWO_PI, out=x)
-        return _fold_hits(x, self._lo, self._period, self._length)
+        x = self._offset(u, self._period)
+        lo, length = self._lo, self._length
+        if self._cum is not None:
+            # mode="clip" maps the index past the last atom (u beyond a final
+            # cumulative weight rounded below 1) onto the last atom
+            idx = np.searchsorted(self._cum, u[:, 0], side="right")
+            lo = np.take(lo, idx, out=u[:, 0], mode="clip")
+            length = np.take(length, idx, mode="clip")
+        np.subtract(x, lo, out=x)
+        np.mod(x, self._period, out=x)
+        return x <= length
+
+
+def _angle(u: np.ndarray, period: float) -> np.ndarray:
+    """The launch angle 2*pi*u of the last draw, in place; folding it modulo
+    the fleet spacing collapses all n vehicle arcs onto one."""
+    x = u[:, -1]
+    x *= TWO_PI
+    return x
+
+
+def _indicator(s: CircularPatrolScenario) -> _FoldIndicator:
+    """psi ~ U[0, 2*pi), tested against the nearest vehicle's arc."""
+    return _FoldIndicator(1, _angle, TWO_PI / s.n, *_detection_arc(s))
 
 
 def mc_probability(s: CircularPatrolScenario, trials: int, seed: int,
@@ -247,7 +258,7 @@ def mc_probability(s: CircularPatrolScenario, trials: int, seed: int,
     """Monte Carlo interception probability over uniform launch angles,
     each tested against the arc of exact_probability."""
     _validate_as(s, CircularPatrolScenario)
-    return run_bernoulli_trials(_AnyVehicleIndicator(s), trials,
+    return run_bernoulli_trials(_indicator(s), trials,
                                 SeedSchedule(seed), workers)
 
 

@@ -99,7 +99,7 @@ def _emit(args, command: str, scenario: dict, results: dict,
                               f"{LARGE_RATIO}; small-radius closed forms degrade"]
     if not args.no_timing:
         report["timing_seconds"] = time.perf_counter() - args.t0
-    print(json.dumps(report, indent=2))
+    print(json.dumps(report, indent=2, allow_nan=False))
 
 
 def _read_json(path: str, what: str):

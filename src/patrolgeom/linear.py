@@ -28,7 +28,7 @@ Equivalently, the detected offsets b - a form one window of length
     (b - a - lo) mod (2R/n) <= 2*reach,   lo = -(shift + reach),
 
 the fold test the circular model runs on launch angles
-(`circular._fold_hits`).  The model computes it in units of R, as the
+(`circular._FoldIndicator`).  The model computes it in units of R, as the
 circle reads e = r/R: the period is 2/n, a/R lies in [0, 1], and no value
 the test forms exceeds 4 in magnitude, for every R the float range holds,
 where 2R/n itself overflows from R = 9e307.  Where the reach is at least
@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import math
 
-from .circular import AsymptoticSummary, _fold_hits, _summary
+from .circular import AsymptoticSummary, _FoldIndicator, _summary
 from .montecarlo import EstimateWithCI, SeedSchedule, run_bernoulli_trials
 from .scenario import (LinearPatrolScenario, ValidationError, _Record,
                        _validate_as, _vehicle_index)
@@ -94,7 +94,7 @@ def _reach(s: LinearPatrolScenario) -> float:
 
 
 def _window(s: LinearPatrolScenario) -> tuple[float, float, float]:
-    """(lo, length, period) of the fold test of the module docstring, in
+    """(period, lo, length) of the fold test of the module docstring, in
     units of R: an offset x = (b - a)/R is detected iff
     (x - lo) mod period <= length.  The min keeps the shift finite where
     v/u overflows; where the reach is at least half the period, the window
@@ -102,8 +102,8 @@ def _window(s: LinearPatrolScenario) -> tuple[float, float, float]:
     period = 2.0 / s.n
     reach = _reach(s) / s.R
     if reach >= period / 2.0:
-        return 0.0, period, period
-    return -(min(s.v / s.u * (s.r / s.R), reach) + reach), 2.0 * reach, period
+        return period, 0.0, period
+    return period, -(min(s.v / s.u * (s.r / s.R), reach) + reach), 2.0 * reach
 
 
 def detects_linear(sample: CrossingSample, s: LinearPatrolScenario) -> bool:
@@ -116,33 +116,28 @@ def detects_linear(sample: CrossingSample, s: LinearPatrolScenario) -> bool:
     # halving is exact, so a caller's b = 2*R/n compares equal to R/n
     if not 0.0 <= 0.5 * sample.b <= s.R / s.n:
         raise ValidationError("b must lie in [0, 2R/n]")
-    lo, length, period = _window(s)
+    period, lo, length = _window(s)
     return (sample.b / s.R - sample.a / s.R - lo) % period <= length
 
 
-class _CrossingIndicator:
+def _offset(u: np.ndarray, period: float) -> np.ndarray:
+    """The offset x = (b - a)/R = u1*period - u0 of the two draws, in place."""
+    a, b = u[:, 0], u[:, 1]
+    b *= period
+    b -= a
+    return b
+
+
+def _indicator(s: LinearPatrolScenario) -> _FoldIndicator:
     """Two draws per trial: slot 0 is a/R, slot 1 gives b/R = u*2/n."""
-
-    n_draws = 2
-
-    def __init__(self, s: LinearPatrolScenario):
-        self._lo, self._length, self._period = _window(s)
-
-    def evaluate_batch(self, u: np.ndarray) -> np.ndarray:
-        """Detection flags; computes in place, overwriting u."""
-        import numpy as np
-
-        a, b = u[:, 0], u[:, 1]
-        np.multiply(b, self._period, out=b)
-        np.subtract(b, a, out=b)
-        return _fold_hits(b, self._lo, self._period, self._length)
+    return _FoldIndicator(2, _offset, *_window(s))
 
 
 def mc_probability_linear(s: LinearPatrolScenario, trials: int, seed: int,
                           workers: int = 1) -> EstimateWithCI:
     """Monte Carlo detection probability over the uniform crossing ensemble."""
     _validate_as(s, LinearPatrolScenario)
-    return run_bernoulli_trials(_CrossingIndicator(s), trials,
+    return run_bernoulli_trials(_indicator(s), trials,
                                 SeedSchedule(seed), workers)
 
 

@@ -11,7 +11,9 @@ radius states reproduces the ensemble mean.
 
 Patrol radius k*R turns the scan ratio e = r/R into e/k and leaves v/u
 alone, so each atom k is the circular model's arc at e/k (`_atom_arcs`),
-and the exact sum and the Monte Carlo indicator read that one table.
+and the exact sum and the Monte Carlo indicator read that one table.  The
+indicator is the circular model's `_FoldIndicator`, with a first draw that
+picks each trial's atom, hence its arc.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import itertools
 import math
 from typing import Optional, Sequence
 
-from .circular import TWO_PI, _arc, _fold_hits, _sin_alpha
+from .circular import TWO_PI, _angle, _arc, _FoldIndicator, _sin_alpha
 from .montecarlo import EstimateWithCI, SeedSchedule, run_bernoulli_trials
 from .scenario import (CircularPatrolScenario, ValidationError, _number,
                        _Record, _validate_as)
@@ -158,32 +160,14 @@ def exact_probability_random_radius(s: CircularPatrolScenario,
     return min(1.0, value)
 
 
-class _RandomRadiusIndicator:
+def _indicator(s: CircularPatrolScenario, d: RadiusDistribution):
     """Two draws per trial: slot 0 picks the atom by cumulative weight, slot
-    1 the launch angle psi ~ U[0, 2*pi).  Each atom k has its own detection
-    arc (`_atom_arcs`), computed once here."""
+    1 the launch angle psi ~ U[0, 2*pi), tested against that atom's arc."""
+    import numpy as np
 
-    n_draws = 2
-
-    def __init__(self, s: CircularPatrolScenario, d: RadiusDistribution):
-        import numpy as np
-
-        self._cum = np.asarray(d.cumulative_weights())
-        self._lo, self._length = map(np.array, zip(*_atom_arcs(s, d)))
-        self._period = TWO_PI / s.n
-
-    def evaluate_batch(self, u: np.ndarray) -> np.ndarray:
-        """Detection flags; computes in place, overwriting u."""
-        import numpy as np
-
-        atom, x = u[:, 0], u[:, 1]
-        # mode="clip" maps the index past the last atom (u beyond a final
-        # cumulative weight rounded below 1) onto the last atom
-        idx = np.searchsorted(self._cum, atom, side="right")
-        np.multiply(x, TWO_PI, out=x)
-        return _fold_hits(x, np.take(self._lo, idx, out=atom, mode="clip"),
-                          self._period,
-                          np.take(self._length, idx, mode="clip"))
+    lo, length = map(np.array, zip(*_atom_arcs(s, d)))
+    return _FoldIndicator(2, _angle, TWO_PI / s.n, lo, length,
+                          np.asarray(d.cumulative_weights()))
 
 
 def mc_probability_random_radius(s: CircularPatrolScenario, d: RadiusDistribution,
@@ -192,7 +176,7 @@ def mc_probability_random_radius(s: CircularPatrolScenario, d: RadiusDistributio
     """Monte Carlo interception probability with the radius redrawn per trial."""
     _validate_as(s, CircularPatrolScenario)
     _check_radius_margin(d, s.r, s.R)
-    return run_bernoulli_trials(_RandomRadiusIndicator(s, d), trials,
+    return run_bernoulli_trials(_indicator(s, d), trials,
                                 SeedSchedule(seed), workers)
 
 

@@ -89,6 +89,28 @@ def test_validation_rejects_booleans_and_lengths_beyond_float_range():
     assert validate_needle(NeedleProblem(1, 3)) == NeedleProblem(1, 3)
 
 
+
+@pytest.mark.parametrize("l,L", [(1e300, 1e308), (1e307, 1e308),
+                                 (9e307, 1e308), (1e308, 1.7e308)])
+def test_closed_form_holds_where_pi_times_L_overflows(l, L):
+    # pi*L overflows from L = 5.7e307, where 2*l/(pi*L) read 0.0 or NaN
+    expected = 2.0 / math.pi * (l / L)
+    got = buffon_probability(NeedleProblem(l, L))
+    assert abs(got - expected) <= 4 * math.ulp(expected)
+
+
+def test_closed_form_near_the_float_ceiling_agrees_with_mc():
+    problem = NeedleProblem(1e307, 1e308)
+    est = buffon_mc(problem, 20_000, seed=11)
+    assert est.ci_low <= buffon_probability(problem) <= est.ci_high
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.floats(5e-324, 1.7e308), st.floats(5e-324, 1.7e308))
+def test_closed_form_is_a_probability_over_the_float_range(a, b):
+    p = buffon_probability(NeedleProblem(min(a, b), max(a, b)))
+    assert math.isfinite(p) and 0.0 <= p <= 1.0
+
 # ---- the polynomial fast path of the Monte Carlo kernel ----
 _ULP = 2.0 ** -53
 # (l, L): the smallest subnormal, a tiny normal, the unit, the float ceiling

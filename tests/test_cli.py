@@ -736,3 +736,14 @@ def test_memory_error_exits_one_without_traceback(capsys, monkeypatch):
     assert code == 1 and out == ""
     assert err == "error: MemoryError\n"
     assert "Traceback" not in err
+
+
+def test_non_finite_result_exits_one_without_output(capsys, monkeypatch):
+    import patrolgeom.cli as cli
+
+    monkeypatch.setattr(cli, "buffon_probability", lambda problem: math.nan)
+    code, out, err = run_cli(capsys, "buffon", "--l", "1", "--L", "2",
+                             "--trials", "1000")
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from patrolgeom import LinearPatrolScenario
-from patrolgeom.linear import (CrossingSample, _CrossingIndicator,
+from patrolgeom.linear import (CrossingSample, _indicator,
                                asymptotic_summary_linear, detects_linear,
                                mc_probability_linear, vehicle_position_linear)
 from patrolgeom.montecarlo import SeedSchedule
@@ -133,7 +133,7 @@ def test_detects_linear_accepts_b_at_the_end_of_its_range(R, n):
 def test_detects_linear_agrees_with_the_mc_indicator(R, n):
     s = LinearPatrolScenario(R=R, r=0.1 * R / n, n=n, v=2.0, u=1.0)
     u = SeedSchedule(77).uniform_block(0, 2000, 2)
-    flags = _CrossingIndicator(s).evaluate_batch(u.copy())
+    flags = _indicator(s).evaluate_batch(u.copy())
     assert 0 < np.count_nonzero(flags) < flags.size
     checked = 0
     for (ua, ub), flag in zip(u.tolist(), flags.tolist()):

@@ -8,16 +8,15 @@ from statistics import NormalDist
 import numpy as np
 import pytest
 
-from patrolgeom import montecarlo
+from patrolgeom import circular, linear, montecarlo, randomradius
 from patrolgeom.buffon import NeedleProblem, _NeedleIndicator, buffon_mc
-from patrolgeom.circular import (TWO_PI, _AnyVehicleIndicator, _detection_arc,
-                                 mc_probability)
-from patrolgeom.linear import _CrossingIndicator, mc_probability_linear
+from patrolgeom.circular import TWO_PI, _detection_arc, mc_probability
+from patrolgeom.linear import mc_probability_linear
 from patrolgeom.montecarlo import (CHUNK_TRIALS, MAX_WORKERS, DrawWorkspace,
                                    EstimateWithCI, SeedSchedule,
                                    estimate_from_counts, mix64,
                                    run_bernoulli_trials, wilson_interval)
-from patrolgeom.randomradius import (RadiusDistribution, _RandomRadiusIndicator,
+from patrolgeom.randomradius import (RadiusDistribution,
                                      mc_probability_random_radius)
 from patrolgeom.scenario import CircularPatrolScenario, LinearPatrolScenario
 
@@ -317,10 +316,10 @@ def _random_radius_reference(u):
 
 # (indicator, out-of-place formula with the same floating-point operations)
 _INDICATORS = {
-    "circle": (lambda: _AnyVehicleIndicator(_CIRCLE), _circle_reference),
-    "segment": (lambda: _CrossingIndicator(_SEGMENT), _segment_reference),
+    "circle": (lambda: circular._indicator(_CIRCLE), _circle_reference),
+    "segment": (lambda: linear._indicator(_SEGMENT), _segment_reference),
     "needle": (lambda: _NeedleIndicator(0.6, 1.3), _needle_reference),
-    "random_radius": (lambda: _RandomRadiusIndicator(_CIRCLE, _ATOMS),
+    "random_radius": (lambda: randomradius._indicator(_CIRCLE, _ATOMS),
                       _random_radius_reference),
 }
 
@@ -355,6 +354,14 @@ def test_indicator_counts_ignore_chunk_size_and_workers(name, monkeypatch):
                 assert est.successes == expected, (chunk, workers)
     finally:
         sys.setswitchinterval(switch)
+
+
+def test_fold_models_keep_their_success_counts():
+    # the counts of the shared fold kernel at REF, 10**5 trials, seed 1729
+    assert mc_probability(_CIRCLE, 100_000, 1729).successes == 35689
+    assert mc_probability_linear(_SEGMENT, 100_000, 1729).successes == 56118
+    assert mc_probability_random_radius(
+        _CIRCLE, _ATOMS, 100_000, 1729).successes == 36245
 
 
 @pytest.mark.parametrize("trials,workers,message", [

@@ -5,12 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from patrolgeom import CircularPatrolScenario
-from patrolgeom.circular import (TWO_PI, _AnyVehicleIndicator,
-                                 exact_probability, mc_probability)
+from patrolgeom import CircularPatrolScenario, circular
+from patrolgeom.circular import TWO_PI, exact_probability, mc_probability
 from patrolgeom.montecarlo import SeedSchedule
 from patrolgeom.randomradius import (PiecewiseRadiusProcess, RadiusDistribution,
-                                     _RandomRadiusIndicator, _atom_arcs,
+                                     _atom_arcs, _indicator,
                                      asymptotic_probability_randomized,
                                      ergodic_time_average,
                                      exact_probability_random_radius,
@@ -216,9 +215,9 @@ def test_point_mass_indicator_flags_equal_the_fixed_radius_flags(fields):
     s = CircularPatrolScenario(**fields)
     d = RadiusDistribution.from_atoms([(1.0, 1.0)])
     u = SeedSchedule(21).uniform_block(0, 50_000, 2)
-    fixed = _AnyVehicleIndicator(s).evaluate_batch(u[:, 1:].copy())
+    fixed = circular._indicator(s).evaluate_batch(u[:, 1:].copy())
     assert 0 < np.count_nonzero(fixed) < fixed.size
-    assert np.array_equal(_RandomRadiusIndicator(s, d).evaluate_batch(u), fixed)
+    assert np.array_equal(_indicator(s, d).evaluate_batch(u), fixed)
 
 
 def test_exact_random_radius_point_mass_is_the_fixed_radius_value(ref_circular):
