@@ -36,6 +36,7 @@ their value leaves the float range.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from typing import Callable, Iterable, Sequence
 
 from .frames import TWO_PI, _finite_angle, _vehicle_angle, wrap_positive
@@ -213,11 +214,14 @@ def exact_probability(s: CircularPatrolScenario) -> float:
 
 
 class _FoldIndicator:
-    """The fold test of `detects` on a batch of trials, for every model:
-    offset(u, period) maps the (m, n_draws) draws to positions x in place,
-    and a trial is detected iff (x - lo) mod period <= length.  With the
-    cumulative atom weights cum, lo and length are per-atom arrays and draw
-    0 picks each trial's atom."""
+    """The fold test of `detects` for every model: offset(columns, period)
+    maps a trial's draws to its position x, in place on numpy columns, and
+    a trial is detected iff (x - lo) mod period <= length.  With the
+    cumulative atom weights cum, lo and length are per-atom sequences and
+    draw 0 picks each trial's atom.  evaluate_batch tests a (m, n_draws)
+    block of trials, evaluate_one the list of one trial's draws, with the
+    same floating-point operations in the same order: Python's float %
+    and np.mod both take fmod and then fix the sign."""
 
     def __init__(self, n_draws, offset, period, lo, length, cum=None):
         self.n_draws, self._offset, self._period = n_draws, offset, period
@@ -227,7 +231,7 @@ class _FoldIndicator:
         """Detection flags; computes in place, overwriting u."""
         import numpy as np
 
-        x = self._offset(u, self._period)
+        x = self._offset(u.T, self._period)
         lo, length = self._lo, self._length
         if self._cum is not None:
             # mode="clip" maps the index past the last atom (u beyond a final
@@ -239,11 +243,21 @@ class _FoldIndicator:
         np.mod(x, self._period, out=x)
         return x <= length
 
+    def evaluate_one(self, u: list[float]) -> bool:
+        """The detection flag of one trial, as evaluate_batch computes it."""
+        x = self._offset(u, self._period)
+        lo, length = self._lo, self._length
+        if self._cum is not None:
+            atom = min(bisect_right(self._cum, u[0]), len(lo) - 1)
+            lo, length = lo[atom], length[atom]
+        return (x - lo) % self._period <= length
 
-def _angle(u: np.ndarray, period: float) -> np.ndarray:
-    """The launch angle 2*pi*u of the last draw, in place; folding it modulo
-    the fleet spacing collapses all n vehicle arcs onto one."""
-    x = u[:, -1]
+
+def _angle(u: Sequence, period: float):
+    """The launch angle 2*pi*u of the last draw column, in place on a numpy
+    column; folding it modulo the fleet spacing collapses all n vehicle
+    arcs onto one."""
+    x = u[-1]
     x *= TWO_PI
     return x
 

@@ -40,6 +40,7 @@ gives an infinite reach, so it saturates too.
 from __future__ import annotations
 
 import math
+from typing import Sequence
 
 from .circular import AsymptoticSummary, _FoldIndicator, _summary
 from .montecarlo import EstimateWithCI, SeedSchedule, run_bernoulli_trials
@@ -120,9 +121,10 @@ def detects_linear(sample: CrossingSample, s: LinearPatrolScenario) -> bool:
     return (sample.b / s.R - sample.a / s.R - lo) % period <= length
 
 
-def _offset(u: np.ndarray, period: float) -> np.ndarray:
-    """The offset x = (b - a)/R = u1*period - u0 of the two draws, in place."""
-    a, b = u[:, 0], u[:, 1]
+def _offset(u: Sequence, period: float):
+    """The offset x = (b - a)/R = u1*period - u0 of the two draw columns,
+    in place on numpy columns."""
+    a, b = u[0], u[1]
     b *= period
     b -= a
     return b

@@ -18,11 +18,19 @@ numpy and the thread pool are imported by the functions that use them, not
 at module level, so the closed-form commands, which never call them, start
 without loading them.  `run_bernoulli_trials` imports numpy in the calling
 thread, before any worker starts.
+
+A small request need not import numpy at all.  An indicator may offer a
+one-trial test, evaluate_one; while numpy is not yet loaded and the request
+fits what is left of a per-process allowance of trials, the runner counts
+it in a plain Python loop over the same splitmix64 draws (`_count_scalar`).
+The allowance is spent, not reset, so a long run of small requests turns
+to numpy once it is gone.  The count is the same on either path.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from typing import Optional
 
 from .scenario import _integer, _Record
@@ -55,6 +63,16 @@ DEFAULT_SEED = 1729
 # 256 KiB (above glibc's 128 KiB mmap threshold): the needle indicator's old
 # temporaries took one worker from 0.38 s to 0.52 s there.
 CHUNK_TRIALS = 32768
+
+# Trials this process may still count on the scalar path, which never
+# imports numpy (see run_bernoulli_trials).  A fresh process breaks even
+# with numpy's import at about 70 000 trials for the circle, 50 000 for the
+# segment and 40 000 for the randomized radius (process wall time, median
+# of 7, 2-core host, Python 3.11, numpy 2.4).  The allowance is spent,
+# not reset per request: a many-row sweep of small requests then pays the
+# scalar cost only until the allowance runs out, at most about one import.
+# It picks the path only, so callers in several threads may race on it.
+_scalar_left = CHUNK_TRIALS
 
 # Ceiling on worker threads.  The estimate does not depend on `workers`, and
 # a count far above the cores only adds threads: unbounded, a large request
@@ -149,10 +167,20 @@ class SeedSchedule(_Record):
 
     root_seed: int
 
+    def _counter(self, index: int) -> int:
+        """root_seed + (index + 1)*GAMMA mod 2**64, which mix64 turns into
+        the key of trial index: the one place the seed is read.  A numpy
+        integer seed reads as the equal int; a bool or a non-integer is a
+        ValueError."""
+        seed = _integer(self.root_seed)
+        if seed is None:
+            raise ValueError("seed must be an integer")
+        return (seed + (index + 1) * _GAMMA) & _MASK64
+
     def trial_key(self, index: int) -> int:
         if index < 0:
             raise ValueError("trial index must be nonnegative")
-        return mix64((self.root_seed + (index + 1) * _GAMMA) & _MASK64)
+        return mix64(self._counter(index))
 
     def trial_source(self, index: int) -> TrialSource:
         return TrialSource(self.trial_key(index))
@@ -179,8 +207,7 @@ class SeedSchedule(_Record):
         keys, bits, scratch = out._keys[:m], out._bits[:m], out._scratch[:m]
         block = out._block[:draws * m].reshape(draws, m)
         # key of trial start + i: mix64(root_seed + (start + 1 + i)*GAMMA)
-        offset = (self.root_seed + (start + 1) * _GAMMA) & _MASK64
-        np.add(out._ramp[:m], offset, out=keys)
+        np.add(out._ramp[:m], self._counter(start), out=keys)
         _mix64_inplace(keys, scratch)
         for j in range(draws):
             np.add(keys, ((j + 1) * _GAMMA) & _MASK64, out=bits)
@@ -249,6 +276,22 @@ def _check_run(trials: int, workers: int) -> None:
         raise ValueError(f"workers must be <= {MAX_WORKERS}")
 
 
+def _count_scalar(indicator, trials: int, schedule: SeedSchedule) -> int:
+    """Successes of indicator.evaluate_one over trials [0, trials), one
+    trial at a time in plain Python: the draws of `TrialSource`, handed to
+    the test as a list of floats."""
+    steps = [(j + 1) * _GAMMA for j in range(indicator.n_draws)]
+    test = indicator.evaluate_one
+    first = schedule._counter(0)
+    total = 0
+    # mix64 reduces its argument mod 2**64, so the counters may run past it
+    for counter in range(first, first + trials * _GAMMA, _GAMMA):
+        key = mix64(counter)
+        total += test([(mix64(key + step) >> 11) * _INV_2_53
+                       for step in steps])
+    return total
+
+
 def run_bernoulli_trials(indicator, trials: int, schedule: SeedSchedule,
                          workers: int = 1) -> EstimateWithCI:
     """Estimate P(indicator) over `trials` independently seeded trials.
@@ -257,17 +300,35 @@ def run_bernoulli_trials(indicator, trials: int, schedule: SeedSchedule,
     evaluate_batch(u), mapping a (m, n_draws) uniform array to a boolean
     vector.  The array handed to evaluate_batch is runner-owned scratch,
     valid only during the call: the indicator may overwrite it in place.
+    It may also offer evaluate_one(u), the same test on one trial's draws
+    as a list of floats, bit for bit.
 
-    Trials are cut into fixed chunks of CHUNK_TRIALS; worker k of `workers`
-    threads takes chunks k, k + workers, ... and draws them into its own
-    workspace, walking its chunk starts as a range, so memory does not grow
-    with `trials`.  Successes are accumulated as exact integers, so the
-    estimate is independent of the chunk size and of `workers`, which may
-    not exceed MAX_WORKERS.
+    While numpy is not yet imported, a request of such an indicator that
+    fits the process's remaining allowance (`_scalar_left`, CHUNK_TRIALS
+    trials at start) spends its trials from it and is counted by
+    `_count_scalar`, which never imports numpy.  Every other request, and
+    every one after numpy is loaded, takes the vector path.  Both paths
+    count the same draws exactly, so the path never changes the result.
+
+    On the vector path, trials are cut into fixed chunks of CHUNK_TRIALS;
+    worker k of `workers` threads takes chunks k, k + workers, ... and
+    draws them into its own workspace, walking its chunk starts as a
+    range, so memory does not grow with `trials`.  Successes are
+    accumulated as exact integers, so the estimate is independent of the
+    chunk size and of `workers`, which may not exceed MAX_WORKERS.
     """
-    import numpy as np
+    global _scalar_left
 
     _check_run(trials, workers)
+    schedule._counter(0)  # a bad seed raises before any draw
+    if (hasattr(indicator, "evaluate_one") and "numpy" not in sys.modules
+            and trials <= _scalar_left):
+        _scalar_left -= trials
+        return estimate_from_counts(
+            _count_scalar(indicator, trials, schedule), trials)
+
+    import numpy as np
+
     draws = int(indicator.n_draws)
     chunk = CHUNK_TRIALS
     workers = min(workers, -(-trials // chunk))

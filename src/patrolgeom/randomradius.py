@@ -163,11 +163,9 @@ def exact_probability_random_radius(s: CircularPatrolScenario,
 def _indicator(s: CircularPatrolScenario, d: RadiusDistribution):
     """Two draws per trial: slot 0 picks the atom by cumulative weight, slot
     1 the launch angle psi ~ U[0, 2*pi), tested against that atom's arc."""
-    import numpy as np
-
-    lo, length = map(np.array, zip(*_atom_arcs(s, d)))
+    lo, length = zip(*_atom_arcs(s, d))
     return _FoldIndicator(2, _angle, TWO_PI / s.n, lo, length,
-                          np.asarray(d.cumulative_weights()))
+                          tuple(d.cumulative_weights()))
 
 
 def mc_probability_random_radius(s: CircularPatrolScenario, d: RadiusDistribution,

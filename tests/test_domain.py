@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from patrolgeom import (CircularPatrolScenario, LinearPatrolScenario,
                         RadiusDistribution, exact_probability_random_radius)
-from patrolgeom.circular import (_detection_arc, asymptotic_summary,
+from patrolgeom.circular import (_arc, _detection_arc, asymptotic_summary,
                                  detection_arc_set, detects, exact_probability,
                                  mc_probability)
 from patrolgeom.frames import distance_to_vehicle
@@ -119,6 +119,40 @@ def test_exact_approaches_asymptotic_as_radius_vanishes(s):
     a = asymptotic_summary(s).p_asym
     # the gap is in fact near (r/R)^2/6 relative, as on the static ring
     assert abs(p - a) <= (ratio + 1e-12) * max(p, a)
+
+
+def _arc_expansion(e, w):
+    """(L, L_asym, c): the arc length at e = r/R, w = v/u, its first-order
+    form 2e/sqrt(S) and the second-order coefficient c of
+    L = L_asym (1 + c e^2 + O(e^4)), with S = sin^2(alpha) = 1/(1 + w^2)."""
+    S = 1.0 / (1.0 + w * w)
+    c = S * (3.0 - 5.0 * S + 3.0 * S * S) / 6.0
+    return _arc(e, w)[1], 2.0 * e / math.sqrt(S), c
+
+
+# below e = 1e-3 the e^4 terms fall under the rounding of L
+arc_ratios = _log_uniform(1e-3, 0.5)
+arc_speeds = st.one_of(st.just(0.0), _log_uniform(1e-4, 1e4))
+
+
+@PROPERTY
+@given(arc_ratios, arc_speeds)
+@example(1e-3, 0.0)
+@example(0.5, 0.0)
+@example(0.5, 1e4)
+def test_first_order_arc_falls_short_by_at_most_the_second_order_term(e, w):
+    L, L_asym, c = _arc_expansion(e, w)
+    assert 0.0 <= (L - L_asym) / L_asym <= c * e ** 2 + 0.09 * e ** 4
+
+
+@PROPERTY
+@given(arc_ratios, arc_speeds)
+@example(1e-3, 0.0)
+@example(0.5, 0.0)
+@example(0.5, 1e4)
+def test_second_order_arc_is_within_a_tenth_of_e4(e, w):
+    L, L_asym, c = _arc_expansion(e, w)
+    assert abs(L - L_asym * (1.0 + c * e * e)) / L <= 0.1 * e ** 4
 
 
 # ---- Monte Carlo against exact ----

@@ -1,12 +1,18 @@
 """Deterministic Monte Carlo machinery: seeding, intervals, trial runner."""
 
+import json
 import math
+import os
+import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 from statistics import NormalDist
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from patrolgeom import circular, linear, montecarlo, randomradius
 from patrolgeom.buffon import NeedleProblem, _NeedleIndicator, buffon_mc
@@ -14,9 +20,10 @@ from patrolgeom.circular import TWO_PI, _detection_arc, mc_probability
 from patrolgeom.linear import mc_probability_linear
 from patrolgeom.montecarlo import (CHUNK_TRIALS, MAX_WORKERS, DrawWorkspace,
                                    EstimateWithCI, SeedSchedule,
-                                   estimate_from_counts, mix64,
+                                   _count_scalar, estimate_from_counts, mix64,
                                    run_bernoulli_trials, wilson_interval)
-from patrolgeom.randomradius import (RadiusDistribution,
+from patrolgeom.randomradius import (PiecewiseRadiusProcess, RadiusDistribution,
+                                     ergodic_time_average,
                                      mc_probability_random_radius)
 from patrolgeom.scenario import CircularPatrolScenario, LinearPatrolScenario
 
@@ -382,3 +389,155 @@ def test_run_sizes_must_be_integers(trials, workers, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             run()
     assert mc_probability(circular, np.int64(1000), 1, np.int64(1)).trials == 1000
+
+
+# ---- seeds ----
+
+@pytest.mark.parametrize("seed", [np.int64(5), np.uint64(5), np.int32(5)],
+                         ids=["int64", "uint64", "int32"])
+def test_a_numpy_integer_seed_reads_as_the_equal_int(seed):
+    process = PiecewiseRadiusProcess(states=(0.8, 1.2), dwell=1.0,
+                                     horizon=200.0, transition="random")
+    indicator = circular._indicator(_CIRCLE)
+    assert (_count_scalar(indicator, 1000, SeedSchedule(seed))
+            == _count_scalar(indicator, 1000, SeedSchedule(5)))
+    assert mc_probability(_CIRCLE, 1000, seed).successes == 367
+    for run in (lambda k: mc_probability_linear(_SEGMENT, 1000, k),
+                lambda k: mc_probability_random_radius(_CIRCLE, _ATOMS, 1000, k),
+                lambda k: buffon_mc(NeedleProblem(1.0, 1.3), 1000, k),
+                lambda k: ergodic_time_average(process, k),
+                lambda k: SeedSchedule(k).trial_key(3),
+                lambda k: SeedSchedule(k).uniform_block(2, 9, 2).tolist()):
+        assert run(seed) == run(5)
+
+
+class _UnreachedIndicator:
+    """Fails the test if a trial is ever evaluated."""
+
+    n_draws = 1
+
+    def evaluate_batch(self, u):
+        raise AssertionError("a trial was evaluated")
+
+    evaluate_one = evaluate_batch
+
+
+@pytest.mark.parametrize("seed", [True, False, 2.5, 5.0, "5", None],
+                         ids=["true", "false", "float", "integral-float",
+                              "str", "none"])
+def test_a_seed_that_is_not_an_integer_is_a_value_error(seed):
+    process = PiecewiseRadiusProcess(states=(0.8, 1.2), dwell=1.0,
+                                     horizon=200.0, transition="random")
+    schedule = SeedSchedule(seed)
+    for run in (lambda: _count_scalar(_UnreachedIndicator(), 10, schedule),
+                lambda: run_bernoulli_trials(_UnreachedIndicator(), 10,
+                                             schedule),
+                lambda: run_bernoulli_trials(_UnreachedIndicator(),
+                                             3 * CHUNK_TRIALS, schedule, 2),
+                lambda: mc_probability(_CIRCLE, 10, seed),
+                lambda: mc_probability_linear(_SEGMENT, 10, seed),
+                lambda: mc_probability_random_radius(_CIRCLE, _ATOMS, 10, seed),
+                lambda: buffon_mc(NeedleProblem(1.0, 1.3), 10, seed),
+                lambda: ergodic_time_average(process, seed),
+                lambda: schedule.trial_key(0),
+                lambda: schedule.trial_source(0),
+                lambda: schedule.uniform_block(0, 4, 1)):
+        with pytest.raises(ValueError, match="^seed must be an integer$"):
+            run()
+
+
+# ---- the scalar path: the same counts without numpy ----
+
+_POINT_MASS = RadiusDistribution.from_atoms([(1.0, 1.0)])
+_FOLD_MODELS = ("circle", "segment", "random_radius", "point_mass")
+
+
+def _fold_indicator(model, e=0.05, w=2.0, n=10):
+    """A fold model's indicator at R = 1, r/R = e (half that on the
+    segment, whose v/u must be positive), v/u = w and n vehicles."""
+    if model == "segment":
+        return linear._indicator(LinearPatrolScenario(
+            R=1.0, r=e / 2.0, n=n, v=w or 1.0, u=1.0))
+    s = CircularPatrolScenario(R=1.0, r=e, n=n, v=w, u=1.0)
+    if model == "circle":
+        return circular._indicator(s)
+    return randomradius._indicator(
+        s, _ATOMS if model == "random_radius" else _POINT_MASS)
+
+
+def _vector_count(indicator, trials, seed):
+    # numpy is loaded in this process, so the runner takes the vector path
+    assert "numpy" in sys.modules
+    return run_bernoulli_trials(indicator, trials, SeedSchedule(seed)).successes
+
+
+_SEEDS = st.one_of(st.integers(-2 ** 70, -1), st.integers(0, 2 ** 64 - 1),
+                   st.integers(2 ** 64, 2 ** 70))
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(st.sampled_from(_FOLD_MODELS),
+       st.floats(-3.0, math.log10(0.7)).map(lambda x: 10.0 ** x),
+       st.one_of(st.just(0.0),
+                 st.floats(-4.0, 4.0).map(lambda x: 10.0 ** x)),
+       st.one_of(st.integers(1, 100), st.integers(1, 10 ** 6)),
+       st.integers(1, 300), _SEEDS)
+def test_scalar_and_vector_paths_count_the_same_successes(model, e, w, n,
+                                                          trials, seed):
+    indicator = _fold_indicator(model, e, w, n)
+    assert (_count_scalar(indicator, trials, SeedSchedule(seed))
+            == _vector_count(indicator, trials, seed))
+
+
+@pytest.mark.parametrize("trials,seed", [
+    (1, -1), (CHUNK_TRIALS - 1, 2 ** 64 + 1), (CHUNK_TRIALS, 7),
+    (CHUNK_TRIALS + 1, 2 ** 63 + 12345),
+])
+def test_scalar_and_vector_counts_agree_around_the_allowance(trials, seed):
+    # CHUNK_TRIALS is also the scalar allowance; one more trial takes the
+    # vector path across a chunk boundary
+    for model in _FOLD_MODELS:
+        indicator = _fold_indicator(model)
+        assert (_count_scalar(indicator, trials, SeedSchedule(seed))
+                == _vector_count(indicator, trials, seed)), model
+
+
+_ALLOWANCE_PROBE = """
+import json, sys
+from patrolgeom.montecarlo import CHUNK_TRIALS
+from patrolgeom.circular import mc_probability
+from patrolgeom.linear import mc_probability_linear
+from patrolgeom.randomradius import (RadiusDistribution,
+                                     mc_probability_random_radius)
+from patrolgeom.scenario import CircularPatrolScenario, LinearPatrolScenario
+circle = CircularPatrolScenario(R=100.0, r=5.0, n=10, v=2.0, u=1.0)
+segment = LinearPatrolScenario(R=100.0, r=5.0, n=5, v=2.0, u=1.0)
+atoms = RadiusDistribution.from_atoms([(0.8, 0.25), (1.0, 0.5), (1.2, 0.25)])
+out = []
+for run in (lambda: mc_probability(circle, 30000, 7),
+            lambda: mc_probability_linear(segment, CHUNK_TRIALS - 30000, 8),
+            lambda: mc_probability_random_radius(circle, atoms, 1, 9),
+            lambda: mc_probability(circle, 10, 10)):
+    out.append([run().successes, "numpy" in sys.modules])
+print(json.dumps(out))
+"""
+
+
+def test_the_scalar_allowance_is_spent_across_requests():
+    # a fresh process: the first two requests spend the allowance exactly,
+    # the third no longer fits and loads numpy, and the fourth, though
+    # small, stays on numpy
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run([sys.executable, "-c", _ALLOWANCE_PROBE],
+                          capture_output=True, text=True, env=env,
+                          timeout=120, check=True)
+    expected = [
+        mc_probability(_CIRCLE, 30000, 7).successes,
+        mc_probability_linear(_SEGMENT, CHUNK_TRIALS - 30000, 8).successes,
+        mc_probability_random_radius(_CIRCLE, _ATOMS, 1, 9).successes,
+        mc_probability(_CIRCLE, 10, 10).successes,
+    ]
+    assert json.loads(proc.stdout) == [[k, loaded] for k, loaded in zip(
+        expected, [False, False, True, True])]

@@ -1,7 +1,8 @@
 """Start-up cost: the closed-form commands never load numpy, the thread
-pool or `statistics`; the Monte Carlo path loads numpy on first use, the
-thread pool only for several workers, and `statistics` never.  A request
-builds only the argument parsers its command names.
+pool or `statistics`.  A small Monte Carlo request (up to 32 768 trials in
+all per process) counts its trials without numpy; a larger one loads numpy,
+the thread pool only for several workers, and `statistics` never.  A
+request builds only the argument parsers its command names.
 
 Each case runs a fresh interpreter, because this test process has long
 since imported numpy."""
@@ -73,12 +74,33 @@ def test_closed_form_commands_never_load_numpy():
 
 
 def test_single_worker_monte_carlo_loads_numpy_but_no_thread_pool():
-    codes, modules = _run(["circular", "mc", *REF, "--trials", "1000",
+    codes, modules = _run(["circular", "mc", *REF, "--trials", "100000",
                            "--workers", "1"])
     assert codes == [0]
     assert "numpy" in modules
     assert "concurrent.futures" not in modules
     assert "statistics" not in modules
+
+
+def test_small_monte_carlo_requests_never_load_numpy():
+    codes, modules = _run(
+        ["linear", "mc", "--R", "100", "--r", "5", "--n", "5", "--v", "2",
+         "--u", "1", "--trials", "500"],
+        ["circular", "mc", *REF, "--trials", "5000"],
+        ["compare", *REF, "--trials", "1000"],
+    )
+    assert codes == [0] * 3
+    assert modules.isdisjoint(HEAVY)
+
+
+def test_a_sweep_of_small_requests_turns_to_numpy():
+    # 40 rows of 20 000 trials: the first fits the process's scalar
+    # allowance, the second does not, and the rest run on numpy
+    codes, modules = _run(["sweep", *REF, "--parameter", "r", "--start", "1",
+                           "--stop", "20", "--steps", "40", "--estimators",
+                           "mc", "--trials", "20000"])
+    assert codes == [0]
+    assert "numpy" in modules
 
 
 def test_a_request_builds_only_its_own_parsers():
