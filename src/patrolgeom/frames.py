@@ -99,6 +99,30 @@ def scan_circle_polar_approx(r_over_R: float, psi: float) -> PolarPoint:
                       phi=e * math.cos(psi))
 
 
+def _product(a: float, b: float, c: float = 1.0) -> float:
+    """a*b/c with no overflow or underflow in between: the product of the
+    mantissas, scaled by the exponents at the end.  OverflowError where the
+    value itself leaves the float range."""
+    (ma, ea), (mb, eb), (mc, ec) = map(math.frexp, (a, b, c))
+    return math.ldexp(ma * mb / mc, ea + eb - ec)
+
+
+def _run(psi: float, t: float,
+         s: CircularPatrolScenario) -> tuple[float, float, float]:
+    """(offset, rho, angle) of the run at time t, in units of R as in
+    `circular`: offset = (radius - R)/R = e - delta and rho = radius/R, with
+    e = r/R and delta = u*t/R, and the angle in the rotating frame.
+    ValueError unless t is finite and in [0, (R + r)/u]."""
+    _validate_as(s, CircularPatrolScenario)
+    # (R + r)/u, also where R + r alone leaves the float range
+    horizon = 2.0 * ((0.5 * s.R + 0.5 * s.r) / s.u)
+    if not (0.0 <= t <= horizon and math.isfinite(t)):
+        raise ValueError(f"t must lie in [0, {horizon!r}]")
+    e, delta = s.r / s.R, _product(s.u, t, s.R)
+    return (e - delta, max(0.0, (1.0 + e) - delta),
+            wrap_positive(psi - _product(s.v, t, s.R)))
+
+
 def object_position_rotating(psi: float, t: float,
                              s: CircularPatrolScenario) -> RotatingFramePoint:
     """Object position at time t for the radial run started at angle psi on
@@ -106,15 +130,11 @@ def object_position_rotating(psi: float, t: float,
 
     In the rotating frame the radius shrinks as R + r - u*t while the angle
     drifts backwards at the frame rate: angle(t) = psi - (v/R) t.  Valid for
-    t in [0, (R + r)/u], the arrival time at the center.
+    t in [0, (R + r)/u], the arrival time at the center.  OverflowError
+    where the radius or the drift (v/R) t exceeds the float range.
     """
-    _validate_as(s, CircularPatrolScenario)
-    horizon = (s.R + s.r) / s.u
-    if not 0.0 <= t <= horizon:
-        raise ValueError(f"t must lie in [0, {horizon!r}]")
-    radius = max(0.0, s.R + s.r - s.u * t)
-    return RotatingFramePoint(radius=radius,
-                              angle=wrap_positive(psi - (s.v / s.R) * t))
+    _, rho, angle = _run(psi, t, s)
+    return RotatingFramePoint(radius=_product(rho, s.R), angle=angle)
 
 
 def _vehicle_angle(vehicle_index: int, s: CircularPatrolScenario) -> float:
@@ -129,10 +149,10 @@ def distance_to_vehicle(psi: float, t: float, vehicle_index: int,
     Vehicles are fixed in the rotating frame at radius R and angles
     2*pi*i/n.  Law of cosines on (radius, R, angle difference), written as
     (radius - R)^2 + 4*R*radius*sin^2(delta/2) so that it does not cancel
-    when the object is near the vehicle's circle.
+    when the object is near the vehicle's circle, and computed in units of
+    R, so that only a distance beyond the float range is an OverflowError.
     """
-    _validate_as(s, CircularPatrolScenario)
+    offset, rho, angle = _run(psi, t, s)
     beta = _vehicle_angle(vehicle_index, s)
-    p = object_position_rotating(psi, t, s)
-    half = math.sin(0.5 * (p.angle - beta))
-    return math.sqrt((p.radius - s.R) ** 2 + 4.0 * s.R * p.radius * half * half)
+    half = math.sin(0.5 * (angle - beta))
+    return _product(math.sqrt(offset * offset + 4.0 * rho * half * half), s.R)

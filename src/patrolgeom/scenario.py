@@ -6,6 +6,7 @@ import json
 import math
 import operator
 import os
+from collections import namedtuple
 from typing import IO, Optional, Union
 
 __all__ = [
@@ -26,46 +27,39 @@ class ValidationError(ValueError):
 
 class _Record:
     """Immutable record whose fields are the annotated names of the class
-    body, in order; a class attribute of the same name is the default.
+    body, in order; a class attribute of the same name is the default, and
+    fields with a default come after those without.
 
-    Construction takes the fields by position or keyword.  The repr is
-    `Name(field=value, ...)`; records are equal when they are of the same
-    class with equal fields, and hash by their fields.  Instances keep their
-    fields in `__dict__`, so pickle and copy need no hooks.
+    Construction takes the fields by position or keyword, bound by a
+    `namedtuple` of the fields that the class builds on its first
+    construction, so a bad argument list raises Python's own `TypeError`.
+    The repr is `Name(field=value, ...)`; records are equal when they are of
+    the same class with equal fields, and hash by their fields.  Instances
+    keep their fields in `__dict__`, so pickle and copy need no hooks.
     """
 
     __match_args__ = ()
-    _defaults = {}
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        names = tuple(cls.__dict__.get("__annotations__", {}))
-        cls.__match_args__ = names
-        cls._defaults = {name: cls.__dict__[name] for name in names
-                         if name in cls.__dict__}
+        cls.__match_args__ = tuple(cls.__dict__.get("__annotations__", {}))
+        # a namedtuple gives its defaults to the trailing fields, so a
+        # default ahead of a plain field would bind the wrong one
+        has_default = [name in cls.__dict__ for name in cls.__match_args__]
+        if has_default != sorted(has_default):
+            raise TypeError(f"{cls.__name__}: a field without a default "
+                            "follows one with a default")
 
     def __init__(self, *args, **kwargs):
-        names = self.__match_args__
-        if len(args) > len(names):
-            raise TypeError(f"{type(self).__name__} takes at most "
-                            f"{len(names)} positional arguments")
-        values = dict(zip(names, args))
-        for name in kwargs:
-            if name not in names:
-                raise TypeError(f"{type(self).__name__} got an unexpected "
-                                f"keyword argument '{name}'")
-            if name in values:
-                raise TypeError(f"{type(self).__name__} got multiple values "
-                                f"for argument '{name}'")
-        values.update(kwargs)
-        for name in names:
-            if name not in values:
-                if name not in self._defaults:
-                    raise TypeError(f"{type(self).__name__} missing required "
-                                    f"argument '{name}'")
-                values[name] = self._defaults[name]
-        # field order, whatever the order of the arguments
-        self.__dict__.update({name: values[name] for name in names})
+        cls = type(self)
+        if "_bind" not in cls.__dict__:
+            # built on first construction, not at import: a request uses
+            # a few of the record classes, and each build costs 0.05-0.2 ms
+            cls._bind = namedtuple(cls.__name__, cls.__match_args__, defaults=[
+                cls.__dict__[name] for name in cls.__match_args__
+                if name in cls.__dict__])
+        self.__dict__.update(zip(cls.__match_args__,
+                                 cls._bind(*args, **kwargs)))
 
     def _fields(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__match_args__)

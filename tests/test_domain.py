@@ -11,11 +11,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from patrolgeom import (CircularPatrolScenario, LinearPatrolScenario,
-                        RadiusDistribution, exact_probability_random_radius)
+                        RadiusDistribution, asymptotic_probability_randomized,
+                        exact_probability_random_radius)
 from patrolgeom.circular import (_arc, _detection_arc, asymptotic_summary,
                                  detection_arc_set, detects, exact_probability,
                                  mc_probability)
@@ -153,6 +154,32 @@ def test_first_order_arc_falls_short_by_at_most_the_second_order_term(e, w):
 def test_second_order_arc_is_within_a_tenth_of_e4(e, w):
     L, L_asym, c = _arc_expansion(e, w)
     assert abs(L - L_asym * (1.0 + c * e * e)) / L <= 0.1 * e ** 4
+
+
+@PROPERTY
+@given(st.floats(0.1, 0.999), st.floats(0.05, 0.95), _log_uniform(1e-6, 1.0),
+       arc_speeds, st.floats(0.0, 1.0))
+@example(0.5, 0.5, 1.0, 0.0, 1.0)
+@example(0.999, 0.95, 1e-6, 1e4, 0.0)
+def test_randomized_asymptotic_falls_short_by_at_most_the_atoms_terms(
+        k, p, shrink, w, fleet):
+    # two atoms with mean one, k < 1 < k2; each atom's arc has ratio e/k <= 0.5
+    k2 = (1.0 - p * k) / (1.0 - p)
+    d = RadiusDistribution.from_atoms([(k, p), (k2, 1.0 - p)])
+    e = 0.5 * k * shrink
+    arcs = [(weight, *_arc_expansion(e / atom, w)) for atom, weight in d.atoms]
+    # a fleet that saturates no atom: n * L_k < 2*pi for each k
+    n = max(1, int(fleet * TWO_PI / max(L for _, L, _, _ in arcs)))
+    assume(all(n * L < TWO_PI for _, L, _, _ in arcs))
+    s = CircularPatrolScenario(R=1.0, r=e, n=n, v=w, u=1.0)
+    exact = exact_probability_random_radius(s, d)
+    gap = exact - asymptotic_probability_randomized(s, d)
+    bound = math.fsum(weight * n * L_asym / TWO_PI
+                      * (c * (e / atom) ** 2 + 0.09 * (e / atom) ** 4)
+                      for (atom, _), (weight, _, L_asym, c)
+                      in zip(d.atoms, arcs))
+    slack = 4.0 * math.ulp(exact)
+    assert -slack <= gap <= bound + slack
 
 
 # ---- Monte Carlo against exact ----

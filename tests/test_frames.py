@@ -172,3 +172,37 @@ _ANGLE_ENTRY_POINTS = {
 def test_non_finite_angle_is_an_error(ref_circular, entry, angle):
     with pytest.raises(ValueError, match="^angle must be finite, got "):
         _ANGLE_ENTRY_POINTS[entry](angle, ref_circular)
+
+
+@pytest.mark.parametrize("R", [1e155, 1e300])
+def test_kinematics_scale_with_R_where_its_square_overflows(R):
+    # lengths in units of R: R*rho and (rho - R)^2 leave the float range
+    # here, while every distance stays finite
+    unit = CircularPatrolScenario(R=1.0, r=0.05, n=7, v=2.0, u=1.0)
+    s = CircularPatrolScenario(R=R, r=0.05 * R, n=7, v=2.0, u=1.0)
+    for fraction in (0.0, 0.25, 0.5, 0.9, 1.0):
+        for psi in (0.0, 0.3, 1.0, 2.5, 4.0):
+            for i in (0, 3):
+                want = distance_to_vehicle(psi, fraction * 1.05, i, unit)
+                got = distance_to_vehicle(psi, fraction * 1.05 * R, i, s) / R
+                assert abs(got - want) <= 4 * math.ulp(want)
+            want = object_position_rotating(psi, fraction * 1.05, unit)
+            got = object_position_rotating(psi, fraction * 1.05 * R, s)
+            assert abs(got.radius / R - want.radius) <= 4 * math.ulp(1.0)
+            assert got.angle == pytest.approx(want.angle, rel=1e-15)
+    assert distance_to_vehicle(0.0, 0.0, 0, s) == pytest.approx(0.05 * R,
+                                                                rel=1e-15)
+
+
+def test_only_lengths_beyond_the_float_range_overflow():
+    s = CircularPatrolScenario(R=1.7e308, r=0.9e308, n=2, v=0.0, u=1.0)
+    # the launch circle's radius R + r exceeds the float range
+    with pytest.raises(OverflowError):
+        object_position_rotating(0.0, 0.0, s)
+    assert object_position_rotating(0.0, 0.9e308, s).radius == \
+        pytest.approx(1.7e308, rel=1e-15)
+    # straight over vehicle 0 the distance is r; vehicle 1 is 2R + r away
+    assert distance_to_vehicle(0.0, 0.0, 0, s) == pytest.approx(0.9e308,
+                                                                rel=1e-15)
+    with pytest.raises(OverflowError):
+        distance_to_vehicle(0.0, 0.0, 1, s)

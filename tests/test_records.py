@@ -1,10 +1,15 @@
 """The contract every parameter and result record keeps: construction by
-keyword or position with the two declared defaults, the `Name(f=value)`
-repr, field-wise equality and hashing within one class, immutability, and
-pickle and copy round trips."""
+keyword or position with the two declared defaults, Python's own
+`TypeError` for a bad argument list, the `Name(f=value)` repr, field-wise
+equality and hashing within one class, immutability, and pickle and copy
+round trips, also in a process that has constructed no record yet."""
 
 import copy
+import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +18,7 @@ from patrolgeom import (AsymptoticSummary, CircleIntervalSet,
                         LinearPatrolScenario, NeedleProblem,
                         PiecewiseRadiusProcess, PolarPoint, RadiusDistribution,
                         RotatingFramePoint, SeedSchedule)
+from patrolgeom.scenario import _Record
 
 # (class, field names, field values, repr)
 RECORDS = [
@@ -144,3 +150,57 @@ def test_bad_arguments_raise_type_error(record):
         cls(*values, **{names[0]: values[0]})
     with pytest.raises(TypeError):
         cls(*values, 1.0)
+
+
+def test_each_bad_argument_is_named(record):
+    cls, names, values, _ = record
+    kwargs = dict(zip(names, values))
+    for name in names:
+        if (cls, name) not in DEFAULTS:
+            with pytest.raises(TypeError, match=f"missing .*'{name}'"):
+                cls(**{k: v for k, v in kwargs.items() if k != name})
+    with pytest.raises(TypeError, match="unexpected .*'unknown_field'"):
+        cls(**kwargs, unknown_field=1.0)
+    with pytest.raises(TypeError, match=f"multiple values .*'{names[-1]}'"):
+        cls(*values, **{names[-1]: values[-1]})
+
+
+def test_a_default_ahead_of_a_plain_field_is_refused():
+    # the defaults bind to the trailing fields, so this order would bind
+    # a positional argument to the wrong field
+    with pytest.raises(TypeError, match="Bad: a field without a default "
+                                        "follows one with a default"):
+        class Bad(_Record):
+            first: float = 0.0
+            second: float
+
+    class Good(_Record):
+        first: float
+        second: float = 0.0
+
+    assert Good(1.0) == Good(first=1.0, second=0.0)
+
+
+_UNPICKLE_FIRST = """
+import pickle, sys
+records = pickle.loads(bytes.fromhex(sys.stdin.read()))
+for rec in records:
+    twin = type(rec)(*(getattr(rec, name) for name in rec.__match_args__))
+    print(rec == twin, hash(rec) == hash(twin), repr(rec) == repr(twin),
+          repr(rec))
+"""
+
+
+def test_a_fresh_process_unpickles_before_constructing():
+    # the records are unpickled before the child builds any record class's
+    # binding, then compared with records the child constructs
+    records = [cls(*values) for cls, _, values, _ in RECORDS]
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run([sys.executable, "-c", _UNPICKLE_FIRST],
+                          input=pickle.dumps(records).hex(),
+                          capture_output=True, text=True, env=env,
+                          timeout=120, check=True)
+    lines = proc.stdout.splitlines()
+    assert lines == [f"True True True {text}" for *_, text in RECORDS]
