@@ -219,9 +219,10 @@ class _FoldIndicator:
     a trial is detected iff (x - lo) mod period <= length.  With the
     cumulative atom weights cum, lo and length are per-atom sequences and
     draw 0 picks each trial's atom.  evaluate_batch tests a (m, n_draws)
-    block of trials, evaluate_one the list of one trial's draws, with the
-    same floating-point operations in the same order: Python's float %
-    and np.mod both take fmod and then fix the sign."""
+    block of trials, evaluate_one the sequence (a tuple on the runner's
+    scalar path) of one trial's draws, with the same floating-point
+    operations in the same order: Python's float % and np.mod both take
+    fmod and then fix the sign."""
 
     def __init__(self, n_draws, offset, period, lo, length, cum=None):
         self.n_draws, self._offset, self._period = n_draws, offset, period
@@ -243,7 +244,7 @@ class _FoldIndicator:
         np.mod(x, self._period, out=x)
         return x <= length
 
-    def evaluate_one(self, u: list[float]) -> bool:
+    def evaluate_one(self, u: Sequence[float]) -> bool:
         """The detection flag of one trial, as evaluate_batch computes it."""
         x = self._offset(u, self._period)
         lo, length = self._lo, self._length

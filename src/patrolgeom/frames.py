@@ -119,8 +119,10 @@ def _run(psi: float, t: float,
     if not (0.0 <= t <= horizon and math.isfinite(t)):
         raise ValueError(f"t must lie in [0, {horizon!r}]")
     e, delta = s.r / s.R, _product(s.u, t, s.R)
-    return (e - delta, max(0.0, (1.0 + e) - delta),
-            wrap_positive(psi - _product(s.v, t, s.R)))
+    # fmod is exact, and reducing the drift first keeps psi's digits where
+    # the drift is far above 2*pi
+    drift = math.fmod(_product(s.v, t, s.R), TWO_PI)
+    return (e - delta, max(0.0, (1.0 + e) - delta), wrap_positive(psi - drift))
 
 
 def object_position_rotating(psi: float, t: float,

@@ -20,18 +20,25 @@ without loading them.  `run_bernoulli_trials` imports numpy in the calling
 thread, before any worker starts.
 
 A small request need not import numpy at all.  An indicator may offer a
-one-trial test, evaluate_one; while numpy is not yet loaded and the request
-fits what is left of a per-process allowance of trials, the runner counts
-it in a plain Python loop over the same splitmix64 draws (`_count_scalar`).
+one-trial test, evaluate_one; while numpy is not yet loaded and the
+request's draws (trials x n_draws) fit what is left of a per-process
+allowance, the runner counts it in plain Python over the same splitmix64
+draws (`_count_scalar`).  That path packs 1024 trials into one Python int,
+a 128-bit lane each, so each step of splitmix64 is one big-int operation
+for all of them (`_mix`, of which `mix64` is the one-lane case); it then
+unpacks the words and hands evaluate_one one tuple of draws per trial.
 The allowance is spent, not reset, so a long run of small requests turns
 to numpy once it is gone.  The count is the same on either path.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
+import operator
 import sys
-from typing import Optional
+from typing import Iterator, Optional
 
 from .scenario import _integer, _Record
 
@@ -64,15 +71,21 @@ DEFAULT_SEED = 1729
 # temporaries took one worker from 0.38 s to 0.52 s there.
 CHUNK_TRIALS = 32768
 
-# Trials this process may still count on the scalar path, which never
-# imports numpy (see run_bernoulli_trials).  A fresh process breaks even
-# with numpy's import at about 70 000 trials for the circle, 50 000 for the
-# segment and 40 000 for the randomized radius (process wall time, median
-# of 7, 2-core host, Python 3.11, numpy 2.4).  The allowance is spent,
-# not reset per request: a many-row sweep of small requests then pays the
-# scalar cost only until the allowance runs out, at most about one import.
-# It picks the path only, so callers in several threads may race on it.
-_scalar_left = CHUNK_TRIALS
+# Draws (trials x n_draws) a process may count on the scalar path, which
+# never imports numpy (see run_bernoulli_trials).  It is counted in draws
+# because the path's cost per trial grows with its draws: about 0.5-0.8 us
+# per trial for the circle (1 draw), 0.8-0.9 us for the segment (2 draws)
+# and 1.3-1.4 us for the randomized radius (2 draws and an atom lookup).
+# Fresh processes break even with numpy's import at about 120 000-145 000
+# draws for the circle, 200 000-220 000 for the segment and 155 000-180 000
+# for the randomized radius (process wall time, median of 7, two rounds;
+# 2-core host, Python 3.11, numpy 2.4).  4 * CHUNK_TRIALS = 131 072 draws
+# lies within the circle's range and below the others.  The allowance is spent, not reset per request: a many-row
+# sweep of small requests then pays the scalar cost only until the
+# allowance runs out, at most about one import.  It picks the path only,
+# so callers in several threads may race on it.
+_SCALAR_DRAWS = 4 * CHUNK_TRIALS
+_scalar_left = _SCALAR_DRAWS
 
 # Ceiling on worker threads.  The estimate does not depend on `workers`, and
 # a count far above the cores only adds threads: unbounded, a large request
@@ -85,16 +98,63 @@ _MULT_A = 0xBF58476D1CE4E5B9
 _MULT_B = 0x94D049BB133111EB
 _INV_2_53 = 2.0 ** -53
 
+# The scalar path packs the 64-bit values of _LANES trials into one int, a
+# 128-bit lane each, so one big-int operation steps all of them.
+_LANES = 1024
+_LANE_BITS = 128
+_LANE_BYTES = _LANE_BITS // 8
+# The low word of each lane, in lane order, among the native 64-bit words of
+# the int's bytes in native order
+_LOW_WORDS = slice(None, None, 2 if sys.byteorder == "little" else -2)
+
 # Normal quantile of the two-sided 95% level, NormalDist().inv_cdf(0.975).
 _Z95 = 1.9599639845400536
 
 
+def _mix(x: int, mask: int) -> int:
+    """The splitmix64 finalizer on every lane of x at once.  mask keeps the
+    low 64 bits of each lane, where the values live: it clears what a
+    shift spills in from the next lane, and a 64 x 64-bit product fits its
+    lane, so no step carries across lanes."""
+    x ^= (x >> 30) & mask
+    x = (x * _MULT_A) & mask
+    x ^= (x >> 27) & mask
+    x = (x * _MULT_B) & mask
+    return x ^ ((x >> 31) & mask)
+
+
 def mix64(x: int) -> int:
     """splitmix64 finalizer: a bijective avalanche mix on 64-bit integers."""
-    x &= _MASK64
-    x = ((x ^ (x >> 30)) * _MULT_A) & _MASK64
-    x = ((x ^ (x >> 27)) * _MULT_B) & _MASK64
-    return x ^ (x >> 31)
+    return _mix(x & _MASK64, _MASK64)
+
+
+@functools.cache
+def _lane_constants() -> tuple[int, int]:
+    """(ones, ramp) over _LANES lanes: 1 and i*GAMMA mod 2**64 in lane i."""
+    lanes = [((i * _GAMMA) & _MASK64).to_bytes(_LANE_BYTES, "little")
+             for i in range(_LANES)]
+    return (int.from_bytes(b"\1".ljust(_LANE_BYTES, b"\0") * _LANES, "little"),
+            int.from_bytes(b"".join(lanes), "little"))
+
+
+def _counters(first: int, m: int) -> tuple[int, int, int]:
+    """(counters, ones, mask) for m <= _LANES lanes: counter i, the splitmix64
+    state first + i*GAMMA mod 2**64, sits in lane i."""
+    ones, ramp = _lane_constants()
+    if m < _LANES:
+        low = (1 << (m * _LANE_BITS)) - 1
+        ones, ramp = ones & low, ramp & low
+    mask = _MASK64 * ones
+    return (ramp + (first & _MASK64) * ones) & mask, ones, mask
+
+
+def _uniforms(x: int, m: int, mask: int) -> Iterator[float]:
+    """The draws of the m lanes of x, in lane order: (w >> 11) * 2**-53 of
+    each 64-bit word w, as `TrialSource.uniform` maps it."""
+    words = memoryview(((x >> 11) & mask).to_bytes(m * _LANE_BYTES,
+                                                    sys.byteorder))
+    return map(operator.mul, words.cast("Q")[_LOW_WORDS].tolist(),
+               itertools.repeat(_INV_2_53))
 
 
 def _mix64_inplace(x: np.ndarray, scratch: np.ndarray) -> None:
@@ -277,19 +337,30 @@ def _check_run(trials: int, workers: int) -> None:
 
 
 def _count_scalar(indicator, trials: int, schedule: SeedSchedule) -> int:
-    """Successes of indicator.evaluate_one over trials [0, trials), one
-    trial at a time in plain Python: the draws of `TrialSource`, handed to
-    the test as a list of floats."""
-    steps = [(j + 1) * _GAMMA for j in range(indicator.n_draws)]
+    """Successes of indicator.evaluate_one over trials [0, trials) in plain
+    Python: the draws of `TrialSource`, mixed _LANES trials at a time on
+    packed ints and handed to the test as one tuple of floats per trial."""
+    steps = [((j + 1) * _GAMMA) & _MASK64 for j in range(indicator.n_draws)]
     test = indicator.evaluate_one
-    first = schedule._counter(0)
     total = 0
-    # mix64 reduces its argument mod 2**64, so the counters may run past it
-    for counter in range(first, first + trials * _GAMMA, _GAMMA):
-        key = mix64(counter)
-        total += test([(mix64(key + step) >> 11) * _INV_2_53
-                       for step in steps])
+    for lo in range(0, trials, _LANES):
+        m = min(_LANES, trials - lo)
+        counters, ones, mask = _counters(schedule._counter(lo), m)
+        keys = _mix(counters, mask)
+        draws = [_uniforms(_mix((keys + step * ones) & mask, mask), m, mask)
+                 for step in steps]
+        total += sum(map(test, zip(*draws)))
     return total
+
+
+def _trial_draws(key: int, count: int) -> Iterator[float]:
+    """The first count draws of TrialSource(key), mixed _LANES at a time."""
+    def block(lo: int) -> Iterator[float]:
+        m = min(_LANES, count - lo)
+        counters, _, mask = _counters(key + (lo + 1) * _GAMMA, m)
+        return _uniforms(_mix(counters, mask), m, mask)
+
+    return itertools.chain.from_iterable(map(block, range(0, count, _LANES)))
 
 
 def run_bernoulli_trials(indicator, trials: int, schedule: SeedSchedule,
@@ -301,12 +372,12 @@ def run_bernoulli_trials(indicator, trials: int, schedule: SeedSchedule,
     vector.  The array handed to evaluate_batch is runner-owned scratch,
     valid only during the call: the indicator may overwrite it in place.
     It may also offer evaluate_one(u), the same test on one trial's draws
-    as a list of floats, bit for bit.
+    as a sequence of floats, bit for bit.
 
-    While numpy is not yet imported, a request of such an indicator that
-    fits the process's remaining allowance (`_scalar_left`, CHUNK_TRIALS
-    trials at start) spends its trials from it and is counted by
-    `_count_scalar`, which never imports numpy.  Every other request, and
+    While numpy is not yet imported, a request of such an indicator whose
+    trials x n_draws fit the process's remaining allowance
+    (`_scalar_left`, _SCALAR_DRAWS draws at start) spends its draws from
+    it and is counted by `_count_scalar`, which never imports numpy.  Every other request, and
     every one after numpy is loaded, takes the vector path.  Both paths
     count the same draws exactly, so the path never changes the result.
 
@@ -321,15 +392,15 @@ def run_bernoulli_trials(indicator, trials: int, schedule: SeedSchedule,
 
     _check_run(trials, workers)
     schedule._counter(0)  # a bad seed raises before any draw
+    draws = int(indicator.n_draws)
     if (hasattr(indicator, "evaluate_one") and "numpy" not in sys.modules
-            and trials <= _scalar_left):
-        _scalar_left -= trials
+            and trials * draws <= _scalar_left):
+        _scalar_left -= trials * draws
         return estimate_from_counts(
             _count_scalar(indicator, trials, schedule), trials)
 
     import numpy as np
 
-    draws = int(indicator.n_draws)
     chunk = CHUNK_TRIALS
     workers = min(workers, -(-trials // chunk))
 

@@ -23,7 +23,8 @@ import math
 from typing import Optional, Sequence
 
 from .circular import TWO_PI, _angle, _arc, _FoldIndicator, _sin_alpha
-from .montecarlo import EstimateWithCI, SeedSchedule, run_bernoulli_trials
+from .montecarlo import (EstimateWithCI, SeedSchedule, _trial_draws,
+                         run_bernoulli_trials)
 from .scenario import (CircularPatrolScenario, ValidationError, _number,
                        _Record, _validate_as)
 
@@ -225,16 +226,21 @@ def ergodic_time_average(proc: PiecewiseRadiusProcess,
     validate_process(proc)
     inverse = [1.0 / k for k in proc.states]
     m = len(inverse)
-    source = SeedSchedule(seed).trial_source(0)
+    key = SeedSchedule(seed).trial_key(0)
     full = int(proc.horizon // proc.dwell)
     remainder = proc.horizon - full * proc.dwell
+    if proc.transition == "cyclic":
+        path = itertools.cycle(range(m))
+    else:
+        # state 0, then one state per draw u of trial 0's source, as
+        # TrialSource.uniform(0, m) draws it; u <= 1 - 2**-53 puts m*u more
+        # than half an ulp below m, so it rounds below m
+        path = itertools.chain([0], (int(m * u)
+                                     for u in _trial_draws(key, full)))
+    per_dwell = [proc.dwell * k for k in inverse]
     acc = 0.0
-    idx = 0
-    for step in range(full + (1 if remainder > 0.0 else 0)):
-        duration = proc.dwell if step < full else remainder
-        acc += duration * inverse[idx]
-        if proc.transition == "cyclic":
-            idx = (idx + 1) % m
-        else:
-            idx = min(int(source.uniform(0.0, m)), m - 1)
+    for idx in itertools.islice(path, full):
+        acc += per_dwell[idx]
+    if remainder > 0.0:
+        acc += remainder * inverse[next(path)]
     return acc / proc.horizon, math.fsum(inverse) / m

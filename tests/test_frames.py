@@ -93,6 +93,18 @@ def test_object_position_start_and_descent(ref_circular):
     assert end.radius == 0.0
 
 
+def test_object_position_keeps_the_launch_angle_past_a_huge_drift():
+    # the drift (v/R) t = 5e19 rad is far above 2**53; reduced mod 2*pi
+    # before psi is subtracted, it leaves psi's digits in the angle
+    s = CircularPatrolScenario(R=1.0, r=0.1, n=10, v=1e20, u=1.0)
+    angles = [object_position_rotating(psi, 0.5, s).angle
+              for psi in (0.0, 0.5, 1.0, 2.0)]
+    assert len(set(angles)) == 4
+    for psi, angle in zip((0.5, 1.0, 2.0), angles[1:]):
+        assert angle == pytest.approx(wrap_positive(angles[0] + psi),
+                                      abs=1e-12)
+
+
 def test_object_position_rejects_times_outside_the_run(ref_circular):
     with pytest.raises(ValueError):
         object_position_rotating(0.0, -0.001, ref_circular)

@@ -18,9 +18,10 @@ from patrolgeom import circular, linear, montecarlo, randomradius
 from patrolgeom.buffon import NeedleProblem, _NeedleIndicator, buffon_mc
 from patrolgeom.circular import TWO_PI, _detection_arc, mc_probability
 from patrolgeom.linear import mc_probability_linear
-from patrolgeom.montecarlo import (CHUNK_TRIALS, MAX_WORKERS, DrawWorkspace,
-                                   EstimateWithCI, SeedSchedule,
-                                   _count_scalar, estimate_from_counts, mix64,
+from patrolgeom.montecarlo import (_LANES, _SCALAR_DRAWS, CHUNK_TRIALS,
+                                   MAX_WORKERS, DrawWorkspace, EstimateWithCI,
+                                   SeedSchedule, TrialSource, _count_scalar,
+                                   _trial_draws, estimate_from_counts, mix64,
                                    run_bernoulli_trials, wilson_interval)
 from patrolgeom.randomradius import (PiecewiseRadiusProcess, RadiusDistribution,
                                      ergodic_time_average,
@@ -494,17 +495,60 @@ def test_scalar_and_vector_paths_count_the_same_successes(model, e, w, n,
     (CHUNK_TRIALS + 1, 2 ** 63 + 12345),
 ])
 def test_scalar_and_vector_counts_agree_around_the_allowance(trials, seed):
-    # CHUNK_TRIALS is also the scalar allowance; one more trial takes the
-    # vector path across a chunk boundary
+    # at CHUNK_TRIALS the vector path crosses a chunk boundary, which is
+    # also a boundary of the scalar path's blocks of _LANES trials; the
+    # allowance itself is counted in draws, tested at its own boundary below
     for model in _FOLD_MODELS:
         indicator = _fold_indicator(model)
         assert (_count_scalar(indicator, trials, SeedSchedule(seed))
                 == _vector_count(indicator, trials, seed)), model
 
 
+@pytest.mark.parametrize("model", _FOLD_MODELS)
+@pytest.mark.parametrize("extra", [-1, 0, 1])
+def test_scalar_and_vector_counts_agree_at_the_draw_allowance(model, extra):
+    # the largest request the allowance admits, and one trial either side
+    indicator = _fold_indicator(model)
+    trials = _SCALAR_DRAWS // indicator.n_draws + extra
+    assert (_count_scalar(indicator, trials, SeedSchedule(2 ** 64 - 3))
+            == _vector_count(indicator, trials, 2 ** 64 - 3))
+
+
+class _Recorder:
+    """Records the draws the scalar path hands each trial; detects none."""
+
+    def __init__(self, n_draws):
+        self.n_draws, self.seen = n_draws, []
+
+    def evaluate_one(self, u):
+        self.seen.append(tuple(u))
+        return False
+
+
+_LANE_SEEDS = st.one_of(st.integers(-2 ** 70, -1), st.integers(2 ** 64, 2 ** 70),
+                        st.integers(0, 2 ** 63 - 1).map(np.int64),
+                        st.integers(0, 2 ** 64 - 1).map(np.uint64))
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(_LANE_SEEDS, st.integers(1, 3),
+       st.sampled_from([1, _LANES - 1, _LANES, _LANES + 1, 3 * _LANES + 17]))
+def test_lane_draws_equal_trial_source_draws(seed, n_draws, trials):
+    schedule = SeedSchedule(seed)
+    recorder = _Recorder(n_draws)
+    assert _count_scalar(recorder, trials, schedule) == 0
+    sources = map(schedule.trial_source, range(trials))
+    assert recorder.seen == [tuple(src.uniform() for _ in range(n_draws))
+                             for src in sources]
+    key = schedule.trial_key(trials)
+    source = TrialSource(key)
+    assert list(_trial_draws(key, trials)) == [source.uniform()
+                                               for _ in range(trials)]
+
+
 _ALLOWANCE_PROBE = """
 import json, sys
-from patrolgeom.montecarlo import CHUNK_TRIALS
+from patrolgeom.montecarlo import _SCALAR_DRAWS
 from patrolgeom.circular import mc_probability
 from patrolgeom.linear import mc_probability_linear
 from patrolgeom.randomradius import (RadiusDistribution,
@@ -515,7 +559,8 @@ segment = LinearPatrolScenario(R=100.0, r=5.0, n=5, v=2.0, u=1.0)
 atoms = RadiusDistribution.from_atoms([(0.8, 0.25), (1.0, 0.5), (1.2, 0.25)])
 out = []
 for run in (lambda: mc_probability(circle, 30000, 7),
-            lambda: mc_probability_linear(segment, CHUNK_TRIALS - 30000, 8),
+            lambda: mc_probability_linear(segment, (_SCALAR_DRAWS - 30000) // 2,
+                                          8),
             lambda: mc_probability_random_radius(circle, atoms, 1, 9),
             lambda: mc_probability(circle, 10, 10)):
     out.append([run().successes, "numpy" in sys.modules])
@@ -524,9 +569,11 @@ print(json.dumps(out))
 
 
 def test_the_scalar_allowance_is_spent_across_requests():
-    # a fresh process: the first two requests spend the allowance exactly,
-    # the third no longer fits and loads numpy, and the fourth, though
-    # small, stays on numpy
+    # a fresh process: the first two requests spend the allowance of draws
+    # exactly (30 000 one-draw circle trials, then two-draw segment trials),
+    # the third's two draws no longer fit and load numpy, and the fourth,
+    # though small, stays on numpy
+    assert (_SCALAR_DRAWS - 30000) % 2 == 0
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
@@ -535,7 +582,8 @@ def test_the_scalar_allowance_is_spent_across_requests():
                           timeout=120, check=True)
     expected = [
         mc_probability(_CIRCLE, 30000, 7).successes,
-        mc_probability_linear(_SEGMENT, CHUNK_TRIALS - 30000, 8).successes,
+        mc_probability_linear(_SEGMENT, (_SCALAR_DRAWS - 30000) // 2,
+                              8).successes,
         mc_probability_random_radius(_CIRCLE, _ATOMS, 1, 9).successes,
         mc_probability(_CIRCLE, 10, 10).successes,
     ]

@@ -324,6 +324,38 @@ def test_ergodic_average_cyclic_visits_states_evenly():
     assert abs(avg - ensemble) < 1e-3
 
 
+def _ergodic_reference(proc, seed):
+    """The trajectory average walked one dwell at a time, each random step
+    drawing one TrialSource.uniform."""
+    inverse = [1.0 / k for k in proc.states]
+    m = len(inverse)
+    source = SeedSchedule(seed).trial_source(0)
+    full = int(proc.horizon // proc.dwell)
+    remainder = proc.horizon - full * proc.dwell
+    acc, idx = 0.0, 0
+    for step in range(full + (1 if remainder > 0.0 else 0)):
+        acc += (proc.dwell if step < full else remainder) * inverse[idx]
+        if proc.transition == "cyclic":
+            idx = (idx + 1) % m
+        else:
+            idx = min(int(source.uniform(0.0, m)), m - 1)
+    return acc / proc.horizon
+
+
+@pytest.mark.parametrize("seed", [0, -7, 2 ** 64 + 11])
+@pytest.mark.parametrize("transition", ["random", "cyclic"])
+@pytest.mark.parametrize("states,dwell,horizon", [
+    ((0.9, 1.1), 1.0, 200.0),
+    ((0.5, 1.0, 1.5), 0.7, 1234.5),
+    ((0.8, 0.9, 1.0, 1.1, 1.2, 1.3, 0.7), 0.25, 1000.0),
+])
+def test_ergodic_average_equals_the_one_draw_at_a_time_walk(
+        seed, transition, states, dwell, horizon):
+    proc = PiecewiseRadiusProcess(states, dwell, horizon, transition)
+    assert (ergodic_time_average(proc, seed)[0]
+            == _ergodic_reference(proc, seed))
+
+
 def test_ergodic_average_random_transitions_settle():
     states = (0.9, 1.1)
     proc = PiecewiseRadiusProcess(states, 1.0, 10_000.0, transition="random")

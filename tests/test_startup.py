@@ -1,5 +1,5 @@
 """Start-up cost: the closed-form commands never load numpy, the thread
-pool or `statistics`.  A small Monte Carlo request (up to 32 768 trials in
+pool or `statistics`.  A small Monte Carlo request (up to 131 072 draws in
 all per process) counts its trials without numpy; a larger one loads numpy,
 the thread pool only for several workers, and `statistics` never.  A
 request builds only the argument parsers its command names.
@@ -74,7 +74,7 @@ def test_closed_form_commands_never_load_numpy():
 
 
 def test_single_worker_monte_carlo_loads_numpy_but_no_thread_pool():
-    codes, modules = _run(["circular", "mc", *REF, "--trials", "100000",
+    codes, modules = _run(["circular", "mc", *REF, "--trials", "200000",
                            "--workers", "1"])
     assert codes == [0]
     assert "numpy" in modules
@@ -94,8 +94,9 @@ def test_small_monte_carlo_requests_never_load_numpy():
 
 
 def test_a_sweep_of_small_requests_turns_to_numpy():
-    # 40 rows of 20 000 trials: the first fits the process's scalar
-    # allowance, the second does not, and the rest run on numpy
+    # 40 rows of 20 000 one-draw trials: the first six fit the process's
+    # scalar allowance of 131 072 draws, the seventh does not, and the rest
+    # run on numpy
     codes, modules = _run(["sweep", *REF, "--parameter", "r", "--start", "1",
                            "--stop", "20", "--steps", "40", "--estimators",
                            "mc", "--trials", "20000"])
