@@ -312,8 +312,11 @@ def _sin_alpha(u: float, v: float) -> float:
 
 
 def _summary(chord: float, per_vehicle: float, n: int) -> AsymptoticSummary:
-    """The closed-form record, or OverflowError where a value is inf."""
-    if math.isinf(chord) or math.isinf(per_vehicle):
+    """The closed-form record, or OverflowError where a value is inf: the
+    chord, the share or m_min, whose 1/share overflows where the share is
+    0 or subnormal."""
+    if (math.isinf(chord) or not 0.0 < per_vehicle < math.inf
+            or math.isinf(1.0 / per_vehicle)):
         raise OverflowError("closed form exceeds the float range")
     return AsymptoticSummary(chord_l=chord, p_asym=min(1.0, n * per_vehicle),
                              m_min=minimum_fleet_size(per_vehicle))

@@ -271,6 +271,8 @@ def _cmd_sweep(args) -> None:
 
     for _ in scenarios():  # a bad value raises before the header
         pass
+    if "exact" in args.estimators and base["kind"] != "circular":
+        raise ValidationError("the exact estimator needs a circular scenario")
     if "mc" in args.estimators:  # as do bad --trials and --workers
         _check_run(args.trials, args.workers)
     # then one row at a time, as polar-image does

@@ -25,8 +25,11 @@ request's draws (trials x n_draws) fit what is left of a per-process
 allowance, the runner counts it in plain Python over the same splitmix64
 draws (`_count_scalar`).  That path packs 1024 trials into one Python int,
 a 128-bit lane each, so each step of splitmix64 is one big-int operation
-for all of them (`_mix`, of which `mix64` is the one-lane case); it then
-unpacks the words and hands evaluate_one one tuple of draws per trial.
+for all of them (`_mix`, of which `mix64` is the one-lane case).  Every
+draw is one lane step (`_mixed`): add a constant to every lane, then mix.
+Blocks are mixed whole, all 1024 lanes, the last one too; the path then
+unpacks the words of the lanes it needs and hands evaluate_one one tuple
+of draws per trial.
 The allowance is spent, not reset, so a long run of small requests turns
 to numpy once it is gone.  The count is the same on either path.
 """
@@ -80,10 +83,11 @@ CHUNK_TRIALS = 32768
 # draws for the circle, 200 000-220 000 for the segment and 155 000-180 000
 # for the randomized radius (process wall time, median of 7, two rounds;
 # 2-core host, Python 3.11, numpy 2.4).  4 * CHUNK_TRIALS = 131 072 draws
-# lies within the circle's range and below the others.  The allowance is spent, not reset per request: a many-row
-# sweep of small requests then pays the scalar cost only until the
-# allowance runs out, at most about one import.  It picks the path only,
-# so callers in several threads may race on it.
+# lies within the circle's range and below the others.  The allowance is
+# spent, not reset per request: a many-row sweep of small requests then
+# pays the scalar cost only until the allowance runs out, at most about one
+# import.  It picks the path only, so callers in several threads may race
+# on it.
 _SCALAR_DRAWS = 4 * CHUNK_TRIALS
 _scalar_left = _SCALAR_DRAWS
 
@@ -101,8 +105,7 @@ _INV_2_53 = 2.0 ** -53
 # The scalar path packs the 64-bit values of _LANES trials into one int, a
 # 128-bit lane each, so one big-int operation steps all of them.
 _LANES = 1024
-_LANE_BITS = 128
-_LANE_BYTES = _LANE_BITS // 8
+_LANE_BYTES = 16
 # The low word of each lane, in lane order, among the native 64-bit words of
 # the int's bytes in native order
 _LOW_WORDS = slice(None, None, 2 if sys.byteorder == "little" else -2)
@@ -129,31 +132,28 @@ def mix64(x: int) -> int:
 
 
 @functools.cache
-def _lane_constants() -> tuple[int, int]:
-    """(ones, ramp) over _LANES lanes: 1 and i*GAMMA mod 2**64 in lane i."""
+def _lane_constants() -> tuple[int, int, int]:
+    """(ones, ramp, mask) over _LANES lanes: 1, i*GAMMA mod 2**64 and
+    2**64 - 1 in lane i."""
     lanes = [((i * _GAMMA) & _MASK64).to_bytes(_LANE_BYTES, "little")
              for i in range(_LANES)]
-    return (int.from_bytes(b"\1".ljust(_LANE_BYTES, b"\0") * _LANES, "little"),
-            int.from_bytes(b"".join(lanes), "little"))
+    ones = int.from_bytes(b"\1".ljust(_LANE_BYTES, b"\0") * _LANES, "little")
+    return ones, int.from_bytes(b"".join(lanes), "little"), _MASK64 * ones
 
 
-def _counters(first: int, m: int) -> tuple[int, int, int]:
-    """(counters, ones, mask) for m <= _LANES lanes: counter i, the splitmix64
-    state first + i*GAMMA mod 2**64, sits in lane i."""
-    ones, ramp = _lane_constants()
-    if m < _LANES:
-        low = (1 << (m * _LANE_BITS)) - 1
-        ones, ramp = ones & low, ramp & low
-    mask = _MASK64 * ones
-    return (ramp + (first & _MASK64) * ones) & mask, ones, mask
+def _mixed(base: int, add: int) -> int:
+    """The lane step: each lane of base plus add, mod 2**64, mixed."""
+    ones, _, mask = _lane_constants()
+    return _mix((base + (add & _MASK64) * ones) & mask, mask)
 
 
-def _uniforms(x: int, m: int, mask: int) -> Iterator[float]:
-    """The draws of the m lanes of x, in lane order: (w >> 11) * 2**-53 of
-    each 64-bit word w, as `TrialSource.uniform` maps it."""
-    words = memoryview(((x >> 11) & mask).to_bytes(m * _LANE_BYTES,
-                                                    sys.byteorder))
-    return map(operator.mul, words.cast("Q")[_LOW_WORDS].tolist(),
+def _uniforms(x: int, m: int) -> Iterator[float]:
+    """The draws of the first m lanes of a mixed x, in lane order:
+    (w >> 11) * 2**-53 of each 64-bit word w, as `TrialSource.uniform` maps
+    it.  The high half of each lane is zero, so the shift moves nothing
+    into a low word from its neighbour."""
+    words = memoryview((x >> 11).to_bytes(_LANES * _LANE_BYTES, sys.byteorder))
+    return map(operator.mul, words.cast("Q")[_LOW_WORDS][:m].tolist(),
                itertools.repeat(_INV_2_53))
 
 
@@ -338,29 +338,29 @@ def _check_run(trials: int, workers: int) -> None:
 
 def _count_scalar(indicator, trials: int, schedule: SeedSchedule) -> int:
     """Successes of indicator.evaluate_one over trials [0, trials) in plain
-    Python: the draws of `TrialSource`, mixed _LANES trials at a time on
-    packed ints and handed to the test as one tuple of floats per trial."""
-    steps = [((j + 1) * _GAMMA) & _MASK64 for j in range(indicator.n_draws)]
+    Python: the draws of `TrialSource`, handed to the test as one tuple of
+    floats per trial.  Each block of _LANES trials is mixed whole, the last
+    one too, by two lane steps: the counters of trial lo + i become its
+    key, and the key plus j*GAMMA its draw j; only the first m lanes of a
+    block of m trials are read."""
+    ramp = _lane_constants()[1]
     test = indicator.evaluate_one
     total = 0
     for lo in range(0, trials, _LANES):
         m = min(_LANES, trials - lo)
-        counters, ones, mask = _counters(schedule._counter(lo), m)
-        keys = _mix(counters, mask)
-        draws = [_uniforms(_mix((keys + step * ones) & mask, mask), m, mask)
-                 for step in steps]
+        keys = _mixed(ramp, schedule._counter(lo))
+        draws = [_uniforms(_mixed(keys, (j + 1) * _GAMMA), m)
+                 for j in range(indicator.n_draws)]
         total += sum(map(test, zip(*draws)))
     return total
 
 
 def _trial_draws(key: int, count: int) -> Iterator[float]:
     """The first count draws of TrialSource(key), mixed _LANES at a time."""
-    def block(lo: int) -> Iterator[float]:
-        m = min(_LANES, count - lo)
-        counters, _, mask = _counters(key + (lo + 1) * _GAMMA, m)
-        return _uniforms(_mix(counters, mask), m, mask)
-
-    return itertools.chain.from_iterable(map(block, range(0, count, _LANES)))
+    ramp = _lane_constants()[1]
+    for lo in range(0, count, _LANES):
+        yield from _uniforms(_mixed(ramp, key + (lo + 1) * _GAMMA),
+                             min(_LANES, count - lo))
 
 
 def run_bernoulli_trials(indicator, trials: int, schedule: SeedSchedule,
@@ -377,9 +377,10 @@ def run_bernoulli_trials(indicator, trials: int, schedule: SeedSchedule,
     While numpy is not yet imported, a request of such an indicator whose
     trials x n_draws fit the process's remaining allowance
     (`_scalar_left`, _SCALAR_DRAWS draws at start) spends its draws from
-    it and is counted by `_count_scalar`, which never imports numpy.  Every other request, and
-    every one after numpy is loaded, takes the vector path.  Both paths
-    count the same draws exactly, so the path never changes the result.
+    it and is counted by `_count_scalar`, which never imports numpy.  Every
+    other request, and every one after numpy is loaded, takes the vector
+    path.  Both paths count the same draws exactly, so the path never
+    changes the result.
 
     On the vector path, trials are cut into fixed chunks of CHUNK_TRIALS;
     worker k of `workers` threads takes chunks k, k + workers, ... and

@@ -427,10 +427,15 @@ def test_linear_mc_detects_every_crossing_when_sin_alpha_underflows(capsys):
     ("linear", "asymptotic") + _FLAT,
     ("linear", "asymptotic", "--R", "1e301", "--r", "1e300", "--n", "1",
      "--v", "1e10", "--u", "1e-10"),
+    ("circular", "asymptotic", "--R", "100", "--r", "1e-320", "--n", "10",
+     "--v", "2", "--u", "1"),
+    ("linear", "asymptotic", "--R", "1e300", "--r", "5e-324", "--n", "10",
+     "--v", "2", "--u", "1"),
 ])
 def test_closed_form_beyond_the_float_range_exits_one(capsys, argv):
-    # sin(alpha) underflows to 0, or the segment's chord 2r/sin(alpha)
-    # exceeds 1.8e308
+    # sin(alpha) underflows to 0, or a value exceeds 1.8e308: the
+    # segment's chord 2r/sin(alpha), or m_min = ceil(1/share) for a share
+    # that is 0 or subnormal
     code, out, err = run_cli(capsys, *argv, "--no-timing")
     assert (code, out) == (1, "")
     assert err.startswith("error: OverflowError") and err.count("\n") == 1
@@ -517,10 +522,14 @@ _SWEEP_R = ("sweep",) + _REF_FLAGS + ("--parameter", "r")
      "swept n values must be integers"),
     (_SWEEP_R[:-1] + ("n", "--values", "inf"), None,
      "swept n values must be integers"),
+    (("sweep", "--scenario", "{file}", "--parameter", "n", "--values", "1,2",
+      "--estimators", "asymptotic,exact"), json.dumps(REF_LINEAR),
+     "the exact estimator needs a circular scenario"),
 ], ids=["unreadable-file", "malformed-file", "file-not-object",
         "kind-mismatch", "bad-values", "empty-values", "missing-grid",
         "zero-steps", "log-from-zero", "one-point", "zero-trials",
-        "zero-workers", "too-many-workers", "nan-n", "inf-n"])
+        "zero-workers", "too-many-workers", "nan-n", "inf-n",
+        "linear-exact-sweep"])
 def test_bad_input_exits_one_before_any_output(capsys, tmp_path, argv,
                                                content, message):
     path = tmp_path / "input.json"
@@ -566,18 +575,6 @@ def test_estimator_list_is_sorted_and_deduplicated(capsys):
     assert code == 0 and messy == plain
     assert [row.split(",")[2] for row in plain.splitlines()[1:]] == [
         "asymptotic", "exact", "mc"] * 2
-
-
-def test_linear_sweep_rejects_the_exact_estimator(capsys, tmp_path):
-    # the model's own record check answers; the rows before it are written
-    path = write_scenario(tmp_path, **REF_LINEAR)
-    code, out, err = run_cli(capsys, "sweep", "--scenario", path,
-                             "--parameter", "r", "--values", "1",
-                             "--estimators", "asymptotic,exact")
-    assert code == 1
-    assert len(out.splitlines()) == 2
-    assert err == ("error: expected a CircularPatrolScenario, "
-                   "got LinearPatrolScenario\n")
 
 
 def test_polar_image_csv(capsys):

@@ -50,3 +50,15 @@ def test_module_counts_sum_to_the_total(capsys):
     assert {name for name, _ in modules} == {
         path.name for path in (ROOT / "src" / "patrolgeom").glob("*.py")}
     assert sum(int(count) for _, count in modules) == int(total) > 0
+
+
+def test_no_source_line_exceeds_88_characters():
+    paths = [path for folder in ("src/patrolgeom", "tools", "tests")
+             for path in sorted((ROOT / folder).glob("*.py"))]
+    assert paths
+    overlong = [f"{path.relative_to(ROOT)}:{number}"
+                for path in paths
+                for number, line in enumerate(
+                    path.read_text(encoding="utf-8").splitlines(), 1)
+                if len(line) > 88]
+    assert overlong == []

@@ -243,6 +243,17 @@ def test_answers_depend_only_on_the_ratios(e, w, n):
         assert got == pytest.approx(answers[4], rel=1e-14)
 
 
+@pytest.mark.parametrize("r", [5e-324, 1e-320])
+@pytest.mark.parametrize("summary,kind", [
+    (asymptotic_summary, CircularPatrolScenario),
+    (asymptotic_summary_linear, LinearPatrolScenario)])
+def test_closed_form_of_a_subnormal_share_leaves_the_float_range(summary, kind, r):
+    # the per-vehicle share is 0 or subnormal, so m_min = ceil(1/share)
+    # exceeds 1.8e308
+    with pytest.raises(OverflowError, match="^closed form exceeds the float range$"):
+        summary(kind(R=100.0, r=r, n=10, v=2.0, u=1.0))
+
+
 # ---- saturation: where p is 1, every estimator detects everything ----
 
 PSI_GRID = np.linspace(0.0, TWO_PI, 97, endpoint=False)
