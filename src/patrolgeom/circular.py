@@ -37,6 +37,8 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from itertools import repeat
+from operator import le, mod, mul, sub
 from typing import Callable, Iterable, Sequence
 
 from .frames import TWO_PI, _finite_angle, _vehicle_angle, wrap_positive
@@ -213,16 +215,36 @@ def exact_probability(s: CircularPatrolScenario) -> float:
     return min(1.0, s.n * length / TWO_PI)
 
 
+class _Lanes:
+    """A lane block's draw column for the draw maps, which compute in place
+    on numpy columns: here x *= k and x -= y each return a new lazy
+    elementwise map, so no Python frame runs per trial."""
+
+    __slots__ = ("_values",)
+
+    def __init__(self, values: Iterable[float]):
+        self._values = values
+
+    def __iter__(self):
+        return iter(self._values)
+
+    def __imul__(self, k: float) -> "_Lanes":
+        return _Lanes(map(mul, self._values, repeat(k)))
+
+    def __isub__(self, other: Iterable[float]) -> "_Lanes":
+        return _Lanes(map(sub, self._values, other))
+
+
 class _FoldIndicator:
     """The fold test of `detects` for every model: offset(columns, period)
     maps a trial's draws to its position x, in place on numpy columns, and
     a trial is detected iff (x - lo) mod period <= length.  With the
     cumulative atom weights cum, lo and length are per-atom sequences and
     draw 0 picks each trial's atom.  evaluate_batch tests a (m, n_draws)
-    block of trials, evaluate_one the sequence (a tuple on the runner's
-    scalar path) of one trial's draws, with the same floating-point
-    operations in the same order: Python's float % and np.mod both take
-    fmod and then fix the sign."""
+    block of trials; count_lanes counts the detections of a lane block
+    given as n_draws columns of floats, through C-level maps.  Both take
+    the same floating-point operations in the same order: Python's float %
+    and np.mod both take fmod and then fix the sign."""
 
     def __init__(self, n_draws, offset, period, lo, length, cum=None):
         self.n_draws, self._offset, self._period = n_draws, offset, period
@@ -233,25 +255,33 @@ class _FoldIndicator:
         import numpy as np
 
         x = self._offset(u.T, self._period)
-        lo, length = self._lo, self._length
+        length = self._length
         if self._cum is not None:
             # mode="clip" maps the index past the last atom (u beyond a final
-            # cumulative weight rounded below 1) onto the last atom
+            # cumulative weight rounded below 1) onto the last atom; column 0
+            # holds lo, then, once subtracted, length
             idx = np.searchsorted(self._cum, u[:, 0], side="right")
-            lo = np.take(lo, idx, out=u[:, 0], mode="clip")
-            length = np.take(length, idx, mode="clip")
-        np.subtract(x, lo, out=x)
+            np.subtract(x, np.take(self._lo, idx, out=u[:, 0], mode="clip"),
+                        out=x)
+            length = np.take(length, idx, out=u[:, 0], mode="clip")
+        else:
+            np.subtract(x, self._lo, out=x)
         np.mod(x, self._period, out=x)
         return x <= length
 
-    def evaluate_one(self, u: Sequence[float]) -> bool:
-        """The detection flag of one trial, as evaluate_batch computes it."""
-        x = self._offset(u, self._period)
-        lo, length = self._lo, self._length
+    def count_lanes(self, columns: Sequence[Iterable[float]]) -> int:
+        """Detections among the trials of a lane block, each column one
+        draw's values over the block, as evaluate_batch flags them."""
+        x = self._offset([_Lanes(c) for c in columns], self._period)
+        lo, length = repeat(self._lo), repeat(self._length)
         if self._cum is not None:
-            atom = min(bisect_right(self._cum, u[0]), len(lo) - 1)
-            lo, length = lo[atom], length[atom]
-        return (x - lo) % self._period <= length
+            last = len(self._lo) - 1
+            atoms = list(map(min, map(bisect_right, repeat(self._cum),
+                                      columns[0]), repeat(last)))
+            lo = map(self._lo.__getitem__, atoms)
+            length = map(self._length.__getitem__, atoms)
+        return sum(map(le, map(mod, map(sub, x, lo), repeat(self._period)),
+                       length))
 
 
 def _angle(u: Sequence, period: float):

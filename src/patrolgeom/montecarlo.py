@@ -20,16 +20,17 @@ without loading them.  `run_bernoulli_trials` imports numpy in the calling
 thread, before any worker starts.
 
 A small request need not import numpy at all.  An indicator may offer a
-one-trial test, evaluate_one; while numpy is not yet loaded and the
-request's draws (trials x n_draws) fit what is left of a per-process
-allowance, the runner counts it in plain Python over the same splitmix64
-draws (`_count_scalar`).  That path packs 1024 trials into one Python int,
-a 128-bit lane each, so each step of splitmix64 is one big-int operation
-for all of them (`_mix`, of which `mix64` is the one-lane case).  Every
-draw is one lane step (`_mixed`): add a constant to every lane, then mix.
+block count, count_lanes; while numpy is not yet loaded and the request's
+draws (trials x n_draws) fit what is left of a per-process allowance, the
+runner counts it in plain Python over the same splitmix64 draws
+(`_count_scalar`).  That path packs 1024 trials into one Python int, a
+128-bit lane each, so each step of splitmix64 is one big-int operation for
+all of them (`_mix`, of which `mix64` is the one-lane case).  Every draw
+is one lane step (`_mixed`): add a constant to every lane, then mix.
 Blocks are mixed whole, all 1024 lanes, the last one too; the path then
-unpacks the words of the lanes it needs and hands evaluate_one one tuple
-of draws per trial.
+unpacks the words of the lanes it needs and hands count_lanes the block's
+draws as one column of floats per draw, which it counts through C-level
+maps, without a Python call per trial.
 The allowance is spent, not reset, so a long run of small requests turns
 to numpy once it is gone.  The count is the same on either path.
 """
@@ -76,18 +77,20 @@ CHUNK_TRIALS = 32768
 
 # Draws (trials x n_draws) a process may count on the scalar path, which
 # never imports numpy (see run_bernoulli_trials).  It is counted in draws
-# because the path's cost per trial grows with its draws: about 0.5-0.8 us
-# per trial for the circle (1 draw), 0.8-0.9 us for the segment (2 draws)
-# and 1.3-1.4 us for the randomized radius (2 draws and an atom lookup).
-# Fresh processes break even with numpy's import at about 120 000-145 000
-# draws for the circle, 200 000-220 000 for the segment and 155 000-180 000
-# for the randomized radius (process wall time, median of 7, two rounds;
-# 2-core host, Python 3.11, numpy 2.4).  4 * CHUNK_TRIALS = 131 072 draws
-# lies within the circle's range and below the others.  The allowance is
-# spent, not reset per request: a many-row sweep of small requests then
-# pays the scalar cost only until the allowance runs out, at most about one
-# import.  It picks the path only, so callers in several threads may race
-# on it.
+# because the path's cost per trial grows with its draws: about 0.33 us per
+# trial for the circle (1 draw), 0.47 us for the segment (2 draws) and
+# 0.72 us for the randomized radius (2 draws and an atom lookup), in process,
+# best of 5.  Fresh processes break even with numpy's import at about
+# 200 000 draws for the circle, 250 000-290 000 for the segment and 170 000
+# for the randomized radius (least-squares lines through medians of 9
+# processes at 5-6 request sizes; 2-core host, Python 3.11, numpy 2.4).
+# 4 * CHUNK_TRIALS = 131 072 draws lies below all three.  A larger
+# allowance would move no request of perfbench, whose next ones above it
+# take 200 000 draws or more, and would raise the cost of a many-row
+# sweep of small requests: the allowance is spent, not reset per
+# request, so such a sweep pays the scalar cost only until the allowance
+# runs out, at most about one import.  It picks the path only, so callers
+# in several threads may race on it.
 _SCALAR_DRAWS = 4 * CHUNK_TRIALS
 _scalar_left = _SCALAR_DRAWS
 
@@ -337,21 +340,20 @@ def _check_run(trials: int, workers: int) -> None:
 
 
 def _count_scalar(indicator, trials: int, schedule: SeedSchedule) -> int:
-    """Successes of indicator.evaluate_one over trials [0, trials) in plain
-    Python: the draws of `TrialSource`, handed to the test as one tuple of
-    floats per trial.  Each block of _LANES trials is mixed whole, the last
-    one too, by two lane steps: the counters of trial lo + i become its
-    key, and the key plus j*GAMMA its draw j; only the first m lanes of a
-    block of m trials are read."""
+    """Successes of indicator.count_lanes over trials [0, trials) in plain
+    Python: the draws of `TrialSource`, handed to it one block of _LANES
+    trials at a time, as n_draws columns of floats.  Each block is mixed
+    whole, the last one too, by two lane steps: the counters of trial
+    lo + i become its key, and the key plus j*GAMMA its draw j; only the
+    first m lanes of a block of m trials are read."""
     ramp = _lane_constants()[1]
-    test = indicator.evaluate_one
     total = 0
     for lo in range(0, trials, _LANES):
         m = min(_LANES, trials - lo)
         keys = _mixed(ramp, schedule._counter(lo))
-        draws = [_uniforms(_mixed(keys, (j + 1) * _GAMMA), m)
-                 for j in range(indicator.n_draws)]
-        total += sum(map(test, zip(*draws)))
+        total += indicator.count_lanes(
+            [_uniforms(_mixed(keys, (j + 1) * _GAMMA), m)
+             for j in range(indicator.n_draws)])
     return total
 
 
@@ -371,8 +373,9 @@ def run_bernoulli_trials(indicator, trials: int, schedule: SeedSchedule,
     evaluate_batch(u), mapping a (m, n_draws) uniform array to a boolean
     vector.  The array handed to evaluate_batch is runner-owned scratch,
     valid only during the call: the indicator may overwrite it in place.
-    It may also offer evaluate_one(u), the same test on one trial's draws
-    as a sequence of floats, bit for bit.
+    It may also offer count_lanes(columns), the number of trials
+    evaluate_batch would flag, bit for bit, in a block of trials given as
+    n_draws iterables of floats, column j holding draw j of each trial.
 
     While numpy is not yet imported, a request of such an indicator whose
     trials x n_draws fit the process's remaining allowance
@@ -394,7 +397,7 @@ def run_bernoulli_trials(indicator, trials: int, schedule: SeedSchedule,
     _check_run(trials, workers)
     schedule._counter(0)  # a bad seed raises before any draw
     draws = int(indicator.n_draws)
-    if (hasattr(indicator, "evaluate_one") and "numpy" not in sys.modules
+    if (hasattr(indicator, "count_lanes") and "numpy" not in sys.modules
             and trials * draws <= _scalar_left):
         _scalar_left -= trials * draws
         return estimate_from_counts(

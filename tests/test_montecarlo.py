@@ -420,7 +420,7 @@ class _UnreachedIndicator:
     def evaluate_batch(self, u):
         raise AssertionError("a trial was evaluated")
 
-    evaluate_one = evaluate_batch
+    count_lanes = evaluate_batch
 
 
 @pytest.mark.parametrize("seed", [True, False, 2.5, 5.0, "5", None],
@@ -514,15 +514,40 @@ def test_scalar_and_vector_counts_agree_at_the_draw_allowance(model, extra):
             == _vector_count(indicator, trials, 2 ** 64 - 3))
 
 
+def test_a_draw_past_the_last_cumulative_weight_takes_the_last_atom():
+    # weights whose sum rounds below 1 leave draws past the last cumulative
+    # weight; both paths clip them onto the last atom, as a sum of exactly
+    # 1 would place them
+    def atoms(cum):
+        return circular._FoldIndicator(2, circular._angle, TWO_PI / 10,
+                                       (0.0, -0.3), (0.2, 0.5), cum)
+
+    short, whole = atoms((0.5, 0.9)), atoms((0.5, 1.0))
+    expected = _count_scalar(whole, 5000, SeedSchedule(3))
+    assert _count_scalar(short, 5000, SeedSchedule(3)) == expected
+    assert _vector_count(short, 5000, 3) == expected
+
+
+def test_a_trial_on_the_window_edge_is_detected_on_both_paths():
+    # x = 2*pi*0.5 = pi exactly, so (x - lo) mod period = length: tangency
+    # counts as detection
+    indicator = circular._FoldIndicator(1, circular._angle, TWO_PI, 0.0,
+                                        math.pi)
+    assert indicator.count_lanes([[0.5, 0.75]]) == 1
+    assert indicator.evaluate_batch(np.array([[0.5], [0.75]])).tolist() == [
+        True, False]
+
 class _Recorder:
-    """Records the draws the scalar path hands each trial; detects none."""
+    """Records the draws the scalar path hands each trial, one tuple per
+    trial out of each block's columns; detects none."""
 
     def __init__(self, n_draws):
         self.n_draws, self.seen = n_draws, []
 
-    def evaluate_one(self, u):
-        self.seen.append(tuple(u))
-        return False
+    def count_lanes(self, columns):
+        assert len(columns) == self.n_draws
+        self.seen.extend(zip(*columns, strict=True))
+        return 0
 
 
 _LANE_SEEDS = st.one_of(st.integers(-2 ** 70, -1), st.integers(2 ** 64, 2 ** 70),
@@ -544,6 +569,34 @@ def test_lane_draws_equal_trial_source_draws(seed, n_draws, trials):
     source = TrialSource(key)
     assert list(_trial_draws(key, trials)) == [source.uniform()
                                                for _ in range(trials)]
+
+
+def _python_calls(run) -> int:
+    """Python frames entered while run() runs, counted by a profile hook."""
+    calls = [0]
+
+    def profile(frame, event, arg):
+        calls[0] += event == "call"
+
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return calls[0]
+
+
+@pytest.mark.parametrize("model", _FOLD_MODELS)
+def test_the_lane_path_enters_no_python_frame_per_trial(model):
+    # a block of 1024 trials costs a few Python calls (the lane steps, the
+    # seed read, count_lanes and the draw map), whatever its trials: seven
+    # blocks more may add at most 32 calls a block, where one call per
+    # trial adds 1024
+    indicator = _fold_indicator(model)
+    schedule = SeedSchedule(11)
+    one = _python_calls(lambda: _count_scalar(indicator, _LANES, schedule))
+    eight = _python_calls(lambda: _count_scalar(indicator, 8 * _LANES, schedule))
+    assert eight - one <= 7 * 32
 
 
 _ALLOWANCE_PROBE = """

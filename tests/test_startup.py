@@ -93,6 +93,16 @@ def test_small_monte_carlo_requests_never_load_numpy():
     assert modules.isdisjoint(HEAVY)
 
 
+def test_circle_requests_of_100_000_trials_never_load_numpy():
+    # circular mc and compare at 100 000 trials, as six of the ten
+    # requests of perfbench's circular_mc are: one draw a trial, so each
+    # fits the allowance of a fresh process and counts on the lane path
+    for command in ("circular", "mc"), ("compare",):
+        codes, modules = _run([*command, *REF, "--trials", "100000"])
+        assert codes == [0]
+        assert modules.isdisjoint(HEAVY), command
+
+
 def test_a_sweep_of_small_requests_turns_to_numpy():
     # 40 rows of 20 000 one-draw trials: the first six fit the process's
     # scalar allowance of 131 072 draws, the seventh does not, and the rest
