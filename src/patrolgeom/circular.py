@@ -27,8 +27,10 @@ copies of an arc of length L cover min(1, n*L/(2*pi)) of the circle.  The
 exact solver, `detects` and the Monte Carlo indicator read this one arc;
 the dense-grid oracles of the test suite are the independent check.  That
 indicator, `_FoldIndicator`, folds each trial's position modulo the period
-and tests it against one window; the segment and randomized-radius models
-build it with their own draw maps and windows.
+and tests it against one window.  Its draw map is two numbers: the position
+is scale*(last draw), less draw 0 where the model shifts by it.  Here the
+scale is 2*pi and there is no shift; the segment and randomized-radius
+models build it with their own draw maps and windows.
 The closed forms read e and sin(alpha) alone, and raise OverflowError where
 their value leaves the float range.
 """
@@ -215,46 +217,29 @@ def exact_probability(s: CircularPatrolScenario) -> float:
     return min(1.0, s.n * length / TWO_PI)
 
 
-class _Lanes:
-    """A lane block's draw column for the draw maps, which compute in place
-    on numpy columns: here x *= k and x -= y each return a new lazy
-    elementwise map, so no Python frame runs per trial."""
-
-    __slots__ = ("_values",)
-
-    def __init__(self, values: Iterable[float]):
-        self._values = values
-
-    def __iter__(self):
-        return iter(self._values)
-
-    def __imul__(self, k: float) -> "_Lanes":
-        return _Lanes(map(mul, self._values, repeat(k)))
-
-    def __isub__(self, other: Iterable[float]) -> "_Lanes":
-        return _Lanes(map(sub, self._values, other))
-
-
 class _FoldIndicator:
-    """The fold test of `detects` for every model: offset(columns, period)
-    maps a trial's draws to its position x, in place on numpy columns, and
-    a trial is detected iff (x - lo) mod period <= length.  With the
-    cumulative atom weights cum, lo and length are per-atom sequences and
-    draw 0 picks each trial's atom.  evaluate_batch tests a (m, n_draws)
-    block of trials; count_lanes counts the detections of a lane block
-    given as n_draws columns of floats, through C-level maps.  Both take
-    the same floating-point operations in the same order: Python's float %
-    and np.mod both take fmod and then fix the sign."""
+    """The fold test of `detects` for every model.  A trial's position is
+    x = scale*(last draw), less draw 0 where shift is set, and the trial is
+    detected iff (x - lo) mod period <= length.  With the cumulative atom
+    weights cum, lo and length are per-atom sequences and draw 0 picks each
+    trial's atom.  evaluate_batch tests a (m, n_draws) block of trials;
+    count_lanes counts the detections of a lane block given as n_draws
+    columns of floats, through C-level maps.  Both take the same
+    floating-point operations in the same order: Python's float % and
+    np.mod both take fmod and then fix the sign."""
 
-    def __init__(self, n_draws, offset, period, lo, length, cum=None):
-        self.n_draws, self._offset, self._period = n_draws, offset, period
-        self._lo, self._length, self._cum = lo, length, cum
+    def __init__(self, n_draws, scale, period, lo, length, cum=None,
+                 shift=False):
+        self.n_draws, self._scale, self._shift = n_draws, scale, shift
+        self._period, self._lo, self._length, self._cum = period, lo, length, cum
 
     def evaluate_batch(self, u: np.ndarray) -> np.ndarray:
         """Detection flags; computes in place, overwriting u."""
         import numpy as np
 
-        x = self._offset(u.T, self._period)
+        x = np.multiply(u[:, -1], self._scale, out=u[:, -1])
+        if self._shift:
+            np.subtract(x, u[:, 0], out=x)
         length = self._length
         if self._cum is not None:
             # mode="clip" maps the index past the last atom (u beyond a final
@@ -272,7 +257,9 @@ class _FoldIndicator:
     def count_lanes(self, columns: Sequence[Iterable[float]]) -> int:
         """Detections among the trials of a lane block, each column one
         draw's values over the block, as evaluate_batch flags them."""
-        x = self._offset([_Lanes(c) for c in columns], self._period)
+        x = map(mul, columns[-1], repeat(self._scale))
+        if self._shift:
+            x = map(sub, x, columns[0])
         lo, length = repeat(self._lo), repeat(self._length)
         if self._cum is not None:
             last = len(self._lo) - 1
@@ -284,18 +271,10 @@ class _FoldIndicator:
                        length))
 
 
-def _angle(u: Sequence, period: float):
-    """The launch angle 2*pi*u of the last draw column, in place on a numpy
-    column; folding it modulo the fleet spacing collapses all n vehicle
-    arcs onto one."""
-    x = u[-1]
-    x *= TWO_PI
-    return x
-
-
 def _indicator(s: CircularPatrolScenario) -> _FoldIndicator:
-    """psi ~ U[0, 2*pi), tested against the nearest vehicle's arc."""
-    return _FoldIndicator(1, _angle, TWO_PI / s.n, *_detection_arc(s))
+    """psi = 2*pi*u ~ U[0, 2*pi), tested against the nearest vehicle's arc:
+    folding psi modulo the fleet spacing collapses all n arcs onto one."""
+    return _FoldIndicator(1, TWO_PI, TWO_PI / s.n, *_detection_arc(s))
 
 
 def mc_probability(s: CircularPatrolScenario, trials: int, seed: int,

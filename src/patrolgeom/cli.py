@@ -1,14 +1,16 @@
 """Command-line front end.
 
-Subcommands mirror the library: buffon, circular {exact,mc,asymptotic},
-linear {mc,asymptotic}, jensen, sweep, compare, polar-image.  Scenario
+Subcommands mirror the library: buffon, circular and linear (one mode per
+estimator the model has), jensen, sweep, compare, polar-image.  Scenario
 parameters come from a JSON file (--scenario) and/or inline flags, inline
 winning on overlap.  Reports are JSON by default or CSV with --format csv;
 --no-timing drops the wall-clock field so repeated runs are byte-identical.
 
-Each estimator yields one record (_estimate); a report prints it as its
-JSON `results`, or nests several by name, and every CSV row carries the
-record's fields of the same name under the fixed header
+One table, _RECORD, maps each (patrol model, estimator) pair to the
+function that computes its results record; circular's and linear's modes,
+the --estimators choices, compare and sweep all read it.  A report prints a
+record as its JSON `results`, or nests several by name, and every CSV row
+carries the record's fields of the same name under the fixed header
 estimator,probability,ci_low,ci_high,m_min,chord_l,trials,seed (sweep puts
 parameter,value in front).  jensen --format csv prints quantity,value rows.
 
@@ -31,11 +33,10 @@ from .buffon import NeedleProblem, buffon_mc, buffon_probability
 from .circular import asymptotic_summary, exact_probability, mc_probability
 from .frames import TWO_PI, scan_circle_polar_approx, scan_circle_polar_exact
 from .linear import asymptotic_summary_linear, mc_probability_linear
-from .montecarlo import DEFAULT_SEED, EstimateWithCI, _check_run
+from .montecarlo import DEFAULT_SEED, _check_run
 from .randomradius import (RadiusDistribution, asymptotic_probability_randomized,
                            exact_probability_random_radius, jensen_sides)
-from .scenario import (CircularPatrolScenario, ValidationError,
-                       scenario_from_dict, scenario_to_dict)
+from .scenario import ValidationError, scenario_from_dict, scenario_to_dict
 
 DEFAULT_TRIALS = 100_000
 LARGE_RATIO = 0.2
@@ -58,11 +59,19 @@ def _csv_row(record: dict) -> tuple:
     return tuple(record.get(col) for col in _CSV_HEADER)
 
 
-def _mc_record(est: EstimateWithCI, seed: int) -> dict:
-    return {"estimator": "mc", "seed": seed, "probability": est.mean,
+def _mc_record(run, problem, args) -> dict:
+    """The record of run(problem, trials, seed, workers), a Monte Carlo
+    estimator, at the request's --trials, --seed and --workers."""
+    est = run(problem, args.trials, args.seed, args.workers)
+    return {"estimator": "mc", "seed": args.seed, "probability": est.mean,
             "ci_low": est.ci_low, "ci_high": est.ci_high,
             "stderr": est.stderr, "successes": est.successes,
             "trials": est.trials}
+
+
+def _asymptotic(summary) -> dict:
+    return {"estimator": "asymptotic", "probability": summary.p_asym,
+            "chord_l": summary.chord_l, "m_min": summary.m_min}
 
 
 def _nested(record: dict) -> dict:
@@ -70,19 +79,20 @@ def _nested(record: dict) -> dict:
     return {k: v for k, v in record.items() if k not in ("estimator", "seed")}
 
 
-def _estimate(name: str, scen, args) -> dict:
-    """The results record of estimator `name` on `scen`: the one place that
-    maps an estimator and a patrol model to a library call."""
-    circular = isinstance(scen, CircularPatrolScenario)
-    if name == "exact":
-        return {"estimator": "exact", "probability": exact_probability(scen)}
-    if name == "asymptotic":
-        summary = (asymptotic_summary(scen) if circular
-                   else asymptotic_summary_linear(scen))
-        return {"estimator": "asymptotic", "probability": summary.p_asym,
-                "chord_l": summary.chord_l, "m_min": summary.m_min}
-    runner = mc_probability if circular else mc_probability_linear
-    return _mc_record(runner(scen, args.trials, args.seed, args.workers), args.seed)
+# (kind, estimator) -> record(scenario, args), the results record of that
+# estimator on a scenario of that kind: the one place that maps an estimator
+# and a patrol model to a library call.  A kind's rows are its modes, in
+# help order.  Each row looks its library function up in this module when
+# it runs, so that rebinding the module's name reaches every request.
+_RECORD = {
+    ("circular", "exact"): lambda s, a: {"estimator": "exact",
+                                         "probability": exact_probability(s)},
+    ("circular", "mc"): lambda s, a: _mc_record(mc_probability, s, a),
+    ("circular", "asymptotic"): lambda s, a: _asymptotic(asymptotic_summary(s)),
+    ("linear", "mc"): lambda s, a: _mc_record(mc_probability_linear, s, a),
+    ("linear", "asymptotic"): lambda s, a: _asymptotic(asymptotic_summary_linear(s)),
+}
+_ESTIMATORS = tuple(sorted({name for _, name in _RECORD}))
 
 
 def _emit(args, command: str, scenario: dict, results: dict,
@@ -163,17 +173,16 @@ def _cmd_buffon(args) -> None:
     problem = NeedleProblem(l=args.l, L=args.L)
     analytic = {"estimator": "analytic",
                 "probability": buffon_probability(problem)}
-    mc = _mc_record(buffon_mc(problem, args.trials, args.seed, args.workers),
-                    args.seed)
+    mc = _mc_record(buffon_mc, problem, args)
     results = {"analytic": analytic["probability"], "mc": _nested(mc)}
     _emit(args, "buffon", {"kind": "needle", "l": args.l, "L": args.L},
           results, [_csv_row(analytic), _csv_row(mc)])
 
 
 def _cmd_estimate(args) -> None:
-    """circular {exact,mc,asymptotic} and linear {mc,asymptotic}."""
+    """circular and linear: the mode names the row of _RECORD to run."""
     scen = _scenario_from_args(args, args.kind)
-    record = _estimate(args.mode, scen, args)
+    record = _RECORD[args.kind, args.mode](scen, args)
     _emit(args, f"{args.kind}-{args.mode}", scenario_to_dict(scen),
           record, [_csv_row(record)])
 
@@ -195,7 +204,7 @@ def _cmd_jensen(args) -> None:
 
 def _cmd_compare(args) -> None:
     scen = _scenario_from_args(args, "circular")
-    exact, mc, asym = (_estimate(name, scen, args)
+    exact, mc, asym = (_RECORD["circular", name](scen, args)
                        for name in ("exact", "mc", "asymptotic"))
     results = {r["estimator"]: _nested(r) for r in (exact, mc, asym)}
     results["gap_exact_asymptotic"] = abs(exact["probability"]
@@ -204,9 +213,6 @@ def _cmd_compare(args) -> None:
         mc["ci_low"] <= exact["probability"] <= mc["ci_high"])
     _emit(args, "compare", scenario_to_dict(scen), results,
           [_csv_row(r) for r in (asym, exact, mc)])
-
-
-_ESTIMATORS = ("asymptotic", "exact", "mc")
 
 
 def _estimator_names(text: str) -> list[str]:
@@ -271,12 +277,14 @@ def _cmd_sweep(args) -> None:
 
     for _ in scenarios():  # a bad value raises before the header
         pass
-    if "exact" in args.estimators and base["kind"] != "circular":
-        raise ValidationError("the exact estimator needs a circular scenario")
-    if "mc" in args.estimators:  # as do bad --trials and --workers
+    for name in args.estimators:  # as does an estimator the kind lacks
+        if (base["kind"], name) not in _RECORD:
+            kinds = " or ".join(k for k, n in _RECORD if n == name)
+            raise ValidationError(f"the {name} estimator needs a {kinds} scenario")
+    if "mc" in args.estimators:  # and bad --trials and --workers
         _check_run(args.trials, args.workers)
     # then one row at a time, as polar-image does
-    rows = ((param, value) + _csv_row(_estimate(name, scen, args))
+    rows = ((param, value) + _csv_row(_RECORD[base["kind"], name](scen, args))
             for value, scen in scenarios() for name in args.estimators)
     _write_csv(_SWEEP_HEADER, rows)
 
@@ -358,8 +366,16 @@ def _polar_image_args(p: argparse.ArgumentParser) -> None:
                    help="first-order image instead of the exact one")
 
 
-_ESTIMATE = (_scenario_args, _output_args)
 _ESTIMATE_MC = (_scenario_args, _output_args, _mc_args)
+
+
+def _modes(kind: str) -> dict:
+    """The modes of circular or linear, its rows of _RECORD in help order,
+    each mapped to the functions that add its arguments (mc alone takes
+    the Monte Carlo ones)."""
+    return {name: _ESTIMATE_MC if name == "mc" else _ESTIMATE_MC[:2]
+            for k, name in _RECORD if k == kind}
+
 
 # command -> (help, handler, the functions that add its arguments, in help
 # order); circular and linear map each mode to those functions instead
@@ -367,10 +383,8 @@ _COMMANDS = {
     "buffon": ("short-needle crossing probability", _cmd_buffon,
                (_output_args, _mc_args, _needle_args)),
     "circular": ("circular patrol estimators", _cmd_estimate,
-                 {"exact": _ESTIMATE, "mc": _ESTIMATE_MC,
-                  "asymptotic": _ESTIMATE}),
-    "linear": ("segment patrol estimators", _cmd_estimate,
-               {"mc": _ESTIMATE_MC, "asymptotic": _ESTIMATE}),
+                 _modes("circular")),
+    "linear": ("segment patrol estimators", _cmd_estimate, _modes("linear")),
     "jensen": ("randomized-radius convexity check", _cmd_jensen,
                (_scenario_args, _output_args, _distribution_args)),
     "sweep": ("parameter sweep, CSV on stdout", _cmd_sweep,

@@ -21,7 +21,6 @@ __all__ = [
     "scan_circle_polar_approx",
     "scan_circle_polar_exact",
     "wrap_positive",
-    "wrap_signed",
 ]
 
 TWO_PI = 2.0 * math.pi
@@ -47,14 +46,6 @@ def _finite_angle(angle: float) -> float:
     if not math.isfinite(angle):
         raise ValueError(f"angle must be finite, got {angle!r}")
     return angle
-
-
-def wrap_signed(angle: float) -> float:
-    """Reduce a finite angle to (-pi, pi]."""
-    a = math.remainder(_finite_angle(angle), TWO_PI)
-    if a <= -math.pi:
-        a += TWO_PI
-    return a
 
 
 def wrap_positive(angle: float) -> float:

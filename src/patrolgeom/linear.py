@@ -31,16 +31,16 @@ the fold test the circular model runs on launch angles
 (`circular._FoldIndicator`).  The model computes it in units of R, as the
 circle reads e = r/R: the period is 2/n, a/R lies in [0, 1], and no value
 the test forms exceeds 4 in magnitude, for every R the float range holds,
-where 2R/n itself overflows from R = 9e307.  Where the reach is at least
-half the period, the window is the whole period and every crossing is
-detected, whatever the shift; sin(alpha) = 0 (v/u beyond the float range)
-gives an infinite reach, so it saturates too.
+where 2R/n itself overflows from R = 9e307.  Its Monte Carlo draw map is
+x = period*u1 - u0: the last draw scaled by the period, less draw 0.
+Where the reach is at least half the period, the window is the whole
+period and every crossing is detected, whatever the shift; sin(alpha) = 0
+(v/u beyond the float range) gives an infinite reach, so it saturates too.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Sequence
 
 from .circular import AsymptoticSummary, _FoldIndicator, _summary
 from .montecarlo import EstimateWithCI, SeedSchedule, run_bernoulli_trials
@@ -121,18 +121,11 @@ def detects_linear(sample: CrossingSample, s: LinearPatrolScenario) -> bool:
     return (sample.b / s.R - sample.a / s.R - lo) % period <= length
 
 
-def _offset(u: Sequence, period: float):
-    """The offset x = (b - a)/R = u1*period - u0 of the two draw columns,
-    in place on numpy columns."""
-    a, b = u[0], u[1]
-    b *= period
-    b -= a
-    return b
-
-
 def _indicator(s: LinearPatrolScenario) -> _FoldIndicator:
-    """Two draws per trial: slot 0 is a/R, slot 1 gives b/R = u*2/n."""
-    return _FoldIndicator(2, _offset, *_window(s))
+    """Two draws per trial: slot 0 is a/R, slot 1 gives b/R = u*2/n, so the
+    draw map is the offset x = (b - a)/R = period*u1 - u0."""
+    period, lo, length = _window(s)
+    return _FoldIndicator(2, period, period, lo, length, shift=True)
 
 
 def mc_probability_linear(s: LinearPatrolScenario, trials: int, seed: int,

@@ -12,8 +12,9 @@ radius states reproduces the ensemble mean.
 Patrol radius k*R turns the scan ratio e = r/R into e/k and leaves v/u
 alone, so each atom k is the circular model's arc at e/k (`_atom_arcs`),
 and the exact sum and the Monte Carlo indicator read that one table.  The
-indicator is the circular model's `_FoldIndicator`, with a first draw that
-picks each trial's atom, hence its arc.
+indicator is the circular model's `_FoldIndicator`, with the same draw map
+(scale 2*pi, no shift) and a first draw that picks each trial's atom, hence
+its arc.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import itertools
 import math
 from typing import Optional, Sequence
 
-from .circular import TWO_PI, _angle, _arc, _FoldIndicator, _sin_alpha
+from .circular import TWO_PI, _arc, _FoldIndicator, _sin_alpha
 from .montecarlo import (EstimateWithCI, SeedSchedule, _trial_draws,
                          run_bernoulli_trials)
 from .scenario import (CircularPatrolScenario, ValidationError, _number,
@@ -165,7 +166,7 @@ def _indicator(s: CircularPatrolScenario, d: RadiusDistribution):
     """Two draws per trial: slot 0 picks the atom by cumulative weight, slot
     1 the launch angle psi ~ U[0, 2*pi), tested against that atom's arc."""
     lo, length = zip(*_atom_arcs(s, d))
-    return _FoldIndicator(2, _angle, TWO_PI / s.n, lo, length,
+    return _FoldIndicator(2, TWO_PI, TWO_PI / s.n, lo, length,
                           tuple(d.cumulative_weights()))
 
 

@@ -721,14 +721,27 @@ def test_workers_above_ceiling_exits_one_without_threads(capsys, monkeypatch,
     assert err == "error: workers must be <= 64\n"
 
 
-def test_memory_error_exits_one_without_traceback(capsys, monkeypatch):
+# each estimator's library function, and a request that calls it
+_LIBRARY_CALLS = {
+    "exact_probability": ("circular", "exact"),
+    "mc_probability": ("circular", "mc", "--trials", "1000"),
+    "asymptotic_summary": ("circular", "asymptotic"),
+    "mc_probability_linear": ("linear", "mc", "--trials", "1000"),
+    "asymptotic_summary_linear": ("linear", "asymptotic"),
+}
+
+
+@pytest.mark.parametrize("name", list(_LIBRARY_CALLS))
+def test_memory_error_exits_one_without_traceback(capsys, monkeypatch, name):
+    # the CLI looks each library function up when a request calls it, so
+    # rebinding the module's name reaches every estimator
     import patrolgeom.cli as cli
 
     def exhausted(*args, **kwargs):
         raise MemoryError()
 
-    monkeypatch.setattr(cli, "exact_probability", exhausted)
-    code, out, err = run_cli(capsys, "circular", "exact", "--R", "100",
+    monkeypatch.setattr(cli, name, exhausted)
+    code, out, err = run_cli(capsys, *_LIBRARY_CALLS[name], "--R", "100",
                              "--r", "5", "--n", "10", "--v", "2", "--u", "1")
     assert code == 1 and out == ""
     assert err == "error: MemoryError\n"

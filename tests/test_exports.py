@@ -31,7 +31,7 @@ _EARLIER_EXPORTS = {
                  "mc_probability", "minimum_fleet_size", "union_measure"),
     "frames": ("PolarPoint", "RotatingFramePoint", "distance_to_vehicle",
                "object_position_rotating", "scan_circle_polar_approx",
-               "scan_circle_polar_exact", "wrap_positive", "wrap_signed"),
+               "scan_circle_polar_exact", "wrap_positive"),
     "linear": ("CrossingSample", "asymptotic_summary_linear", "detects_linear",
                "mc_probability_linear", "vehicle_position_linear"),
     "montecarlo": ("DEFAULT_SEED", "EstimateWithCI", "SeedSchedule",

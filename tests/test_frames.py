@@ -10,20 +10,7 @@ from patrolgeom.circular import CircleIntervalSet, detects
 from patrolgeom.frames import (TWO_PI, distance_to_vehicle,
                                object_position_rotating,
                                scan_circle_polar_approx,
-                               scan_circle_polar_exact, wrap_signed,
-                               wrap_positive)
-
-
-def test_wrap_signed_lands_in_half_open_symmetric_range():
-    assert wrap_signed(0.0) == 0.0
-    assert wrap_signed(math.pi) == math.pi
-    assert wrap_signed(-math.pi) == math.pi
-    assert wrap_signed(TWO_PI) == 0.0
-    assert wrap_signed(3.0 * math.pi) == pytest.approx(math.pi)
-    for k in range(-5, 6):
-        a = wrap_signed(1.234 + k * TWO_PI)
-        assert a == pytest.approx(1.234, abs=1e-12)
-        assert -math.pi < a <= math.pi
+                               scan_circle_polar_exact, wrap_positive)
 
 
 def test_wrap_positive_lands_in_full_turn_range():
@@ -168,7 +155,6 @@ _ANGLE_ENTRY_POINTS = {
     "object_position_rotating": lambda a, s: object_position_rotating(a, 0.0, s),
     "distance_to_vehicle": lambda a, s: distance_to_vehicle(a, 1.0, 0, s),
     "wrap_positive": lambda a, s: wrap_positive(a),
-    "wrap_signed": lambda a, s: wrap_signed(a),
     "contains": lambda a, s: CircleIntervalSet(((0.0, 1.0),)).contains(a),
     "from_intervals": lambda a, s: CircleIntervalSet.from_intervals([(a, a)]),
     "from_intervals_end": lambda a, s: CircleIntervalSet.from_intervals([(0.0, a)]),

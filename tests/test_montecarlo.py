@@ -519,7 +519,7 @@ def test_a_draw_past_the_last_cumulative_weight_takes_the_last_atom():
     # weight; both paths clip them onto the last atom, as a sum of exactly
     # 1 would place them
     def atoms(cum):
-        return circular._FoldIndicator(2, circular._angle, TWO_PI / 10,
+        return circular._FoldIndicator(2, TWO_PI, TWO_PI / 10,
                                        (0.0, -0.3), (0.2, 0.5), cum)
 
     short, whole = atoms((0.5, 0.9)), atoms((0.5, 1.0))
@@ -531,8 +531,7 @@ def test_a_draw_past_the_last_cumulative_weight_takes_the_last_atom():
 def test_a_trial_on_the_window_edge_is_detected_on_both_paths():
     # x = 2*pi*0.5 = pi exactly, so (x - lo) mod period = length: tangency
     # counts as detection
-    indicator = circular._FoldIndicator(1, circular._angle, TWO_PI, 0.0,
-                                        math.pi)
+    indicator = circular._FoldIndicator(1, TWO_PI, TWO_PI, 0.0, math.pi)
     assert indicator.count_lanes([[0.5, 0.75]]) == 1
     assert indicator.evaluate_batch(np.array([[0.5], [0.75]])).tolist() == [
         True, False]

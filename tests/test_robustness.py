@@ -30,7 +30,7 @@ from patrolgeom import (CircularPatrolScenario, CrossingSample,
                         mc_probability, mc_probability_linear,
                         mc_probability_random_radius, object_position_rotating,
                         vehicle_position_linear)
-from patrolgeom.cli import main
+from patrolgeom.cli import _RECORD, main
 
 ROBUST = settings(derandomize=True, deadline=None, max_examples=150,
                   suppress_health_check=[HealthCheck.filter_too_much])
@@ -142,8 +142,9 @@ JSON_VALUES = st.one_of(
                      1.7976931348623157e308, "5", "circular", "linear", None,
                      True, [], {}]),
     st.floats(), st.integers())
-MODES = {"circular": ("exact", "mc", "asymptotic"),
-         "linear": ("mc", "asymptotic")}
+# circular's and linear's modes, in help order, from the CLI's table
+MODES = {kind: tuple(name for k, name in _RECORD if k == kind)
+         for kind, _ in _RECORD}
 
 
 def _pick(draw, good, pool):
