@@ -16,11 +16,21 @@ launch angle psi at delta exactly when psi lies in the interval
 [w*delta - h, w*delta + h].  These intervals move continuously with delta
 and each contains its centre w*delta, so their union over [0, 2e] is
 connected: one arc [lo, hi] with lo = min(w*delta - h) and
-hi = max(w*delta + h).  Each extremum takes one golden-section search,
-because h is concave: in polar coordinates the disk is |theta| <= h(rho)
-with cos h = (rho + (R^2 - r^2)/rho) / (2R), the argument of acos is convex
-in rho, and acos is concave and decreasing on [0, 1].  Where w overflows
-to inf, the arc is the full circle.
+hi = max(w*delta + h).  Each extremum is where the intruder's path touches
+the scan circle, h'(delta) = -w for hi and +w for lo.  In s = delta/e, with
+rho = (1 - e) + e*(2 - s) in units of R, that is G(s) = 0 for
+
+    G(s) = e*(2 - s)^2 + 2*(1 - s)*(1 - e)
+           +- w*rho*sqrt(s*(2 - s)*(1 - e + rho)*(1 + e + rho)),
+
+h'(delta) +- w times a positive factor, each term free of cancellation as
+e -> 0 and as e -> 1.  h is concave: in polar coordinates the disk is
+|theta| <= h(rho) with cos h = (rho + (R^2 - r^2)/rho) / (2R), the argument
+of acos is convex in rho, and acos is concave and decreasing on [0, 1].  So
+G, which is 2 + 2e at s = 0 and -2(1 - e) at s = 2, has one root, and a
+fixed number of halvings of (0, 2) brackets it.  There
+sin(h/2) = e*sqrt(s*(2 - s)/(4*rho)), with e outside the root, so nothing
+underflows as e -> 0.  Where w overflows to inf, the arc is the full circle.
 
 The other vehicles' arcs are rotations by 2*pi*i/n, so n equally spaced
 copies of an arc of length L cover min(1, n*L/(2*pi)) of the circle.  The
@@ -41,7 +51,7 @@ import math
 from bisect import bisect_right
 from itertools import repeat
 from operator import le, mod, mul, sub
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .frames import TWO_PI, _finite_angle, _vehicle_angle, wrap_positive
 from .montecarlo import EstimateWithCI, SeedSchedule, run_bernoulli_trials
@@ -59,10 +69,11 @@ __all__ = [
     "union_measure",
 ]
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-# 0.618**80 < 2**-55: the bracket ends below one ulp of the searched window.
-_GOLDEN_STEPS = 80
+# 64 halvings leave a bracket 2**-63 wide: under one ulp of s above
+# s = 2**-10.  Only lo's root lies nearer 0, and only at large w, where
+# L >= 2*w*e and lo, flat at its extremum, moves by far less than an ulp
+# of L across the bracket.
+_HALVINGS = 64
 
 
 # ---- arc sets on the circle ----
@@ -147,39 +158,37 @@ def union_measure(sets: Sequence[CircleIntervalSet]) -> float:
 
 # ---- the single-arc envelope ----
 
-def _golden_max(f: Callable[[float], float], a: float, b: float) -> float:
-    """Maximum of a concave f on [a, b], endpoints included."""
-    best_end = max(f(a), f(b))
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(_GOLDEN_STEPS):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = f(c)
+def _tangency(e: float, w: float, sign: float) -> tuple[float, float]:
+    """The bracket (a, b) of s = delta/e that _HALVINGS halvings of (0, 2)
+    leave around the root of G, the tangency condition of hi (sign 1.0) or
+    lo (sign -1.0); G(a) > 0 >= G(b)."""
+    a, b = 0.0, 2.0
+    for _ in range(_HALVINGS):
+        s = 0.5 * (a + b)
+        rho = (1.0 - e) + e * (2.0 - s)
+        root = math.sqrt(s * (2.0 - s) * (1.0 - e + rho) * (1.0 + e + rho))
+        if (e * (2.0 - s) ** 2 + 2.0 * (1.0 - s) * (1.0 - e)
+                + sign * w * rho * root > 0.0):
+            a = s
         else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = f(d)
-    return max(fc, fd, best_end)
+            b = s
+    return a, b
 
 
 def _arc(e: float, w: float) -> tuple[float, float]:
     """(lo, L) for scan ratio e = r/R and speed ratio w = v/u: vehicle 0
     detects exactly the launch angles in [lo, lo + L] mod 2*pi, tangency
     included; L >= 2*pi means every angle."""
-    two_e = 2.0 * e
     # w * delta overflows for some delta in [0, 2e] only where w * 2e does
-    if w * two_e == math.inf:
+    if w * (2.0 * e) == math.inf:
         return 0.0, TWO_PI
-
-    def h(delta: float) -> float:
-        arg = delta * (two_e - delta) / (4.0 * (1.0 + e - delta))
-        return 2.0 * math.asin(math.sqrt(min(1.0, max(0.0, arg))))
-
-    hi = _golden_max(lambda delta: w * delta + h(delta), 0.0, two_e)
-    lo = -_golden_max(lambda delta: h(delta) - w * delta, 0.0, two_e)
+    ends = []
+    for sign in (1.0, -1.0):
+        s, _ = _tangency(e, w, sign)
+        rho = (1.0 - e) + e * (2.0 - s)
+        h = 2.0 * math.asin(min(1.0, e * math.sqrt(s * (2.0 - s) / (4.0 * rho))))
+        ends.append(w * e * s + sign * h)
+    hi, lo = ends
     return lo, hi - lo
 
 

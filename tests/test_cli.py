@@ -402,6 +402,15 @@ def test_exact_answers_near_the_top_of_the_float_range(capsys, command, key):
         assert answers[1] == pytest.approx(4.745083622781181e-08, rel=1e-15)
 
 
+def test_exact_answer_at_the_smallest_radius_is_not_lost(capsys):
+    # the static ring at r/R = 1e-300: p = n*(r/R)/pi, far from underflow
+    code, out, err = run_cli(capsys, "circular", "exact", "--R", "1",
+                             "--r", "1e-300", "--n", "3", "--v", "0", "--u", "1")
+    assert (code, err) == (0, "")
+    assert _strict_json(out)["results"]["probability"] == pytest.approx(
+        3e-300 / math.pi, rel=1e-12, abs=0.0)
+
+
 def test_rotation_beyond_the_float_range_saturates_exact_and_mc(capsys):
     # v/u overflows to inf: the fleet outruns the intruder, every estimator
     # says detection is certain

@@ -61,6 +61,25 @@ def test_tiny_radius_exact_probability_is_not_lost():
     assert p == pytest.approx(asymptotic_summary(s).p_asym, rel=s.r / s.R)
 
 
+_ATOMS = RadiusDistribution.from_atoms([(0.5, 0.5), (1.5, 0.5)])
+
+
+@PROPERTY
+@given(circular_scenarios(ratio=_log_uniform(1e-300, 1e-9)))
+@example(CircularPatrolScenario(R=1.0, r=1e-160, n=3, v=0.0, u=1.0))
+@example(CircularPatrolScenario(R=1.0, r=1e-300, n=3, v=0.0, u=1.0))
+def test_exact_answers_keep_their_size_down_to_the_smallest_radii(s):
+    # a half-angle formed as delta*(2e - delta) in units of R underflows
+    # below r/R = 1e-154; these answers are about r/R, so nothing may
+    ratio = s.r / s.R
+    pairs = [(exact_probability(s), asymptotic_summary(s).p_asym),
+             (exact_probability_random_radius(s, _ATOMS),
+              asymptotic_probability_randomized(s, _ATOMS))]
+    for exact, asymptotic in pairs:
+        assert abs(exact - asymptotic) <= (ratio + 1e-12) * max(exact, asymptotic)
+    assert detection_arc_set(0, s).intervals != ()
+
+
 # ---- the single-arc envelope against a dense grid ----
 
 def _grid_extremum(f, lo, hi, points=2001, levels=3):
