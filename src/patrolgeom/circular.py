@@ -30,7 +30,9 @@ of acos is convex in rho, and acos is concave and decreasing on [0, 1].  So
 G, which is 2 + 2e at s = 0 and -2(1 - e) at s = 2, has one root, and a
 fixed number of halvings of (0, 2) brackets it.  There
 sin(h/2) = e*sqrt(s*(2 - s)/(4*rho)), with e outside the root, so nothing
-underflows as e -> 0.  Where w overflows to inf, the arc is the full circle.
+underflows as e -> 0.  Below the normal range of e the arc is its e -> 0
+limit, [e*(w - sqrt(1 + w*w)), e*(w + sqrt(1 + w*w))], and where w*2e
+overflows it is the full circle.
 
 The other vehicles' arcs are rotations by 2*pi*i/n, so n equally spaced
 copies of an arc of length L cover min(1, n*L/(2*pi)) of the circle.  The
@@ -48,6 +50,7 @@ their value leaves the float range.
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_right
 from itertools import repeat
 from operator import le, mod, mul, sub
@@ -140,15 +143,6 @@ class CircleIntervalSet(_Record):
             out.append((ns, ns + (e - s)))
         return CircleIntervalSet.from_intervals(out)
 
-    def contains(self, angle: float) -> bool:
-        a = wrap_positive(angle)
-        for s, e in self.intervals:
-            if s <= a < e:
-                return True
-            if e > TWO_PI and a < e - TWO_PI:
-                return True
-        return False
-
 
 def union_measure(sets: Sequence[CircleIntervalSet]) -> float:
     """Measure of the union of arc sets, as a fraction of the circle."""
@@ -178,10 +172,8 @@ def _tangency(e: float, w: float, sign: float) -> tuple[float, float]:
 def _arc(e: float, w: float) -> tuple[float, float]:
     """(lo, L) for scan ratio e = r/R and speed ratio w = v/u: vehicle 0
     detects exactly the launch angles in [lo, lo + L] mod 2*pi, tangency
-    included; L >= 2*pi means every angle."""
-    # w * delta overflows for some delta in [0, 2e] only where w * 2e does
-    if w * (2.0 * e) == math.inf:
-        return 0.0, TWO_PI
+    included; L >= 2*pi means every angle.  e must be normal and w * 2e
+    finite."""
     ends = []
     for sign in (1.0, -1.0):
         s, _ = _tangency(e, w, sign)
@@ -192,8 +184,30 @@ def _arc(e: float, w: float) -> tuple[float, float]:
     return lo, hi - lo
 
 
-def _detection_arc(s: CircularPatrolScenario) -> tuple[float, float]:
-    return _arc(s.r / s.R, s.v / s.u)
+def _detection_arc(s: CircularPatrolScenario,
+                   k: float = 1.0) -> tuple[float, float]:
+    """(lo, L) of vehicle 0's arc at patrol radius k*R: `_arc` at scan
+    ratio e = r/(k*R) and w = v/u.  e is formed from the mantissas and
+    exponents of r, R and k, as `frames._product` forms its value, so k*R
+    never is.  Below the normal range of e the arc is its e -> 0 limit
+    [e*(w - sqrt(1 + w*w)), e*(w + sqrt(1 + w*w))], where the path crosses
+    the scan disk as a straight line; its next term, c*e*e relative with
+    c <= 1/6, is nil there.  The exponents of v and u scale the limit too,
+    so neither e nor w need be a float.  Where w*2e overflows, L >= 2*w*e
+    exceeds 2*pi, and so does the limit: both are the full circle."""
+    (mr, er), (mR, eR), (mk, ek) = map(math.frexp, (s.r, s.R, k))
+    scale, power = mr / mR / mk, er - eR - ek
+    e, w = math.ldexp(scale, power), s.v / s.u
+    if e >= sys.float_info.min and w * (2.0 * e) < math.inf:
+        return _arc(e, w)
+    if w > 2.0 ** 60:  # 1 + w*w rounds to w*w, and lo = -e/(2w) to 0
+        (mv, ev), (mu, eu) = math.frexp(s.v), math.frexp(s.u)
+        lo, scale, power = 0.0, scale * mv / mu, power + ev - eu
+    else:
+        root = math.hypot(1.0, w)
+        lo, scale = -math.ldexp(scale / (w + root), power), scale * root
+    # scale > 1/4, so from power 9 on the arc exceeds 2*pi
+    return lo, min(TWO_PI, math.ldexp(2.0 * scale, min(power, 9)))
 
 
 def detects(psi: float, vehicle_index: int, s: CircularPatrolScenario) -> bool:

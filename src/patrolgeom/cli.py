@@ -159,12 +159,10 @@ def _distribution_from_args(args) -> RadiusDistribution:
     if not isinstance(raw, dict) or "atoms" not in raw:
         raise ValidationError("distribution file must hold an object "
                               "with an 'atoms' array")
-    extra = sorted(set(raw) - {"atoms", "k_minus", "k_plus"})
+    extra = sorted(set(raw) - {"atoms"})
     if extra:
         raise ValidationError(f"unknown distribution key(s): {', '.join(extra)}")
-    return RadiusDistribution.from_atoms(raw["atoms"],
-                                         k_minus=raw.get("k_minus"),
-                                         k_plus=raw.get("k_plus"))
+    return RadiusDistribution.from_atoms(raw["atoms"])
 
 
 # ---- subcommand handlers ----

@@ -21,9 +21,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Optional, Sequence
+from typing import Sequence
 
-from .circular import TWO_PI, _arc, _FoldIndicator, _sin_alpha
+from .circular import TWO_PI, _detection_arc, _FoldIndicator, _sin_alpha
 from .montecarlo import (EstimateWithCI, SeedSchedule, _trial_draws,
                          run_bernoulli_trials)
 from .scenario import (CircularPatrolScenario, ValidationError, _number,
@@ -54,21 +54,16 @@ class RadiusDistribution(_Record):
     """Discrete distribution of the radius multiplier k.
 
     atoms are (k, p) pairs: positive multipliers with positive weights
-    summing to 1, and E[k] = 1 exactly (to 1e-12).  k_minus and k_plus bound
-    the support, with k_minus <= 1 <= k_plus; both equal 1 only for the
-    degenerate point mass at k = 1.  Build through from_atoms, which raises
-    ValidationError on malformed input too: atoms that are not a list of
-    [k, p] pairs, or a k, p, k_minus or k_plus that is not a real number.
+    summing to 1, and E[k] = 1 exactly (to 1e-12), so the smallest atom is
+    at most 1 and the largest at least 1.  Build through from_atoms, which
+    raises ValidationError on malformed input too: atoms that are not a
+    list of [k, p] pairs, or a k or p that is not a real number.
     """
 
     atoms: tuple[tuple[float, float], ...]
-    k_minus: float
-    k_plus: float
 
     @staticmethod
-    def from_atoms(atoms: Sequence[tuple[float, float]],
-                   k_minus: Optional[float] = None,
-                   k_plus: Optional[float] = None) -> "RadiusDistribution":
+    def from_atoms(atoms: Sequence[tuple[float, float]]) -> "RadiusDistribution":
         if not isinstance(atoms, (list, tuple)) or not all(
                 isinstance(atom, (list, tuple)) and len(atom) == 2
                 for atom in atoms):
@@ -88,18 +83,10 @@ class RadiusDistribution(_Record):
         mean = math.fsum(k * p for k, p in clean)
         if abs(mean - 1.0) > _MEAN_TOL:
             raise ValidationError("multiplier mean must equal 1")
-        low = min(k for k, _ in clean)
-        high = max(k for k, _ in clean)
-        k_minus = low if k_minus is None else _real(k_minus, "k_minus")
-        k_plus = high if k_plus is None else _real(k_plus, "k_plus")
-        if not 0.0 < k_minus <= low:
-            raise ValidationError("k_minus must satisfy 0 < k_minus <= min k")
-        if not high <= k_plus:
-            raise ValidationError("k_plus must satisfy k_plus >= max k")
-        # mean-one forces the support to straddle 1, degenerate case aside
-        if not k_minus <= 1.0 <= k_plus:
-            raise ValidationError("support bounds must straddle 1")
-        return RadiusDistribution(atoms=clean, k_minus=k_minus, k_plus=k_plus)
+        # a mean of one within 1e-12 may still miss the support's hull
+        if not min(clean)[0] <= 1.0 <= max(clean)[0]:
+            raise ValidationError("support must straddle 1")
+        return RadiusDistribution(atoms=clean)
 
     def mean_inverse(self) -> float:
         """E[1/k]; >= 1 by convexity, with equality only at the point mass."""
@@ -110,7 +97,9 @@ class RadiusDistribution(_Record):
 
 
 def _check_radius_margin(d: RadiusDistribution, r: float, R: float) -> None:
-    if r >= d.k_minus * R:
+    """ValidationError unless the smallest ring, the smallest atom times R,
+    clears r."""
+    if r >= min(d.atoms)[0] * R:
         raise ValidationError(
             "r < k_minus * R required (smallest randomized radius must exceed r)")
 
@@ -134,19 +123,23 @@ def asymptotic_probability_randomized(s: CircularPatrolScenario,
                                       d: RadiusDistribution) -> float:
     """Randomized small-r closed form min(1, n (r/R) E[1/k] / (pi sin alpha)).
 
-    With E[1/k] >= 1 this never falls below the fixed-radius value."""
+    With E[1/k] >= 1 this never falls below the fixed-radius value.
+    OverflowError where the per-vehicle share underflows to 0, as in
+    `circular.asymptotic_summary`."""
     _validate_as(s, CircularPatrolScenario)
     _check_radius_margin(d, s.r, s.R)
     e, sin_alpha = s.r / s.R, _sin_alpha(s.u, s.v)
-    return min(1.0, s.n * (e * d.mean_inverse() / math.pi / sin_alpha))
+    share = e * d.mean_inverse() / math.pi / sin_alpha
+    if share == 0.0:
+        raise OverflowError("closed form exceeds the float range")
+    return min(1.0, s.n * share)
 
 
 def _atom_arcs(s: CircularPatrolScenario,
                d: RadiusDistribution) -> list[tuple[float, float]]:
     """(lo, L) of each atom's detection arc: the arc at patrol radius k*R
     (launch circle k*R + r), whose scan ratio is e/k."""
-    e, w = s.r / s.R, s.v / s.u
-    return [_arc(e / k, w) for k, _ in d.atoms]
+    return [_detection_arc(s, k) for k, _ in d.atoms]
 
 
 def exact_probability_random_radius(s: CircularPatrolScenario,

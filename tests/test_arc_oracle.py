@@ -6,6 +6,9 @@ delta)), so the length test checks the tangency condition that `_arc`
 bisects on without using it; the sign test evaluates that condition exactly
 at the ends of the last bracket.  The ratios span [1e-300, 1 - 2**-53]
 (1.0 - 1e-16 rounds to it) and the speed ratios {0} and [1e-4, 1e12].
+Beyond them, `_detection_arc` reads the arc's e -> 0 limit from r, R, v
+and u, at subnormal ratios and at ratios and speed ratios that no float
+holds.
 """
 
 import itertools
@@ -13,7 +16,8 @@ import math
 
 import pytest
 
-from patrolgeom.circular import _arc, _tangency
+from patrolgeom import CircularPatrolScenario
+from patrolgeom.circular import TWO_PI, _arc, _detection_arc, _tangency
 
 mp = pytest.importorskip("mpmath")
 
@@ -62,6 +66,27 @@ def test_arc_is_within_three_ulp_of_the_envelope(e, w):
         lo, length = _arc(e, w)
         ulp = math.ulp(length)
         assert abs(length - (hi + neg_lo)) <= 3 * ulp
+        assert abs(lo + neg_lo) <= 3 * ulp
+
+
+# (r, R, v, u): e = 1e-310 and 1e-320 are subnormal; e = 1e-330 with
+# w = P/e, P*1e30/1e-300, leaves the float range, and from P = pi on the arc
+# is the full circle
+BEYOND = ([(1e-10, 1e300, v, 1.0) for v in (0.0, 0.3, 2.0, 1e5)]
+          + [(1e-20, 1e300, 1e300, 1e-10)]
+          + [(1e-30, 1e300, P * 1e30, 1e-300)
+             for P in (0.01, 0.5, 1.0, 3.0, 3.2, 10.0)])
+
+
+@pytest.mark.parametrize("r,R,v,u", BEYOND)
+def test_limit_arc_is_within_three_ulp_of_the_envelope(r, R, v, u):
+    with mp.workdps(DIGITS):
+        e, w = mp.mpf(r) / mp.mpf(R), mp.mpf(v) / mp.mpf(u)
+        hi, neg_lo = _envelope_max(e, w, 1), _envelope_max(e, w, -1)
+        lo, length = _detection_arc(CircularPatrolScenario(R=R, r=r, n=1,
+                                                           v=v, u=u))
+        ulp = math.ulp(length)
+        assert abs(length - min(mp.mpf(TWO_PI), hi + neg_lo)) <= 3 * ulp
         assert abs(lo + neg_lo) <= 3 * ulp
 
 

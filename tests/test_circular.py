@@ -1,6 +1,7 @@
 """Circular patrol: arc sets, certified detection, exact and sampled laws."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -40,11 +41,9 @@ def test_interval_set_wraps_and_stitches_across_zero():
     assert start == pytest.approx(TWO_PI - 0.5)
     assert end == pytest.approx(TWO_PI + 0.5)
     assert wrapped.measure() == pytest.approx(1.0, abs=1e-12)
-    assert wrapped.contains(0.0)
-    assert wrapped.contains(0.49)
-    assert wrapped.contains(-0.49)
-    assert not wrapped.contains(0.51)
-    assert not wrapped.contains(math.pi)
+    # one arc from 2*pi - 0.5 past 2*pi: it holds angles 0 and +-0.49, and
+    # not 0.51 or pi
+    assert wrapped.intervals == ((TWO_PI - 0.5, (TWO_PI - 0.5) + 1.0),)
 
 
 def test_interval_set_full_circle_forms():
@@ -54,13 +53,6 @@ def test_interval_set_full_circle_forms():
                                                (math.pi, TWO_PI)])
     assert halves.intervals == ((0.0, TWO_PI),)
     assert halves.measure() == TWO_PI
-
-
-def test_interval_set_contains_tiny_negative_angles():
-    # -1e-17 % (2*pi) rounds to 2*pi itself, which wraps to 0
-    assert CircleIntervalSet(((0.0, TWO_PI),)).contains(-1e-17)
-    assert CircleIntervalSet(((0.0, 1.0),)).contains(-1e-17)
-    assert not CircleIntervalSet(((1.0, 2.0),)).contains(-1e-17)
 
 
 def test_interval_set_shift_preserves_measure():
@@ -153,9 +145,10 @@ def test_arc_set_rotation_equivariance(ref_circular):
         direct = detection_arc_set(i, ref_circular)
         rotated = base.shifted(spacing * i)
         assert direct.measure() == pytest.approx(rotated.measure(), abs=1e-8)
-        probes = np.linspace(0.0, TWO_PI, 100, endpoint=False)
-        agree = sum(direct.contains(p) == rotated.contains(p) for p in probes)
-        assert agree >= 99  # only hairline endpoint probes may flip
+        assert len(direct.intervals) == len(rotated.intervals) == 1
+        for want, got in zip(direct.intervals[0], rotated.intervals[0]):
+            gap = (got - want) % TWO_PI
+            assert min(gap, TWO_PI - gap) <= 1e-12
 
 
 def test_arc_set_full_circle_when_rotation_dominates():
@@ -170,6 +163,28 @@ def test_arc_set_full_circle_when_speed_ratio_overflows_the_arc():
     assert detection_arc_set(0, s).intervals == ((0.0, TWO_PI),)
     assert exact_probability(s) == 1.0
     assert detects(1.0, 0, s)
+
+
+def test_subnormal_scan_ratio_reads_the_limit_arc():
+    # e = r/R = 1e-320 is subnormal and w = v/u = 1e310 overflows, yet the
+    # arc, 2e*sqrt(1 + w*w) to within e*e, is 2e-10 long
+    s = CircularPatrolScenario(R=1.0, r=1e-320, n=1, v=1e300, u=1e-10)
+    length = float(2 * Fraction(s.r) * Fraction(s.v) / Fraction(s.u))
+    assert length == pytest.approx(2e-10, rel=1e-4)
+    assert exact_probability(s) == pytest.approx(length / TWO_PI, rel=1e-15)
+    assert detection_arc_set(0, s).intervals == ((0.0, pytest.approx(
+        length, rel=1e-15)),)
+    assert detects(0.0, 0, s) and not detects(3.0, 0, s)
+    assert mc_probability(s, 1000, seed=0).successes == 0
+
+
+def test_vanishing_scan_ratio_with_infinite_speed_ratio_is_the_full_circle():
+    # e = 5e-324/1e10 underflows to 0 and w = 1e600 overflows: 2e*w = 1e267
+    s = CircularPatrolScenario(R=1e10, r=5e-324, n=1, v=1e300, u=1e-300)
+    assert exact_probability(s) == 1.0
+    assert detection_arc_set(0, s).intervals == ((0.0, TWO_PI),)
+    assert detects(3.0, 0, s)
+    assert mc_probability(s, 1000, seed=0).mean == 1.0
 
 
 def test_exact_probability_static_closed_form(static_circular):

@@ -460,14 +460,26 @@ def test_jensen_requires_a_distribution(capsys, tmp_path):
 def test_jensen_distribution_file(capsys, tmp_path):
     scen = write_scenario(tmp_path, **REF)
     dist = tmp_path / "dist.json"
-    dist.write_text(json.dumps({"atoms": [[0.9, 0.5], [1.1, 0.5]],
-                                "k_minus": 0.8, "k_plus": 1.2}),
+    dist.write_text(json.dumps({"atoms": [[0.9, 0.5], [1.1, 0.5]]}),
                     encoding="utf-8")
     code, out, _ = run_cli(capsys, "jensen", "--scenario", scen,
                            "--distribution", str(dist), "--no-timing")
     assert code == 0
     assert json.loads(out)["results"]["mean_inverse_k"] == pytest.approx(
         100.0 / 99.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("key", ["k_minus", "k_plus"])
+def test_distribution_file_takes_only_atoms(capsys, tmp_path, key):
+    # the support is read from the atoms; a bound is no longer a key
+    scen = write_scenario(tmp_path, **REF)
+    dist = tmp_path / "dist.json"
+    dist.write_text(json.dumps({"atoms": [[0.9, 0.5], [1.1, 0.5]], key: 1.0}),
+                    encoding="utf-8")
+    code, out, err = run_cli(capsys, "jensen", "--scenario", scen,
+                             "--distribution", str(dist))
+    assert (code, out) == (1, "")
+    assert err == f"error: unknown distribution key(s): {key}\n"
 
 
 @pytest.mark.parametrize("source", [

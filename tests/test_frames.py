@@ -16,6 +16,8 @@ from patrolgeom.frames import (TWO_PI, distance_to_vehicle,
 def test_wrap_positive_lands_in_full_turn_range():
     assert wrap_positive(0.0) == 0.0
     assert wrap_positive(TWO_PI) == 0.0
+    # -1e-17 % (2*pi) rounds to 2*pi itself, which wraps to 0
+    assert wrap_positive(-1e-17) == 0.0
     assert wrap_positive(-0.25) == pytest.approx(TWO_PI - 0.25)
     assert wrap_positive(7.9) == pytest.approx(7.9 - TWO_PI)
     for k in range(-5, 6):
@@ -155,7 +157,6 @@ _ANGLE_ENTRY_POINTS = {
     "object_position_rotating": lambda a, s: object_position_rotating(a, 0.0, s),
     "distance_to_vehicle": lambda a, s: distance_to_vehicle(a, 1.0, 0, s),
     "wrap_positive": lambda a, s: wrap_positive(a),
-    "contains": lambda a, s: CircleIntervalSet(((0.0, 1.0),)).contains(a),
     "from_intervals": lambda a, s: CircleIntervalSet.from_intervals([(a, a)]),
     "from_intervals_end": lambda a, s: CircleIntervalSet.from_intervals([(0.0, a)]),
     "from_intervals_start": lambda a, s: CircleIntervalSet.from_intervals([(a, 0.0)]),

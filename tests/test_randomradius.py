@@ -1,6 +1,7 @@
 """Randomized patrol radius: convexity inequality, estimators, time averages."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -41,55 +42,38 @@ def test_from_atoms_validation():
         RadiusDistribution.from_atoms([(1.0, 0.6), (1.0, 0.5)])
     with pytest.raises(ValidationError, match="mean must equal 1"):
         RadiusDistribution.from_atoms([(0.9, 0.5), (1.3, 0.5)])
-    with pytest.raises(ValidationError, match="k_minus"):
-        RadiusDistribution.from_atoms(TWO_POINT, k_minus=0.95)
-    with pytest.raises(ValidationError, match="k_plus"):
-        RadiusDistribution.from_atoms(TWO_POINT, k_plus=1.05)
+    with pytest.raises(ValidationError, match="straddle 1"):
+        RadiusDistribution.from_atoms([(1 + 1e-13, 1.0)])
 
 
-@pytest.mark.parametrize("atoms, bounds", [
-    (5, {}),
-    (True, {}),
-    ("[[0.9, 0.5], [1.1, 0.5]]", {}),
-    ({"0.9": 0.5, "1.1": 0.5}, {}),
-    ([0.9, 1.1], {}),
-    ([[1.0]], {}),
-    ([[0.9, 0.5, 0.0], [1.1, 0.5, 0.0]], {}),
-    ([[None, 1.0]], {}),
-    ([[1.0, None]], {}),
-    ([["1", 1.0]], {}),
-    ([[True, 1.0]], {}),
-    ([[1.0, [1.0]]], {}),
-    (TWO_POINT, {"k_minus": [1]}),
-    (TWO_POINT, {"k_minus": "0.8"}),
-    (TWO_POINT, {"k_plus": True}),
-    (TWO_POINT, {"k_plus": {"k": 1.2}}),
-    ([[10 ** 400, 1.0]], {}),
-    ([[1.0, 10 ** 400]], {}),
-    (TWO_POINT, {"k_minus": 10 ** 400}),
+@pytest.mark.parametrize("atoms", [
+    5,
+    True,
+    "[[0.9, 0.5], [1.1, 0.5]]",
+    {"0.9": 0.5, "1.1": 0.5},
+    [0.9, 1.1],
+    [[1.0]],
+    [[0.9, 0.5, 0.0], [1.1, 0.5, 0.0]],
+    [[None, 1.0]],
+    [[1.0, None]],
+    [["1", 1.0]],
+    [[True, 1.0]],
+    [[1.0, [1.0]]],
+    [[10 ** 400, 1.0]],
+    [[1.0, 10 ** 400]],
     # mean one within 1e-12, but the support does not straddle 1
-    ([[1 + 1e-13, 1.0]], {}),
+    [[1 + 1e-13, 1.0]],
 ])
-def test_from_atoms_rejects_malformed_input(atoms, bounds):
+def test_from_atoms_rejects_malformed_input(atoms):
     with pytest.raises(ValidationError):
-        RadiusDistribution.from_atoms(atoms, **bounds)
+        RadiusDistribution.from_atoms(atoms)
 
 
 def test_from_atoms_accepts_lists_tuples_and_ints():
-    d = RadiusDistribution.from_atoms([[1, 1]], k_minus=1, k_plus=2)
+    d = RadiusDistribution.from_atoms([[1, 1]])
     assert d.atoms == ((1.0, 1.0),)
-    assert (d.k_minus, d.k_plus) == (1.0, 2.0)
     assert all(type(x) is float for atom in d.atoms for x in atom)
     assert RadiusDistribution.from_atoms(tuple(TWO_POINT)).atoms == tuple(TWO_POINT)
-
-
-def test_from_atoms_defaults_bounds_to_support():
-    d = RadiusDistribution.from_atoms(TWO_POINT)
-    assert d.k_minus == 0.9
-    assert d.k_plus == 1.1
-    wide = RadiusDistribution.from_atoms(TWO_POINT, k_minus=0.5, k_plus=2.0)
-    assert wide.k_minus == 0.5
-    assert wide.k_plus == 2.0
 
 
 def test_mean_inverse_two_point_value():
@@ -172,7 +156,7 @@ def test_randomized_never_below_fixed_radius(ref_circular):
     fixed = asymptotic_summary(ref_circular).p_asym
     for _ in range(50):
         d = _random_mean_one_distribution(rng)
-        if ref_circular.r >= d.k_minus * ref_circular.R:
+        if ref_circular.r >= min(k for k, _ in d.atoms) * ref_circular.R:
             continue
         assert asymptotic_probability_randomized(ref_circular, d) >= \
             fixed - 1e-12
@@ -254,6 +238,28 @@ def test_mc_random_radius_within_interval_of_exact(scenario, atoms, saturated):
     trials = 100_000
     est = mc_probability_random_radius(s, d, trials, seed=11)
     assert abs(est.mean - exact) <= 4.0 * est.stderr + 1.0 / trials
+
+
+def test_subnormal_scan_ratio_reads_each_atoms_limit_arc():
+    # e = 1e-320 is subnormal and w = 1e310 overflows: atom k's arc is
+    # 2(e/k)w long; at R = 1.7e308, k*R overflows for k = 1.1
+    d = RadiusDistribution.from_atoms(TWO_POINT)
+    for R in (1.0, 1.7e308):
+        s = CircularPatrolScenario(R=R, r=1e-320 * R, n=1, v=1e300, u=1e-10)
+        e = Fraction(s.r) / Fraction(s.R)
+        want = math.fsum(float(p * 2 * e / Fraction(k) * Fraction(s.v)
+                               / Fraction(s.u)) for k, p in d.atoms) / TWO_PI
+        assert exact_probability_random_radius(s, d) == pytest.approx(
+            want, rel=1e-14)
+        assert mc_probability_random_radius(s, d, 1000, seed=0).successes == 0
+
+
+def test_vanishing_scan_ratio_with_infinite_speed_ratio_saturates_each_atom():
+    d = RadiusDistribution.from_atoms(TWO_POINT)
+    s = CircularPatrolScenario(R=1e10, r=5e-324, n=1, v=1e300, u=1e-300)
+    assert _atom_arcs(s, d) == [(0.0, TWO_PI)] * 2
+    assert exact_probability_random_radius(s, d) == 1.0
+    assert mc_probability_random_radius(s, d, 1000, seed=0).mean == 1.0
 
 
 def test_exact_random_radius_rejects_overlapping_radius():

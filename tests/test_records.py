@@ -44,10 +44,8 @@ RECORDS = [
      "EstimateWithCI(mean=0.5, trials=100, successes=50, stderr=0.05, "
      "ci_low=0.4, ci_high=0.6)"),
     (NeedleProblem, ("l", "L"), (0.6, 1.3), "NeedleProblem(l=0.6, L=1.3)"),
-    (RadiusDistribution, ("atoms", "k_minus", "k_plus"),
-     (((0.9, 0.5), (1.1, 0.5)), 0.9, 1.1),
-     "RadiusDistribution(atoms=((0.9, 0.5), (1.1, 0.5)), k_minus=0.9, "
-     "k_plus=1.1)"),
+    (RadiusDistribution, ("atoms",), (((0.9, 0.5), (1.1, 0.5)),),
+     "RadiusDistribution(atoms=((0.9, 0.5), (1.1, 0.5)))"),
     (PiecewiseRadiusProcess, ("states", "dwell", "horizon", "transition"),
      ((0.5, 1.5), 1.0, 200.0, "random"),
      "PiecewiseRadiusProcess(states=(0.5, 1.5), dwell=1.0, horizon=200.0, "

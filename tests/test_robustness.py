@@ -17,7 +17,7 @@ import math
 import sys
 
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from patrolgeom import (CircularPatrolScenario, CrossingSample,
@@ -30,7 +30,9 @@ from patrolgeom import (CircularPatrolScenario, CrossingSample,
                         mc_probability, mc_probability_linear,
                         mc_probability_random_radius, object_position_rotating,
                         vehicle_position_linear)
+from patrolgeom.circular import TWO_PI
 from patrolgeom.cli import _RECORD, main
+from patrolgeom.randomradius import _atom_arcs
 
 ROBUST = settings(derandomize=True, deadline=None, max_examples=150,
                   suppress_health_check=[HealthCheck.filter_too_much])
@@ -92,6 +94,80 @@ def test_circular_entry_points_are_finite_or_raise(a, b, v, u, n, f_time,
     _finite(lambda: vars(object_position_rotating(psi, t, s)).values())
     _finite(lambda: (distance_to_vehicle(psi, t, i, s),))
     assert _outcome(lambda: detects(psi, i, s)) in (True, False, None)
+
+
+# (a, b, v, u, n): e = r/R = 1e-320 is subnormal and w = v/u = 1e310
+# overflows; then e underflows to 0 and w = 1e600 overflows
+SUBNORMAL_RATIO = (1e-320, 1.0, 1e300, 1e-10, 1)
+VANISHING_RATIO = (5e-324, 1e10, 1e300, 1e-300, 1)
+
+
+def _slack(e: float, u: float, v: float) -> float:
+    """Relative slack of a closed form that reads e and sin(alpha) as
+    floats: 8 ulp of each, which are coarse where they are subnormal."""
+    sin_alpha = math.sin(math.atan2(u, v))
+    return 8.0 * (math.ulp(e) / e + math.ulp(sin_alpha) / sin_alpha)
+
+
+def _second_order(e: float, w: float) -> float:
+    """c*e^2 + 0.09*e^4, the bound on the arc's relative excess over its
+    first-order length 2e*sqrt(1 + w^2), c = S(3 - 5S + 3S^2)/6 with
+    S = 1/(1 + w^2)."""
+    S = 1.0 / (1.0 + w * w)
+    return S * (3.0 - 5.0 * S + 3.0 * S * S) / 6.0 * e * e + 0.09 * e ** 4
+
+
+@ROBUST
+@given(positive, positive, st.one_of(st.just(0.0), positive), positive,
+       fleets, st.sampled_from(DISTRIBUTIONS))
+@example(*SUBNORMAL_RATIO, DISTRIBUTIONS[1])
+@example(*VANISHING_RATIO, DISTRIBUTIONS[1])
+def test_exact_exceeds_asymptotic_by_at_most_the_second_order_term(a, b, v,
+                                                                   u, n, d):
+    r, R = sorted((a, b))
+    assume(r <= 0.2 * R)
+    s = CircularPatrolScenario(R=R, r=r, n=n, v=v, u=u)
+    e, w = r / R, v / u
+    asym = _outcome(lambda: asymptotic_summary(s).p_asym)
+    if asym is not None:
+        exact, slack = exact_probability(s), _slack(e, u, v)
+        assert asym * (1.0 - slack) <= exact
+        assert exact <= asym * (1.0 + _second_order(e, w) + slack)
+    ks = [k for k, _ in d.atoms]
+    asym = _outcome(lambda: asymptotic_probability_randomized(s, d))
+    if asym is not None and e <= 0.2 * min(ks):
+        # each atom k is a circle at scan ratio e/k; the closed form caps
+        # the mixture, exact each atom
+        exact = exact_probability_random_radius(s, d)
+        slack = _slack(e, u, v)
+        atom_bound = max(_second_order(e / k, w) for k in ks)
+        assert exact <= asym * (1.0 + atom_bound + slack)
+        if all(n * L < TWO_PI for _, L in _atom_arcs(s, d)):
+            assert asym * (1.0 - slack) <= exact
+
+
+@ROBUST
+@given(positive, positive, st.one_of(st.just(0.0), positive), positive,
+       fleets, st.sampled_from(DISTRIBUTIONS), seeds)
+@example(*SUBNORMAL_RATIO, DISTRIBUTIONS[1], 0)
+@example(*VANISHING_RATIO, DISTRIBUTIONS[1], 0)
+def test_mc_lies_within_four_standard_errors_of_exact(a, b, v, u, n, d, seed):
+    r, R = sorted((a, b))
+    assume(r < R)
+    s = CircularPatrolScenario(R=R, r=r, n=n, v=v, u=u)
+    for exact, mc in (
+            (lambda: exact_probability(s),
+             lambda: mc_probability(s, TRIALS, seed)),
+            (lambda: exact_probability_random_radius(s, d),
+             lambda: mc_probability_random_radius(s, d, TRIALS, seed))):
+        p, est = _outcome(exact), _outcome(mc)
+        assert (p is None) == (est is None)
+        if p is not None:
+            # four standard errors, not the 95% interval, which one draw in
+            # twenty misses; one trial's worth of slack keeps a single
+            # success at p*trials << 1 from failing
+            se = math.sqrt(p * (1.0 - p) / TRIALS)
+            assert abs(est.mean - p) <= 4.0 * se + 1.0 / TRIALS
 
 
 @ROBUST
@@ -213,7 +289,7 @@ def requests(draw, folder):
     if command == "jensen":
         if draw(st.booleans()):
             path = folder / "distribution.json"
-            data = {"atoms": [[0.9, 0.5], [1.1, 0.5]], "k_minus": 0.9}
+            data = {"atoms": [[0.9, 0.5], [1.1, 0.5]]}
             argv += ["--distribution", _json_file(draw, path, data)]
         else:
             argv += ["--atoms", _pick(draw, "[[0.9, 0.5], [1.1, 0.5]]", ATOMS)]
