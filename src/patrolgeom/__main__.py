@@ -1,6 +1,7 @@
-import sys
+"""`python -m patrolgeom`: the CLI through cli.exit_main, which ends the
+process without interpreter teardown (see its docstring)."""
 
-from .cli import main
+from .cli import exit_main
 
 if __name__ == "__main__":
-    sys.exit(main())
+    exit_main()

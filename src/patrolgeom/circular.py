@@ -343,6 +343,22 @@ def _sin_alpha(u: float, v: float) -> float:
     return sin_alpha
 
 
+# 2**54 lifts e/pi into the normal range for every e >= 2**-1074
+_LIFT = 2.0 ** 54
+
+
+def _share(e: float, sin_alpha: float, weight: float = 1.0) -> float:
+    """e*weight/(pi*sin(alpha)), one vehicle's share of the circle in the
+    closed forms.  Where e*weight/pi falls below the normal range it would
+    round there before the division by sin(alpha), so it is formed from
+    e*2**54 instead and scaled back after the divisions: then only the
+    result rounds.  Elsewhere the operations are those of the formula."""
+    share = e * weight / math.pi
+    if share < sys.float_info.min:
+        return e * _LIFT * weight / math.pi / sin_alpha / _LIFT
+    return share / sin_alpha
+
+
 def _summary(chord: float, per_vehicle: float, n: int) -> AsymptoticSummary:
     """The closed-form record, or OverflowError where a value is inf: the
     chord, the share or m_min, whose 1/share overflows where the share is
@@ -364,4 +380,4 @@ def asymptotic_summary(s: CircularPatrolScenario) -> AsymptoticSummary:
     """
     _validate_as(s, CircularPatrolScenario)
     e, sin_alpha = s.r / s.R, _sin_alpha(s.u, s.v)
-    return _summary(2.0 * e / sin_alpha, e / math.pi / sin_alpha, s.n)
+    return _summary(2.0 * e / sin_alpha, _share(e, sin_alpha), s.n)

@@ -15,18 +15,23 @@ estimator,probability,ci_low,ci_high,m_min,chord_l,trials,seed (sweep puts
 parameter,value in front).  jensen --format csv prints quantity,value rows.
 
 Exit codes: 0 success, 1 validation error (a malformed radius distribution
-included), input too extreme to compute (MemoryError, OverflowError) or a
-reader that closed stdout early (nothing on stderr), 2 usage error.
+included), input too extreme to compute (MemoryError, OverflowError), a
+report that stdout could not take (a full or closed stream) or a reader
+that closed stdout early (nothing on stderr), 2 usage error.
+
+exit_main, the console entry point, runs main and ends the process with
+os._exit, skipping interpreter teardown.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
 import time
-from typing import Iterator
+from typing import Iterator, NoReturn
 
 from . import __version__
 from .buffon import NeedleProblem, buffon_mc, buffon_probability
@@ -47,8 +52,16 @@ _SWEEP_HEADER = ("parameter", "value") + _CSV_HEADER
 _FIELDS = ("R", "r", "n", "v", "u")  # a scenario's numbers, all sweepable
 
 
+def _stdout():
+    """sys.stdout, or OSError where the process started with fd 1 closed
+    and Python set sys.stdout to None, which print would skip silently."""
+    if sys.stdout is None:
+        raise OSError(errno.EBADF, "stdout is closed")
+    return sys.stdout
+
+
 def _write_csv(header, rows) -> None:
-    out = sys.stdout
+    out = _stdout()
     out.write(",".join(header) + "\n")
     for row in rows:
         out.write(",".join("" if cell is None else str(cell) for cell in row) + "\n")
@@ -109,7 +122,7 @@ def _emit(args, command: str, scenario: dict, results: dict,
                               f"{LARGE_RATIO}; small-radius closed forms degrade"]
     if not args.no_timing:
         report["timing_seconds"] = time.perf_counter() - args.t0
-    print(json.dumps(report, indent=2, allow_nan=False))
+    print(json.dumps(report, indent=2, allow_nan=False), file=_stdout())
 
 
 def _read_json(path: str, what: str):
@@ -449,13 +462,18 @@ def main(argv=None) -> int:
     try:
         args.func(args)
         # a closed pipe surfaces here, while the error is still handled
-        sys.stdout.flush()
+        _stdout().flush()
         return 0
-    except BrokenPipeError:
-        # the reader left early; send what is still buffered to devnull so
-        # that the flush at interpreter exit cannot raise again
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
+    except OSError as err:
+        # stdout could not take the report: the reader left early (nothing
+        # to say), or the stream is full or closed.  Send what is still
+        # buffered to devnull, so that no later flush can raise again.
+        if not isinstance(err, BrokenPipeError):
+            print(f"error: cannot write the report: {err}", file=sys.stderr)
+        if sys.stdout is not None:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
         return 1
     except ValueError as err:
         # covers ValidationError and bad numeric domains
@@ -469,5 +487,31 @@ def main(argv=None) -> int:
         return 1
 
 
+def exit_main(argv=None) -> NoReturn:
+    """Run main(argv) and end the process with its exit code, without
+    interpreter teardown: the final garbage collection and the clean-up of
+    every loaded module, numpy's included, in a process that is about to
+    end anyway.
+
+    Skipping it loses nothing.  No package code registers an atexit
+    callback, run_bernoulli_trials joins its thread pool before main
+    returns, and the callbacks skipped are logging.shutdown (no handlers)
+    and those of modules that site-packages .pth files load.  stdout and
+    stderr are flushed first; where the code is not an int or a flush
+    raises, the process exits through sys.exit as a plain `main` call
+    would.  main itself leaves the interpreter running, for tests and
+    library callers."""
+    code = main(argv)
+    if isinstance(code, int):
+        try:
+            sys.stdout.flush()
+            sys.stderr.flush()
+        except (AttributeError, OSError, ValueError):
+            pass  # a stream is missing, full or closed
+        else:
+            os._exit(code)
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    exit_main()

@@ -23,7 +23,8 @@ import itertools
 import math
 from typing import Sequence
 
-from .circular import TWO_PI, _detection_arc, _FoldIndicator, _sin_alpha
+from .circular import (TWO_PI, _detection_arc, _FoldIndicator, _share,
+                       _sin_alpha)
 from .montecarlo import (EstimateWithCI, SeedSchedule, _trial_draws,
                          run_bernoulli_trials)
 from .scenario import (CircularPatrolScenario, ValidationError, _number,
@@ -129,7 +130,7 @@ def asymptotic_probability_randomized(s: CircularPatrolScenario,
     _validate_as(s, CircularPatrolScenario)
     _check_radius_margin(d, s.r, s.R)
     e, sin_alpha = s.r / s.R, _sin_alpha(s.u, s.v)
-    share = e * d.mean_inverse() / math.pi / sin_alpha
+    share = _share(e, sin_alpha, d.mean_inverse())
     if share == 0.0:
         raise OverflowError("closed form exceeds the float range")
     return min(1.0, s.n * share)

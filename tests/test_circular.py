@@ -308,6 +308,20 @@ def test_asymptotic_matches_exact_for_small_radius():
     assert abs(p - summary.p_asym) / summary.p_asym < 1e-3
 
 
+def test_closed_form_share_rounds_once_where_r_over_R_is_subnormal():
+    # e = 1e-320 and sin(alpha) = 1e-310 are subnormal: e/pi would round
+    # in the subnormal range, by 4e-4 of itself, before the division
+    # by sin(alpha)
+    s = CircularPatrolScenario(R=1.0, r=1e-320, n=1, v=1e300, u=1e-10)
+    summary = asymptotic_summary(s)
+    sin_alpha = math.sin(math.atan2(s.u, s.v))
+    want = Fraction(s.r) / (Fraction(math.pi) * Fraction(sin_alpha))
+    assert summary.p_asym == pytest.approx(float(want), rel=1e-15, abs=0.0)
+    assert summary.p_asym == pytest.approx(summary.chord_l / TWO_PI,
+                                           rel=1e-15, abs=0.0)
+    assert summary.m_min == math.ceil(1 / want)
+
+
 # ---- validation plumbing ----
 
 def test_exact_probability_validates_scenario():

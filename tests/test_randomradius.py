@@ -252,6 +252,12 @@ def test_subnormal_scan_ratio_reads_each_atoms_limit_arc():
         assert exact_probability_random_radius(s, d) == pytest.approx(
             want, rel=1e-14)
         assert mc_probability_random_radius(s, d, 1000, seed=0).successes == 0
+        # the closed form's share rounds once, not first at e*E[1/k]/pi
+        sin_alpha = math.sin(math.atan2(s.u, s.v))
+        share = (e * Fraction(d.mean_inverse())
+                 / (Fraction(math.pi) * Fraction(sin_alpha)))
+        assert asymptotic_probability_randomized(s, d) == pytest.approx(
+            float(share), rel=1e-15, abs=0.0)
 
 
 def test_vanishing_scan_ratio_with_infinite_speed_ratio_saturates_each_atom():

@@ -5,13 +5,20 @@ the thread pool only for several workers, and `statistics` never.  A
 request builds only the argument parsers its command names.
 
 Each case runs a fresh interpreter, because this test process has long
-since imported numpy."""
+since imported numpy.
+
+The end: `python -m patrolgeom` leaves through os._exit, without
+interpreter teardown, and still exits and prints as `cli.main` would."""
 
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
+
+from patrolgeom.cli import main
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -139,3 +146,59 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     _, modules = _run()
     assert "patrolgeom.cli" in modules
     assert modules.isdisjoint({"dataclasses", "inspect"})
+
+
+# python -m patrolgeom, with an atexit marker registered first: the marker
+# writes to stderr only if the interpreter tears down
+_ENTRY = """
+import atexit, os, runpy
+atexit.register(os.write, 2, b"teardown ran\\n")
+runpy.run_module("patrolgeom", run_name="__main__", alter_sys=True)
+"""
+
+
+def _entry(*argv, shell=()) -> subprocess.CompletedProcess:
+    """Run the entry point on argv, through the sh command `shell` if set."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    command = [sys.executable, "-c", _ENTRY, *argv]
+    if shell:
+        command = ["sh", "-c", shell, "sh", *command]
+    return subprocess.run(command, capture_output=True, text=True, env=env,
+                          timeout=120)
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["circular", "exact", *REF, "--no-timing"], 0),
+    (["circular", "exact", *REF[:2], "--r", "500", *REF[4:]], 1),
+    (["circular", "exact", *REF, "--bogus"], 2),
+    (["--version"], 0),
+])
+def test_the_entry_point_skips_teardown_and_answers_as_main(capsys, argv,
+                                                             code):
+    proc = _entry(*argv)
+    assert "teardown ran" not in proc.stderr
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        code, captured.out, captured.err)
+
+
+def test_with_stdout_closed_the_entry_point_exits_through_teardown():
+    # sys.stdout is None, so the flush before os._exit raises and the
+    # process leaves through sys.exit: one error line, exit code 1
+    proc = _entry("circular", "exact", *REF, shell='exec "$@" >&-')
+    assert proc.returncode == 1
+    assert proc.stderr == ("error: cannot write the report: "
+                           "[Errno 9] stdout is closed\nteardown ran\n")
+
+
+def test_two_workers_print_the_same_bytes_through_the_entry_point():
+    # the thread pool is joined before main returns, so os._exit drops
+    # no output
+    outs = [_entry("circular", "mc", *REF, "--trials", "200000",
+                   "--workers", workers, "--no-timing")
+            for workers in ("1", "2")]
+    assert [p.returncode for p in outs] == [0, 0]
+    assert outs[0].stdout == outs[1].stdout != ""
+    assert outs[0].stderr == outs[1].stderr == ""
