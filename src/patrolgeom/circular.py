@@ -35,14 +35,15 @@ limit, [e*(w - sqrt(1 + w*w)), e*(w + sqrt(1 + w*w))], and where w*2e
 overflows it is the full circle.
 
 The other vehicles' arcs are rotations by 2*pi*i/n, so n equally spaced
-copies of an arc of length L cover min(1, n*L/(2*pi)) of the circle.  The
-exact solver, `detects` and the Monte Carlo indicator read this one arc;
-the dense-grid oracles of the test suite are the independent check.  That
-indicator, `_FoldIndicator`, folds each trial's position modulo the period
-and tests it against one window.  Its draw map is two numbers: the position
-is scale*(last draw), less draw 0 where the model shifts by it.  Here the
-scale is 2*pi and there is no shift; the segment and randomized-radius
-models build it with their own draw maps and windows.
+copies of an arc of length L cover min(1, n*L/(2*pi)) of the circle.
+`detects` reads this one arc, and so does `_FoldIndicator`, the record of
+every patrol model: n vehicles span/n apart, a draw map (scale, shift) and
+atoms (p, lo, L).  Its exact() is the sum of p*min(1, n*L/span) over the
+atoms, which `exact_probability` returns, and its Monte Carlo test folds
+each trial's position modulo span/n onto the window of the trial's atom.
+Here span and scale are 2*pi, with one atom and no shift; the segment and
+the randomized radius state their own numbers.  The dense-grid oracles of
+the test suite are the independent check.
 The closed forms read e and sin(alpha) alone, and raise OverflowError where
 their value leaves the float range.
 """
@@ -52,7 +53,7 @@ from __future__ import annotations
 import math
 import sys
 from bisect import bisect_right
-from itertools import repeat
+from itertools import accumulate, repeat
 from operator import le, mod, mul, sub
 from typing import Iterable, Sequence
 
@@ -236,25 +237,40 @@ def exact_probability(s: CircularPatrolScenario) -> float:
     vehicle's arc: n equally spaced copies of one arc overlap only once they
     cover the circle."""
     _validate_as(s, CircularPatrolScenario)
-    _, length = _detection_arc(s)
-    return min(1.0, s.n * length / TWO_PI)
+    return _indicator(s).exact()
 
 
 class _FoldIndicator:
-    """The fold test of `detects` for every model.  A trial's position is
-    x = scale*(last draw), less draw 0 where shift is set, and the trial is
-    detected iff (x - lo) mod period <= length.  With the cumulative atom
-    weights cum, lo and length are per-atom sequences and draw 0 picks each
-    trial's atom.  evaluate_batch tests a (m, n_draws) block of trials;
+    """One patrol model's record, read alike by its exact answer and its
+    Monte Carlo test: n vehicles span/n apart, a draw map and the atoms'
+    windows.  A trial's position is x = scale*(last draw), less draw 0
+    where shift is set, and the trial is detected iff
+    (x - lo) mod (span/n) <= length.  Given the atom weights, lo and length
+    are per-atom sequences and draw 0 picks each trial's atom by cumulative
+    weight, even where there is one atom; without them lo and length are
+    numbers, one atom of weight 1.  exact() is the measure of the detected
+    positions, evaluate_batch tests a (m, n_draws) block of trials and
     count_lanes counts the detections of a lane block given as n_draws
-    columns of floats, through C-level maps.  Both take the same
+    columns of floats, through C-level maps.  The two tests take the same
     floating-point operations in the same order: Python's float % and
     np.mod both take fmod and then fix the sign."""
 
-    def __init__(self, n_draws, scale, period, lo, length, cum=None,
-                 shift=False):
-        self.n_draws, self._scale, self._shift = n_draws, scale, shift
-        self._period, self._lo, self._length, self._cum = period, lo, length, cum
+    def __init__(self, n, span, scale, lo, length, weights=None, shift=False):
+        # draw 0 is either the shift or the atom's pick, never both
+        self.n_draws = 2 if shift or weights is not None else 1
+        self._n, self._span, self._scale, self._shift = n, span, scale, shift
+        self._period, self._lo, self._length = span / n, lo, length
+        self._cum = None if weights is None else tuple(accumulate(weights))
+        self._atoms = (((1.0, length),) if weights is None
+                       else tuple(zip(weights, length)))
+
+    def exact(self) -> float:
+        """min(1, sum of p*min(1, n*L/span)) over the atoms (p, L): n
+        windows of length L, span/n apart, overlap only once they cover the
+        span.  The outer min holds where the weights sum to a little more
+        than 1, as a radius distribution's may, to 1e-12."""
+        return min(1.0, math.fsum(p * min(1.0, self._n * length / self._span)
+                                  for p, length in self._atoms))
 
     def evaluate_batch(self, u: np.ndarray) -> np.ndarray:
         """Detection flags; computes in place, overwriting u."""
@@ -297,7 +313,7 @@ class _FoldIndicator:
 def _indicator(s: CircularPatrolScenario) -> _FoldIndicator:
     """psi = 2*pi*u ~ U[0, 2*pi), tested against the nearest vehicle's arc:
     folding psi modulo the fleet spacing collapses all n arcs onto one."""
-    return _FoldIndicator(1, TWO_PI, TWO_PI / s.n, *_detection_arc(s))
+    return _FoldIndicator(s.n, TWO_PI, TWO_PI, *_detection_arc(s))
 
 
 def mc_probability(s: CircularPatrolScenario, trials: int, seed: int,

@@ -10,11 +10,12 @@ trial, and a time-average check that a single patroller hopping through
 radius states reproduces the ensemble mean.
 
 Patrol radius k*R turns the scan ratio e = r/R into e/k and leaves v/u
-alone, so each atom k is the circular model's arc at e/k (`_atom_arcs`),
-and the exact sum and the Monte Carlo indicator read that one table.  The
-indicator is the circular model's `_FoldIndicator`, with the same draw map
-(scale 2*pi, no shift) and a first draw that picks each trial's atom, hence
-its arc.
+alone, so each atom k is the circular model's arc at e/k.  The model's
+record is the circular model's `_FoldIndicator`, with the same span and
+draw map (2*pi, no shift) and one atom (p, lo, L) per multiplier; the
+exact probability is its exact sum, and its Monte Carlo test takes a first
+draw that picks each trial's atom, hence its arc, even where there is one
+atom.
 """
 
 from __future__ import annotations
@@ -136,13 +137,6 @@ def asymptotic_probability_randomized(s: CircularPatrolScenario,
     return min(1.0, s.n * share)
 
 
-def _atom_arcs(s: CircularPatrolScenario,
-               d: RadiusDistribution) -> list[tuple[float, float]]:
-    """(lo, L) of each atom's detection arc: the arc at patrol radius k*R
-    (launch circle k*R + r), whose scan ratio is e/k."""
-    return [_detection_arc(s, k) for k, _ in d.atoms]
-
-
 def exact_probability_random_radius(s: CircularPatrolScenario,
                                     d: RadiusDistribution) -> float:
     """Exact interception probability with the radius redrawn per run: the
@@ -150,18 +144,17 @@ def exact_probability_random_radius(s: CircularPatrolScenario,
     patrol radius k*R."""
     _validate_as(s, CircularPatrolScenario)
     _check_radius_margin(d, s.r, s.R)
-    value = math.fsum(p * min(1.0, s.n * length / TWO_PI)
-                      for (_, p), (_, length) in zip(d.atoms, _atom_arcs(s, d)))
-    # the weights sum to 1 only to 1e-12
-    return min(1.0, value)
+    return _indicator(s, d).exact()
 
 
 def _indicator(s: CircularPatrolScenario, d: RadiusDistribution):
     """Two draws per trial: slot 0 picks the atom by cumulative weight, slot
-    1 the launch angle psi ~ U[0, 2*pi), tested against that atom's arc."""
-    lo, length = zip(*_atom_arcs(s, d))
-    return _FoldIndicator(2, TWO_PI, TWO_PI / s.n, lo, length,
-                          tuple(d.cumulative_weights()))
+    1 the launch angle psi ~ U[0, 2*pi), tested against that atom's arc:
+    the arc at patrol radius k*R (launch circle k*R + r), whose scan ratio
+    is e/k."""
+    lo, length = zip(*(_detection_arc(s, k) for k, _ in d.atoms))
+    return _FoldIndicator(s.n, TWO_PI, TWO_PI, lo, length,
+                          [p for _, p in d.atoms])
 
 
 def mc_probability_random_radius(s: CircularPatrolScenario, d: RadiusDistribution,

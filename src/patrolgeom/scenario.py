@@ -106,7 +106,7 @@ class LinearPatrolScenario(_Record):
 
     In the unfolded coordinate (two copies of the segment glued end to end,
     circumference 2R) the vehicles sit 2R/n apart and move uniformly at speed
-    v > 0; the intruder crosses the strip perpendicularly at speed u.
+    v >= 0; the intruder crosses the strip perpendicularly at speed u.
     """
 
     R: float
@@ -175,11 +175,10 @@ def validate(s: Scenario) -> Scenario:
     _require(s.R > 0, "R must be positive")
     _require(s.r > 0, "r must be positive")
     _require(s.u > 0, "u must be positive")
+    _require(s.v >= 0, "v must be nonnegative")
     if isinstance(s, CircularPatrolScenario):
-        _require(s.v >= 0, "v must be nonnegative")
         _require(s.r < s.R, "r < R required")
     else:
-        _require(s.v > 0, "v must be positive")
         _require(2.0 * s.r < s.R, "2r < R required")
     return s
 

@@ -170,10 +170,11 @@ def test_subnormal_scan_ratio_reads_the_limit_arc():
     # arc, 2e*sqrt(1 + w*w) to within e*e, is 2e-10 long
     s = CircularPatrolScenario(R=1.0, r=1e-320, n=1, v=1e300, u=1e-10)
     length = float(2 * Fraction(s.r) * Fraction(s.v) / Fraction(s.u))
-    assert length == pytest.approx(2e-10, rel=1e-4)
-    assert exact_probability(s) == pytest.approx(length / TWO_PI, rel=1e-15)
+    assert length == pytest.approx(2e-10, rel=1e-4, abs=0.0)
+    assert exact_probability(s) == pytest.approx(length / TWO_PI, rel=1e-15,
+                                                 abs=0.0)
     assert detection_arc_set(0, s).intervals == ((0.0, pytest.approx(
-        length, rel=1e-15)),)
+        length, rel=1e-15, abs=0.0)),)
     assert detects(0.0, 0, s) and not detects(3.0, 0, s)
     assert mc_probability(s, 1000, seed=0).successes == 0
 

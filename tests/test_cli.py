@@ -345,7 +345,7 @@ def test_asymptotic_answers_near_the_top_of_the_float_range(capsys, command,
         reports.append(json.loads(out)["results"])
     huge, small = reports
     for key in keys:
-        assert huge[key] == pytest.approx(small[key], rel=1e-12), key
+        assert huge[key] == pytest.approx(small[key], rel=1e-12, abs=0.0), key
     assert 0.0 < huge[keys[0]] < 1e-6
 
 
@@ -397,9 +397,10 @@ def test_exact_answers_near_the_top_of_the_float_range(capsys, command, key):
                                  "--no-timing")
         assert (code, err) == (0, "")
         answers.append(_strict_json(out)["results"][key])
-    assert answers[0] == pytest.approx(answers[1], rel=1e-12)
+    assert answers[0] == pytest.approx(answers[1], rel=1e-12, abs=0.0)
     if command[0] == "circular":
-        assert answers[1] == pytest.approx(4.745083622781181e-08, rel=1e-15)
+        assert answers[1] == pytest.approx(4.745083622781181e-08, rel=1e-15,
+                                           abs=0.0)
 
 
 def test_exact_answer_at_the_smallest_radius_is_not_lost(capsys):

@@ -58,7 +58,8 @@ def test_tiny_radius_exact_probability_is_not_lost():
                                u=0.10108632858046106)
     p = exact_probability(s)
     assert p == pytest.approx(1.3032284e-6, rel=1e-6)
-    assert p == pytest.approx(asymptotic_summary(s).p_asym, rel=s.r / s.R)
+    assert p == pytest.approx(asymptotic_summary(s).p_asym, rel=s.r / s.R,
+                              abs=0.0)
 
 
 _ATOMS = RadiusDistribution.from_atoms([(0.5, 0.5), (1.5, 0.5)])
@@ -108,7 +109,7 @@ def test_arc_envelope_matches_dense_grid(s):
     got_lo, got_length = _detection_arc(s)
     scale = hi - lo
     assert got_lo == pytest.approx(lo, abs=1e-9 * scale)
-    assert got_length == pytest.approx(hi - lo, rel=1e-9)
+    assert got_length == pytest.approx(hi - lo, rel=1e-9, abs=0.0)
     # the searched extrema are never inside the sampled envelope
     assert got_lo <= lo + 1e-12 * scale
     assert got_lo + got_length >= hi - 1e-12 * scale
@@ -259,7 +260,7 @@ def test_answers_depend_only_on_the_ratios(e, w, n):
         answers.append((exact_probability(s), summary.chord_l, summary.p_asym,
                         summary.m_min, exact_probability_random_radius(s, atoms)))
     for got in answers:
-        assert got == pytest.approx(answers[4], rel=1e-14)
+        assert got == pytest.approx(answers[4], rel=1e-14, abs=0.0)
 
 
 @pytest.mark.parametrize("r", [5e-324, 1e-320])

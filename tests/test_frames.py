@@ -114,11 +114,11 @@ def test_distance_to_vehicle_reference_values(static_circular):
 def test_distance_to_vehicle_does_not_cancel_at_tiny_radius():
     s = CircularPatrolScenario(R=100.0, r=1e-5, n=1, v=0.0, u=1.0)
     # launched straight over the vehicle: the distance is exactly r
-    assert distance_to_vehicle(0.0, 0.0, 0, s) == pytest.approx(1e-5,
-                                                                rel=1e-9)
+    assert distance_to_vehicle(0.0, 0.0, 0, s) == pytest.approx(
+        1e-5, rel=1e-9, abs=0.0)
     # on the vehicle's circle, 1e-7 rad away: a chord of the R-circle
     d = distance_to_vehicle(1e-7, 1e-5, 0, s)
-    assert d == pytest.approx(200.0 * math.sin(0.5e-7), rel=1e-9)
+    assert d == pytest.approx(200.0 * math.sin(0.5e-7), rel=1e-9, abs=0.0)
 
 
 def test_distance_to_vehicle_index_validation(ref_circular):
@@ -189,8 +189,8 @@ def test_kinematics_scale_with_R_where_its_square_overflows(R):
             got = object_position_rotating(psi, fraction * 1.05 * R, s)
             assert abs(got.radius / R - want.radius) <= 4 * math.ulp(1.0)
             assert got.angle == pytest.approx(want.angle, rel=1e-15)
-    assert distance_to_vehicle(0.0, 0.0, 0, s) == pytest.approx(0.05 * R,
-                                                                rel=1e-15)
+    assert distance_to_vehicle(0.0, 0.0, 0, s) == pytest.approx(
+        0.05 * R, rel=1e-15, abs=0.0)
 
 
 def test_only_lengths_beyond_the_float_range_overflow():

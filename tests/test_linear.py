@@ -9,9 +9,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from patrolgeom import LinearPatrolScenario
-from patrolgeom.linear import (CrossingSample, _indicator,
+from patrolgeom.linear import (CrossingSample, _indicator, _window,
                                asymptotic_summary_linear, detects_linear,
                                mc_probability_linear, vehicle_position_linear)
 from patrolgeom.montecarlo import SeedSchedule
@@ -262,3 +264,27 @@ def test_mc_linear_deterministic_across_workers(ref_linear):
     a = mc_probability_linear(ref_linear, 30_000, seed=1)
     b = mc_probability_linear(ref_linear, 30_000, seed=1, workers=4)
     assert a == b
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(st.floats(-300.0, 307.0), st.floats(-320.0, math.log10(0.49)),
+       st.one_of(st.integers(1, 100), st.integers(1, 10 ** 9)),
+       st.one_of(st.just(-math.inf), st.floats(-300.0, 300.0)),
+       st.floats(-300.0, 300.0))
+def test_the_segment_record_reads_its_closed_form(log_R, log_e, n, log_v,
+                                                  log_u):
+    # the record's exact sum min(1, n*length/2) and the closed form
+    # min(1, n*reach/R) are one number wherever the window is a chord;
+    # a saturated window is the whole period 2/n, where n*(2/n)/2 may round
+    # one ulp below 1 while the closed form caps at 1, so it is left out
+    R = 10.0 ** log_R
+    r = R * 10.0 ** log_e
+    assume(0.0 < r and 2.0 * r < R)
+    s = LinearPatrolScenario(R=R, r=r, n=n, v=10.0 ** log_v, u=10.0 ** log_u)
+    period, _, length = _window(s)
+    assume(length < period)
+    try:
+        p_asym = asymptotic_summary_linear(s).p_asym
+    except OverflowError:
+        return  # the share's m_min leaves the float range
+    assert _indicator(s).exact() == p_asym

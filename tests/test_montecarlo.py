@@ -455,10 +455,10 @@ _FOLD_MODELS = ("circle", "segment", "random_radius", "point_mass")
 
 def _fold_indicator(model, e=0.05, w=2.0, n=10):
     """A fold model's indicator at R = 1, r/R = e (half that on the
-    segment, whose v/u must be positive), v/u = w and n vehicles."""
+    segment, whose 2r must stay below R), v/u = w and n vehicles."""
     if model == "segment":
         return linear._indicator(LinearPatrolScenario(
-            R=1.0, r=e / 2.0, n=n, v=w or 1.0, u=1.0))
+            R=1.0, r=e / 2.0, n=n, v=w, u=1.0))
     s = CircularPatrolScenario(R=1.0, r=e, n=n, v=w, u=1.0)
     if model == "circle":
         return circular._indicator(s)
@@ -518,11 +518,11 @@ def test_a_draw_past_the_last_cumulative_weight_takes_the_last_atom():
     # weights whose sum rounds below 1 leave draws past the last cumulative
     # weight; both paths clip them onto the last atom, as a sum of exactly
     # 1 would place them
-    def atoms(cum):
-        return circular._FoldIndicator(2, TWO_PI, TWO_PI / 10,
-                                       (0.0, -0.3), (0.2, 0.5), cum)
+    def atoms(weights):
+        return circular._FoldIndicator(10, TWO_PI, TWO_PI, (0.0, -0.3),
+                                       (0.2, 0.5), weights)
 
-    short, whole = atoms((0.5, 0.9)), atoms((0.5, 1.0))
+    short, whole = atoms((0.5, 0.4)), atoms((0.5, 0.5))
     expected = _count_scalar(whole, 5000, SeedSchedule(3))
     assert _count_scalar(short, 5000, SeedSchedule(3)) == expected
     assert _vector_count(short, 5000, 3) == expected

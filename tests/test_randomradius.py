@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 from patrolgeom import CircularPatrolScenario, circular
-from patrolgeom.circular import TWO_PI, exact_probability, mc_probability
+from patrolgeom.circular import (TWO_PI, _detection_arc, exact_probability,
+                                 mc_probability)
 from patrolgeom.montecarlo import SeedSchedule
 from patrolgeom.randomradius import (PiecewiseRadiusProcess, RadiusDistribution,
-                                     _atom_arcs, _indicator,
+                                     _indicator,
                                      asymptotic_probability_randomized,
                                      ergodic_time_average,
                                      exact_probability_random_radius,
@@ -232,8 +233,8 @@ def test_exact_random_radius_static_ring_matches_mixture_of_closed_forms(
 def test_mc_random_radius_within_interval_of_exact(scenario, atoms, saturated):
     s = CircularPatrolScenario(**scenario)
     d = RadiusDistribution.from_atoms(atoms)
-    assert sum(s.n * length >= TWO_PI
-               for _, length in _atom_arcs(s, d)) == saturated
+    assert sum(s.n * _detection_arc(s, k)[1] >= TWO_PI
+               for k, _ in d.atoms) == saturated
     exact = exact_probability_random_radius(s, d)
     trials = 100_000
     est = mc_probability_random_radius(s, d, trials, seed=11)
@@ -247,10 +248,11 @@ def test_subnormal_scan_ratio_reads_each_atoms_limit_arc():
     for R in (1.0, 1.7e308):
         s = CircularPatrolScenario(R=R, r=1e-320 * R, n=1, v=1e300, u=1e-10)
         e = Fraction(s.r) / Fraction(s.R)
-        want = math.fsum(float(p * 2 * e / Fraction(k) * Fraction(s.v)
-                               / Fraction(s.u)) for k, p in d.atoms) / TWO_PI
+        want = math.fsum(float(Fraction(p) * 2 * e / Fraction(k)
+                               * Fraction(s.v) / Fraction(s.u))
+                         for k, p in d.atoms) / TWO_PI
         assert exact_probability_random_radius(s, d) == pytest.approx(
-            want, rel=1e-14)
+            want, rel=1e-14, abs=0.0)
         assert mc_probability_random_radius(s, d, 1000, seed=0).successes == 0
         # the closed form's share rounds once, not first at e*E[1/k]/pi
         sin_alpha = math.sin(math.atan2(s.u, s.v))
@@ -263,7 +265,7 @@ def test_subnormal_scan_ratio_reads_each_atoms_limit_arc():
 def test_vanishing_scan_ratio_with_infinite_speed_ratio_saturates_each_atom():
     d = RadiusDistribution.from_atoms(TWO_POINT)
     s = CircularPatrolScenario(R=1e10, r=5e-324, n=1, v=1e300, u=1e-300)
-    assert _atom_arcs(s, d) == [(0.0, TWO_PI)] * 2
+    assert [_detection_arc(s, k) for k, _ in d.atoms] == [(0.0, TWO_PI)] * 2
     assert exact_probability_random_radius(s, d) == 1.0
     assert mc_probability_random_radius(s, d, 1000, seed=0).mean == 1.0
 

@@ -30,9 +30,8 @@ from patrolgeom import (CircularPatrolScenario, CrossingSample,
                         mc_probability, mc_probability_linear,
                         mc_probability_random_radius, object_position_rotating,
                         vehicle_position_linear)
-from patrolgeom.circular import TWO_PI
+from patrolgeom.circular import TWO_PI, _detection_arc
 from patrolgeom.cli import _RECORD, main
-from patrolgeom.randomradius import _atom_arcs
 
 ROBUST = settings(derandomize=True, deadline=None, max_examples=150,
                   suppress_health_check=[HealthCheck.filter_too_much])
@@ -142,7 +141,7 @@ def test_exact_exceeds_asymptotic_by_at_most_the_second_order_term(a, b, v,
         slack = _slack(e, u, v)
         atom_bound = max(_second_order(e / k, w) for k in ks)
         assert exact <= asym * (1.0 + atom_bound + slack)
-        if all(n * L < TWO_PI for _, L in _atom_arcs(s, d)):
+        if all(n * _detection_arc(s, k)[1] < TWO_PI for k in ks):
             assert asym * (1.0 - slack) <= exact
 
 
@@ -171,8 +170,8 @@ def test_mc_lies_within_four_standard_errors_of_exact(a, b, v, u, n, d, seed):
 
 
 @ROBUST
-@given(positive, positive, positive, positive, fleets, fractions, fractions,
-       fractions, st.floats(-BIG, BIG), seeds)
+@given(positive, positive, st.one_of(st.just(0.0), positive), positive,
+       fleets, fractions, fractions, fractions, st.floats(-BIG, BIG), seeds)
 def test_linear_entry_points_are_finite_or_raise(a, b, v, u, n, f_a, f_b,
                                                  f_index, t, seed):
     r, R = sorted((a, b))

@@ -109,8 +109,10 @@ def test_validate_sign_constraints_circular():
 
 
 def test_validate_sign_constraints_linear():
-    with pytest.raises(ValidationError, match="v must be positive"):
-        validate(LinearPatrolScenario(R=1.0, r=0.1, n=1, v=0.0, u=1.0))
+    with pytest.raises(ValidationError, match="v must be nonnegative"):
+        validate(LinearPatrolScenario(R=1.0, r=0.1, n=1, v=-1.0, u=1.0))
+    resting = LinearPatrolScenario(R=1.0, r=0.1, n=1, v=0.0, u=1.0)
+    assert validate(resting) is resting
     with pytest.raises(ValidationError, match="2r < R required"):
         validate(LinearPatrolScenario(R=1.0, r=0.5, n=1, v=1.0, u=1.0))
 
