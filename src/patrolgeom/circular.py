@@ -37,13 +37,14 @@ overflows it is the full circle.
 The other vehicles' arcs are rotations by 2*pi*i/n, so n equally spaced
 copies of an arc of length L cover min(1, n*L/(2*pi)) of the circle.
 `detects` reads this one arc, and so does `_FoldIndicator`, the record of
-every patrol model: n vehicles span/n apart, a draw map (scale, shift) and
-atoms (p, lo, L).  Its exact() is the sum of p*min(1, n*L/span) over the
-atoms, which `exact_probability` returns, and its Monte Carlo test folds
-each trial's position modulo span/n onto the window of the trial's atom.
-Here span and scale are 2*pi, with one atom and no shift; the segment and
-the randomized radius state their own numbers.  The dense-grid oracles of
-the test suite are the independent check.
+every patrol model: n vehicles span/n apart and atoms (p, lo, L).  Its
+exact() is the sum of p*min(1, n*L/span) over the atoms, which
+`exact_probability` returns; an atom whose window spans the whole period
+span/n counts exactly p there.  Its Monte Carlo test folds each trial's
+position modulo span/n onto the window of the trial's atom.  Here span is
+2*pi, with one atom and no shift; the segment and the randomized radius
+state their own numbers.  The dense-grid oracles of the test suite are
+the independent check.
 The closed forms read e and sin(alpha) alone, and raise OverflowError where
 their value leaves the float range.
 """
@@ -236,41 +237,49 @@ def exact_probability(s: CircularPatrolScenario) -> float:
     """Interception probability min(1, n*L/(2*pi)), L the length of one
     vehicle's arc: n equally spaced copies of one arc overlap only once they
     cover the circle."""
-    _validate_as(s, CircularPatrolScenario)
     return _indicator(s).exact()
 
 
 class _FoldIndicator:
     """One patrol model's record, read alike by its exact answer and its
-    Monte Carlo test: n vehicles span/n apart, a draw map and the atoms'
-    windows.  A trial's position is x = scale*(last draw), less draw 0
-    where shift is set, and the trial is detected iff
+    Monte Carlo test: n vehicles span/n apart and the atoms' windows.  A
+    trial's position x is span*(last draw), or, where shift is set,
+    (span/n)*(last draw) less draw 0, and the trial is detected iff
     (x - lo) mod (span/n) <= length.  Given the atom weights, lo and length
-    are per-atom sequences and draw 0 picks each trial's atom by cumulative
-    weight, even where there is one atom; without them lo and length are
-    numbers, one atom of weight 1.  exact() is the measure of the detected
-    positions, evaluate_batch tests a (m, n_draws) block of trials and
-    count_lanes counts the detections of a lane block given as n_draws
+    are per-atom sequences and draw 0 picks each trial's atom, even where
+    there is one: the atom's index is the number of cumulative weights, the
+    last left out, at or below the draw, so a draw at or past the last kept
+    weight picks the last atom.  Without weights lo and length are numbers,
+    one atom of weight 1.  exact() is the measure of the detected
+    positions, in which an atom whose window is at least span/n long counts
+    its whole weight.  evaluate_batch tests a (m, n_draws) block of trials
+    and count_lanes counts the detections of a lane block given as n_draws
     columns of floats, through C-level maps.  The two tests take the same
     floating-point operations in the same order: Python's float % and
     np.mod both take fmod and then fix the sign."""
 
-    def __init__(self, n, span, scale, lo, length, weights=None, shift=False):
+    def __init__(self, n, span, lo, length, weights=None, shift=False):
         # draw 0 is either the shift or the atom's pick, never both
         self.n_draws = 2 if shift or weights is not None else 1
-        self._n, self._span, self._scale, self._shift = n, span, scale, shift
+        self._n, self._span, self._shift = n, span, shift
         self._period, self._lo, self._length = span / n, lo, length
-        self._cum = None if weights is None else tuple(accumulate(weights))
+        self._scale = self._period if shift else span
+        self._cum = (None if weights is None
+                     else tuple(accumulate(weights))[:-1])
         self._atoms = (((1.0, length),) if weights is None
                        else tuple(zip(weights, length)))
 
     def exact(self) -> float:
         """min(1, sum of p*min(1, n*L/span)) over the atoms (p, L): n
         windows of length L, span/n apart, overlap only once they cover the
-        span.  The outer min holds where the weights sum to a little more
-        than 1, as a radius distribution's may, to 1e-12."""
-        return min(1.0, math.fsum(p * min(1.0, self._n * length / self._span)
-                                  for p, length in self._atoms))
+        span.  An atom with L >= span/n counts p exactly, where n*L/span
+        may round below 1; below it n*L/span is at most 1.  The outer min
+        holds where the weights sum to a little more than 1, as a radius
+        distribution's may, to 1e-12."""
+        n, span, period = self._n, self._span, self._period
+        return min(1.0, math.fsum(
+            p if length >= period else p * (n * length / span)
+            for p, length in self._atoms))
 
     def evaluate_batch(self, u: np.ndarray) -> np.ndarray:
         """Detection flags; computes in place, overwriting u."""
@@ -281,9 +290,9 @@ class _FoldIndicator:
             np.subtract(x, u[:, 0], out=x)
         length = self._length
         if self._cum is not None:
-            # mode="clip" maps the index past the last atom (u beyond a final
-            # cumulative weight rounded below 1) onto the last atom; column 0
-            # holds lo, then, once subtracted, length
+            # column 0 holds lo, then, once subtracted, length; idx never
+            # passes the last atom, and mode="clip" is set only because
+            # under the default mode="raise" np.take buffers out
             idx = np.searchsorted(self._cum, u[:, 0], side="right")
             np.subtract(x, np.take(self._lo, idx, out=u[:, 0], mode="clip"),
                         out=x)
@@ -301,9 +310,7 @@ class _FoldIndicator:
             x = map(sub, x, columns[0])
         lo, length = repeat(self._lo), repeat(self._length)
         if self._cum is not None:
-            last = len(self._lo) - 1
-            atoms = list(map(min, map(bisect_right, repeat(self._cum),
-                                      columns[0]), repeat(last)))
+            atoms = list(map(bisect_right, repeat(self._cum), columns[0]))
             lo = map(self._lo.__getitem__, atoms)
             length = map(self._length.__getitem__, atoms)
         return sum(map(le, map(mod, map(sub, x, lo), repeat(self._period)),
@@ -313,14 +320,14 @@ class _FoldIndicator:
 def _indicator(s: CircularPatrolScenario) -> _FoldIndicator:
     """psi = 2*pi*u ~ U[0, 2*pi), tested against the nearest vehicle's arc:
     folding psi modulo the fleet spacing collapses all n arcs onto one."""
-    return _FoldIndicator(s.n, TWO_PI, TWO_PI, *_detection_arc(s))
+    _validate_as(s, CircularPatrolScenario)
+    return _FoldIndicator(s.n, TWO_PI, *_detection_arc(s))
 
 
 def mc_probability(s: CircularPatrolScenario, trials: int, seed: int,
                    workers: int = 1) -> EstimateWithCI:
     """Monte Carlo interception probability over uniform launch angles,
     each tested against the arc of exact_probability."""
-    _validate_as(s, CircularPatrolScenario)
     return run_bernoulli_trials(_indicator(s), trials,
                                 SeedSchedule(seed), workers)
 

@@ -28,13 +28,14 @@ Equivalently, the detected offsets b - a form one window of length
     (b - a - lo) mod (2R/n) <= 2*reach,   lo = -(shift + reach),
 
 the fold test the circular model runs on launch angles, on the same
-record (`circular._FoldIndicator`): span 2, one atom of weight 1.  The
-model computes it in units of R, as the circle reads e = r/R: the period
-is 2/n, a/R lies in [0, 1], and no value the test forms exceeds 4 in
-magnitude, for every R the float range holds, where 2R/n itself overflows
-from R = 9e307.  Its Monte Carlo draw map is x = period*u1 - u0: the last
-draw scaled by the period, less draw 0.  The record's exact sum
-min(1, n*length/2) is the closed form's p wherever the window is a chord.
+record (`circular._FoldIndicator`): span 2, one atom of weight 1, shifted
+by draw 0.  The model computes it in units of R, as the circle reads
+e = r/R: the period is 2/n, a/R lies in [0, 1], and no value the test
+forms exceeds 4 in magnitude, for every R the float range holds, where
+2R/n itself overflows from R = 9e307.  Its Monte Carlo draw map is
+x = period*u1 - u0: the last draw scaled by the period, less draw 0.  The
+record's exact sum min(1, n*length/2) is the closed form's p wherever the
+window is a chord, and a window of a whole period reads exactly 1.
 At v = 0 the fleet stands still: the reach is r and there is no shift.
 Where the reach is at least half the period, the window is the whole
 period and every crossing is detected, whatever the shift; sin(alpha) = 0
@@ -127,14 +128,14 @@ def detects_linear(sample: CrossingSample, s: LinearPatrolScenario) -> bool:
 def _indicator(s: LinearPatrolScenario) -> _FoldIndicator:
     """Two draws per trial: slot 0 is a/R, slot 1 gives b/R = u*2/n, so the
     draw map is the offset x = (b - a)/R = period*u1 - u0."""
-    period, lo, length = _window(s)
-    return _FoldIndicator(s.n, 2.0, period, lo, length, shift=True)
+    _validate_as(s, LinearPatrolScenario)
+    _, lo, length = _window(s)
+    return _FoldIndicator(s.n, 2.0, lo, length, shift=True)
 
 
 def mc_probability_linear(s: LinearPatrolScenario, trials: int, seed: int,
                           workers: int = 1) -> EstimateWithCI:
     """Monte Carlo detection probability over the uniform crossing ensemble."""
-    _validate_as(s, LinearPatrolScenario)
     return run_bernoulli_trials(_indicator(s), trials,
                                 SeedSchedule(seed), workers)
 

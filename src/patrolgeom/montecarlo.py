@@ -212,12 +212,11 @@ class TrialSource:
         self.key = key & _MASK64
         self._count = 0
 
-    def uniform(self, low: float = 0.0, high: float = 1.0) -> float:
-        """Next uniform draw on [low, high)."""
+    def uniform(self) -> float:
+        """Next uniform draw on [0, 1)."""
         self._count += 1
         bits = mix64((self.key + self._count * _GAMMA) & _MASK64)
-        u = (bits >> 11) * _INV_2_53
-        return low + (high - low) * u
+        return (bits >> 11) * _INV_2_53
 
 
 class SeedSchedule(_Record):

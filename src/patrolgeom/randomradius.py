@@ -11,11 +11,12 @@ radius states reproduces the ensemble mean.
 
 Patrol radius k*R turns the scan ratio e = r/R into e/k and leaves v/u
 alone, so each atom k is the circular model's arc at e/k.  The model's
-record is the circular model's `_FoldIndicator`, with the same span and
-draw map (2*pi, no shift) and one atom (p, lo, L) per multiplier; the
-exact probability is its exact sum, and its Monte Carlo test takes a first
-draw that picks each trial's atom, hence its arc, even where there is one
-atom.
+record is the circular model's `_FoldIndicator`, with the same span (2*pi,
+no shift) and one atom (p, lo, L) per multiplier.  The exact probability
+is its exact sum, in which an atom whose arc spans the fleet spacing
+counts exactly p.  Its Monte Carlo test takes a first draw that picks
+each trial's atom, hence its arc, even where there is one atom; a draw at
+or past the sum of every weight but the last picks the last atom.
 """
 
 from __future__ import annotations
@@ -94,9 +95,6 @@ class RadiusDistribution(_Record):
         """E[1/k]; >= 1 by convexity, with equality only at the point mass."""
         return math.fsum(p / k for k, p in self.atoms)
 
-    def cumulative_weights(self) -> list[float]:
-        return list(itertools.accumulate(p for _, p in self.atoms))
-
 
 def _check_radius_margin(d: RadiusDistribution, r: float, R: float) -> None:
     """ValidationError unless the smallest ring, the smallest atom times R,
@@ -142,8 +140,6 @@ def exact_probability_random_radius(s: CircularPatrolScenario,
     """Exact interception probability with the radius redrawn per run: the
     sum over atoms of p_k * min(1, n*L_k/(2*pi)), L_k the arc length at
     patrol radius k*R."""
-    _validate_as(s, CircularPatrolScenario)
-    _check_radius_margin(d, s.r, s.R)
     return _indicator(s, d).exact()
 
 
@@ -151,18 +147,17 @@ def _indicator(s: CircularPatrolScenario, d: RadiusDistribution):
     """Two draws per trial: slot 0 picks the atom by cumulative weight, slot
     1 the launch angle psi ~ U[0, 2*pi), tested against that atom's arc:
     the arc at patrol radius k*R (launch circle k*R + r), whose scan ratio
-    is e/k."""
+    is e/k.  The scenario must be valid and the smallest ring clear r."""
+    _validate_as(s, CircularPatrolScenario)
+    _check_radius_margin(d, s.r, s.R)
     lo, length = zip(*(_detection_arc(s, k) for k, _ in d.atoms))
-    return _FoldIndicator(s.n, TWO_PI, TWO_PI, lo, length,
-                          [p for _, p in d.atoms])
+    return _FoldIndicator(s.n, TWO_PI, lo, length, [p for _, p in d.atoms])
 
 
 def mc_probability_random_radius(s: CircularPatrolScenario, d: RadiusDistribution,
                                  trials: int, seed: int,
                                  workers: int = 1) -> EstimateWithCI:
     """Monte Carlo interception probability with the radius redrawn per trial."""
-    _validate_as(s, CircularPatrolScenario)
-    _check_radius_margin(d, s.r, s.R)
     return run_bernoulli_trials(_indicator(s, d), trials,
                                 SeedSchedule(seed), workers)
 
@@ -220,9 +215,9 @@ def ergodic_time_average(proc: PiecewiseRadiusProcess,
     if proc.transition == "cyclic":
         path = itertools.cycle(range(m))
     else:
-        # state 0, then one state per draw u of trial 0's source, as
-        # TrialSource.uniform(0, m) draws it; u <= 1 - 2**-53 puts m*u more
-        # than half an ulp below m, so it rounds below m
+        # state 0, then state int(m*u) per draw u of trial 0's source;
+        # u <= 1 - 2**-53 puts m*u more than half an ulp below m, so it
+        # rounds below m
         path = itertools.chain([0], (int(m * u)
                                      for u in _trial_draws(key, full)))
     per_dwell = [proc.dwell * k for k in inverse]

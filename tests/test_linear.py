@@ -13,7 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from patrolgeom import LinearPatrolScenario
-from patrolgeom.linear import (CrossingSample, _indicator, _window,
+from patrolgeom.linear import (CrossingSample, _indicator,
                                asymptotic_summary_linear, detects_linear,
                                mc_probability_linear, vehicle_position_linear)
 from patrolgeom.montecarlo import SeedSchedule
@@ -274,15 +274,12 @@ def test_mc_linear_deterministic_across_workers(ref_linear):
 def test_the_segment_record_reads_its_closed_form(log_R, log_e, n, log_v,
                                                   log_u):
     # the record's exact sum min(1, n*length/2) and the closed form
-    # min(1, n*reach/R) are one number wherever the window is a chord;
-    # a saturated window is the whole period 2/n, where n*(2/n)/2 may round
-    # one ulp below 1 while the closed form caps at 1, so it is left out
+    # min(1, n*reach/R) are one number wherever the window is a chord,
+    # and a saturated window, the whole period, reads 1 as the closed form
     R = 10.0 ** log_R
     r = R * 10.0 ** log_e
     assume(0.0 < r and 2.0 * r < R)
     s = LinearPatrolScenario(R=R, r=r, n=n, v=10.0 ** log_v, u=10.0 ** log_u)
-    period, _, length = _window(s)
-    assume(length < period)
     try:
         p_asym = asymptotic_summary_linear(s).p_asym
     except OverflowError:

@@ -116,8 +116,8 @@ def test_workspace_rejects_a_block_it_cannot_hold():
 def test_uniform_draws_lie_in_the_requested_interval():
     src = SeedSchedule(9).trial_source(0)
     for _ in range(1000):
-        x = src.uniform(-2.0, 3.0)
-        assert -2.0 <= x < 3.0
+        x = src.uniform()
+        assert 0.0 <= x < 1.0
     # same key replays the same stream
     a = SeedSchedule(9).trial_source(5)
     b = SeedSchedule(9).trial_source(5)
@@ -311,7 +311,7 @@ def _needle_reference(u):
 
 
 def _random_radius_reference(u):
-    cum = np.asarray(_ATOMS.cumulative_weights())
+    cum = np.cumsum([p for _, p in _ATOMS.atoms])
     arcs = [_detection_arc(CircularPatrolScenario(
                 R=k * _CIRCLE.R, r=_CIRCLE.r, n=_CIRCLE.n, v=_CIRCLE.v,
                 u=_CIRCLE.u))
@@ -516,11 +516,11 @@ def test_scalar_and_vector_counts_agree_at_the_draw_allowance(model, extra):
 
 def test_a_draw_past_the_last_cumulative_weight_takes_the_last_atom():
     # weights whose sum rounds below 1 leave draws past the last cumulative
-    # weight; both paths clip them onto the last atom, as a sum of exactly
+    # weight; both paths pick the last atom for them, as a sum of exactly
     # 1 would place them
     def atoms(weights):
-        return circular._FoldIndicator(10, TWO_PI, TWO_PI, (0.0, -0.3),
-                                       (0.2, 0.5), weights)
+        return circular._FoldIndicator(10, TWO_PI, (0.0, -0.3), (0.2, 0.5),
+                                       weights)
 
     short, whole = atoms((0.5, 0.4)), atoms((0.5, 0.5))
     expected = _count_scalar(whole, 5000, SeedSchedule(3))
@@ -531,10 +531,33 @@ def test_a_draw_past_the_last_cumulative_weight_takes_the_last_atom():
 def test_a_trial_on_the_window_edge_is_detected_on_both_paths():
     # x = 2*pi*0.5 = pi exactly, so (x - lo) mod period = length: tangency
     # counts as detection
-    indicator = circular._FoldIndicator(1, TWO_PI, TWO_PI, 0.0, math.pi)
+    indicator = circular._FoldIndicator(1, TWO_PI, 0.0, math.pi)
     assert indicator.count_lanes([[0.5, 0.75]]) == 1
     assert indicator.evaluate_batch(np.array([[0.5], [0.75]])).tolist() == [
         True, False]
+
+
+def test_a_draw_on_a_cumulative_weight_takes_the_next_atom_on_both_paths():
+    # cumulative weights 0.25, 0.75, 1; the windows [0, 1], [0, 3], [0, 4]
+    # hold x = 2*pi*0.4 ~ 2.51 in the last two atoms only
+    indicator = circular._FoldIndicator(1, TWO_PI, (0.0, 0.0, 0.0),
+                                        (1.0, 3.0, 4.0), (0.25, 0.5, 0.25))
+    picks = [0.0, 0.25, 0.75, 0.999]
+    assert [indicator.count_lanes([[pick], [0.4]]) for pick in picks] == [
+        0, 1, 1, 1]
+    u = np.column_stack([picks, [0.4] * len(picks)])
+    assert indicator.evaluate_batch(u).tolist() == [False, True, True, True]
+
+
+def test_a_window_of_a_whole_period_reads_exactly_one():
+    # n*(2*pi/n)/(2*pi) rounds below 1 at n = 75, 150 and 167, and so does
+    # the saturated segment window at n = 49, whose closed form reads 1
+    for n in (75, 150, 167):
+        indicator = circular._FoldIndicator(n, TWO_PI, 0.0, TWO_PI / n)
+        assert indicator.exact() == 1.0, n
+    assert linear._indicator(LinearPatrolScenario(
+        R=100.0, r=40.0, n=49, v=2.0, u=1.0)).exact() == 1.0
+
 
 class _Recorder:
     """Records the draws the scalar path hands each trial, one tuple per
