@@ -100,28 +100,19 @@ class _NeedleIndicator:
     """Crossing event: z ~ U[0, L) against projection l sin(phi), phi ~ U[0, pi).
 
     Decides by the polynomial bracket of the module docstring, and by the
-    exact test in its margin band or outside its guard."""
+    exact test in its margin band or outside its guard.  Its blocks carry
+    two scratch columns after the draws z and w (n_scratch), where the
+    bracket keeps s = (w - 1/2)**2 and the difference D."""
 
     n_draws = 2
+    n_scratch = 2
 
     def __init__(self, l: float, L: float):
-        import threading
-
         self.l = l
         self.L = L
         self._fast = _FAST_L[0] <= l <= _FAST_L[1]
         self._horner = tuple(l * c for c in reversed(_COS_TAYLOR))
         self._band = l * _MARGIN
-        # two scratch rows per thread: every worker shares this indicator
-        self._rows = threading.local()
-
-    def _scratch(self, m: int):
-        import numpy as np
-
-        rows = getattr(self._rows, "buffer", None)
-        if rows is None or rows.shape[1] < m:
-            rows = self._rows.buffer = np.empty((2, m))
-        return rows[0, :m], rows[1, :m]
 
     def _exact(self, zL: np.ndarray, w: np.ndarray) -> np.ndarray:
         """fl(l*sin(fl(pi*w))) >= zL; overwrites w."""
@@ -133,14 +124,14 @@ class _NeedleIndicator:
         return w >= zL
 
     def evaluate_batch(self, u: np.ndarray) -> np.ndarray:
-        """Crossing flags; computes in place, overwriting u."""
+        """Crossing flags of a (m, 4) block: the draws z and w, then two
+        scratch columns.  Computes in place, overwriting u."""
         import numpy as np
 
-        z, w = u[:, 0], u[:, 1]
+        z, w, s, d = u.T
         np.multiply(z, self.L, out=z)
         if not self._fast:
             return self._exact(z, w)
-        s, d = self._scratch(z.shape[0])
         np.subtract(w, 0.5, out=s)
         np.multiply(s, s, out=s)
         c4, c3, c2, c1, c0 = self._horner

@@ -494,7 +494,7 @@ def exit_main(argv=None) -> NoReturn:
     end anyway.
 
     Skipping it loses nothing.  No package code registers an atexit
-    callback, run_bernoulli_trials joins its thread pool before main
+    callback, run_bernoulli_trials joins its worker threads before main
     returns, and the callbacks skipped are logging.shutdown (no handlers)
     and those of modules that site-packages .pth files load.  stdout and
     stderr are flushed first; where the code is not an int or a flush

@@ -6,18 +6,23 @@ so the result does not depend on chunk size, scheduling order, or worker
 count, and the scalar reference draws (`TrialSource`) and the vectorized
 ones (`SeedSchedule.uniform_block`) are bit-identical.
 
-The vectorized path is allocation-free per chunk.  Each worker thread of
+The vectorized path is allocation-free per chunk.  Each worker of
 `run_bernoulli_trials` owns one `DrawWorkspace`, allocated once, and walks
-its own share of the fixed chunk sequence.  `SeedSchedule.uniform_block` runs
-splitmix64 through ufuncs writing into the workspace's uint64 buffers and
-stores the draws draw-major, as a (draws, m) block, returning its (m, draws)
-transpose: each column u[:, j] is contiguous.  The block is runner-owned
-scratch, so an indicator may overwrite it while computing in place.
+its own share of the fixed chunk sequence; worker 0 runs on the calling
+thread and the others on plain `threading.Thread`s.  A workspace is one
+float64 buffer of draws + 2 rows.  `SeedSchedule.uniform_block` runs
+splitmix64 through ufuncs writing into it, with the two trailing rows,
+viewed as uint64, as the keys and the mixing scratch, and stores the draws
+draw-major in the leading rows, returning the (m, draws) transpose: each
+column u[:, j] is contiguous.  The block is runner-owned scratch, so an
+indicator may overwrite it while computing in place, and an indicator that
+declares n_scratch is also handed that many of the trailing rows, dead once
+the draws are made.
 
-numpy and the thread pool are imported by the functions that use them, not
-at module level, so the closed-form commands, which never call them, start
-without loading them.  `run_bernoulli_trials` imports numpy in the calling
-thread, before any worker starts.
+numpy is imported by the functions that use it, not at module level, so
+the closed-form commands, which never call them, start without loading it.
+`run_bernoulli_trials` imports numpy in the calling thread, before any
+worker starts.
 
 A small request need not import numpy at all.  An indicator may offer a
 block count, count_lanes; while numpy is not yet loaded and the request's
@@ -42,6 +47,7 @@ import itertools
 import math
 import operator
 import sys
+import threading
 from typing import Iterator, Optional
 
 from .scenario import _integer, _Record
@@ -175,27 +181,42 @@ def _mix64_inplace(x: np.ndarray, scratch: np.ndarray) -> None:
     np.bitwise_xor(x, scratch, out=x)
 
 
-class DrawWorkspace:
-    """Reusable buffers for `SeedSchedule.uniform_block` on up to `capacity`
-    trials of `draws` draws each.  Reusing one across chunks makes the draw
-    path allocation-free; each block it returns is overwritten by the next
-    call that is handed the same workspace."""
+@functools.lru_cache(maxsize=1)
+def _ramp(capacity: int) -> np.ndarray:
+    """i*GAMMA mod 2**64 for i < capacity, read-only: trial keys are a fixed
+    offset from it.  The workspaces of a run share one, and a request of
+    another size replaces it."""
+    import numpy as np
 
-    __slots__ = ("capacity", "draws", "_ramp", "_keys", "_bits", "_scratch",
-                 "_block")
+    ramp = np.arange(capacity, dtype=np.uint64)
+    np.multiply(ramp, _GAMMA, out=ramp)
+    ramp.flags.writeable = False
+    return ramp
+
+
+class DrawWorkspace:
+    """Reusable buffer for `SeedSchedule.uniform_block` on up to `capacity`
+    trials of `draws` draws each: one float64 array of draws + 2 rows of
+    `capacity`, the draws first.  The two trailing rows, viewed as uint64,
+    hold the trial keys and the mixing scratch while the draws are made;
+    after that they are free, and `run_bernoulli_trials` hands them to an
+    indicator that declares n_scratch.  Reusing one across chunks makes the
+    draw path allocation-free; each block it returns is overwritten by the
+    next call that is handed the same workspace."""
+
+    __slots__ = ("capacity", "draws", "_ramp", "_rows", "_keys", "_scratch",
+                 "_last")
 
     def __init__(self, capacity: int, draws: int):
         import numpy as np
 
         self.capacity = capacity
         self.draws = draws
-        # i*GAMMA mod 2**64: trial keys are a fixed offset from this ramp
-        self._ramp = np.arange(capacity, dtype=np.uint64)
-        np.multiply(self._ramp, _GAMMA, out=self._ramp)
-        self._keys = np.empty(capacity, dtype=np.uint64)
-        self._bits = np.empty(capacity, dtype=np.uint64)
-        self._scratch = np.empty(capacity, dtype=np.uint64)
-        self._block = np.empty(draws * capacity, dtype=np.float64)
+        self._ramp = _ramp(capacity)
+        self._rows = np.empty((draws + 2, capacity))
+        self._keys, self._scratch = self._rows[draws:].view(np.uint64)
+        # the last draw's row, as uint64: the earlier draws are mixed there
+        self._last = self._rows[draws - 1].view(np.uint64)
 
 
 class TrialSource:
@@ -266,12 +287,16 @@ class SeedSchedule(_Record):
             out = DrawWorkspace(m, draws)
         elif m > out.capacity or draws != out.draws:
             raise ValueError("workspace does not fit the requested block")
-        keys, bits, scratch = out._keys[:m], out._bits[:m], out._scratch[:m]
-        block = out._block[:draws * m].reshape(draws, m)
+        keys, scratch, last = out._keys[:m], out._scratch[:m], out._last[:m]
+        block = out._rows[:draws, :m]
         # key of trial start + i: mix64(root_seed + (start + 1 + i)*GAMMA)
         np.add(out._ramp[:m], self._counter(start), out=keys)
         _mix64_inplace(keys, scratch)
         for j in range(draws):
+            # the last draw is mixed in place of the keys, its last reader,
+            # and each earlier one in the last draw's row.  No row converts
+            # onto itself: numpy copies an operand that overlaps its output.
+            bits = keys if j == draws - 1 else last
             np.add(keys, ((j + 1) * _GAMMA) & _MASK64, out=bits)
             _mix64_inplace(bits, scratch)
             np.right_shift(bits, 11, out=bits)
@@ -372,9 +397,12 @@ def run_bernoulli_trials(indicator, trials: int, schedule: SeedSchedule,
     evaluate_batch(u), mapping a (m, n_draws) uniform array to a boolean
     vector.  The array handed to evaluate_batch is runner-owned scratch,
     valid only during the call: the indicator may overwrite it in place.
-    It may also offer count_lanes(columns), the number of trials
-    evaluate_batch would flag, bit for bit, in a block of trials given as
-    n_draws iterables of floats, column j holding draw j of each trial.
+    An indicator may declare n_scratch, 0 to 2 (0 if absent); its block
+    is then (m, n_draws + n_scratch), the trailing columns being scratch of
+    undefined contents.  It may also offer count_lanes(columns), the number
+    of trials evaluate_batch would flag, bit for bit, in a block of trials
+    given as n_draws iterables of floats, column j holding draw j of each
+    trial.
 
     While numpy is not yet imported, a request of such an indicator whose
     trials x n_draws fit the process's remaining allowance
@@ -385,11 +413,14 @@ def run_bernoulli_trials(indicator, trials: int, schedule: SeedSchedule,
     changes the result.
 
     On the vector path, trials are cut into fixed chunks of CHUNK_TRIALS;
-    worker k of `workers` threads takes chunks k, k + workers, ... and
-    draws them into its own workspace, walking its chunk starts as a
-    range, so memory does not grow with `trials`.  Successes are
-    accumulated as exact integers, so the estimate is independent of the
-    chunk size and of `workers`, which may not exceed MAX_WORKERS.
+    worker k of `workers` takes chunks k, k + workers, ... and draws them
+    into its own workspace, walking its chunk starts as a range, so memory
+    does not grow with `trials`.  Worker 0 runs on the calling thread and
+    each other one on a thread of its own.  Successes are accumulated as
+    exact integers, so the estimate is independent of the chunk size and of
+    `workers`, which may not exceed MAX_WORKERS.  Where workers raise, the
+    exception of the lowest-numbered one is raised once every thread has
+    ended.
     """
     global _scalar_left
 
@@ -404,24 +435,42 @@ def run_bernoulli_trials(indicator, trials: int, schedule: SeedSchedule,
 
     import numpy as np
 
+    width = draws + int(getattr(indicator, "n_scratch", 0))
+    if not draws <= width <= draws + 2:
+        raise ValueError("n_scratch must lie in [0, 2]")
     chunk = CHUNK_TRIALS
     workers = min(workers, -(-trials // chunk))
+    # made on the calling thread, so that every workspace shares one ramp
+    spaces = [DrawWorkspace(min(chunk, trials), draws) for _ in range(workers)]
+    counts = [0] * workers
+    errors = [None] * workers
 
-    def count(k: int) -> int:
-        """Successes in chunks k, k + workers, ..., walked lazily."""
-        workspace = DrawWorkspace(min(chunk, trials), draws)
-        total = 0
-        for lo in range(k * chunk, trials, workers * chunk):
-            u = schedule.uniform_block(lo, min(lo + chunk, trials), draws,
-                                       out=workspace)
-            total += int(np.count_nonzero(indicator.evaluate_batch(u)))
-        return total
+    def count(k: int) -> None:
+        """Successes in chunks k, k + workers, ..., walked lazily, into
+        counts[k], or the exception that stopped them into errors[k]."""
+        workspace, total = spaces[k], 0
+        block = workspace._rows[:width].T
+        try:
+            for lo in range(k * chunk, trials, workers * chunk):
+                hi = min(lo + chunk, trials)
+                schedule.uniform_block(lo, hi, draws, out=workspace)
+                total += int(np.count_nonzero(
+                    indicator.evaluate_batch(block[:hi - lo])))
+        except BaseException as err:
+            errors[k] = err
+        counts[k] = total
 
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            successes = sum(pool.map(count, range(workers)))
-    else:
-        successes = count(0)
-    return estimate_from_counts(successes, trials)
+    started = []
+    try:
+        for k in range(1, workers):
+            thread = threading.Thread(target=count, args=(k,))
+            thread.start()
+            started.append(thread)
+        count(0)
+    finally:
+        for thread in started:
+            thread.join()
+    for err in errors:
+        if err is not None:
+            raise err
+    return estimate_from_counts(sum(counts), trials)

@@ -144,7 +144,8 @@ def _rows_around_tangency(l, L, ks, ulps=4):
 
 
 def _flags(l, L, z, w):
-    u = np.column_stack([z, w])
+    # the draws, then the indicator's two scratch columns
+    u = np.column_stack([z, w, np.empty_like(z), np.empty_like(z)])
     return _NeedleIndicator(l, L).evaluate_batch(u)
 
 
@@ -163,6 +164,11 @@ def test_fast_path_flags_equal_the_exact_test_on_draws(needle):
     u = SeedSchedule(77).uniform_block(0, 200_000, 2)
     expected = _reference(l, L, u[:, 0], u[:, 1])
     assert np.array_equal(_flags(l, L, u[:, 0].copy(), u[:, 1].copy()),
+                          expected)
+    # the runner's layout: a contiguous row per draw, then the scratch rows
+    rows = np.empty((4, u.shape[0]))
+    rows[:2] = u.T
+    assert np.array_equal(_NeedleIndicator(l, L).evaluate_batch(rows.T),
                           expected)
 
 

@@ -731,12 +731,12 @@ def test_fleet_size_beyond_float_range_exits_one(capsys):
 ])
 def test_workers_above_ceiling_exits_one_without_threads(capsys, monkeypatch,
                                                          argv):
-    import concurrent.futures
+    import threading
 
     def refuse(*args, **kwargs):
-        raise AssertionError("no thread pool may start")
+        raise AssertionError("no worker thread may start")
 
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", refuse)
+    monkeypatch.setattr(threading.Thread, "start", refuse)
     code, out, err = run_cli(capsys, *argv, "--workers", "100000",
                              "--trials", "1000000000")
     assert code == 1 and out == ""

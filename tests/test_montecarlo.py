@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 from statistics import NormalDist
@@ -219,12 +220,10 @@ def test_runner_rejects_bad_arguments():
 
 
 def test_runner_caps_workers_before_starting_threads(monkeypatch):
-    import concurrent.futures
-
     def refuse(*args, **kwargs):
-        raise AssertionError("no thread pool may start")
+        raise AssertionError("no worker thread may start")
 
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", refuse)
+    monkeypatch.setattr(threading.Thread, "start", refuse)
     with pytest.raises(ValueError, match=f"workers must be <= {MAX_WORKERS}"):
         run_bernoulli_trials(_ThresholdIndicator(0.5), 10 ** 9, SeedSchedule(0),
                              workers=MAX_WORKERS + 1)
@@ -251,7 +250,8 @@ class _RaisingIndicator:
 @pytest.mark.parametrize("workers", [1, 2])
 def test_runner_memory_does_not_grow_with_trials(workers):
     # 10**10 trials are 305 176 chunks: a list of them alone would take
-    # tens of MB, one worker's workspace takes 1.25 MB
+    # tens of MB, one worker's workspace of 3 rows takes 0.75 MiB, and the
+    # workers share a ramp of 0.25 MiB
     tracemalloc.start()
     try:
         with pytest.raises(_Sentinel):
@@ -261,6 +261,46 @@ def test_runner_memory_does_not_grow_with_trials(workers):
     finally:
         tracemalloc.stop()
     assert peak < 5 * 2 ** 20
+
+
+class _OffThreadRaisingIndicator:
+    """Raises on every chunk evaluated off the thread that built it."""
+
+    n_draws = 1
+
+    def __init__(self):
+        self._home = threading.get_ident()
+
+    def evaluate_batch(self, u: np.ndarray) -> np.ndarray:
+        if threading.get_ident() != self._home:
+            raise _Sentinel
+        return u[:, 0] < 0.5
+
+
+def test_a_worker_thread_exception_reaches_the_caller_after_every_join():
+    before = threading.active_count()
+    # two chunks: worker 0 counts its chunk on the calling thread, worker 1
+    # raises on its own
+    with pytest.raises(_Sentinel):
+        run_bernoulli_trials(_OffThreadRaisingIndicator(), 2 * CHUNK_TRIALS,
+                             SeedSchedule(0), workers=2)
+    assert threading.active_count() == before
+
+
+def test_two_needle_workers_hold_one_small_workspace_each():
+    # each worker holds 4 rows of CHUNK_TRIALS floats, 1 MiB, and both share
+    # one ramp of 0.25 MiB; with the needle's own scratch rows and separate
+    # seeding buffers a run took about 4 MiB
+    montecarlo._ramp.cache_clear()  # so the ramp is made, and counted, here
+    tracemalloc.start()
+    try:
+        est = buffon_mc(NeedleProblem(0.6, 1.3), 2 * CHUNK_TRIALS, 1,
+                        workers=2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert 0 < est.successes < est.trials
+    assert peak < 2.5 * 2 ** 20
 
 
 def test_runner_matches_a_manual_count_across_chunk_boundaries():
@@ -332,6 +372,15 @@ _INDICATORS = {
 }
 
 
+def _runner_block(indicator, u):
+    """The draws u laid out as the runner hands them to indicator: one
+    contiguous row per draw, then the indicator's scratch rows, transposed."""
+    rows = np.empty((u.shape[1] + getattr(indicator, "n_scratch", 0),
+                     u.shape[0]))
+    rows[:u.shape[1]] = u.T
+    return rows.T
+
+
 @pytest.mark.parametrize("name", sorted(_INDICATORS))
 def test_in_place_indicators_match_their_out_of_place_formulas(name):
     make, reference = _INDICATORS[name]
@@ -340,7 +389,8 @@ def test_in_place_indicators_match_their_out_of_place_formulas(name):
     expected = reference(u)
     assert 0 < np.count_nonzero(expected) < expected.size
     # strided columns (a row-major copy), then the contiguous ones
-    for block in (u.copy(order="C"), u):
+    runner = _runner_block(indicator, u)
+    for block in (runner.copy(order="C"), runner):
         assert np.array_equal(indicator.evaluate_batch(block), expected)
 
 
@@ -351,7 +401,8 @@ def test_indicator_counts_ignore_chunk_size_and_workers(name, monkeypatch):
     trials = 8192 + 300
     sched = SeedSchedule(8080)
     u = sched.uniform_block(0, trials, indicator.n_draws)
-    expected = int(np.count_nonzero(indicator.evaluate_batch(u)))
+    expected = int(np.count_nonzero(
+        indicator.evaluate_batch(_runner_block(indicator, u))))
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)  # interleave worker threads as much as possible
     try:

@@ -1,8 +1,9 @@
-"""Start-up cost: the closed-form commands never load numpy, the thread
+"""Start-up cost: the closed-form commands never load numpy, a thread
 pool or `statistics`.  A small Monte Carlo request (up to 131 072 draws in
 all per process) counts its trials without numpy; a larger one loads numpy,
-the thread pool only for several workers, and `statistics` never.  A
-request builds only the argument parsers its command names.
+and neither a thread pool nor `statistics` at any worker count: extra
+workers run on plain threads.  A request builds only the argument parsers
+its command names.
 
 Each case runs a fresh interpreter, because this test process has long
 since imported numpy.
@@ -86,6 +87,17 @@ def test_single_worker_monte_carlo_loads_numpy_but_no_thread_pool():
     assert codes == [0]
     assert "numpy" in modules
     assert "concurrent.futures" not in modules
+    assert "statistics" not in modules
+
+
+def test_two_worker_monte_carlo_loads_numpy_but_no_thread_pool():
+    # the second worker runs on a plain thread: neither the executor nor
+    # the logging it imports is loaded
+    codes, modules = _run(["circular", "mc", *REF, "--trials", "200000",
+                           "--workers", "2"])
+    assert codes == [0]
+    assert "numpy" in modules
+    assert modules.isdisjoint({"concurrent.futures", "logging"})
     assert "statistics" not in modules
 
 
@@ -194,8 +206,8 @@ def test_with_stdout_closed_the_entry_point_exits_through_teardown():
 
 
 def test_two_workers_print_the_same_bytes_through_the_entry_point():
-    # the thread pool is joined before main returns, so os._exit drops
-    # no output
+    # the worker threads are joined before main returns, so os._exit
+    # drops no output
     outs = [_entry("circular", "mc", *REF, "--trials", "200000",
                    "--workers", workers, "--no-timing")
             for workers in ("1", "2")]
