@@ -36,15 +36,15 @@ overflows it is the full circle.
 
 The other vehicles' arcs are rotations by 2*pi*i/n, so n equally spaced
 copies of an arc of length L cover min(1, n*L/(2*pi)) of the circle.
-`detects` reads this one arc, and so does `_FoldIndicator`, the record of
-every patrol model: n vehicles span/n apart and atoms (p, lo, L).  Its
-exact() is the sum of p*min(1, n*L/span) over the atoms, which
-`exact_probability` returns; an atom whose window spans the whole period
-span/n counts exactly p there.  Its Monte Carlo test folds each trial's
-position modulo span/n onto the window of the trial's atom.  Here span is
-2*pi, with one atom and no shift; the segment and the randomized radius
-state their own numbers.  The dense-grid oracles of the test suite are
-the independent check.
+`_FoldIndicator`, the record of every patrol model, reads this one arc:
+n vehicles span/n apart and atoms (p, lo, L).  Its exact() is the sum of
+p*min(1, n*L/span) over the atoms, which `exact_probability` returns; an
+atom whose window spans the whole period span/n counts exactly p there.
+Its fold test takes a position modulo span/n onto the window of the
+position's atom, for each Monte Carlo trial and, in `detects`, for one
+launch angle against a fleet of one.  Here span is 2*pi, with one atom and
+no shift; the segment and the randomized radius state their own numbers.
+The dense-grid oracles of the test suite are the independent check.
 The closed forms read e and sin(alpha) alone, and raise OverflowError where
 their value leaves the float range.
 """
@@ -214,11 +214,13 @@ def _detection_arc(s: CircularPatrolScenario,
 
 def detects(psi: float, vehicle_index: int, s: CircularPatrolScenario) -> bool:
     """True iff the run launched at angle psi passes within r of vehicle
-    vehicle_index at some time in [0, (R + r)/u]; psi must be finite."""
+    vehicle_index at some time in [0, (R + r)/u]; psi must be finite.  The
+    vehicle is a fleet of one, its period the whole circle, and psi less
+    its angle is tested against its arc by the fold record's covers."""
     _validate_as(s, CircularPatrolScenario)
     beta = _vehicle_angle(vehicle_index, s)
-    lo, length = _detection_arc(s)
-    return (_finite_angle(psi) - beta - lo) % TWO_PI <= length
+    return _FoldIndicator(1, TWO_PI, *_detection_arc(s)).covers(
+        _finite_angle(psi) - beta)
 
 
 # ---- arc sets and probabilities ----
@@ -252,11 +254,13 @@ class _FoldIndicator:
     weight picks the last atom.  Without weights lo and length are numbers,
     one atom of weight 1.  exact() is the measure of the detected
     positions, in which an atom whose window is at least span/n long counts
-    its whole weight.  evaluate_batch tests a (m, n_draws) block of trials
-    and count_lanes counts the detections of a lane block given as n_draws
-    columns of floats, through C-level maps.  The two tests take the same
-    floating-point operations in the same order: Python's float % and
-    np.mod both take fmod and then fix the sign."""
+    its whole weight.  evaluate_batch tests a (m, n_draws) block of trials,
+    count_lanes counts the detections of a lane block given as n_draws
+    columns of floats, through C-level maps, and covers tests one position
+    x of a record without weights.  These are the only spellings of the
+    fold test, and they take the same floating-point operations in the same
+    order: Python's float % and np.mod both take fmod and then fix the
+    sign."""
 
     def __init__(self, n, span, lo, length, weights=None, shift=False):
         # draw 0 is either the shift or the atom's pick, never both
@@ -301,6 +305,11 @@ class _FoldIndicator:
             np.subtract(x, self._lo, out=x)
         np.mod(x, self._period, out=x)
         return x <= length
+
+    def covers(self, x: float) -> bool:
+        """The fold test of one position x, as the other two tests take it;
+        for a record without weights."""
+        return (x - self._lo) % self._period <= self._length
 
     def count_lanes(self, columns: Sequence[Iterable[float]]) -> int:
         """Detections among the trials of a lane block, each column one

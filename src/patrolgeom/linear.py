@@ -35,11 +35,13 @@ forms exceeds 4 in magnitude, for every R the float range holds, where
 2R/n itself overflows from R = 9e307.  Its Monte Carlo draw map is
 x = period*u1 - u0: the last draw scaled by the period, less draw 0.  The
 record's exact sum min(1, n*length/2) is the closed form's p wherever the
-window is a chord, and a window of a whole period reads exactly 1.
+window is a chord, and a window of a period or more reads exactly 1.
 At v = 0 the fleet stands still: the reach is r and there is no shift.
-Where the reach is at least half the period, the window is the whole
-period and every crossing is detected, whatever the shift; sin(alpha) = 0
-(v/u beyond the float range) gives an infinite reach, so it saturates too.
+Where the reach is at least half the period, the window 2*reach is at
+least one period long, so the record's exact() reads 1 and its tests
+detect every crossing, whatever the shift.  The reach is capped at one
+period: sin(alpha) = 0 (v/u beyond the float range) gives an infinite
+reach, which would make lo infinite and the folded offset NaN.
 """
 
 from __future__ import annotations
@@ -98,39 +100,30 @@ def _reach(s: LinearPatrolScenario) -> float:
     return s.r / sin_alpha if sin_alpha else math.inf
 
 
-def _window(s: LinearPatrolScenario) -> tuple[float, float, float]:
-    """(period, lo, length) of the fold test of the module docstring, in
-    units of R: an offset x = (b - a)/R is detected iff
-    (x - lo) mod period <= length.  The min keeps the shift finite where
-    v/u overflows; where the reach is at least half the period, the window
-    is the whole period."""
-    period = 2.0 / s.n
-    reach = _reach(s) / s.R
-    if reach >= period / 2.0:
-        return period, 0.0, period
-    return period, -(min(s.v / s.u * (s.r / s.R), reach) + reach), 2.0 * reach
-
-
 def detects_linear(sample: CrossingSample, s: LinearPatrolScenario) -> bool:
     """True iff some vehicle's scan disk reaches the intruder while it is
     inside the strip (tangency included): the fold test of the module
-    docstring."""
-    _validate_as(s, LinearPatrolScenario)
+    docstring, on the crossing's offset (b - a)/R."""
+    record = _indicator(s)
     if not 0.0 <= sample.a <= s.R:
         raise ValidationError("a must lie in [0, R]")
     # halving is exact, so a caller's b = 2*R/n compares equal to R/n
     if not 0.0 <= 0.5 * sample.b <= s.R / s.n:
         raise ValidationError("b must lie in [0, 2R/n]")
-    period, lo, length = _window(s)
-    return (sample.b / s.R - sample.a / s.R - lo) % period <= length
+    return record.covers(sample.b / s.R - sample.a / s.R)
 
 
 def _indicator(s: LinearPatrolScenario) -> _FoldIndicator:
-    """Two draws per trial: slot 0 is a/R, slot 1 gives b/R = u*2/n, so the
-    draw map is the offset x = (b - a)/R = period*u1 - u0."""
+    """The fold test of the module docstring, in units of R.  Two draws per
+    trial: slot 0 is a/R, slot 1 gives b/R = u*2/n, so the draw map is the
+    offset x = (b - a)/R = period*u1 - u0.  The reach is capped at one
+    period, which keeps lo finite where sin(alpha) underflows, and the min
+    keeps the shift finite where v/u overflows."""
     _validate_as(s, LinearPatrolScenario)
-    _, lo, length = _window(s)
-    return _FoldIndicator(s.n, 2.0, lo, length, shift=True)
+    period = 2.0 / s.n
+    reach = min(_reach(s) / s.R, period)
+    lo = -(min(s.v / s.u * (s.r / s.R), reach) + reach)
+    return _FoldIndicator(s.n, 2.0, lo, 2.0 * reach, shift=True)
 
 
 def mc_probability_linear(s: LinearPatrolScenario, trials: int, seed: int,

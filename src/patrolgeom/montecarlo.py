@@ -393,13 +393,15 @@ def run_bernoulli_trials(indicator, trials: int, schedule: SeedSchedule,
                          workers: int = 1) -> EstimateWithCI:
     """Estimate P(indicator) over `trials` independently seeded trials.
 
-    indicator has attributes n_draws (draws consumed per trial) and
-    evaluate_batch(u), mapping a (m, n_draws) uniform array to a boolean
-    vector.  The array handed to evaluate_batch is runner-owned scratch,
-    valid only during the call: the indicator may overwrite it in place.
-    An indicator may declare n_scratch, 0 to 2 (0 if absent); its block
-    is then (m, n_draws + n_scratch), the trailing columns being scratch of
-    undefined contents.  It may also offer count_lanes(columns), the number
+    indicator has attributes n_draws (draws consumed per trial, an integer
+    >= 1) and evaluate_batch(u), mapping a (m, n_draws) uniform array to a
+    boolean vector.  The array handed to evaluate_batch is runner-owned
+    scratch, valid only during the call: the indicator may overwrite it in
+    place.  An indicator may declare n_scratch, an integer from 0 to 2 (0
+    if absent); its block is then (m, n_draws + n_scratch), the trailing
+    columns being scratch of undefined contents.  Any other declaration,
+    a bool included, is a ValueError, raised before either path is
+    chosen.  An indicator may also offer count_lanes(columns), the number
     of trials evaluate_batch would flag, bit for bit, in a block of trials
     given as n_draws iterables of floats, column j holding draw j of each
     trial.
@@ -418,15 +420,18 @@ def run_bernoulli_trials(indicator, trials: int, schedule: SeedSchedule,
     does not grow with `trials`.  Worker 0 runs on the calling thread and
     each other one on a thread of its own.  Successes are accumulated as
     exact integers, so the estimate is independent of the chunk size and of
-    `workers`, which may not exceed MAX_WORKERS.  Where workers raise, the
-    exception of the lowest-numbered one is raised once every thread has
-    ended.
+    `workers`, which may not exceed MAX_WORKERS.  Once a worker raises,
+    every worker stops before its next chunk, and the exception of the
+    lowest-numbered failed worker is raised once every thread has ended.
     """
     global _scalar_left
 
     _check_run(trials, workers)
     schedule._counter(0)  # a bad seed raises before any draw
-    draws = int(indicator.n_draws)
+    draws = _integer(indicator.n_draws)
+    spare = _integer(getattr(indicator, "n_scratch", 0))
+    if draws is None or draws < 1 or spare not in (0, 1, 2):
+        raise ValueError("need an integer n_draws >= 1 and n_scratch 0 to 2")
     if (hasattr(indicator, "count_lanes") and "numpy" not in sys.modules
             and trials * draws <= _scalar_left):
         _scalar_left -= trials * draws
@@ -435,9 +440,6 @@ def run_bernoulli_trials(indicator, trials: int, schedule: SeedSchedule,
 
     import numpy as np
 
-    width = draws + int(getattr(indicator, "n_scratch", 0))
-    if not draws <= width <= draws + 2:
-        raise ValueError("n_scratch must lie in [0, 2]")
     chunk = CHUNK_TRIALS
     workers = min(workers, -(-trials // chunk))
     # made on the calling thread, so that every workspace shares one ramp
@@ -447,11 +449,14 @@ def run_bernoulli_trials(indicator, trials: int, schedule: SeedSchedule,
 
     def count(k: int) -> None:
         """Successes in chunks k, k + workers, ..., walked lazily, into
-        counts[k], or the exception that stopped them into errors[k]."""
+        counts[k], or the exception that stopped them into errors[k]; a
+        worker stops before its next chunk once any worker has failed."""
         workspace, total = spaces[k], 0
-        block = workspace._rows[:width].T
+        block = workspace._rows[:draws + spare].T
         try:
             for lo in range(k * chunk, trials, workers * chunk):
+                if any(err is not None for err in errors):
+                    break
                 hi = min(lo + chunk, trials)
                 schedule.uniform_block(lo, hi, draws, out=workspace)
                 total += int(np.count_nonzero(

@@ -6,10 +6,13 @@ the lattice-distance closed form, interval merging): they walk dense grids
 over the full motion and every vehicle explicitly, so agreement with the
 production code is meaningful.
 
-Each detection oracle is three-valued: True or False when the dense grid
-certifies the answer through the Lipschitz bound on the distance, None when
-the minimum lands within half a grid step of the scan radius.  Tests assert
-agreement wherever the oracle is decided and only count the undecided rest.
+Each dense-grid detection oracle is three-valued: True or False when the
+grid certifies the answer through the Lipschitz bound on the distance, None
+when the minimum lands within half a grid step of the scan radius.  Tests
+assert agreement wherever the oracle is decided and only count the
+undecided rest.  The segment's per-leg oracle is exact instead: it folds
+each vehicle by `vehicle_position_linear`, the physical motion, and
+minimizes the distance in closed form on each leg.
 """
 
 import math
@@ -18,6 +21,7 @@ import numpy as np
 import pytest
 
 from patrolgeom import CircularPatrolScenario, LinearPatrolScenario
+from patrolgeom.linear import vehicle_position_linear
 
 TWO_PI = 2.0 * math.pi
 
@@ -76,6 +80,40 @@ def oracle_detects_linear(a, b, s, samples=20_001):
     if dmin - slack > s.r:
         return False
     return None
+
+
+def oracle_detects_linear_legs(a, b, s):
+    """Exact physical detection check of the segment patrol, per leg.
+
+    Each vehicle is folded onto the segment [0, R] by
+    `vehicle_position_linear`, not unrolled onto the cylinder, so a
+    vehicle on its return leg is tested where it physically is.  The
+    exposure window [0, 2r/u] is split at the times the vehicle turns
+    (its unfolded coordinate b + j*2R/n + v*t crosses a multiple of R); on
+    each piece its position is linear in t, so the squared distance to the
+    intruder (a, r - u*t) is a quadratic in t, minimized in closed form
+    over the piece, its ends and any tangency included.
+    """
+    window = 2.0 * s.r / s.u
+    for j in range(s.n):
+        start = b + j * (2.0 * s.R / s.n)
+        turns = []
+        if s.v > 0.0:
+            first = math.floor(start / s.R) + 1
+            last = math.floor((start + s.v * window) / s.R)
+            turns = [(k * s.R - start) / s.v for k in range(first, last + 1)]
+        cuts = [0.0] + [t for t in turns if 0.0 < t < window] + [window]
+        for t0, t1 in zip(cuts, cuts[1:]):
+            p0 = vehicle_position_linear(j, b, t0, s)
+            p1 = vehicle_position_linear(j, b, t1, s)
+            k = (p1 - p0) / (t1 - t0)  # the vehicle's velocity on the piece
+            # d/dt [(p0 + k*(t - t0) - a)^2 + (r - u*t)^2] = 0
+            t = (k * (a - p0 + k * t0) + s.u * s.r) / (k * k + s.u * s.u)
+            t = min(max(t, t0), t1)
+            dx, dy = p0 + k * (t - t0) - a, s.r - s.u * t
+            if dx * dx + dy * dy <= s.r * s.r:
+                return True
+    return False
 
 
 def sweep_union_measure(arcs):

@@ -19,7 +19,7 @@ from patrolgeom.linear import (CrossingSample, _indicator,
 from patrolgeom.montecarlo import SeedSchedule
 from patrolgeom.scenario import ValidationError
 
-from conftest import oracle_detects_linear
+from conftest import oracle_detects_linear, oracle_detects_linear_legs
 
 
 def test_vehicle_position_turnaround(ref_linear):
@@ -188,6 +188,62 @@ def test_detects_linear_translation_invariance(ref_linear):
         assert detects_linear(CrossingSample(a=a, b=b), ref_linear) == \
             detects_linear(CrossingSample(a=a + delta, b=b + delta),
                            ref_linear)
+
+
+@pytest.mark.parametrize("fields, x, p_two", [
+    ((100.0, 5.0, 5, 2.0, 1.0), 0.5590, 0.8055),
+    ((100.0, 2.0, 3, 0.5, 1.0), 0.0671, 0.1297),
+    ((100.0, 5.0, 10, 0.0, 1.0), 0.5000, 0.7500),
+])
+def test_the_per_leg_oracle_reads_the_two_image_probability(fields, x, p_two):
+    # a physical crossing is detected by one of two cylinder images, at
+    # offsets b - a and b + a, whose folds are independent and uniform, so
+    # the detected fraction is p_two = 1 - (1 - x)^2 for the cylinder's x
+    R, r, n, v, u = fields
+    s = LinearPatrolScenario(R=R, r=r, n=n, v=v, u=u)
+    got_x = asymptotic_summary_linear(s).p_asym
+    want = 1.0 - (1.0 - got_x) ** 2
+    assert (got_x, want) == pytest.approx((x, p_two), abs=5e-5)
+    trials = 10_000
+    rng = np.random.default_rng(2024)
+    a = rng.uniform(0.0, R, trials).tolist()
+    b = rng.uniform(0.0, 2.0 * R / n, trials).tolist()
+    hits = sum(map(oracle_detects_linear_legs, a, b, [s] * trials))
+    error = 4.0 * math.sqrt(want * (1.0 - want) / trials) + 1.0 / trials
+    assert abs(hits / trials - want) <= error
+    if v > 0.0 and n == 5:  # the reference scenario
+        assert hits / trials - got_x > 10.0 * error
+
+
+@pytest.mark.parametrize("fields", [
+    (100.0, 5.0, 5, 2.0, 1.0), (100.0, 5.0, 10, 0.0, 1.0),
+    (10.0, 1.0, 1, 8.0, 1.0), (50.0, 3.0, 4, 20.0, 1.0),
+    (100.0, 20.0, 2, 1.0, 3.0),
+])
+def test_the_per_leg_oracle_misses_no_crossing_a_dense_grid_detects(fields):
+    # the grid folds the unrolled coordinate by itself; the distance moves
+    # at most hypot(u, v) per unit time, so a crossing the oracle detects
+    # lies within half a grid step of the scan radius on the grid.  The
+    # vehicles turn up to three times in the window, and at (50, 3, 4, 20, 1)
+    # every crossing is detected.
+    R, r, n, v, u = fields
+    s = LinearPatrolScenario(R=R, r=r, n=n, v=v, u=u)
+    t = np.linspace(0.0, 2.0 * r / u, 4001)
+    slack = 0.5 * math.hypot(u, v) * (t[1] - t[0])
+    rng = np.random.default_rng(99)
+    detected = 0
+    for _ in range(200):
+        a, b = rng.uniform(0.0, R), rng.uniform(0.0, 2.0 * R / n)
+        c = (b + (2.0 * R / n) * np.arange(n)[:, None] + v * t) % (2.0 * R)
+        dx = np.minimum(c, 2.0 * R - c) - a
+        dmin = float(np.sqrt(dx * dx + (r - u * t) ** 2).min())
+        got = oracle_detects_linear_legs(float(a), float(b), s)
+        if dmin <= r:
+            assert got
+        if got:
+            assert dmin - slack <= r
+        detected += got
+    assert detected > 0
 
 
 def test_asymptotic_summary_reference_values(ref_linear):

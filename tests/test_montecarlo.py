@@ -287,6 +287,110 @@ def test_a_worker_thread_exception_reaches_the_caller_after_every_join():
     assert threading.active_count() == before
 
 
+class _WaitsForTheOtherWorker:
+    """Off the thread that built it, raises on the first chunk; on that
+    thread, counts its chunks, and waits on the first until the other
+    worker has raised."""
+
+    n_draws = 1
+
+    def __init__(self):
+        self._home = threading.get_ident()
+        self._failed = threading.Event()
+        self.chunks = 0
+
+    def evaluate_batch(self, u: np.ndarray) -> np.ndarray:
+        if threading.get_ident() != self._home:
+            self._failed.set()
+            raise _Sentinel
+        self.chunks += 1
+        assert self._failed.wait(timeout=60)
+        return u[:, 0] < 0.5
+
+
+def test_workers_stop_at_the_first_failure():
+    before = threading.active_count()
+    indicator = _WaitsForTheOtherWorker()
+    # 64 chunks, 32 a worker: once worker 1 has raised, worker 0 may finish
+    # the chunk it is on and at most one more, begun before the error was
+    # stored, but not the other 30
+    with pytest.raises(_Sentinel):
+        run_bernoulli_trials(indicator, 64 * CHUNK_TRIALS, SeedSchedule(0),
+                             workers=2)
+    assert indicator.chunks <= 2
+    assert threading.active_count() == before
+
+
+class _Declares:
+    """An indicator of the given n_draws and, unless None, n_scratch,
+    detecting every trial."""
+
+    def __init__(self, n_draws, n_scratch=None):
+        self.n_draws = n_draws
+        if n_scratch is not None:
+            self.n_scratch = n_scratch
+
+    def evaluate_batch(self, u):
+        return np.ones(len(u), dtype=bool)
+
+
+_BAD_DECLARATIONS = [(2.5, None), (0, None), (True, None), ("1", None),
+                     (1, 3), (1, -1), (1, 1.0), (1, True)]
+
+
+@pytest.mark.parametrize("n_draws, n_scratch", _BAD_DECLARATIONS)
+def test_a_bad_declaration_is_a_value_error_on_the_numpy_path(n_draws,
+                                                              n_scratch):
+    with pytest.raises(ValueError, match="n_draws >= 1 and n_scratch"):
+        run_bernoulli_trials(_Declares(n_draws, n_scratch), 10,
+                             SeedSchedule(0))
+
+
+def test_numpy_integers_declare_draws_and_scratch():
+    assert run_bernoulli_trials(_Declares(np.int64(2), np.uint8(2)), 10,
+                                SeedSchedule(0)).successes == 10
+
+
+_DECLARATION_PROBE = """
+import json, sys
+from patrolgeom.montecarlo import SeedSchedule, run_bernoulli_trials
+
+
+class Declares:
+    def __init__(self, n_draws, n_scratch=None):
+        self.n_draws = n_draws
+        if n_scratch is not None:
+            self.n_scratch = n_scratch
+
+    def count_lanes(self, columns):
+        return len(list(columns[0]))
+
+
+out = []
+for n_draws, n_scratch in json.loads(sys.argv[1]):
+    try:
+        run_bernoulli_trials(Declares(n_draws, n_scratch), 10, SeedSchedule(0))
+        out.append("ran")
+    except Exception as err:
+        out.append(type(err).__name__)
+out.append(run_bernoulli_trials(Declares(2, 2), 10, SeedSchedule(0)).successes)
+print(json.dumps([out, "numpy" in sys.modules]))
+"""
+
+
+def test_a_bad_declaration_is_a_value_error_on_the_lane_path():
+    # a fresh process, where numpy is not loaded, so a small request of an
+    # indicator with count_lanes takes the lane path
+    env = dict(os.environ)
+    env["PYTHONPATH"] = (str(Path(__file__).resolve().parent.parent / "src")
+                         + os.pathsep + env.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-c", _DECLARATION_PROBE,
+                           json.dumps(_BAD_DECLARATIONS)], capture_output=True,
+                          text=True, env=env, timeout=120, check=True)
+    assert json.loads(proc.stdout) == [
+        ["ValueError"] * len(_BAD_DECLARATIONS) + [10], False]
+
+
 def test_two_needle_workers_hold_one_small_workspace_each():
     # each worker holds 4 rows of CHUNK_TRIALS floats, 1 MiB, and both share
     # one ramp of 0.25 MiB; with the needle's own scratch rows and separate
