@@ -117,12 +117,14 @@ def _indicator(s: LinearPatrolScenario) -> _FoldIndicator:
     """The fold test of the module docstring, in units of R.  Two draws per
     trial: slot 0 is a/R, slot 1 gives b/R = u*2/n, so the draw map is the
     offset x = (b - a)/R = period*u1 - u0.  The reach is capped at one
-    period, which keeps lo finite where sin(alpha) underflows, and the min
-    keeps the shift finite where v/u overflows."""
+    period, which keeps lo finite where sin(alpha) underflows.  The shift
+    v*r/(u*R) never exceeds the reach, so the min keeps it finite where v/u
+    overflows, and takes the reach where v/u overflows while r/R underflows
+    (inf*0 is NaN, and Python's min keeps its first argument then)."""
     _validate_as(s, LinearPatrolScenario)
     period = 2.0 / s.n
     reach = min(_reach(s) / s.R, period)
-    lo = -(min(s.v / s.u * (s.r / s.R), reach) + reach)
+    lo = -(min(reach, s.v / s.u * (s.r / s.R)) + reach)
     return _FoldIndicator(s.n, 2.0, lo, 2.0 * reach, shift=True)
 
 

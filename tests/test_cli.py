@@ -432,6 +432,17 @@ def test_linear_mc_detects_every_crossing_when_sin_alpha_underflows(capsys):
     assert _strict_json(out)["results"]["successes"] == 1000
 
 
+def test_linear_mc_detects_every_crossing_when_r_over_R_underflows_too(capsys):
+    # v/u overflows to inf and r/R underflows to 0: the shift v/u*(r/R)
+    # reads NaN, and the saturated window must still flag every crossing
+    code, out, err = run_cli(capsys, "linear", "mc", "--R", "1e300",
+                             "--r", "1e-30", "--n", "1", "--v", "1e300",
+                             "--u", "1e-300", "--trials", "1000",
+                             "--no-timing")
+    assert (code, err) == (0, "")
+    assert _strict_json(out)["results"]["successes"] == 1000
+
+
 @pytest.mark.parametrize("argv", [
     ("circular", "asymptotic") + _FLAT,
     ("linear", "asymptotic") + _FLAT,

@@ -97,6 +97,22 @@ def test_detects_linear_where_speed_products_overflow(fields):
     assert not detects_linear(CrossingSample(a=0.0, b=1e305), s)
 
 
+def test_a_nan_shift_reads_as_the_reach():
+    # v/u overflows to inf and r/R underflows to 0, so v/u*(r/R) is NaN;
+    # the true shift v*r/(u*R) is the reach to within a factor 1 - (u/v)**2
+    s = LinearPatrolScenario(R=1e300, r=1e-30, n=1, v=1e300, u=1e-300)
+    # sin(alpha) underflows as well: the window saturates
+    assert _indicator(s).exact() == 1.0
+    assert detects_linear(CrossingSample(a=0.0, b=1e300), s)
+    u = SeedSchedule(5).uniform_block(0, 1000, 2)
+    assert np.all(_indicator(s).evaluate_batch(u))
+    # sin(alpha) = 1e-310: the reach is 1e-20 of R, the window [-2e-20, 0]
+    s = LinearPatrolScenario(R=1e300, r=1e-30, n=1, v=1e300, u=1e-10)
+    assert _indicator(s).exact() == pytest.approx(1e-20)
+    assert detects_linear(CrossingSample(a=1e280, b=0.0), s)
+    assert not detects_linear(CrossingSample(a=3e280, b=0.0), s)
+
+
 def test_positions_and_sample_ranges_where_2R_overflows():
     s = LinearPatrolScenario(R=1e308, r=1e306, n=2, v=1.0, u=1.0)
     # the unfolded coordinate 1.5e308 folds back to 2R - 1.5e308
