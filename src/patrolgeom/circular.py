@@ -59,7 +59,8 @@ from operator import le, mod, mul, sub
 from typing import Iterable, Sequence
 
 from .frames import TWO_PI, _finite_angle, _vehicle_angle, wrap_positive
-from .montecarlo import EstimateWithCI, SeedSchedule, run_bernoulli_trials
+from .montecarlo import (_INV_2_53, EstimateWithCI, SeedSchedule,
+                         run_bernoulli_trials)
 from .scenario import CircularPatrolScenario, _Record, _validate_as
 
 __all__ = [
@@ -256,11 +257,21 @@ class _FoldIndicator:
     positions, in which an atom whose window is at least span/n long counts
     its whole weight.  evaluate_batch tests a (m, n_draws) block of trials,
     count_lanes counts the detections of a lane block given as n_draws
-    columns of floats, through C-level maps, and covers tests one position
-    x of a record without weights.  These are the only spellings of the
-    fold test, and they take the same floating-point operations in the same
-    order: Python's float % and np.mod both take fmod and then fix the
-    sign."""
+    columns of integer ticks k, whose draws are k*2**-53, through C-level
+    maps, and covers tests one position x of a record without weights.
+    These are the only spellings of the fold test, and they flag the same
+    trials.  evaluate_batch and covers take the same floating-point
+    operations in the same order: Python's float % and np.mod both take
+    fmod and then fix the sign.  count_lanes takes them too, except that
+    it forms the last draw's product as k*tick, tick = scale*2**-53, not
+    as u*scale for the draw u = k*2**-53: k < 2**53 converts to a float
+    exactly, and tick is exact wherever it is normal, so both products
+    round the same real number to the same float.  Where tick is not exact
+    (a shifted record whose period is below 2**-969, n above about 1e292)
+    it forms u first and then u*scale.  It subtracts draw 0 as k*2**-53,
+    and picks the atom by comparing k with ceil(c*2**53) for each kept
+    cumulative weight c: for an integer k, k >= ceil(c*2**53) iff
+    k*2**-53 >= c."""
 
     def __init__(self, n, span, lo, length, weights=None, shift=False):
         # draw 0 is either the shift or the atom's pick, never both
@@ -270,6 +281,13 @@ class _FoldIndicator:
         self._scale = self._period if shift else span
         self._cum = (None if weights is None
                      else tuple(accumulate(weights))[:-1])
+        # count_lanes's draw map and atom pick on ticks: scale*2**-53 in one
+        # factor where that factor scales back to scale exactly, else the two
+        tick = self._scale * _INV_2_53
+        self._tick_factors = ((tick,) if tick / _INV_2_53 == self._scale
+                              else (_INV_2_53, self._scale))
+        self._cum_ticks = (None if weights is None else
+                           tuple(math.ceil(c / _INV_2_53) for c in self._cum))
         self._atoms = (((1.0, length),) if weights is None
                        else tuple(zip(weights, length)))
 
@@ -311,15 +329,19 @@ class _FoldIndicator:
         for a record without weights."""
         return (x - self._lo) % self._period <= self._length
 
-    def count_lanes(self, columns: Sequence[Iterable[float]]) -> int:
+    def count_lanes(self, columns: Sequence[Sequence[int]]) -> int:
         """Detections among the trials of a lane block, each column one
-        draw's values over the block, as evaluate_batch flags them."""
-        x = map(mul, columns[-1], repeat(self._scale))
+        draw's ticks over the block, as evaluate_batch flags the draws
+        tick*2**-53."""
+        # float * int, not int * float: int's own multiply is tried first
+        x = columns[-1]
+        for factor in self._tick_factors:
+            x = map(mul, repeat(factor), x)
         if self._shift:
-            x = map(sub, x, columns[0])
+            x = map(sub, x, map(mul, repeat(_INV_2_53), columns[0]))
         lo, length = repeat(self._lo), repeat(self._length)
         if self._cum is not None:
-            atoms = list(map(bisect_right, repeat(self._cum), columns[0]))
+            atoms = list(map(bisect_right, repeat(self._cum_ticks), columns[0]))
             lo = map(self._lo.__getitem__, atoms)
             length = map(self._length.__getitem__, atoms)
         return sum(map(le, map(mod, map(sub, x, lo), repeat(self._period)),

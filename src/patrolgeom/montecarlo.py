@@ -33,9 +33,11 @@ runner counts it in plain Python over the same splitmix64 draws
 all of them (`_mix`, of which `mix64` is the one-lane case).  Every draw
 is one lane step (`_mixed`): add a constant to every lane, then mix.
 Blocks are mixed whole, all 1024 lanes, the last one too; the path then
-unpacks the words of the lanes it needs and hands count_lanes the block's
-draws as one column of floats per draw, which it counts through C-level
-maps, without a Python call per trial.
+unpacks the words of the lanes it needs (`_ticks`) and hands count_lanes
+the block's draws as one column per draw of integer ticks w >> 11, the
+draw being tick * 2**-53.  count_lanes folds 2**-53 into its own scale
+and counts through C-level maps, without a Python call per trial and
+without a map that turns ticks into draws first.
 The allowance is spent, not reset, so a long run of small requests turns
 to numpy once it is gone.  The count is the same on either path.
 """
@@ -84,20 +86,28 @@ CHUNK_TRIALS = 32768
 # Draws (trials x n_draws) a process may count on the scalar path, which
 # never imports numpy (see run_bernoulli_trials).  It is counted in draws
 # because the path's cost per trial grows with its draws: about 0.33 us per
-# trial for the circle (1 draw), 0.47 us for the segment (2 draws) and
-# 0.72 us for the randomized radius (2 draws and an atom lookup), in process,
-# best of 5.  Fresh processes break even with numpy's import at about
-# 200 000 draws for the circle, 250 000-290 000 for the segment and 170 000
-# for the randomized radius (least-squares lines through medians of 9
-# processes at 5-6 request sizes; 2-core host, Python 3.11, numpy 2.4).
-# 4 * CHUNK_TRIALS = 131 072 draws lies below all three.  A larger
-# allowance would move no request of perfbench, whose next ones above it
-# take 200 000 draws or more, and would raise the cost of a many-row
-# sweep of small requests: the allowance is spent, not reset per
-# request, so such a sweep pays the scalar cost only until the allowance
-# runs out, at most about one import.  It picks the path only, so callers
-# in several threads may race on it.
-_SCALAR_DRAWS = 4 * CHUNK_TRIALS
+# trial for the circle (1 draw), 0.50 us for the segment (2 draws) and
+# 0.61 us for the randomized radius (2 draws and an atom lookup), in process
+# (the least of 30 processes, each the best of 5).  A fresh process breaks
+# even with numpy's import at about these draws per request (a line through
+# the median lane-minus-numpy differences of 12 process pairs at 5 sizes;
+# 2-core host, Python 3.11, numpy 2.4):
+#
+#                         200 000 draws       break-even
+#     model               lane     numpy      (draws)
+#     circle              0.127 s  0.159 s    265 000
+#     segment             0.116 s  0.145 s    360 000
+#     randomized radius   0.118 s  0.152 s    300 000
+#
+# 7 * CHUNK_TRIALS = 229 376 draws lies below all three, so a request of
+# 200 000 draws skips numpy on every model, while a circle request of
+# 250 000 trials, where the two paths lie within 7 ms, loads it.  A larger
+# allowance would also raise the cost of a many-row sweep of small
+# requests: the allowance is spent, not reset per request, so such a sweep
+# pays the scalar cost only until the allowance runs out, at most about
+# one import.  It picks the path only, so callers in several threads may
+# race on it.
+_SCALAR_DRAWS = 7 * CHUNK_TRIALS
 _scalar_left = _SCALAR_DRAWS
 
 # Ceiling on worker threads.  The estimate does not depend on `workers`, and
@@ -156,14 +166,13 @@ def _mixed(base: int, add: int) -> int:
     return _mix((base + (add & _MASK64) * ones) & mask, mask)
 
 
-def _uniforms(x: int, m: int) -> Iterator[float]:
-    """The draws of the first m lanes of a mixed x, in lane order:
-    (w >> 11) * 2**-53 of each 64-bit word w, as `TrialSource.uniform` maps
-    it.  The high half of each lane is zero, so the shift moves nothing
-    into a low word from its neighbour."""
+def _ticks(x: int, m: int) -> list[int]:
+    """The ticks of the first m lanes of a mixed x, in lane order: w >> 11
+    of each 64-bit word w, whose draw `TrialSource.uniform` makes as
+    tick * 2**-53.  The high half of each lane is zero, so the shift moves
+    nothing into a low word from its neighbour."""
     words = memoryview((x >> 11).to_bytes(_LANES * _LANE_BYTES, sys.byteorder))
-    return map(operator.mul, words.cast("Q")[_LOW_WORDS][:m].tolist(),
-               itertools.repeat(_INV_2_53))
+    return words.cast("Q")[_LOW_WORDS][:m].tolist()
 
 
 def _mix64_inplace(x: np.ndarray, scratch: np.ndarray) -> None:
@@ -366,7 +375,8 @@ def _check_run(trials: int, workers: int) -> None:
 def _count_scalar(indicator, trials: int, schedule: SeedSchedule) -> int:
     """Successes of indicator.count_lanes over trials [0, trials) in plain
     Python: the draws of `TrialSource`, handed to it one block of _LANES
-    trials at a time, as n_draws columns of floats.  Each block is mixed
+    trials at a time, as n_draws columns of integer ticks, draw j of a
+    trial being its tick in column j times 2**-53.  Each block is mixed
     whole, the last one too, by two lane steps: the counters of trial
     lo + i become its key, and the key plus j*GAMMA its draw j; only the
     first m lanes of a block of m trials are read."""
@@ -376,17 +386,21 @@ def _count_scalar(indicator, trials: int, schedule: SeedSchedule) -> int:
         m = min(_LANES, trials - lo)
         keys = _mixed(ramp, schedule._counter(lo))
         total += indicator.count_lanes(
-            [_uniforms(_mixed(keys, (j + 1) * _GAMMA), m)
+            [_ticks(_mixed(keys, (j + 1) * _GAMMA), m)
              for j in range(indicator.n_draws)])
     return total
 
 
 def _trial_draws(key: int, count: int) -> Iterator[float]:
-    """The first count draws of TrialSource(key), mixed _LANES at a time."""
+    """The first count draws of TrialSource(key), mixed _LANES at a time.
+    They stay floats, not ticks: the caller's int(m * u) floors the rounded
+    product, where an exact integer product of m and the tick would not
+    round."""
     ramp = _lane_constants()[1]
     for lo in range(0, count, _LANES):
-        yield from _uniforms(_mixed(ramp, key + (lo + 1) * _GAMMA),
-                             min(_LANES, count - lo))
+        yield from map(operator.mul, itertools.repeat(_INV_2_53),
+                       _ticks(_mixed(ramp, key + (lo + 1) * _GAMMA),
+                              min(_LANES, count - lo)))
 
 
 def run_bernoulli_trials(indicator, trials: int, schedule: SeedSchedule,
@@ -403,8 +417,8 @@ def run_bernoulli_trials(indicator, trials: int, schedule: SeedSchedule,
     a bool included, is a ValueError, raised before either path is
     chosen.  An indicator may also offer count_lanes(columns), the number
     of trials evaluate_batch would flag, bit for bit, in a block of trials
-    given as n_draws iterables of floats, column j holding draw j of each
-    trial.
+    given as n_draws lists of integer ticks, column j holding the tick k
+    of draw j of each trial: 0 <= k < 2**53, and the draw is k * 2**-53.
 
     While numpy is not yet imported, a request of such an indicator whose
     trials x n_draws fit the process's remaining allowance

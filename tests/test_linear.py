@@ -347,7 +347,8 @@ def test_the_segment_record_reads_its_closed_form(log_R, log_e, n, log_v,
                                                   log_u):
     # the record's exact sum min(1, n*length/2) and the closed form
     # min(1, n*reach/R) are one number wherever the window is a chord,
-    # and a saturated window, the whole period, reads 1 as the closed form
+    # and a saturated window, 2*min(reach, period) and so at least one
+    # period long, reads 1 as the closed form
     R = 10.0 ** log_R
     r = R * 10.0 ** log_e
     assume(0.0 < r and 2.0 * r < R)

@@ -685,23 +685,95 @@ def test_a_draw_past_the_last_cumulative_weight_takes_the_last_atom():
 
 def test_a_trial_on_the_window_edge_is_detected_on_both_paths():
     # x = 2*pi*0.5 = pi exactly, so (x - lo) mod period = length: tangency
-    # counts as detection
+    # counts as detection; the lane path takes the draws 0.5 and 0.75 as
+    # their ticks, 2**52 and 3*2**51
     indicator = circular._FoldIndicator(1, TWO_PI, 0.0, math.pi)
-    assert indicator.count_lanes([[0.5, 0.75]]) == 1
+    assert indicator.count_lanes([[2 ** 52, 3 * 2 ** 51]]) == 1
     assert indicator.evaluate_batch(np.array([[0.5], [0.75]])).tolist() == [
         True, False]
 
 
 def test_a_draw_on_a_cumulative_weight_takes_the_next_atom_on_both_paths():
     # cumulative weights 0.25, 0.75, 1; the windows [0, 1], [0, 3], [0, 4]
-    # hold x = 2*pi*0.4 ~ 2.51 in the last two atoms only
+    # hold x = 2*pi*0.375 ~ 2.36 in the last two atoms only
     indicator = circular._FoldIndicator(1, TWO_PI, (0.0, 0.0, 0.0),
                                         (1.0, 3.0, 4.0), (0.25, 0.5, 0.25))
+    # the lane path takes each draw as its tick, u*2**53
     picks = [0.0, 0.25, 0.75, 0.999]
-    assert [indicator.count_lanes([[pick], [0.4]]) for pick in picks] == [
-        0, 1, 1, 1]
-    u = np.column_stack([picks, [0.4] * len(picks)])
+    assert [indicator.count_lanes([[int(pick * 2 ** 53)], [3 * 2 ** 50]])
+            for pick in picks] == [0, 1, 1, 1]
+    u = np.column_stack([picks, [0.375] * len(picks)])
     assert indicator.evaluate_batch(u).tolist() == [False, True, True, True]
+
+
+def _lane_and_batch_flags(indicator, columns):
+    """Each trial's flag from count_lanes, given the trial's ticks alone,
+    and from evaluate_batch, given its draws tick*2**-53."""
+    lanes = [indicator.count_lanes([[k] for k in ticks]) == 1
+             for ticks in zip(*columns, strict=True)]
+    u = np.column_stack([np.array(ticks, dtype=float) * 2.0 ** -53
+                         for ticks in columns])
+    return lanes, indicator.evaluate_batch(u).tolist()
+
+
+@pytest.mark.parametrize("n", [10 ** 300, 10 ** 305, 17 * 10 ** 307],
+                         ids=["1e300", "1e305", "1.7e308"])
+def test_a_subnormal_tick_counts_as_the_float_draws(n):
+    # the period 2/n lies below 2**-969, so period*2**-53 is subnormal and
+    # inexact: the lane path scales each tick by 2**-53 and then by the
+    # period.  Draw 0 = 0 leaves x alone against the window's far edge,
+    # whose ticks k are stepped through one by one.  r sets p = 0.3
+    indicator = linear._indicator(LinearPatrolScenario(
+        R=1.0, r=0.3 / n * math.sin(math.atan2(1.0, 2.0)), n=n, v=2.0, u=1.0))
+    period = indicator._period
+    assert indicator._scale * 2.0 ** -53 < sys.float_info.min
+    edge = (indicator._lo + indicator._length) % period
+    k = round(edge / period * 2 ** 53)
+    ticks = list(range(k - 300, k + 300))
+    lanes, batch = _lane_and_batch_flags(indicator, [[0] * len(ticks), ticks])
+    assert lanes == batch
+    assert True in batch and False in batch
+    for seed in (1, 2 ** 64 - 1):
+        assert (_count_scalar(indicator, 5000, SeedSchedule(seed))
+                == _vector_count(indicator, 5000, seed))
+
+
+@pytest.mark.parametrize("weights", [(0.1, 0.2, 0.7), (0.6, 0.3, 0.1),
+                                     (1 / 3, 1 / 3, 1 / 3)])
+def test_draws_beside_and_on_a_cumulative_weight_pick_the_same_atom(weights):
+    # the windows of 3, 1 and 3 radians hold x = 2*pi*0.375 ~ 2.36 but for
+    # the middle atom.  The draws step across each kept cumulative weight c
+    # one tick at a time, and where c*2**53 is a whole tick (as wherever
+    # c >= 0.5) one lands on it, which takes the next atom
+    indicator = circular._FoldIndicator(1, TWO_PI, (0.0, 0.0, 0.0),
+                                        (3.0, 1.0, 3.0), weights)
+    cum = indicator._cum
+    picks = [k for c in cum for k in range(math.floor(c * 2 ** 53) - 2,
+                                           math.ceil(c * 2 ** 53) + 3)]
+    assert any(k * 2.0 ** -53 in cum for k in picks)
+    lanes, batch = _lane_and_batch_flags(indicator,
+                                         [picks, [3 * 2 ** 50] * len(picks)])
+    assert lanes == batch == [
+        sum(k * 2.0 ** -53 >= c for c in cum) != 1 for k in picks]
+    atoms = circular._FoldIndicator(10, TWO_PI, (0.0, -0.3, 0.1),
+                                    (0.2, 0.5, 0.1), weights)
+    assert (_count_scalar(atoms, 5000, SeedSchedule(4))
+            == _vector_count(atoms, 5000, 4))
+
+
+@pytest.mark.parametrize("r,n", [(1e-308, 10 ** 308), (1e-310, 10 ** 308),
+                                 (5e-324, 10 ** 300)],
+                         ids=["1e-308", "1e-310", "5e-324"])
+def test_a_circle_at_subnormal_r_over_R_counts_alike_on_both_paths(r, n):
+    indicator = circular._indicator(CircularPatrolScenario(R=1.0, r=r, n=n,
+                                                           v=2.0, u=1.0))
+    schedule = SeedSchedule(6)
+    ticks = [int(schedule.trial_source(i).uniform() * 2 ** 53)
+             for i in range(2000)]
+    lanes, batch = _lane_and_batch_flags(indicator, [ticks])
+    assert lanes == batch
+    assert (_count_scalar(indicator, 20000, schedule)
+            == _vector_count(indicator, 20000, 6))
 
 
 def test_a_window_of_a_whole_period_reads_exactly_one():
@@ -716,14 +788,18 @@ def test_a_window_of_a_whole_period_reads_exactly_one():
 
 class _Recorder:
     """Records the draws the scalar path hands each trial, one tuple per
-    trial out of each block's columns; detects none."""
+    trial out of each block's columns of ticks, each tick times 2**-53;
+    detects none."""
 
     def __init__(self, n_draws):
         self.n_draws, self.seen = n_draws, []
 
     def count_lanes(self, columns):
         assert len(columns) == self.n_draws
-        self.seen.extend(zip(*columns, strict=True))
+        assert all(type(k) is int and 0 <= k < 2 ** 53
+                   for ticks in columns for k in ticks)
+        self.seen.extend(tuple(k * 2.0 ** -53 for k in ticks)
+                         for ticks in zip(*columns, strict=True))
         return 0
 
 

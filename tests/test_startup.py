@@ -1,5 +1,5 @@
 """Start-up cost: the closed-form commands never load numpy, a thread
-pool or `statistics`.  A small Monte Carlo request (up to 131 072 draws in
+pool or `statistics`.  A small Monte Carlo request (up to 229 376 draws in
 all per process) counts its trials without numpy; a larger one loads numpy,
 and neither a thread pool nor `statistics` at any worker count: extra
 workers run on plain threads.  A request builds only the argument parsers
@@ -82,7 +82,8 @@ def test_closed_form_commands_never_load_numpy():
 
 
 def test_single_worker_monte_carlo_loads_numpy_but_no_thread_pool():
-    codes, modules = _run(["circular", "mc", *REF, "--trials", "200000",
+    # 250 000 one-draw trials lie above the allowance of 229 376 draws
+    codes, modules = _run(["circular", "mc", *REF, "--trials", "250000",
                            "--workers", "1"])
     assert codes == [0]
     assert "numpy" in modules
@@ -93,7 +94,7 @@ def test_single_worker_monte_carlo_loads_numpy_but_no_thread_pool():
 def test_two_worker_monte_carlo_loads_numpy_but_no_thread_pool():
     # the second worker runs on a plain thread: neither the executor nor
     # the logging it imports is loaded
-    codes, modules = _run(["circular", "mc", *REF, "--trials", "200000",
+    codes, modules = _run(["circular", "mc", *REF, "--trials", "250000",
                            "--workers", "2"])
     assert codes == [0]
     assert "numpy" in modules
@@ -122,9 +123,40 @@ def test_circle_requests_of_100_000_trials_never_load_numpy():
         assert modules.isdisjoint(HEAVY), command
 
 
+_RANDOM_RADIUS_PROBE = """
+import json, sys
+from patrolgeom.randomradius import (RadiusDistribution,
+                                     mc_probability_random_radius)
+from patrolgeom.scenario import CircularPatrolScenario
+circle = CircularPatrolScenario(R=100.0, r=5.0, n=10, v=2.0, u=1.0)
+atoms = RadiusDistribution.from_atoms([(0.8, 0.25), (1.0, 0.5), (1.2, 0.25)])
+est = mc_probability_random_radius(circle, atoms, 100000, 7)
+print(json.dumps([est.successes, sorted(sys.modules)]))
+"""
+
+
+def test_requests_of_200_000_draws_never_load_numpy():
+    # a 200 000-trial circle request and a 100 000-trial randomized-radius
+    # request (two draws a trial), each in a fresh process, as
+    # perfbench's circular_mc asks them: both fit the allowance of
+    # 229 376 draws.  The randomized radius has no CLI command, so it is
+    # a library call
+    codes, modules = _run(["circular", "mc", *REF, "--trials", "200000"])
+    assert codes == [0]
+    assert modules.isdisjoint(HEAVY)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run([sys.executable, "-c", _RANDOM_RADIUS_PROBE],
+                          capture_output=True, text=True, env=env,
+                          timeout=120, check=True)
+    successes, modules = json.loads(proc.stdout)
+    assert 0 < successes < 100000
+    assert set(modules).isdisjoint(HEAVY)
+
+
 def test_a_sweep_of_small_requests_turns_to_numpy():
-    # 40 rows of 20 000 one-draw trials: the first six fit the process's
-    # scalar allowance of 131 072 draws, the seventh does not, and the rest
+    # 40 rows of 20 000 one-draw trials: the first 11 fit the process's
+    # scalar allowance of 229 376 draws, the twelfth does not, and the rest
     # run on numpy
     codes, modules = _run(["sweep", *REF, "--parameter", "r", "--start", "1",
                            "--stop", "20", "--steps", "40", "--estimators",
@@ -207,8 +239,9 @@ def test_with_stdout_closed_the_entry_point_exits_through_teardown():
 
 def test_two_workers_print_the_same_bytes_through_the_entry_point():
     # the worker threads are joined before main returns, so os._exit
-    # drops no output
-    outs = [_entry("circular", "mc", *REF, "--trials", "200000",
+    # drops no output; 250 000 trials take the numpy path, where the
+    # second worker runs
+    outs = [_entry("circular", "mc", *REF, "--trials", "250000",
                    "--workers", workers, "--no-timing")
             for workers in ("1", "2")]
     assert [p.returncode for p in outs] == [0, 0]
