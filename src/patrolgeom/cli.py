@@ -1,14 +1,17 @@
 """Command-line front end.
 
 Subcommands mirror the library: buffon, circular and linear (one mode per
-estimator the model has), jensen, sweep, compare, polar-image.  Scenario
-parameters come from a JSON file (--scenario) and/or inline flags, inline
-winning on overlap.  Reports are JSON by default or CSV with --format csv;
---no-timing drops the wall-clock field so repeated runs are byte-identical.
+estimator: exact, mc, asymptotic), jensen, sweep, compare, polar-image.
+Scenario parameters come from a JSON file (--scenario) and/or inline flags,
+inline winning on overlap; sweep and compare take either kind, circular
+unless the file names another.  Reports are JSON by default or CSV with
+--format csv; --no-timing drops the wall-clock field so repeated runs are
+byte-identical.
 
 One table, _RECORD, maps each (patrol model, estimator) pair to the
-function that computes its results record; circular's and linear's modes,
-the --estimators choices, compare and sweep all read it.  A report prints a
+function that computes its results record, and is the only code that pairs
+the two; circular's and linear's modes, the --estimators choices, compare
+and sweep all read it.  Every model has every estimator.  A report prints a
 record as its JSON `results`, or nests several by name, and every CSV row
 carries the record's fields of the same name under the fixed header
 estimator,probability,ci_low,ci_high,m_min,chord_l,trials,seed (sweep puts
@@ -33,11 +36,12 @@ import sys
 import time
 from typing import Iterator, NoReturn
 
-from . import __version__
+from . import __version__, montecarlo
 from .buffon import NeedleProblem, buffon_mc, buffon_probability
 from .circular import asymptotic_summary, exact_probability, mc_probability
 from .frames import TWO_PI, scan_circle_polar_approx, scan_circle_polar_exact
-from .linear import asymptotic_summary_linear, mc_probability_linear
+from .linear import (asymptotic_summary_linear, exact_probability_linear,
+                     mc_probability_linear)
 from .montecarlo import DEFAULT_SEED, _check_run
 from .randomradius import (RadiusDistribution, asymptotic_probability_randomized,
                            exact_probability_random_radius, jensen_sides)
@@ -94,14 +98,17 @@ def _nested(record: dict) -> dict:
 
 # (kind, estimator) -> record(scenario, args), the results record of that
 # estimator on a scenario of that kind: the one place that maps an estimator
-# and a patrol model to a library call.  A kind's rows are its modes, in
-# help order.  Each row looks its library function up in this module when
-# it runs, so that rebinding the module's name reaches every request.
+# and a patrol model to a library call.  Every kind has every estimator.  A
+# kind's rows are its modes, in help order.  Each row looks its library
+# function up in this module when it runs, so that rebinding the module's
+# name reaches every request.
 _RECORD = {
     ("circular", "exact"): lambda s, a: {"estimator": "exact",
                                          "probability": exact_probability(s)},
     ("circular", "mc"): lambda s, a: _mc_record(mc_probability, s, a),
     ("circular", "asymptotic"): lambda s, a: _asymptotic(asymptotic_summary(s)),
+    ("linear", "exact"): lambda s, a: {
+        "estimator": "exact", "probability": exact_probability_linear(s)},
     ("linear", "mc"): lambda s, a: _mc_record(mc_probability_linear, s, a),
     ("linear", "asymptotic"): lambda s, a: _asymptotic(asymptotic_summary_linear(s)),
 }
@@ -135,9 +142,10 @@ def _read_json(path: str, what: str):
         raise ValidationError(f"malformed {what} file: {err}")
 
 
-def _scenario_data(args) -> dict:
+def _scenario_data(args, kind: str = "circular") -> dict:
     """Scenario fields from the --scenario file, if any, with inline flags
-    overriding them; not yet validated."""
+    overriding them and `kind` where the file names none; not yet
+    validated."""
     data = _read_json(args.scenario, "scenario") if args.scenario else {}
     if not isinstance(data, dict):
         raise ValidationError("scenario file must hold a JSON object")
@@ -145,12 +153,12 @@ def _scenario_data(args) -> dict:
         value = getattr(args, key)
         if value is not None:
             data[key] = value
+    data.setdefault("kind", kind)
     return data
 
 
 def _scenario_from_args(args, kind: str):
-    data = _scenario_data(args)
-    data.setdefault("kind", kind)
+    data = _scenario_data(args, kind)
     if data.get("kind") != kind:
         raise ValidationError(f"{kind} scenario required, got kind "
                               f"'{data.get('kind')}'")
@@ -214,8 +222,9 @@ def _cmd_jensen(args) -> None:
 
 
 def _cmd_compare(args) -> None:
-    scen = _scenario_from_args(args, "circular")
-    exact, mc, asym = (_RECORD["circular", name](scen, args)
+    data = _scenario_data(args)
+    scen = scenario_from_dict(data)
+    exact, mc, asym = (_RECORD[data["kind"], name](scen, args)
                        for name in ("exact", "mc", "asymptotic"))
     results = {r["estimator"]: _nested(r) for r in (exact, mc, asym)}
     results["gap_exact_asymptotic"] = abs(exact["probability"]
@@ -273,7 +282,6 @@ def _sweep_values(args) -> Iterator[float]:
 
 def _cmd_sweep(args) -> None:
     base = _scenario_data(args)
-    base.setdefault("kind", "circular")
     param = args.parameter
 
     def scenarios():
@@ -286,14 +294,13 @@ def _cmd_sweep(args) -> None:
             data[param] = value
             yield value, scenario_from_dict(data)
 
-    for _ in scenarios():  # a bad value raises before the header
-        pass
-    for name in args.estimators:  # as does an estimator the kind lacks
-        if (base["kind"], name) not in _RECORD:
-            kinds = " or ".join(k for k, n in _RECORD if n == name)
-            raise ValidationError(f"the {name} estimator needs a {kinds} scenario")
+    size = sum(1 for _ in scenarios())  # a bad value raises before the header
     if "mc" in args.estimators:  # and bad --trials and --workers
         _check_run(args.trials, args.workers)
+        # a grid whose draws exceed what is left of the numpy-free allowance
+        # loads numpy now rather than after its first rows (_SCALAR_DRAWS)
+        if size * args.trials > montecarlo._scalar_left:
+            import numpy  # noqa: F401
     # then one row at a time, as polar-image does
     rows = ((param, value) + _csv_row(_RECORD[base["kind"], name](scen, args))
             for value, scen in scenarios() for name in args.estimators)

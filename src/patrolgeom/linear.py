@@ -57,6 +57,7 @@ __all__ = [
     "CrossingSample",
     "asymptotic_summary_linear",
     "detects_linear",
+    "exact_probability_linear",
     "mc_probability_linear",
     "vehicle_position_linear",
 ]
@@ -126,6 +127,17 @@ def _indicator(s: LinearPatrolScenario) -> _FoldIndicator:
     reach = min(_reach(s) / s.R, period)
     lo = -(min(reach, s.v / s.u * (s.r / s.R)) + reach)
     return _FoldIndicator(s.n, 2.0, lo, 2.0 * reach, shift=True)
+
+
+def exact_probability_linear(s: LinearPatrolScenario) -> float:
+    """Detection probability over the uniform crossing ensemble on the
+    unfolded cylinder, the record's exact sum min(1, n*length/2): the share
+    of the period that the window covers, 1 where it covers a whole period.
+    It equals the closed form's p wherever that is finite, and answers
+    where the closed form overflows.  This is the paper's model: the
+    cylinder tests the offset b - a alone, so it does not count a vehicle
+    on its return leg, which the physical segment would."""
+    return _indicator(s).exact()
 
 
 def mc_probability_linear(s: LinearPatrolScenario, trials: int, seed: int,

@@ -105,8 +105,12 @@ CHUNK_TRIALS = 32768
 # allowance would also raise the cost of a many-row sweep of small
 # requests: the allowance is spent, not reset per request, so such a sweep
 # pays the scalar cost only until the allowance runs out, at most about
-# one import.  It picks the path only, so callers in several threads may
-# race on it.
+# one import.  `cli`'s sweep avoids even that: where its grid's rows x
+# trials exceed what is left, it imports numpy before its first row.
+# rows x trials is a lower bound on the draws (a segment trial takes two),
+# so a segment grid whose rows x trials fit but whose draws do not still
+# runs its first rows here and the rest on numpy.  The allowance picks the
+# path only, so callers in several threads may race on it.
 _SCALAR_DRAWS = 7 * CHUNK_TRIALS
 _scalar_left = _SCALAR_DRAWS
 

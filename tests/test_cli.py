@@ -65,6 +65,7 @@ _MC_FLAGS = ("--trials", "3000", "--seed", "7")
     ("circular", "exact") + _REF_FLAGS,
     ("circular", "mc") + _REF_FLAGS + _MC_FLAGS,
     ("circular", "asymptotic") + _REF_FLAGS,
+    ("linear", "exact") + _LINEAR_FLAGS,
     ("linear", "mc") + _LINEAR_FLAGS + _MC_FLAGS,
     ("linear", "asymptotic") + _LINEAR_FLAGS,
     ("compare",) + _REF_FLAGS + _MC_FLAGS,
@@ -197,12 +198,13 @@ def test_pruned_parser_prints_what_the_full_parser_prints(capsys):
                     "compare", "polar-image")]
                 + [["circular", mode, "-h"] for mode in ("exact", "mc",
                                                          "asymptotic")]
-                + [["linear", mode, "-h"] for mode in ("mc", "asymptotic")]
+                + [["linear", mode, "-h"] for mode in ("exact", "mc",
+                                                       "asymptotic")]
                 + [["circular", "exact", *_REF_FLAGS, "--bogus"],
                    ["circular", "mc", "--R", "x"],
                    ["buffon", "--l", "1"],
                    [*_SWEEP_R, "--values", "1", "--estimators", "magic"],
-                   ["circular"], ["linear", "exact"], ["bogus"]])
+                   ["circular"], ["linear", "bogus"], ["bogus"]])
     for argv in requests:
         pruned = run_cli(capsys, *argv)
         with pytest.raises(SystemExit) as stop:
@@ -286,6 +288,95 @@ def test_compare_static_report(capsys, tmp_path):
     assert results["gap_exact_asymptotic"] == pytest.approx(correction,
                                                             rel=1e-3)
     assert results["exact_within_mc_ci"] is True
+
+
+def test_every_patrol_model_has_every_estimator():
+    # so compare and sweep run any estimator on any kind of scenario
+    from patrolgeom.cli import _ESTIMATORS, _RECORD
+
+    kinds = {kind for kind, _ in _RECORD}
+    assert kinds == {"circular", "linear"}
+    assert set(_RECORD) == {(kind, name) for kind in kinds
+                            for name in _ESTIMATORS}
+
+
+# the unfolded cylinder's p = min(1, n r/(R sin(alpha))) at REF_LINEAR:
+# 5 * 5/(100 * sin(atan2(1, 2))) = sqrt(5)/4
+LINEAR_EXACT = 0.5590169943749475
+
+
+def test_linear_exact_reads_the_cylinder_probability(capsys):
+    code, out, err = run_cli(capsys, "linear", "exact", *_LINEAR_FLAGS,
+                             "--no-timing")
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert report["command"] == "linear-exact"
+    assert report["results"] == {"estimator": "exact",
+                                 "probability": LINEAR_EXACT}
+    code, out, _ = run_cli(capsys, "linear", "exact", *_LINEAR_FLAGS,
+                           "--format", "csv")
+    assert code == 0
+    assert out.splitlines()[1] == f"exact,{LINEAR_EXACT},,,,,,"
+
+
+def test_linear_exact_reads_one_on_a_saturated_window(capsys):
+    # 2*reach = 2*5*sqrt(5) exceeds the period 2R/n = 20: every crossing
+    # is detected
+    code, out, _ = run_cli(capsys, "linear", "exact", *_LINEAR_FLAGS[:4],
+                           "--n", "10", *_LINEAR_FLAGS[6:], "--no-timing")
+    assert code == 0
+    assert json.loads(out)["results"]["probability"] == 1.0
+
+
+def test_linear_exact_answers_where_the_closed_form_overflows(capsys):
+    # sin(alpha) underflows to 0: the chord 2r/sin(alpha) is infinite and
+    # asymptotic exits 1, while the record's window covers the period
+    argv = ("--R", "1e301", "--r", "1e300", "--n", "1", "--v", "1e10",
+            "--u", "1e-10", "--no-timing")
+    code, out, err = run_cli(capsys, "linear", "asymptotic", *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: OverflowError")
+    code, out, err = run_cli(capsys, "linear", "exact", *argv)
+    assert (code, err) == (0, "")
+    assert _strict_json(out)["results"]["probability"] == 1.0
+
+
+def test_compare_on_a_segment_reads_the_segment_rows(capsys, tmp_path):
+    path = write_scenario(tmp_path, **REF_LINEAR)
+    argv = ("compare", "--scenario", path, "--trials", "20000", "--seed", "3")
+    code, out, err = run_cli(capsys, *argv, "--no-timing")
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    results = report["results"]
+    assert report["scenario"] == REF_LINEAR
+    assert "warnings" not in report
+    assert (results["exact"]["probability"]
+            == results["asymptotic"]["probability"] == LINEAR_EXACT)
+    assert results["gap_exact_asymptotic"] == 0.0
+    code, out, _ = run_cli(capsys, "linear", "mc", *_LINEAR_FLAGS,
+                           "--trials", "20000", "--seed", "3", "--no-timing")
+    assert code == 0
+    mc = json.loads(out)["results"]
+    assert results["mc"] == {k: v for k, v in mc.items()
+                             if k not in ("estimator", "seed")}
+    code, out, _ = run_cli(capsys, *argv, "--format", "csv")
+    assert code == 0
+    assert [row.split(",")[0] for row in out.splitlines()[1:]] == [
+        "asymptotic", "exact", "mc"]
+
+
+def test_sweep_of_a_segment_puts_exact_beside_asymptotic(capsys, tmp_path):
+    path = write_scenario(tmp_path, **REF_LINEAR)
+    code, out, err = run_cli(capsys, "sweep", "--scenario", path,
+                             "--parameter", "n", "--values", "1,2,5,9,10",
+                             "--estimators", "asymptotic,exact")
+    assert (code, err) == (0, "")
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert [row[2] for row in rows] == ["asymptotic", "exact"] * 5
+    for asym, exact in zip(rows[::2], rows[1::2]):
+        assert exact[:2] == asym[:2]
+        assert exact[3] == asym[3]
+    assert rows[-1][3] == "1.0"
 
 
 def test_compare_warns_in_large_ratio_regime(capsys):
@@ -555,14 +646,10 @@ _SWEEP_R = ("sweep",) + _REF_FLAGS + ("--parameter", "r")
      "swept n values must be integers"),
     (_SWEEP_R[:-1] + ("n", "--values", "inf"), None,
      "swept n values must be integers"),
-    (("sweep", "--scenario", "{file}", "--parameter", "n", "--values", "1,2",
-      "--estimators", "asymptotic,exact"), json.dumps(REF_LINEAR),
-     "the exact estimator needs a circular scenario"),
 ], ids=["unreadable-file", "malformed-file", "file-not-object",
         "kind-mismatch", "bad-values", "empty-values", "missing-grid",
         "zero-steps", "log-from-zero", "one-point", "zero-trials",
-        "zero-workers", "too-many-workers", "nan-n", "inf-n",
-        "linear-exact-sweep"])
+        "zero-workers", "too-many-workers", "nan-n", "inf-n"])
 def test_bad_input_exits_one_before_any_output(capsys, tmp_path, argv,
                                                content, message):
     path = tmp_path / "input.json"
@@ -759,6 +846,7 @@ _LIBRARY_CALLS = {
     "exact_probability": ("circular", "exact"),
     "mc_probability": ("circular", "mc", "--trials", "1000"),
     "asymptotic_summary": ("circular", "asymptotic"),
+    "exact_probability_linear": ("linear", "exact"),
     "mc_probability_linear": ("linear", "mc", "--trials", "1000"),
     "asymptotic_summary_linear": ("linear", "asymptotic"),
 }

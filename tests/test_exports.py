@@ -33,7 +33,8 @@ _EARLIER_EXPORTS = {
                "object_position_rotating", "scan_circle_polar_approx",
                "scan_circle_polar_exact", "wrap_positive"),
     "linear": ("CrossingSample", "asymptotic_summary_linear", "detects_linear",
-               "mc_probability_linear", "vehicle_position_linear"),
+               "exact_probability_linear", "mc_probability_linear",
+               "vehicle_position_linear"),
     "montecarlo": ("DEFAULT_SEED", "EstimateWithCI", "SeedSchedule",
                    "TrialSource", "estimate_from_counts",
                    "run_bernoulli_trials", "wilson_interval"),

@@ -2,8 +2,9 @@
 pool or `statistics`.  A small Monte Carlo request (up to 229 376 draws in
 all per process) counts its trials without numpy; a larger one loads numpy,
 and neither a thread pool nor `statistics` at any worker count: extra
-workers run on plain threads.  A request builds only the argument parsers
-its command names.
+workers run on plain threads.  A sweep whose grid exceeds what is left of
+that allowance loads numpy before its first row.  A request builds only the
+argument parsers its command names.
 
 Each case runs a fresh interpreter, because this test process has long
 since imported numpy.
@@ -20,6 +21,7 @@ from pathlib import Path
 import pytest
 
 from patrolgeom.cli import main
+from patrolgeom.montecarlo import _SCALAR_DRAWS
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -43,13 +45,15 @@ for argv in json.loads(sys.argv[1]):
         codes.append(patrolgeom.cli.main(argv))
     parsers.append(built[0])
 print(json.dumps({"codes": codes, "parsers": parsers,
-                  "modules": sorted(sys.modules)}))
+                  "modules": sorted(sys.modules),
+                  "scalar_left": patrolgeom.montecarlo._scalar_left}))
 """
 
 
 def _probe(*commands) -> dict:
     """Run `commands` through cli.main in one fresh process: their exit
-    codes and ArgumentParser counts, and the modules loaded afterwards."""
+    codes and ArgumentParser counts, and the modules loaded and the
+    numpy-free allowance left afterwards."""
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
     proc = subprocess.run([sys.executable, "-c", _PROBE,
@@ -155,25 +159,36 @@ def test_requests_of_200_000_draws_never_load_numpy():
 
 
 def test_a_sweep_of_small_requests_turns_to_numpy():
-    # 40 rows of 20 000 one-draw trials: the first 11 fit the process's
-    # scalar allowance of 229 376 draws, the twelfth does not, and the rest
-    # run on numpy
-    codes, modules = _run(["sweep", *REF, "--parameter", "r", "--start", "1",
-                           "--stop", "20", "--steps", "40", "--estimators",
-                           "mc", "--trials", "20000"])
-    assert codes == [0]
-    assert "numpy" in modules
+    # 40 rows of 20 000 one-draw trials: 800 000 draws exceed the
+    # process's scalar allowance of 229 376, so the sweep imports numpy
+    # before its first row and spends none of the allowance
+    result = _probe(["sweep", *REF, "--parameter", "r", "--start", "1",
+                     "--stop", "20", "--steps", "40", "--estimators", "mc",
+                     "--trials", "20000"])
+    assert result["codes"] == [0]
+    assert "numpy" in result["modules"]
+    assert result["scalar_left"] == _SCALAR_DRAWS
+
+
+def test_a_sweep_within_the_allowance_never_loads_numpy():
+    # 5 rows of 20 000 one-draw trials fit the allowance
+    result = _probe(["sweep", *REF, "--parameter", "r", "--start", "1",
+                     "--stop", "20", "--steps", "5", "--estimators", "mc",
+                     "--trials", "20000"])
+    assert result["codes"] == [0]
+    assert set(result["modules"]).isdisjoint(HEAVY)
+    assert result["scalar_left"] == _SCALAR_DRAWS - 5 * 20000
 
 
 def test_a_request_builds_only_its_own_parsers():
     # circular exact: top, circular, exact; compare: top, compare.  -h in
     # place of a command or mode builds the whole tree: top, 7 commands and
-    # 5 modes
+    # 6 modes
     result = _probe(["circular", "exact", *REF],
                     ["compare", *REF, "--trials", "1000"],
                     ["-h"], ["circular", "-h"])
     assert result["codes"] == [0] * 4
-    assert result["parsers"] == [3, 2, 13, 13]
+    assert result["parsers"] == [3, 2, 14, 14]
 
 
 def test_importing_the_cli_loads_every_package_module():
