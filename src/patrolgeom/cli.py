@@ -36,7 +36,7 @@ import sys
 import time
 from typing import Iterator, NoReturn
 
-from . import __version__, montecarlo
+from . import __version__
 from .buffon import NeedleProblem, buffon_mc, buffon_probability
 from .circular import asymptotic_summary, exact_probability, mc_probability
 from .frames import TWO_PI, scan_circle_polar_approx, scan_circle_polar_exact
@@ -45,7 +45,8 @@ from .linear import (asymptotic_summary_linear, exact_probability_linear,
 from .montecarlo import DEFAULT_SEED, _check_run
 from .randomradius import (RadiusDistribution, asymptotic_probability_randomized,
                            exact_probability_random_radius, jensen_sides)
-from .scenario import ValidationError, scenario_from_dict, scenario_to_dict
+from .scenario import (_SCENARIO_KEYS, ValidationError, scenario_from_dict,
+                       scenario_to_dict)
 
 DEFAULT_TRIALS = 100_000
 LARGE_RATIO = 0.2
@@ -53,7 +54,7 @@ LARGE_RATIO = 0.2
 _CSV_HEADER = ("estimator", "probability", "ci_low", "ci_high",
                "m_min", "chord_l", "trials", "seed")
 _SWEEP_HEADER = ("parameter", "value") + _CSV_HEADER
-_FIELDS = ("R", "r", "n", "v", "u")  # a scenario's numbers, all sweepable
+_FIELDS = _SCENARIO_KEYS[1:]  # a scenario's numbers, all sweepable
 
 
 def _stdout():
@@ -142,10 +143,10 @@ def _read_json(path: str, what: str):
         raise ValidationError(f"malformed {what} file: {err}")
 
 
-def _scenario_data(args, kind: str = "circular") -> dict:
+def _scenario_data(args, kind: str | None = None) -> dict:
     """Scenario fields from the --scenario file, if any, with inline flags
-    overriding them and `kind` where the file names none; not yet
-    validated."""
+    overriding them; not yet validated.  Where the file names no kind it
+    is `kind`, or circular; where `kind` is given the file's must match."""
     data = _read_json(args.scenario, "scenario") if args.scenario else {}
     if not isinstance(data, dict):
         raise ValidationError("scenario file must hold a JSON object")
@@ -153,16 +154,11 @@ def _scenario_data(args, kind: str = "circular") -> dict:
         value = getattr(args, key)
         if value is not None:
             data[key] = value
-    data.setdefault("kind", kind)
-    return data
-
-
-def _scenario_from_args(args, kind: str):
-    data = _scenario_data(args, kind)
-    if data.get("kind") != kind:
+    data.setdefault("kind", kind or "circular")
+    if kind is not None and data["kind"] != kind:
         raise ValidationError(f"{kind} scenario required, got kind "
-                              f"'{data.get('kind')}'")
-    return scenario_from_dict(data)
+                              f"'{data['kind']}'")
+    return data
 
 
 def _distribution_from_args(args) -> RadiusDistribution:
@@ -200,14 +196,14 @@ def _cmd_buffon(args) -> None:
 
 def _cmd_estimate(args) -> None:
     """circular and linear: the mode names the row of _RECORD to run."""
-    scen = _scenario_from_args(args, args.kind)
+    scen = scenario_from_dict(_scenario_data(args, args.kind))
     record = _RECORD[args.kind, args.mode](scen, args)
     _emit(args, f"{args.kind}-{args.mode}", scenario_to_dict(scen),
           record, [_csv_row(record)])
 
 
 def _cmd_jensen(args) -> None:
-    scen = _scenario_from_args(args, "circular")
+    scen = scenario_from_dict(_scenario_data(args, "circular"))
     dist = _distribution_from_args(args)
     lhs, rhs = jensen_sides(dist, scen.r, scen.R)
     fixed = asymptotic_summary(scen).p_asym
@@ -286,24 +282,18 @@ def _cmd_sweep(args) -> None:
 
     def scenarios():
         for value in _sweep_values(args):
-            if param == "n":
-                if not float(value).is_integer():
-                    raise ValidationError("swept n values must be integers")
-                value = int(value)
-            data = dict(base)
-            data[param] = value
-            yield value, scenario_from_dict(data)
+            if param == "n" and not value.is_integer():
+                raise ValidationError("swept n values must be integers")
+            yield scenario_from_dict({**base, param: value})
 
     size = sum(1 for _ in scenarios())  # a bad value raises before the header
-    if "mc" in args.estimators:  # and bad --trials and --workers
-        _check_run(args.trials, args.workers)
-        # a grid whose draws exceed what is left of the numpy-free allowance
-        # loads numpy now rather than after its first rows (_SCALAR_DRAWS)
-        if size * args.trials > montecarlo._scalar_left:
-            import numpy  # noqa: F401
+    if "mc" in args.estimators:  # and bad --trials and --workers; given the
+        # row count, montecarlo picks the grid's MC path before the header
+        _check_run(args.trials, args.workers, runs=size)
     # then one row at a time, as polar-image does
-    rows = ((param, value) + _csv_row(_RECORD[base["kind"], name](scen, args))
-            for value, scen in scenarios() for name in args.estimators)
+    rows = ((param, getattr(scen, param))
+            + _csv_row(_RECORD[base["kind"], name](scen, args))
+            for scen in scenarios() for name in args.estimators)
     _write_csv(_SWEEP_HEADER, rows)
 
 
@@ -504,19 +494,17 @@ def exit_main(argv=None) -> NoReturn:
     callback, run_bernoulli_trials joins its worker threads before main
     returns, and the callbacks skipped are logging.shutdown (no handlers)
     and those of modules that site-packages .pth files load.  stdout and
-    stderr are flushed first; where the code is not an int or a flush
-    raises, the process exits through sys.exit as a plain `main` call
-    would.  main itself leaves the interpreter running, for tests and
-    library callers."""
+    stderr are flushed first; where a flush raises, the process exits
+    through sys.exit as a plain `main` call would.  main itself leaves the
+    interpreter running, for tests and library callers."""
     code = main(argv)
-    if isinstance(code, int):
-        try:
-            sys.stdout.flush()
-            sys.stderr.flush()
-        except (AttributeError, OSError, ValueError):
-            pass  # a stream is missing, full or closed
-        else:
-            os._exit(code)
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except (AttributeError, OSError, ValueError):
+        pass  # a stream is missing, full or closed
+    else:
+        os._exit(code)
     sys.exit(code)
 
 

@@ -105,8 +105,9 @@ CHUNK_TRIALS = 32768
 # allowance would also raise the cost of a many-row sweep of small
 # requests: the allowance is spent, not reset per request, so such a sweep
 # pays the scalar cost only until the allowance runs out, at most about
-# one import.  `cli`'s sweep avoids even that: where its grid's rows x
-# trials exceed what is left, it imports numpy before its first row.
+# one import.  `cli`'s sweep avoids even that: it hands _check_run its
+# grid's row count, and _check_run, not the caller, decides to import
+# numpy before the first row where rows x trials exceed what is left.
 # rows x trials is a lower bound on the draws (a segment trial takes two),
 # so a segment grid whose rows x trials fit but whose draws do not still
 # runs its first rows here and the rest on numpy.  The allowance picks the
@@ -362,9 +363,12 @@ def estimate_from_counts(successes: int, trials: int) -> EstimateWithCI:
                           ci_high=max(ci_high, mean))
 
 
-def _check_run(trials: int, workers: int) -> None:
+def _check_run(trials: int, workers: int, runs: int = 0) -> None:
     """The argument checks of run_bernoulli_trials, which a caller may make
-    before it starts any output."""
+    before it starts any output.  A caller about to make `runs` such
+    requests, a sweep's rows, also loads numpy here where runs x trials
+    exceed what is left of the allowance (_SCALAR_DRAWS); runs 0, the
+    runner's own call, never does."""
     for name, value in (("trials", trials), ("workers", workers)):
         if _integer(value) is None:
             raise ValueError(f"{name} must be an integer")
@@ -374,6 +378,8 @@ def _check_run(trials: int, workers: int) -> None:
         raise ValueError("workers must be >= 1")
     if workers > MAX_WORKERS:
         raise ValueError(f"workers must be <= {MAX_WORKERS}")
+    if runs * trials > _scalar_left:
+        import numpy  # noqa: F401
 
 
 def _count_scalar(indicator, trials: int, schedule: SeedSchedule) -> int:

@@ -624,6 +624,15 @@ _SWEEP_R = ("sweep",) + _REF_FLAGS + ("--parameter", "r")
      "scenario file must hold a JSON object"),
     (("circular", "exact", "--scenario", "{file}"), json.dumps(REF_LINEAR),
      "circular scenario required, got kind 'linear'"),
+    (("linear", "exact", "--scenario", "{file}"), json.dumps(REF),
+     "linear scenario required, got kind 'circular'"),
+    (("jensen", "--scenario", "{file}", "--atoms", "[[1, 1]]"),
+     json.dumps(REF_LINEAR), "circular scenario required, got kind 'linear'"),
+    (("compare", "--scenario", "{file}"), json.dumps(dict(REF, kind="needle")),
+     "kind must be 'circular' or 'linear'"),
+    (("sweep", "--scenario", "{file}", "--parameter", "r", "--values", "1"),
+     json.dumps(dict(REF, kind="needle")),
+     "kind must be 'circular' or 'linear'"),
     (_SWEEP_R + ("--values", "1,x"), None,
      "--values must be a comma-separated list of numbers"),
     (_SWEEP_R + ("--values", " , "), None,
@@ -647,9 +656,11 @@ _SWEEP_R = ("sweep",) + _REF_FLAGS + ("--parameter", "r")
     (_SWEEP_R[:-1] + ("n", "--values", "inf"), None,
      "swept n values must be integers"),
 ], ids=["unreadable-file", "malformed-file", "file-not-object",
-        "kind-mismatch", "bad-values", "empty-values", "missing-grid",
-        "zero-steps", "log-from-zero", "one-point", "zero-trials",
-        "zero-workers", "too-many-workers", "nan-n", "inf-n"])
+        "kind-mismatch", "linear-kind-mismatch", "jensen-kind-mismatch",
+        "compare-unknown-kind", "sweep-unknown-kind", "bad-values",
+        "empty-values", "missing-grid", "zero-steps", "log-from-zero",
+        "one-point", "zero-trials", "zero-workers", "too-many-workers",
+        "nan-n", "inf-n"])
 def test_bad_input_exits_one_before_any_output(capsys, tmp_path, argv,
                                                content, message):
     path = tmp_path / "input.json"
@@ -661,6 +672,18 @@ def test_bad_input_exits_one_before_any_output(capsys, tmp_path, argv,
     assert err.startswith("error: " + message)
     assert len(err.strip().splitlines()) == 1
     assert "Traceback" not in err
+
+
+def test_a_file_naming_no_kind_reads_as_the_commands_kind(capsys, tmp_path):
+    # linear exact reads it as a segment; compare, which takes either kind,
+    # as a circle
+    fields = {k: v for k, v in REF_LINEAR.items() if k != "kind"}
+    path = write_scenario(tmp_path, **fields)
+    for argv, kind in ((("linear", "exact"), "linear"),
+                       (("compare", "--trials", "1000"), "circular")):
+        code, out, _ = run_cli(capsys, *argv, "--scenario", path)
+        assert code == 0
+        assert json.loads(out)["scenario"] == dict(fields, kind=kind)
 
 
 def test_sweep_single_step_grid_is_its_start(capsys):

@@ -74,6 +74,8 @@ def test_closed_form_commands_never_load_numpy():
     codes, modules = _run(
         ["circular", "exact", *REF],
         ["circular", "asymptotic", *REF],
+        ["linear", "exact", "--R", "100", "--r", "5", "--n", "5",
+         "--v", "2", "--u", "1"],
         ["linear", "asymptotic", "--R", "100", "--r", "5", "--n", "5",
          "--v", "2", "--u", "1"],
         ["jensen", *REF, "--atoms", "[[0.9, 0.5], [1.1, 0.5]]"],
@@ -81,7 +83,7 @@ def test_closed_form_commands_never_load_numpy():
          "--estimators", "asymptotic,exact"],
         ["polar-image", "--r-over-R", "0.1", "--points", "8"],
     )
-    assert codes == [0] * 6
+    assert codes == [0] * 7
     assert modules.isdisjoint(HEAVY)
 
 

@@ -1,7 +1,8 @@
 """Digest the output of every benchmark request, to check that a change
 leaves the program's bytes alone.
 
-    python3 tools/request_digest.py [--workload NAME ...] SEED [SEED ...]
+    python3 tools/request_digest.py [--workload NAME ...] [--against REF]
+                                    SEED [SEED ...]
 
 For each seed and each workload (all four unless named), runs every request
 of perfbench/workloads.generate(workload, seed, nproc=2) as its own process
@@ -14,6 +15,12 @@ line per request:
 
 Two checkouts that print the same lines gave every request the same exit
 code, report and error text.  Reads perfbench/ and changes nothing there.
+
+With --against REF, the git ref's src/ (`git archive REF src`) is extracted
+to a temporary directory and the same requests run with both trees.  Each
+pair of lines that differ prints as two lines, `-` and REF's line, then `+`
+and this checkout's, and the exit code is 1; where every line matches,
+nothing prints and the exit code is 0.
 """
 
 from __future__ import annotations
@@ -25,6 +32,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -43,9 +51,10 @@ def _argv(req, folder: str) -> list[str]:
     return [sys.executable, "-m", "patrolgeom"] + args
 
 
-def digest_lines(workload: str, seed: int):
-    """One line per request of the workload's pass at seed, in pass order."""
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS="1")
+def digest_lines(workload: str, seed: int, src: Path = ROOT / "src"):
+    """One line per request of the workload's pass at seed, in pass order,
+    run with the package under `src`."""
+    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1")
     plan = workloads.generate(workload, seed, nproc=2)
     with tempfile.TemporaryDirectory() as folder:
         for req in plan:
@@ -61,6 +70,33 @@ def digest_lines(workload: str, seed: int):
                             hashlib.sha256(proc.stderr).hexdigest()))
 
 
+def differences(ref_lines, lines) -> list[str]:
+    """`-` and REF's line, then `+` and this checkout's, for each pair of
+    lines at the same place that differ; the lists are of equal length."""
+    out = []
+    for old, new in zip(ref_lines, lines, strict=True):
+        if old != new:
+            out += ["-" + old, "+" + new]
+    return out
+
+
+def _extract_src(ref: str, folder: str) -> Path:
+    """REF's src/ under folder, from `git archive`."""
+    tree = subprocess.run(["git", "archive", "--format=tar", ref, "src"],
+                          cwd=ROOT, stdout=subprocess.PIPE, check=True).stdout
+    subprocess.run(["tar", "-x", "-C", folder], input=tree, check=True)
+    return Path(folder) / "src"
+
+
+def _against(ref_src: Path, workload: str, seed: int) -> list[str]:
+    """differences() of the pass with ref_src and with this checkout's src/,
+    the two run side by side."""
+    with ThreadPoolExecutor(1) as pool:
+        ref_lines = pool.submit(list, digest_lines(workload, seed, ref_src))
+        lines = list(digest_lines(workload, seed))
+        return differences(ref_lines.result(), lines)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="request_digest",
                                      description=__doc__.splitlines()[0])
@@ -69,12 +105,20 @@ def main(argv=None) -> int:
                         choices=workloads.WORKLOADS,
                         help="digest only this workload (repeatable; "
                              "default all four)")
+    parser.add_argument("--against", metavar="REF",
+                        help="print only the lines that differ from those "
+                             "of git ref REF's src/")
     args = parser.parse_args(argv)
-    for seed in args.seeds:
-        for workload in args.workload or workloads.WORKLOADS:
-            for line in digest_lines(workload, seed):
-                print(line, flush=True)
-    return 0
+    printed = False
+    with tempfile.TemporaryDirectory() as folder:
+        ref_src = args.against and _extract_src(args.against, folder)
+        for seed in args.seeds:
+            for workload in args.workload or workloads.WORKLOADS:
+                for line in (_against(ref_src, workload, seed) if ref_src
+                             else digest_lines(workload, seed)):
+                    printed = True
+                    print(line, flush=True)
+    return int(bool(ref_src) and printed)
 
 
 if __name__ == "__main__":
