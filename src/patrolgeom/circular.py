@@ -45,12 +45,57 @@ position's atom, for each Monte Carlo trial and, in `detects`, for one
 launch angle against a fleet of one.  Here span is 2*pi, with one atom and
 no shift; the segment and the randomized radius state their own numbers.
 The dense-grid oracles of the test suite are the independent check.
+
+The Monte Carlo lane path (`_FoldIndicator.count_lanes`) decides a block of
+1024 trials on whole integers where it can prove the float chain's flags,
+and takes the chain itself where it cannot.  A trial's last draw is
+k*2**-53 and, on a shifted record, its draw 0 is k0*2**-53, with k and k0
+below 2**53; its exact position in the period P = span/n, on M = 73 bits,
+is phi = 2**M * frac((k*scale*2**-53 - k0*2**-53 - lo)/P).  Let T1, T0 and
+O be the integers nearest k's coefficient 2**M*scale*2**-53/P, k0's
+-2**M*2**-53/P and -2**M*lo/P, each reduced mod 2**M, and d1, d0 the
+first two roundings.  Then h = (k*T1 + k0*T0 + O) mod 2**M lies within
+
+    I = 2**53*(|d1| + |d0|) + 1/2
+
+of phi, around the circle of 2**M.  Each product is below 2**126, so the
+sum fits a 128-bit lane and one big-int operation forms h for every lane.
+
+The float chain rounds at most four times, each by at most 2**-53 of the
+exact result, a product by 2**-1075 more where it underflows (a sum that
+underflows is exact): x = fl(k*tick), or fl(fl(k*2**-53)*scale), at most
+scale; fl(x - k0*2**-53), at most max(scale, 1); fl(. - lo), at most
+max(scale, 1) + |lo|; and, where fmod, which is exact, leaves a negative
+remainder r, fl(r + P), at most P.  Those four bounds sum to less than
+
+    E = 2**-52*(2*scale + 1 + |lo| + P) + 2**-1072.
+
+So where the exact position lies more than E from 0, from P and from the
+window's length L, fmod takes the same multiple of P as on the exact
+position, and the chain's flag is the exact one.  With F = E*2**M/P
+rounded up and m = F + I rounded up, a lane whose h is more than m from 0
+(mod 2**M) and from lam = L*2**M/P has the flag h <= lam.  count_lanes
+adds m to O, so the band around 0 becomes [0, 2m], and tests three
+thresholds per atom, each as bit M of h + 2**M - t: h >= 2m + 1 (clear of
+0), h >= ceil(lam) (not surely detected) and h >= floor(lam) + 2m + 1
+(surely missed).  A lane between the first two is detected, one past the
+third is not, and one below the first or between the last two lies in a
+band.  A block with a lane in a band takes the float chain; an atom whose
+window spans the period (L >= P) detects every lane it picks; and a
+record where no margin fits (a number that is not finite, or a window
+within 2m of 0 or of 2**M) takes the chain on every block.  The bands
+hold about 4m/2**M of the positions.  For the models' records, whose
+scale/P and 1/P lie within a few ulps of n or n/2, the coefficients lie
+that near integers too, I is under a tick's worth of h, and m is a few
+ticks' worth: at the reference circle the bands hold about 2e-14 of the
+positions, and no block of 2000 took the chain.
 The closed forms read e and sin(alpha) alone, and raise OverflowError where
 their value leaves the float range.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from bisect import bisect_right
@@ -59,8 +104,8 @@ from operator import le, mod, mul, sub
 from typing import Iterable, Sequence
 
 from .frames import TWO_PI, _finite_angle, _vehicle_angle, wrap_positive
-from .montecarlo import (_INV_2_53, EstimateWithCI, SeedSchedule,
-                         run_bernoulli_trials)
+from .montecarlo import (_INV_2_53, _LANES, EstimateWithCI, SeedSchedule,
+                         _lane_constants, _ticks, run_bernoulli_trials)
 from .scenario import CircularPatrolScenario, _Record, _validate_as
 
 __all__ = [
@@ -80,6 +125,10 @@ __all__ = [
 # L >= 2*w*e and lo, flat at its extremum, moves by far less than an ulp
 # of L across the bracket.
 _HALVINGS = 64
+
+# M of the module docstring: count_lanes holds a position in the period on
+# this many bits of a 128-bit lane
+_FOLD_BITS = 73
 
 
 # ---- arc sets on the circle ----
@@ -256,22 +305,25 @@ class _FoldIndicator:
     one atom of weight 1.  exact() is the measure of the detected
     positions, in which an atom whose window is at least span/n long counts
     its whole weight.  evaluate_batch tests a (m, n_draws) block of trials,
-    count_lanes counts the detections of a lane block given as n_draws
-    columns of integer ticks k, whose draws are k*2**-53, through C-level
-    maps, and covers tests one position x of a record without weights.
-    These are the only spellings of the fold test, and they flag the same
-    trials.  evaluate_batch and covers take the same floating-point
-    operations in the same order: Python's float % and np.mod both take
-    fmod and then fix the sign.  count_lanes takes them too, except that
-    it forms the last draw's product as k*tick, tick = scale*2**-53, not
-    as u*scale for the draw u = k*2**-53: k < 2**53 converts to a float
-    exactly, and tick is exact wherever it is normal, so both products
-    round the same real number to the same float.  Where tick is not exact
-    (a shifted record whose period is below 2**-969, n above about 1e292)
-    it forms u first and then u*scale.  It subtracts draw 0 as k*2**-53,
-    and picks the atom by comparing k with ceil(c*2**53) for each kept
-    cumulative weight c: for an integer k, k >= ceil(c*2**53) iff
-    k*2**-53 >= c."""
+    count_lanes counts the detections of a lane block of mixed words, and
+    covers tests one position x of a record without weights.  These are
+    the only spellings of the fold test, and they flag the same trials.
+    evaluate_batch and covers take the same floating-point operations in
+    the same order: Python's float % and np.mod both take fmod and then
+    fix the sign.  count_lanes decides a block on whole integers where the
+    module docstring's margin proves the float flags, and otherwise takes
+    the float chain on the block's integer ticks k, whose draws are
+    k*2**-53 (`_count_ticks`).  The chain takes the operations of
+    evaluate_batch, except that it forms the last draw's product as
+    k*tick, tick = scale*2**-53, not as u*scale for the draw u = k*2**-53:
+    k < 2**53 converts to a float exactly, and tick is exact wherever it
+    is normal, so both products round the same real number to the same
+    float.  Where tick is not exact (a shifted record whose period is
+    below 2**-969, n above about 1e292) it forms u first and then u*scale.
+    It subtracts draw 0 as k*2**-53, and picks the atom by comparing k with
+    ceil(c*2**53) for each kept cumulative weight c: for an integer k,
+    k >= ceil(c*2**53) iff k*2**-53 >= c.  The integer decision picks the
+    atom by the same comparisons."""
 
     def __init__(self, n, span, lo, length, weights=None, shift=False):
         # draw 0 is either the shift or the atom's pick, never both
@@ -281,7 +333,7 @@ class _FoldIndicator:
         self._scale = self._period if shift else span
         self._cum = (None if weights is None
                      else tuple(accumulate(weights))[:-1])
-        # count_lanes's draw map and atom pick on ticks: scale*2**-53 in one
+        # the chain's draw map and atom pick on ticks: scale*2**-53 in one
         # factor where that factor scales back to scale exactly, else the two
         tick = self._scale * _INV_2_53
         self._tick_factors = ((tick,) if tick / _INV_2_53 == self._scale
@@ -329,10 +381,91 @@ class _FoldIndicator:
         for a record without weights."""
         return (x - self._lo) % self._period <= self._length
 
-    def count_lanes(self, columns: Sequence[Sequence[int]]) -> int:
-        """Detections among the trials of a lane block, each column one
-        draw's ticks over the block, as evaluate_batch flags the draws
-        tick*2**-53."""
+    @functools.cached_property
+    def _plan(self):
+        """count_lanes's integer decision, made on its first block, or None
+        where no margin fits: (ticks, low, flags, T1, T0, atoms).  ticks,
+        low and flags hold 2**53 - 1, 2**M - 1 and 2**M in every lane, and
+        T1 and T0 are the module docstring's coefficients, T0 0 without
+        shift.  Per atom, (pick, O, clear, near, missed) holds in every
+        lane 2**M - ceil(c*2**53) for the atom's cumulative weight c (pick
+        None for the last atom), the atom's offset O plus the margin m, and
+        2**M less each of its three thresholds; O is None for a window
+        that spans the period.  Each number is exact: a float is a whole
+        number of 2**-1074."""
+        if self._cum is None:
+            los, lengths = (self._lo,), (self._length,)
+        else:
+            los, lengths = self._lo, self._length
+        period, scale = self._period, self._scale
+        if not (all(map(math.isfinite, (scale, *los, *lengths)))
+                and 0.0 < period < math.inf):
+            return None
+        per, one, top = _units(period), _units(1.0), 1 << _FOLD_BITS
+        t1, d1 = _nearest(_units(scale) << _FOLD_BITS - 53, per)
+        t0, d0 = (_nearest(-one << _FOLD_BITS - 53, per) if self._shift
+                  else (0, 0))
+        # I = 2**53*(|d1| + |d0|) + 1/2, rounded up
+        rounding = -(-(((d1 + d0) << 54) + per) // (2 * per))
+        ones = _lane_constants()[0]
+        picks = [(top - c) * ones for c in self._cum_ticks or ()] + [None]
+        atoms = []
+        for pick, lo, length in zip(picks, los, lengths):
+            if length >= period:
+                atoms.append((pick, None, 0, 0, 0))
+                continue
+            # 2**52*E, and m = F + I with F = E*2**M/P rounded up
+            error = 2 * _units(scale) + one + abs(_units(lo)) + per + (4 << 52)
+            margin = -(-(error << _FOLD_BITS) // (per << 52)) + rounding
+            window = _units(length) << _FOLD_BITS
+            clear, near = 2 * margin + 1, -(-window // per)
+            missed = window // per + 2 * margin + 1
+            if clear > near or missed > top:
+                return None
+            offset = _nearest(-_units(lo) << _FOLD_BITS, per)[0] + margin
+            atoms.append((pick, offset % top * ones, (top - clear) * ones,
+                          (top - near) * ones, (top - missed) * ones))
+        return (((1 << 53) - 1) * ones, (top - 1) * ones, ones << _FOLD_BITS,
+                t1 % top, t0 % top, tuple(atoms))
+
+    def count_lanes(self, words: Sequence[int], m: int) -> int:
+        """Detections among the first m trials of a lane block of mixed
+        words, one per draw (`montecarlo.run_bernoulli_trials`), as
+        evaluate_batch flags the draws: on whole integers where every lane
+        clears the margin (module docstring), else through the float
+        chain.  The thresholds are tested inline, not in a call per atom,
+        so a block costs a few Python calls, whatever its trials."""
+        plan = self._plan
+        if plan is not None:
+            ticks, low, flags, t1, t0, atoms = plan
+            valid = flags if m == _LANES else flags & ((1 << 128 * m) - 1)
+            x = ((words[-1] >> 11) & ticks) * t1
+            first = (words[0] >> 11) & ticks if len(words) > 1 else 0
+            if self._shift:
+                x += first * t0
+            hits = sure = 0
+            rest = valid
+            for pick, offset, clear, near, missed in atoms:
+                lanes = rest
+                if pick is not None:  # the lanes of the later atoms
+                    rest = (first + pick) & valid
+                    lanes ^= rest
+                if offset is None:
+                    hits |= lanes
+                    sure |= lanes
+                    continue
+                h = (x + offset) & low
+                detected = ((h + clear) & lanes) ^ ((h + near) & lanes)
+                hits |= detected
+                sure |= detected ^ ((h + missed) & lanes)
+            if sure == valid:
+                return hits.bit_count()
+        return self._count_ticks([_ticks(word, m) for word in words])
+
+    def _count_ticks(self, columns: Sequence[Sequence[int]]) -> int:
+        """The float chain: detections among a block's trials, each column
+        one draw's integer ticks over the block, as evaluate_batch flags
+        the draws tick*2**-53, through C-level maps."""
         # float * int, not int * float: int's own multiply is tried first
         x = columns[-1]
         for factor in self._tick_factors:
@@ -346,6 +479,18 @@ class _FoldIndicator:
             length = map(self._length.__getitem__, atoms)
         return sum(map(le, map(mod, map(sub, x, lo), repeat(self._period)),
                        length))
+
+
+def _units(x: float) -> int:
+    """A finite float as a whole number of 2**-1074, its least spacing."""
+    num, den = x.as_integer_ratio()
+    return num << 1075 - den.bit_length()
+
+
+def _nearest(num: int, den: int) -> tuple[int, int]:
+    """(t, |t*den - num|) for t the integer nearest num/den, den > 0."""
+    t = (2 * num + den) // (2 * den)
+    return t, abs(t * den - num)
 
 
 def _indicator(s: CircularPatrolScenario) -> _FoldIndicator:

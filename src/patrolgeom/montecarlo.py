@@ -31,13 +31,13 @@ runner counts it in plain Python over the same splitmix64 draws
 (`_count_scalar`).  That path packs 1024 trials into one Python int, a
 128-bit lane each, so each step of splitmix64 is one big-int operation for
 all of them (`_mix`, of which `mix64` is the one-lane case).  Every draw
-is one lane step (`_mixed`): add a constant to every lane, then mix.
-Blocks are mixed whole, all 1024 lanes, the last one too; the path then
-unpacks the words of the lanes it needs (`_ticks`) and hands count_lanes
-the block's draws as one column per draw of integer ticks w >> 11, the
-draw being tick * 2**-53.  count_lanes folds 2**-53 into its own scale
-and counts through C-level maps, without a Python call per trial and
-without a map that turns ticks into draws first.
+is one lane step: add a constant to every lane, then mix; the constants
+are multiplied out over the lanes once per request.  Blocks are mixed
+whole, all 1024 lanes, the last one too, and count_lanes is handed the
+block's mixed words as they are, one int per draw, with the number of
+lanes that hold trials: the 64-bit word w in a lane is the draw
+(w >> 11) * 2**-53.  count_lanes decides the block on those ints, without
+a Python call per trial.
 The allowance is spent, not reset, so a long run of small requests turns
 to numpy once it is gone.  The count is the same on either path.
 """
@@ -85,34 +85,37 @@ CHUNK_TRIALS = 32768
 
 # Draws (trials x n_draws) a process may count on the scalar path, which
 # never imports numpy (see run_bernoulli_trials).  It is counted in draws
-# because the path's cost per trial grows with its draws: about 0.33 us per
-# trial for the circle (1 draw), 0.50 us for the segment (2 draws) and
-# 0.61 us for the randomized radius (2 draws and an atom lookup), in process
-# (the least of 30 processes, each the best of 5).  A fresh process breaks
-# even with numpy's import at about these draws per request (a line through
-# the median lane-minus-numpy differences of 12 process pairs at 5 sizes;
-# 2-core host, Python 3.11, numpy 2.4):
+# because the path's cost per trial grows with its draws: about 0.12 us per
+# trial for the circle (1 draw), 0.19 us for the segment (2 draws) and
+# 0.23 us for the randomized radius (2 draws and an atom pick), in process
+# (`python3 tools/lane_costs.py`, the least of 10 processes).  A fresh process
+# breaks even with numpy's import at about these draws per request
+# (`python3 tools/lane_costs.py --break-even`: a line through the medians
+# of 12 paired lane-minus-numpy differences at 5 sizes; two runs, at
+# 300 000 to 700 000 draws and at 500 000 to 900 000; 2-core host, Python
+# 3.11, numpy 2.4):
 #
-#                         200 000 draws       break-even
-#     model               lane     numpy      (draws)
-#     circle              0.127 s  0.159 s    265 000
-#     segment             0.116 s  0.145 s    360 000
-#     randomized radius   0.118 s  0.152 s    300 000
+#                         500 000 draws       break-even (draws)
+#     model               lane     numpy      run 1      run 2
+#     circle              0.127 s  0.150 s      700 000    610 000
+#     segment             0.115 s  0.152 s    1 025 000    933 000
+#     randomized radius   0.125 s  0.151 s      809 000    791 000
 #
-# 7 * CHUNK_TRIALS = 229 376 draws lies below all three, so a request of
-# 200 000 draws skips numpy on every model, while a circle request of
-# 250 000 trials, where the two paths lie within 7 ms, loads it.  A larger
-# allowance would also raise the cost of a many-row sweep of small
-# requests: the allowance is spent, not reset per request, so such a sweep
-# pays the scalar cost only until the allowance runs out, at most about
-# one import.  `cli`'s sweep avoids even that: it hands _check_run its
-# grid's row count, and _check_run, not the caller, decides to import
-# numpy before the first row where rows x trials exceed what is left.
-# rows x trials is a lower bound on the draws (a segment trial takes two),
-# so a segment grid whose rows x trials fit but whose draws do not still
-# runs its first rows here and the rest on numpy.  The allowance picks the
-# path only, so callers in several threads may race on it.
-_SCALAR_DRAWS = 7 * CHUNK_TRIALS
+# 18 * CHUNK_TRIALS = 589 824 draws lies below all six, so a circle
+# request of 250 000 trials and a segment request of 250 000 trials
+# (500 000 draws) skip numpy, as every request of the benchmark's
+# circular_mc and segment_mc now does.  A larger allowance would
+# also raise the cost of a many-row sweep of small requests: the allowance
+# is spent, not reset per request, so such a sweep pays the scalar cost
+# only until the allowance runs out, at most about one import.  `cli`'s
+# sweep avoids even that: it hands _check_run its grid's row count, and
+# _check_run, not the caller, decides to import numpy before the first row
+# where rows x trials exceed what is left.  rows x trials is a lower bound
+# on the draws (a segment trial takes two), so a segment grid whose rows x
+# trials fit but whose draws do not still runs its first rows here and the
+# rest on numpy.  The allowance picks the path only, so callers in several
+# threads may race on it.
+_SCALAR_DRAWS = 18 * CHUNK_TRIALS
 _scalar_left = _SCALAR_DRAWS
 
 # Ceiling on worker threads.  The estimate does not depend on `workers`, and
@@ -385,19 +388,24 @@ def _check_run(trials: int, workers: int, runs: int = 0) -> None:
 def _count_scalar(indicator, trials: int, schedule: SeedSchedule) -> int:
     """Successes of indicator.count_lanes over trials [0, trials) in plain
     Python: the draws of `TrialSource`, handed to it one block of _LANES
-    trials at a time, as n_draws columns of integer ticks, draw j of a
-    trial being its tick in column j times 2**-53.  Each block is mixed
-    whole, the last one too, by two lane steps: the counters of trial
-    lo + i become its key, and the key plus j*GAMMA its draw j; only the
-    first m lanes of a block of m trials are read."""
-    ramp = _lane_constants()[1]
+    trials at a time, as n_draws mixed lane words and the number m of
+    lanes that hold trials.  Each block is mixed whole, the last one too,
+    by two lane steps: the counters of trial lo + i become its key, and
+    the key plus j*GAMMA its draw j.  The steps' constants, j*GAMMA and the
+    counters' advance _LANES*GAMMA per block, are multiplied out over the
+    lanes once."""
+    ones, counters, mask = _lane_constants()
+    counters = (counters + schedule._counter(0) * ones) & mask
+    adds = [(((j + 1) * _GAMMA) & _MASK64) * ones
+            for j in range(indicator.n_draws)]
+    advance = ((_LANES * _GAMMA) & _MASK64) * ones
     total = 0
     for lo in range(0, trials, _LANES):
-        m = min(_LANES, trials - lo)
-        keys = _mixed(ramp, schedule._counter(lo))
-        total += indicator.count_lanes(
-            [_ticks(_mixed(keys, (j + 1) * _GAMMA), m)
-             for j in range(indicator.n_draws)])
+        keys = _mix(counters, mask)
+        total += indicator.count_lanes([_mix((keys + add) & mask, mask)
+                                        for add in adds],
+                                       min(_LANES, trials - lo))
+        counters = (counters + advance) & mask
     return total
 
 
@@ -425,10 +433,12 @@ def run_bernoulli_trials(indicator, trials: int, schedule: SeedSchedule,
     if absent); its block is then (m, n_draws + n_scratch), the trailing
     columns being scratch of undefined contents.  Any other declaration,
     a bool included, is a ValueError, raised before either path is
-    chosen.  An indicator may also offer count_lanes(columns), the number
-    of trials evaluate_batch would flag, bit for bit, in a block of trials
-    given as n_draws lists of integer ticks, column j holding the tick k
-    of draw j of each trial: 0 <= k < 2**53, and the draw is k * 2**-53.
+    chosen.  An indicator may also offer count_lanes(words, m), the number
+    of trials evaluate_batch would flag, bit for bit, among the first m
+    trials of a block of _LANES, given as n_draws ints, word j holding
+    draw j of trial i in its 128-bit lane i: the lane's low 64 bits are a
+    mixed word w, its high 64 bits are zero, and the draw is
+    (w >> 11) * 2**-53.  The lanes from m on hold no trial.
 
     While numpy is not yet imported, a request of such an indicator whose
     trials x n_draws fit the process's remaining allowance

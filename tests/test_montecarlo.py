@@ -362,8 +362,8 @@ class Declares:
         if n_scratch is not None:
             self.n_scratch = n_scratch
 
-    def count_lanes(self, columns):
-        return len(list(columns[0]))
+    def count_lanes(self, words, m):
+        return m
 
 
 out = []
@@ -575,7 +575,8 @@ class _UnreachedIndicator:
     def evaluate_batch(self, u):
         raise AssertionError("a trial was evaluated")
 
-    count_lanes = evaluate_batch
+    def count_lanes(self, words, m):
+        raise AssertionError("a trial was evaluated")
 
 
 @pytest.mark.parametrize("seed", [True, False, 2.5, 5.0, "5", None],
@@ -603,6 +604,26 @@ def test_a_seed_that_is_not_an_integer_is_a_value_error(seed):
 
 
 # ---- the scalar path: the same counts without numpy ----
+
+def _lane_words(columns):
+    """(words, m) for count_lanes: trial i of each column of ticks in lane i
+    of its draw's word, tick k as the mixed word k << 11, whose draw is
+    k*2**-53; at most _LANES trials."""
+    m = len(columns[0])
+    assert 1 <= m <= _LANES
+    return [sum(k << 128 * i + 11 for i, k in enumerate(ticks))
+            for ticks in columns], m
+
+
+def _word_ticks(word, m):
+    """The ticks of the first m lanes of a lane word, w >> 11 of each
+    lane's 64-bit word w, after checking that the word is an int whose
+    lanes hold 64-bit words alone."""
+    assert type(word) is int and 0 <= word < 2 ** (128 * _LANES)
+    lanes = [(word >> 128 * i) & (2 ** 128 - 1) for i in range(m)]
+    assert all(lane < 2 ** 64 for lane in lanes)
+    return [lane >> 11 for lane in lanes]
+
 
 _POINT_MASS = RadiusDistribution.from_atoms([(1.0, 1.0)])
 _FOLD_MODELS = ("circle", "segment", "random_radius", "point_mass")
@@ -688,7 +709,7 @@ def test_a_trial_on_the_window_edge_is_detected_on_both_paths():
     # counts as detection; the lane path takes the draws 0.5 and 0.75 as
     # their ticks, 2**52 and 3*2**51
     indicator = circular._FoldIndicator(1, TWO_PI, 0.0, math.pi)
-    assert indicator.count_lanes([[2 ** 52, 3 * 2 ** 51]]) == 1
+    assert indicator.count_lanes(*_lane_words([[2 ** 52, 3 * 2 ** 51]])) == 1
     assert indicator.evaluate_batch(np.array([[0.5], [0.75]])).tolist() == [
         True, False]
 
@@ -700,7 +721,8 @@ def test_a_draw_on_a_cumulative_weight_takes_the_next_atom_on_both_paths():
                                         (1.0, 3.0, 4.0), (0.25, 0.5, 0.25))
     # the lane path takes each draw as its tick, u*2**53
     picks = [0.0, 0.25, 0.75, 0.999]
-    assert [indicator.count_lanes([[int(pick * 2 ** 53)], [3 * 2 ** 50]])
+    assert [indicator.count_lanes(*_lane_words([[int(pick * 2 ** 53)],
+                                                [3 * 2 ** 50]]))
             for pick in picks] == [0, 1, 1, 1]
     u = np.column_stack([picks, [0.375] * len(picks)])
     assert indicator.evaluate_batch(u).tolist() == [False, True, True, True]
@@ -709,7 +731,7 @@ def test_a_draw_on_a_cumulative_weight_takes_the_next_atom_on_both_paths():
 def _lane_and_batch_flags(indicator, columns):
     """Each trial's flag from count_lanes, given the trial's ticks alone,
     and from evaluate_batch, given its draws tick*2**-53."""
-    lanes = [indicator.count_lanes([[k] for k in ticks]) == 1
+    lanes = [indicator.count_lanes(*_lane_words([[k] for k in ticks])) == 1
              for ticks in zip(*columns, strict=True)]
     u = np.column_stack([np.array(ticks, dtype=float) * 2.0 ** -53
                          for ticks in columns])
@@ -776,6 +798,116 @@ def test_a_circle_at_subnormal_r_over_R_counts_alike_on_both_paths(r, n):
             == _vector_count(indicator, 20000, 6))
 
 
+def _edge_ticks(indicator, atom):
+    """Ticks of the last draw that put a trial on an edge of the atom's
+    window, lo + j*period (the wrap) or lo + length + j*period, with
+    draw 0 = 1/2 on a shifted record."""
+    lo, length = indicator._lo, indicator._length
+    if indicator._cum is not None:
+        lo, length = lo[atom], length[atom]
+    period, scale = indicator._period, indicator._scale
+    u0 = 0.5 if indicator._shift else 0.0
+    return sorted({round(((edge + j * period + u0) / scale) % 1.0 * 2 ** 53)
+                   % 2 ** 53 for edge in (lo, lo + length)
+                   for j in range(round(scale / period))})
+
+
+def _atom_tick(indicator, atom):
+    """A tick of draw 0 that picks the atom, or 1/2 on a record without
+    weights."""
+    if indicator._cum is None:
+        return 2 ** 52
+    bounds = (0, *indicator._cum_ticks, 2 ** 53)
+    return (bounds[atom] + bounds[atom + 1]) // 2
+
+
+def _counting_chain(indicator, monkeypatch):
+    """A list that gains an entry each time count_lanes falls back on the
+    indicator's float chain."""
+    calls, chain = [], indicator._count_ticks
+    monkeypatch.setattr(indicator, "_count_ticks",
+                        lambda columns: calls.append(1) or chain(columns))
+    return calls
+
+
+@pytest.mark.parametrize("model", _FOLD_MODELS + ("shifted_span_3",))
+def test_the_integer_decision_flags_as_the_float_chain_across_each_edge(
+        model, monkeypatch):
+    # each atom's ticks step across both edges of its window, the wrap at
+    # lo included, by 0 and 2**i ticks either way, i < 45: the near ones lie
+    # in the margin's band and take the float chain, the far ones are
+    # decided on integers, and every trial is flagged as evaluate_batch
+    # flags it, one trial at a time and a block at a time.  The models'
+    # coefficients lie within a few ulps of integers; on a shifted record
+    # of span 3, draw 0's is n/3 * 2**20, so its integer rounding, not the
+    # float chain's, sets the margin
+    indicator = (circular._FoldIndicator(10, 3.0, -0.13, 0.11, shift=True)
+                 if model == "shifted_span_3" else _fold_indicator(model))
+    assert indicator._plan is not None
+    chain = indicator._count_ticks
+    calls = _counting_chain(indicator, monkeypatch)
+    steps = [0] + [sign * 2 ** i for i in range(45) for sign in (-1, 1)]
+    flags = []
+    for atom in range(len(indicator._atoms)):
+        ticks = [(k + step) % 2 ** 53 for k in _edge_ticks(indicator, atom)
+                 for step in steps]
+        columns = [ticks] if indicator.n_draws == 1 else [
+            [_atom_tick(indicator, atom)] * len(ticks), ticks]
+        lanes, batch = _lane_and_batch_flags(indicator, columns)
+        assert lanes == batch
+        flags += lanes
+        fallbacks = len(calls)
+        for lo in range(0, len(ticks), _LANES):
+            block = [column[lo:lo + _LANES] for column in columns]
+            assert indicator.count_lanes(*_lane_words(block)) == chain(block)
+        # some lanes of each atom lie in a band and some clear it
+        assert 0 < fallbacks < len(lanes)
+        del calls[:]
+    assert True in flags and False in flags
+
+
+def test_a_block_with_a_lane_in_a_band_takes_the_float_chain(monkeypatch):
+    indicator = _fold_indicator("random_radius")
+    chain = indicator._count_ticks
+    calls = _counting_chain(indicator, monkeypatch)
+    schedule = SeedSchedule(5)
+    columns = [[int(src.uniform() * 2 ** 53) for _ in range(2)]
+               for src in map(schedule.trial_source, range(_LANES))]
+    columns = [list(column) for column in zip(*columns)]
+    assert indicator.count_lanes(*_lane_words(columns)) == chain(columns)
+    assert calls == []
+    # lane 700 moves onto an edge of atom 1's window
+    columns[0][700] = _atom_tick(indicator, 1)
+    columns[1][700] = _edge_ticks(indicator, 1)[1]
+    assert indicator.count_lanes(*_lane_words(columns)) == chain(columns)
+    assert calls == [1]
+
+
+def test_the_integer_plan_is_made_by_the_first_block_alone():
+    # exact() never builds it; a record where no margin fits has none, and
+    # counts every block through the float chain
+    indicator = _fold_indicator("random_radius")
+    indicator.exact()
+    assert "_plan" not in vars(indicator)
+    _count_scalar(indicator, 10, SeedSchedule(1))
+    assert vars(indicator)["_plan"] is not None
+    for lo, length in ((math.nan, 1.0), (0.0, math.inf), (0.0, 1e-300),
+                       (0.0, math.nextafter(TWO_PI, 0.0)), (1e300, 1.0)):
+        unfit = circular._FoldIndicator(1, TWO_PI, lo, length)
+        assert unfit._plan is None, (lo, length)
+        assert (_count_scalar(unfit, 3000, SeedSchedule(2))
+                == _vector_count(unfit, 3000, 2))
+
+
+def test_an_atom_whose_window_spans_the_period_detects_each_lane_it_picks():
+    atoms = circular._FoldIndicator(10, TWO_PI, (0.0, -0.3, 0.1),
+                                    (0.2, TWO_PI / 10, 0.1), (0.3, 0.3, 0.4))
+    assert atoms._plan[-1][1][1] is None
+    for seed in (3, 4):
+        assert (_count_scalar(atoms, 5000, SeedSchedule(seed))
+                == _vector_count(atoms, 5000, seed))
+
+
 def test_a_window_of_a_whole_period_reads_exactly_one():
     # n*(2*pi/n)/(2*pi) rounds below 1 at n = 75, 150 and 167, and so does
     # the saturated segment window at n = 49, whose closed form reads 1
@@ -788,16 +920,15 @@ def test_a_window_of_a_whole_period_reads_exactly_one():
 
 class _Recorder:
     """Records the draws the scalar path hands each trial, one tuple per
-    trial out of each block's columns of ticks, each tick times 2**-53;
-    detects none."""
+    trial out of each block's lane words, as the ticks of `_word_ticks`
+    times 2**-53; detects none."""
 
     def __init__(self, n_draws):
         self.n_draws, self.seen = n_draws, []
 
-    def count_lanes(self, columns):
-        assert len(columns) == self.n_draws
-        assert all(type(k) is int and 0 <= k < 2 ** 53
-                   for ticks in columns for k in ticks)
+    def count_lanes(self, words, m):
+        assert len(words) == self.n_draws and 1 <= m <= _LANES
+        columns = [_word_ticks(word, m) for word in words]
         self.seen.extend(tuple(k * 2.0 ** -53 for k in ticks)
                          for ticks in zip(*columns, strict=True))
         return 0

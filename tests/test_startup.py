@@ -1,10 +1,10 @@
 """Start-up cost: the closed-form commands never load numpy, a thread
-pool or `statistics`.  A small Monte Carlo request (up to 229 376 draws in
-all per process) counts its trials without numpy; a larger one loads numpy,
-and neither a thread pool nor `statistics` at any worker count: extra
-workers run on plain threads.  A sweep whose grid exceeds what is left of
-that allowance loads numpy before its first row.  A request builds only the
-argument parsers its command names.
+pool or `statistics`.  A small Monte Carlo request (up to _SCALAR_DRAWS
+draws in all per process) counts its trials without numpy; a larger one
+loads numpy, and neither a thread pool nor `statistics` at any worker
+count: extra workers run on plain threads.  A sweep whose grid exceeds
+what is left of that allowance loads numpy before its first row.  A
+request builds only the argument parsers its command names.
 
 Each case runs a fresh interpreter, because this test process has long
 since imported numpy.
@@ -88,9 +88,9 @@ def test_closed_form_commands_never_load_numpy():
 
 
 def test_single_worker_monte_carlo_loads_numpy_but_no_thread_pool():
-    # 250 000 one-draw trials lie above the allowance of 229 376 draws
-    codes, modules = _run(["circular", "mc", *REF, "--trials", "250000",
-                           "--workers", "1"])
+    # one one-draw trial more than the allowance of _SCALAR_DRAWS draws
+    codes, modules = _run(["circular", "mc", *REF, "--trials",
+                           str(_SCALAR_DRAWS + 1), "--workers", "1"])
     assert codes == [0]
     assert "numpy" in modules
     assert "concurrent.futures" not in modules
@@ -100,8 +100,8 @@ def test_single_worker_monte_carlo_loads_numpy_but_no_thread_pool():
 def test_two_worker_monte_carlo_loads_numpy_but_no_thread_pool():
     # the second worker runs on a plain thread: neither the executor nor
     # the logging it imports is loaded
-    codes, modules = _run(["circular", "mc", *REF, "--trials", "250000",
-                           "--workers", "2"])
+    codes, modules = _run(["circular", "mc", *REF, "--trials",
+                           str(_SCALAR_DRAWS + 1), "--workers", "2"])
     assert codes == [0]
     assert "numpy" in modules
     assert modules.isdisjoint({"concurrent.futures", "logging"})
@@ -145,8 +145,8 @@ def test_requests_of_200_000_draws_never_load_numpy():
     # a 200 000-trial circle request and a 100 000-trial randomized-radius
     # request (two draws a trial), each in a fresh process, as
     # perfbench's circular_mc asks them: both fit the allowance of
-    # 229 376 draws.  The randomized radius has no CLI command, so it is
-    # a library call
+    # _SCALAR_DRAWS draws.  The randomized radius has no CLI command, so it
+    # is a library call
     codes, modules = _run(["circular", "mc", *REF, "--trials", "200000"])
     assert codes == [0]
     assert modules.isdisjoint(HEAVY)
@@ -162,8 +162,8 @@ def test_requests_of_200_000_draws_never_load_numpy():
 
 def test_a_sweep_of_small_requests_turns_to_numpy():
     # 40 rows of 20 000 one-draw trials: 800 000 draws exceed the
-    # process's scalar allowance of 229 376, so the sweep imports numpy
-    # before its first row and spends none of the allowance
+    # process's scalar allowance of _SCALAR_DRAWS, so the sweep imports
+    # numpy before its first row and spends none of the allowance
     result = _probe(["sweep", *REF, "--parameter", "r", "--start", "1",
                      "--stop", "20", "--steps", "40", "--estimators", "mc",
                      "--trials", "20000"])
