@@ -84,11 +84,18 @@ band.  A block with a lane in a band takes the float chain; an atom whose
 window spans the period (L >= P) detects every lane it picks; and a
 record where no margin fits (a number that is not finite, or a window
 within 2m of 0 or of 2**M) takes the chain on every block.  The bands
-hold about 4m/2**M of the positions.  For the models' records, whose
-scale/P and 1/P lie within a few ulps of n or n/2, the coefficients lie
-that near integers too, I is under a tick's worth of h, and m is a few
-ticks' worth: at the reference circle the bands hold about 2e-14 of the
-positions, and no block of 2000 took the chain.
+hold about 4m/2**M of the positions, so about 4m*1024/2**M lanes of a
+block.  Where that passes one, most blocks would fall back, and the
+record takes the chain on every block as well.  Where it passes 1/128,
+more than about one block in 128 falls back.  A record of any of these
+kinds declares _lane_draws = `montecarlo._CHAIN_DRAWS`, the float
+chain's share of the numpy-free allowance.  F grows with 1/P, so the
+bands widen only at huge n (past about 3e9 for the circle).  For the
+models' records, whose scale/P and 1/P lie within a few ulps of n or
+n/2, the coefficients lie that near integers too, I is under a tick's
+worth of h, and m is a few ticks' worth: at the reference circle the
+bands hold about 2e-14 of the positions, and no block of 2000 took the
+chain.
 The closed forms read e and sin(alpha) alone, and raise OverflowError where
 their value leaves the float range.
 """
@@ -104,8 +111,9 @@ from operator import le, mod, mul, sub
 from typing import Iterable, Sequence
 
 from .frames import TWO_PI, _finite_angle, _vehicle_angle, wrap_positive
-from .montecarlo import (_INV_2_53, _LANES, EstimateWithCI, SeedSchedule,
-                         _lane_constants, _ticks, run_bernoulli_trials)
+from .montecarlo import (_CHAIN_DRAWS, _INV_2_53, _LANES, _SCALAR_DRAWS,
+                         EstimateWithCI, SeedSchedule, _lane_constants, _ticks,
+                         run_bernoulli_trials)
 from .scenario import CircularPatrolScenario, _Record, _validate_as
 
 __all__ = [
@@ -381,10 +389,22 @@ class _FoldIndicator:
         for a record without weights."""
         return (x - self._lo) % self._period <= self._length
 
+    @property
+    def _lane_draws(self) -> int:
+        """The most of the numpy-free allowance a process may have spent
+        for a request of this record to count on the lane path
+        (`montecarlo.run_bernoulli_trials`): all of it where the integer
+        decision settles nearly every block, else the float chain's share,
+        `montecarlo._CHAIN_DRAWS`."""
+        plan = self._plan
+        return _CHAIN_DRAWS if plan is None else plan[0]
+
     @functools.cached_property
     def _plan(self):
-        """count_lanes's integer decision, made on its first block, or None
-        where no margin fits: (ticks, low, flags, T1, T0, atoms).  ticks,
+        """count_lanes's integer decision, made when a request first asks
+        for _lane_draws or a block, or None where no margin fits or the
+        margin bands are too wide to pay: (draws, ticks, low, flags, T1,
+        T0, atoms).  draws is the record's _lane_draws.  ticks,
         low and flags hold 2**53 - 1, 2**M - 1 and 2**M in every lane, and
         T1 and T0 are the module docstring's coefficients, T0 0 without
         shift.  Per atom, (pick, O, clear, near, missed) holds in every
@@ -409,7 +429,7 @@ class _FoldIndicator:
         rounding = -(-(((d1 + d0) << 54) + per) // (2 * per))
         ones = _lane_constants()[0]
         picks = [(top - c) * ones for c in self._cum_ticks or ()] + [None]
-        atoms = []
+        atoms, widest = [], 0
         for pick, lo, length in zip(picks, los, lengths):
             if length >= period:
                 atoms.append((pick, None, 0, 0, 0))
@@ -425,7 +445,15 @@ class _FoldIndicator:
             offset = _nearest(-_units(lo) << _FOLD_BITS, per)[0] + margin
             atoms.append((pick, offset % top * ones, (top - clear) * ones,
                           (top - near) * ones, (top - missed) * ones))
-        return (((1 << 53) - 1) * ones, (top - 1) * ones, ones << _FOLD_BITS,
+            widest = max(widest, margin)
+        # a block's lanes in a band, about 4*m*_LANES/2**M of them (module
+        # docstring): past one, most blocks fall back and the chain alone is
+        # cheaper; below 1/128, under 1% of them do
+        bands = 4 * widest * _LANES
+        if bands > top:
+            return None
+        return (_SCALAR_DRAWS if 128 * bands <= top else _CHAIN_DRAWS,
+                ((1 << 53) - 1) * ones, (top - 1) * ones, ones << _FOLD_BITS,
                 t1 % top, t0 % top, tuple(atoms))
 
     def count_lanes(self, words: Sequence[int], m: int) -> int:
@@ -437,7 +465,7 @@ class _FoldIndicator:
         so a block costs a few Python calls, whatever its trials."""
         plan = self._plan
         if plan is not None:
-            ticks, low, flags, t1, t0, atoms = plan
+            _, ticks, low, flags, t1, t0, atoms = plan
             valid = flags if m == _LANES else flags & ((1 << 128 * m) - 1)
             x = ((words[-1] >> 11) & ticks) * t1
             first = (words[0] >> 11) & ticks if len(words) > 1 else 0

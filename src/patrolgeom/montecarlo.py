@@ -39,7 +39,10 @@ lanes that hold trials: the 64-bit word w in a lane is the draw
 (w >> 11) * 2**-53.  count_lanes decides the block on those ints, without
 a Python call per trial.
 The allowance is spent, not reset, so a long run of small requests turns
-to numpy once it is gone.  The count is the same on either path.
+to numpy once it is gone.  An indicator whose count_lanes costs more a
+trial, such as a fold record that takes the float chain on every block,
+declares _lane_draws, the smaller share of the allowance it may use.  The
+count is the same on either path.
 """
 
 from __future__ import annotations
@@ -85,30 +88,51 @@ CHUNK_TRIALS = 32768
 
 # Draws (trials x n_draws) a process may count on the scalar path, which
 # never imports numpy (see run_bernoulli_trials).  It is counted in draws
-# because the path's cost per trial grows with its draws: about 0.12 us per
-# trial for the circle (1 draw), 0.19 us for the segment (2 draws) and
-# 0.23 us for the randomized radius (2 draws and an atom pick), in process
-# (`python3 tools/lane_costs.py`, the least of 10 processes).  A fresh process
-# breaks even with numpy's import at about these draws per request
-# (`python3 tools/lane_costs.py --break-even`: a line through the medians
-# of 12 paired lane-minus-numpy differences at 5 sizes; two runs, at
-# 300 000 to 700 000 draws and at 500 000 to 900 000; 2-core host, Python
-# 3.11, numpy 2.4):
+# because the path's cost per trial grows with its draws (1 for the
+# circle, 2 for the segment, 2 and an atom pick for the randomized
+# radius).  In process (`python3 tools/lane_costs.py`, the least of 7
+# processes) a trial costs the ns below where count_lanes decides its
+# blocks on whole integers (lane), and where it takes the float chain on
+# every block (chain).  A fresh process breaks even with numpy's import
+# at about these draws per request (`python3 tools/lane_costs.py
+# --break-even`, seeds 0 and 1: a line through the medians of 12 paired
+# differences at 200 000 to 800 000 draws; 2-core host, Python 3.11,
+# numpy 2.4):
 #
-#                         500 000 draws       break-even (draws)
-#     model               lane     numpy      run 1      run 2
-#     circle              0.127 s  0.150 s      700 000    610 000
-#     segment             0.115 s  0.152 s    1 025 000    933 000
-#     randomized radius   0.125 s  0.151 s      809 000    791 000
+#                         ns per trial     break-even (draws), two runs
+#     model               lane   chain     lane                chain
+#     circle              115    271       667 000   721 000   268 000  272 000
+#     segment             184    436       940 000   944 000   356 000  365 000
+#     randomized radius   213    505       804 000   806 000   304 000  285 000
 #
-# 18 * CHUNK_TRIALS = 589 824 draws lies below all six, so a circle
+# 18 * CHUNK_TRIALS = 589 824 draws lies below every lane break-even, and
+# below the 610 000 an earlier run put the circle's at, so a circle
 # request of 250 000 trials and a segment request of 250 000 trials
 # (500 000 draws) skip numpy, as every request of the benchmark's
-# circular_mc and segment_mc now does.  A larger allowance would
-# also raise the cost of a many-row sweep of small requests: the allowance
-# is spent, not reset per request, so such a sweep pays the scalar cost
-# only until the allowance runs out, at most about one import.  `cli`'s
-# sweep avoids even that: it hands _check_run its grid's row count, and
+# circular_mc and segment_mc now does.
+#
+# A fold record takes the float chain on every block where no margin fits
+# (`circular._FoldIndicator._plan`: a window within the margin of 0 or of the
+# period, as at r/R = 1e-15) or where its margin bands would catch a lane in
+# most blocks (the circle from about n = 1e12).  Such a record, and one whose
+# bands catch a lane in more than about one block in 128 (the circle past
+# about n = 3e9), declares _lane_draws = _CHAIN_DRAWS (see
+# run_bernoulli_trials): it takes the lane path only while the process has
+# spent at most that much of the allowance, its own request included.
+# 7 * CHUNK_TRIALS = 229 376 draws, the allowance before the integer decision,
+# lies below every chain break-even above, and below the 255 000 of a circle
+# at r/R = 1e-15 measured the same way (8 runs at 150 000 to 350 000 draws);
+# the circle at n = 1e11, whose bands send about one block in six to the
+# chain, breaks even at 410 000.  Past n = 1e12 the chain's float % is slower:
+# the circle at n = 1e13 broke even at 146 000 draws, so from there to this
+# allowance it counts slower than numpy would, as it did before the integer
+# decision.
+#
+# A larger allowance would also raise the cost of a many-row sweep of small
+# requests: the allowance is spent, not reset per request, so such a sweep
+# pays the scalar cost only until the allowance runs out, at most about one
+# import.  `cli`'s sweep avoids even that: it hands _check_run its grid's
+# row count, and
 # _check_run, not the caller, decides to import numpy before the first row
 # where rows x trials exceed what is left.  rows x trials is a lower bound
 # on the draws (a segment trial takes two), so a segment grid whose rows x
@@ -116,6 +140,7 @@ CHUNK_TRIALS = 32768
 # rest on numpy.  The allowance picks the path only, so callers in several
 # threads may race on it.
 _SCALAR_DRAWS = 18 * CHUNK_TRIALS
+_CHAIN_DRAWS = 7 * CHUNK_TRIALS
 _scalar_left = _SCALAR_DRAWS
 
 # Ceiling on worker threads.  The estimate does not depend on `workers`, and
@@ -443,10 +468,13 @@ def run_bernoulli_trials(indicator, trials: int, schedule: SeedSchedule,
     While numpy is not yet imported, a request of such an indicator whose
     trials x n_draws fit the process's remaining allowance
     (`_scalar_left`, _SCALAR_DRAWS draws at start) spends its draws from
-    it and is counted by `_count_scalar`, which never imports numpy.  Every
-    other request, and every one after numpy is loaded, takes the vector
-    path.  Both paths count the same draws exactly, so the path never
-    changes the result.
+    it and is counted by `_count_scalar`, which never imports numpy.  A
+    fold record whose lane path costs more a trial declares _lane_draws,
+    the most of the allowance the process may have spent, its request
+    included, for it to take that path (see _SCALAR_DRAWS).  Every other
+    request, and every one after numpy is loaded, takes the vector path.
+    Both paths count the same draws exactly, so the path never changes
+    the result.
 
     On the vector path, trials are cut into fixed chunks of CHUNK_TRIALS;
     worker k of `workers` takes chunks k, k + workers, ... and draws them
@@ -467,7 +495,8 @@ def run_bernoulli_trials(indicator, trials: int, schedule: SeedSchedule,
     if draws is None or draws < 1 or spare not in (0, 1, 2):
         raise ValueError("need an integer n_draws >= 1 and n_scratch 0 to 2")
     if (hasattr(indicator, "count_lanes") and "numpy" not in sys.modules
-            and trials * draws <= _scalar_left):
+            and trials * draws <= _scalar_left - _SCALAR_DRAWS
+            + getattr(indicator, "_lane_draws", _SCALAR_DRAWS)):
         _scalar_left -= trials * draws
         return estimate_from_counts(
             _count_scalar(indicator, trials, schedule), trials)

@@ -19,8 +19,9 @@ from patrolgeom import circular, linear, montecarlo, randomradius
 from patrolgeom.buffon import NeedleProblem, _NeedleIndicator, buffon_mc
 from patrolgeom.circular import TWO_PI, _detection_arc, mc_probability
 from patrolgeom.linear import mc_probability_linear
-from patrolgeom.montecarlo import (_LANES, _SCALAR_DRAWS, CHUNK_TRIALS,
-                                   MAX_WORKERS, DrawWorkspace, EstimateWithCI,
+from patrolgeom.montecarlo import (_CHAIN_DRAWS, _LANES, _SCALAR_DRAWS,
+                                   CHUNK_TRIALS, MAX_WORKERS, DrawWorkspace,
+                                   EstimateWithCI,
                                    SeedSchedule, TrialSource, _count_scalar,
                                    _trial_draws, estimate_from_counts, mix64,
                                    run_bernoulli_trials, wilson_interval)
@@ -908,6 +909,26 @@ def test_an_atom_whose_window_spans_the_period_detects_each_lane_it_picks():
                 == _vector_count(atoms, 5000, seed))
 
 
+def test_a_record_whose_bands_catch_lanes_declares_the_chain_allowance(
+        monkeypatch):
+    # the margin grows with n: at n = 1e11 its bands catch a lane in about
+    # one block in six, which then takes the float chain, and at 1e13 in
+    # nearly every block, so that record has no plan
+    def circle(n, r):
+        return circular._indicator(CircularPatrolScenario(R=1.0, r=r, n=n,
+                                                          v=2.0, u=1.0))
+
+    assert _fold_indicator("circle")._lane_draws == _SCALAR_DRAWS
+    for record in (circle(10, 1e-15), circle(10 ** 13, 4e-14)):
+        assert record._plan is None and record._lane_draws == _CHAIN_DRAWS
+    wide = circle(10 ** 11, 4e-12)
+    assert wide._plan is not None and wide._lane_draws == _CHAIN_DRAWS
+    calls = _counting_chain(wide, monkeypatch)
+    assert (_count_scalar(wide, 20 * _LANES, SeedSchedule(4))
+            == _vector_count(wide, 20 * _LANES, 4))
+    assert 0 < len(calls) < 20
+
+
 def test_a_window_of_a_whole_period_reads_exactly_one():
     # n*(2*pi/n)/(2*pi) rounds below 1 at n = 75, 150 and 167, and so does
     # the saturated segment window at n = 49, whose closed form reads 1
@@ -1026,3 +1047,38 @@ def test_the_scalar_allowance_is_spent_across_requests():
     ]
     assert json.loads(proc.stdout) == [[k, loaded] for k, loaded in zip(
         expected, [False, False, True, True])]
+
+
+_CHAIN_PROBE = """
+import json, sys
+from patrolgeom.montecarlo import _CHAIN_DRAWS
+from patrolgeom.circular import mc_probability
+from patrolgeom.scenario import CircularPatrolScenario
+reference = CircularPatrolScenario(R=100.0, r=5.0, n=10, v=2.0, u=1.0)
+chain = CircularPatrolScenario(R=1.0, r=1e-15, n=10, v=2.0, u=1.0)
+out = []
+for scenario, trials in ((chain, _CHAIN_DRAWS - 10), (reference, 10),
+                         (chain, 1), (reference, 1)):
+    out.append([mc_probability(scenario, trials, 3).successes,
+                "numpy" in sys.modules])
+print(json.dumps(out))
+"""
+
+
+def test_a_record_on_the_float_chain_spends_only_the_chain_allowance():
+    # a fresh process: a record where no margin fits declares _lane_draws =
+    # _CHAIN_DRAWS, so it counts without numpy only while the process has
+    # spent at most that much of the allowance, its own draws included; a
+    # record decided on integers may spend past it
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run([sys.executable, "-c", _CHAIN_PROBE],
+                          capture_output=True, text=True, env=env,
+                          timeout=120, check=True)
+    chain = CircularPatrolScenario(R=1.0, r=1e-15, n=10, v=2.0, u=1.0)
+    assert json.loads(proc.stdout) == [
+        [mc_probability(chain, _CHAIN_DRAWS - 10, 3).successes, False],
+        [mc_probability(_CIRCLE, 10, 3).successes, False],
+        [mc_probability(chain, 1, 3).successes, True],
+        [mc_probability(_CIRCLE, 1, 3).successes, True]]
