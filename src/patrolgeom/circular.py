@@ -63,7 +63,7 @@ sum fits a 128-bit lane and one big-int operation forms h for every lane.
 
 The float chain rounds at most four times, each by at most 2**-53 of the
 exact result, a product by 2**-1075 more where it underflows (a sum that
-underflows is exact): x = fl(k*tick), or fl(fl(k*2**-53)*scale), at most
+underflows is exact): x = fl(u*scale) for the draw u = k*2**-53, at most
 scale; fl(x - k0*2**-53), at most max(scale, 1); fl(. - lo), at most
 max(scale, 1) + |lo|; and, where fmod, which is exact, leaves a negative
 remainder r, fl(r + P), at most P.  Those four bounds sum to less than
@@ -80,22 +80,18 @@ thresholds per atom, each as bit M of h + 2**M - t: h >= 2m + 1 (clear of
 0), h >= ceil(lam) (not surely detected) and h >= floor(lam) + 2m + 1
 (surely missed).  A lane between the first two is detected, one past the
 third is not, and one below the first or between the last two lies in a
-band.  A block with a lane in a band takes the float chain; an atom whose
-window spans the period (L >= P) detects every lane it picks; and a
-record where no margin fits (a number that is not finite, or a window
-within 2m of 0 or of 2**M) takes the chain on every block.  The bands
-hold about 4m/2**M of the positions, so about 4m*1024/2**M lanes of a
-block.  Where that passes one, most blocks would fall back, and the
-record takes the chain on every block as well.  Where it passes 1/128,
-more than about one block in 128 falls back.  A record of any of these
-kinds declares _lane_draws = `montecarlo._CHAIN_DRAWS`, the float
-chain's share of the numpy-free allowance.  F grows with 1/P, so the
-bands widen only at huge n (past about 3e9 for the circle).  For the
-models' records, whose scale/P and 1/P lie within a few ulps of n or
-n/2, the coefficients lie that near integers too, I is under a tick's
-worth of h, and m is a few ticks' worth: at the reference circle the
-bands hold about 2e-14 of the positions, and no block of 2000 took the
-chain.
+band.  A block with a lane in a band takes the float chain, and an atom
+whose window spans the period (L >= P) detects every lane it picks.  The
+bands hold about 4m/2**M of the positions, so about 4m*1024/2**M lanes of
+a block.  A record where no margin fits (a number that is not finite, or
+a window within 2m of 0 or of 2**M), or where that passes 1/128, so that
+more than about one block in 128 would fall back, has no integer plan and
+no count_lanes: numpy counts it.  F grows with 1/P, so the bands widen
+only at huge n (past about 3e9 for the circle).  For the models'
+records, whose scale/P and 1/P lie within a few ulps of n or n/2, the
+coefficients lie that near integers too, I is under a tick's worth of h,
+and m is a few ticks' worth: at the reference circle the bands hold about
+2e-14 of the positions, and no block of 2000 took the chain.
 The closed forms read e and sin(alpha) alone, and raise OverflowError where
 their value leaves the float range.
 """
@@ -111,9 +107,8 @@ from operator import le, mod, mul, sub
 from typing import Iterable, Sequence
 
 from .frames import TWO_PI, _finite_angle, _vehicle_angle, wrap_positive
-from .montecarlo import (_CHAIN_DRAWS, _INV_2_53, _LANES, _SCALAR_DRAWS,
-                         EstimateWithCI, SeedSchedule, _lane_constants, _ticks,
-                         run_bernoulli_trials)
+from .montecarlo import (_INV_2_53, _LANES, EstimateWithCI, SeedSchedule,
+                         _lane_constants, _ticks, run_bernoulli_trials)
 from .scenario import CircularPatrolScenario, _Record, _validate_as
 
 __all__ = [
@@ -321,17 +316,11 @@ class _FoldIndicator:
     fix the sign.  count_lanes decides a block on whole integers where the
     module docstring's margin proves the float flags, and otherwise takes
     the float chain on the block's integer ticks k, whose draws are
-    k*2**-53 (`_count_ticks`).  The chain takes the operations of
-    evaluate_batch, except that it forms the last draw's product as
-    k*tick, tick = scale*2**-53, not as u*scale for the draw u = k*2**-53:
-    k < 2**53 converts to a float exactly, and tick is exact wherever it
-    is normal, so both products round the same real number to the same
-    float.  Where tick is not exact (a shifted record whose period is
-    below 2**-969, n above about 1e292) it forms u first and then u*scale.
-    It subtracts draw 0 as k*2**-53, and picks the atom by comparing k with
-    ceil(c*2**53) for each kept cumulative weight c: for an integer k,
-    k >= ceil(c*2**53) iff k*2**-53 >= c.  The integer decision picks the
-    atom by the same comparisons."""
+    k*2**-53 (`_count_ticks`), through the operations of evaluate_batch.
+    The chain picks the atom by comparing k with ceil(c*2**53) for each
+    kept cumulative weight c: for an integer k, k >= ceil(c*2**53) iff
+    k*2**-53 >= c.  The integer decision picks the atom by the same
+    comparisons.  A record with no integer plan has count_lanes None."""
 
     def __init__(self, n, span, lo, length, weights=None, shift=False):
         # draw 0 is either the shift or the atom's pick, never both
@@ -341,11 +330,7 @@ class _FoldIndicator:
         self._scale = self._period if shift else span
         self._cum = (None if weights is None
                      else tuple(accumulate(weights))[:-1])
-        # the chain's draw map and atom pick on ticks: scale*2**-53 in one
-        # factor where that factor scales back to scale exactly, else the two
-        tick = self._scale * _INV_2_53
-        self._tick_factors = ((tick,) if tick / _INV_2_53 == self._scale
-                              else (_INV_2_53, self._scale))
+        # the atom pick on ticks, of the float chain and the integer plan
         self._cum_ticks = (None if weights is None else
                            tuple(math.ceil(c / _INV_2_53) for c in self._cum))
         self._atoms = (((1.0, length),) if weights is None
@@ -389,30 +374,19 @@ class _FoldIndicator:
         for a record without weights."""
         return (x - self._lo) % self._period <= self._length
 
-    @property
-    def _lane_draws(self) -> int:
-        """The most of the numpy-free allowance a process may have spent
-        for a request of this record to count on the lane path
-        (`montecarlo.run_bernoulli_trials`): all of it where the integer
-        decision settles nearly every block, else the float chain's share,
-        `montecarlo._CHAIN_DRAWS`."""
-        plan = self._plan
-        return _CHAIN_DRAWS if plan is None else plan[0]
-
     @functools.cached_property
     def _plan(self):
         """count_lanes's integer decision, made when a request first asks
-        for _lane_draws or a block, or None where no margin fits or the
-        margin bands are too wide to pay: (draws, ticks, low, flags, T1,
-        T0, atoms).  draws is the record's _lane_draws.  ticks,
-        low and flags hold 2**53 - 1, 2**M - 1 and 2**M in every lane, and
-        T1 and T0 are the module docstring's coefficients, T0 0 without
-        shift.  Per atom, (pick, O, clear, near, missed) holds in every
-        lane 2**M - ceil(c*2**53) for the atom's cumulative weight c (pick
-        None for the last atom), the atom's offset O plus the margin m, and
-        2**M less each of its three thresholds; O is None for a window
-        that spans the period.  Each number is exact: a float is a whole
-        number of 2**-1074."""
+        for count_lanes, or None where no margin fits or the margin bands
+        catch a lane in more than about one block in 128: (ticks, low,
+        flags, T1, T0, atoms).  ticks, low and flags hold 2**53 - 1,
+        2**M - 1 and 2**M in every lane, and T1 and T0 are the module
+        docstring's coefficients, T0 0 without shift.  Per atom, (pick, O,
+        clear, near, missed) holds in every lane 2**M - ceil(c*2**53) for
+        the atom's cumulative weight c (pick None for the last atom), the
+        atom's offset O plus the margin m, and 2**M less each of its three
+        thresholds; O is None for a window that spans the period.  Each
+        number is exact: a float is a whole number of 2**-1074."""
         if self._cum is None:
             los, lengths = (self._lo,), (self._length,)
         else:
@@ -447,47 +421,50 @@ class _FoldIndicator:
                           (top - near) * ones, (top - missed) * ones))
             widest = max(widest, margin)
         # a block's lanes in a band, about 4*m*_LANES/2**M of them (module
-        # docstring): past one, most blocks fall back and the chain alone is
-        # cheaper; below 1/128, under 1% of them do
-        bands = 4 * widest * _LANES
-        if bands > top:
+        # docstring): past 1/128, more than about one block in 128 would
+        # fall back, and numpy counts the record
+        if 128 * 4 * widest * _LANES > top:
             return None
-        return (_SCALAR_DRAWS if 128 * bands <= top else _CHAIN_DRAWS,
-                ((1 << 53) - 1) * ones, (top - 1) * ones, ones << _FOLD_BITS,
+        return (((1 << 53) - 1) * ones, (top - 1) * ones, ones << _FOLD_BITS,
                 t1 % top, t0 % top, tuple(atoms))
 
-    def count_lanes(self, words: Sequence[int], m: int) -> int:
+    @property
+    def count_lanes(self):
+        """`_count_block`, the lane count of the numpy-free path
+        (`montecarlo.run_bernoulli_trials`), or None where the record has
+        no integer plan; the plan is made on first access."""
+        return None if self._plan is None else self._count_block
+
+    def _count_block(self, words: Sequence[int], m: int) -> int:
         """Detections among the first m trials of a lane block of mixed
-        words, one per draw (`montecarlo.run_bernoulli_trials`), as
-        evaluate_batch flags the draws: on whole integers where every lane
-        clears the margin (module docstring), else through the float
-        chain.  The thresholds are tested inline, not in a call per atom,
-        so a block costs a few Python calls, whatever its trials."""
-        plan = self._plan
-        if plan is not None:
-            _, ticks, low, flags, t1, t0, atoms = plan
-            valid = flags if m == _LANES else flags & ((1 << 128 * m) - 1)
-            x = ((words[-1] >> 11) & ticks) * t1
-            first = (words[0] >> 11) & ticks if len(words) > 1 else 0
-            if self._shift:
-                x += first * t0
-            hits = sure = 0
-            rest = valid
-            for pick, offset, clear, near, missed in atoms:
-                lanes = rest
-                if pick is not None:  # the lanes of the later atoms
-                    rest = (first + pick) & valid
-                    lanes ^= rest
-                if offset is None:
-                    hits |= lanes
-                    sure |= lanes
-                    continue
-                h = (x + offset) & low
-                detected = ((h + clear) & lanes) ^ ((h + near) & lanes)
-                hits |= detected
-                sure |= detected ^ ((h + missed) & lanes)
-            if sure == valid:
-                return hits.bit_count()
+        words, one per draw, as evaluate_batch flags the draws: on whole
+        integers where every lane clears the margin (module docstring),
+        else through the float chain.  The thresholds are tested inline,
+        not in a call per atom, so a block costs a few Python calls,
+        whatever its trials."""
+        ticks, low, flags, t1, t0, atoms = self._plan
+        valid = flags if m == _LANES else flags & ((1 << 128 * m) - 1)
+        x = ((words[-1] >> 11) & ticks) * t1
+        first = (words[0] >> 11) & ticks if len(words) > 1 else 0
+        if self._shift:
+            x += first * t0
+        hits = sure = 0
+        rest = valid
+        for pick, offset, clear, near, missed in atoms:
+            lanes = rest
+            if pick is not None:  # the lanes of the later atoms
+                rest = (first + pick) & valid
+                lanes ^= rest
+            if offset is None:
+                hits |= lanes
+                sure |= lanes
+                continue
+            h = (x + offset) & low
+            detected = ((h + clear) & lanes) ^ ((h + near) & lanes)
+            hits |= detected
+            sure |= detected ^ ((h + missed) & lanes)
+        if sure == valid:
+            return hits.bit_count()
         return self._count_ticks([_ticks(word, m) for word in words])
 
     def _count_ticks(self, columns: Sequence[Sequence[int]]) -> int:
@@ -495,9 +472,8 @@ class _FoldIndicator:
         one draw's integer ticks over the block, as evaluate_batch flags
         the draws tick*2**-53, through C-level maps."""
         # float * int, not int * float: int's own multiply is tried first
-        x = columns[-1]
-        for factor in self._tick_factors:
-            x = map(mul, repeat(factor), x)
+        x = map(mul, map(mul, repeat(_INV_2_53), columns[-1]),
+                repeat(self._scale))
         if self._shift:
             x = map(sub, x, map(mul, repeat(_INV_2_53), columns[0]))
         lo, length = repeat(self._lo), repeat(self._length)

@@ -39,10 +39,9 @@ lanes that hold trials: the 64-bit word w in a lane is the draw
 (w >> 11) * 2**-53.  count_lanes decides the block on those ints, without
 a Python call per trial.
 The allowance is spent, not reset, so a long run of small requests turns
-to numpy once it is gone.  An indicator whose count_lanes costs more a
-trial, such as a fold record that takes the float chain on every block,
-declares _lane_draws, the smaller share of the allowance it may use.  The
-count is the same on either path.
+to numpy once it is gone.  An indicator whose count_lanes is None, such as
+a fold record with no integer plan, is counted on numpy.  The count is the
+same on either path.
 """
 
 from __future__ import annotations
@@ -91,42 +90,25 @@ CHUNK_TRIALS = 32768
 # because the path's cost per trial grows with its draws (1 for the
 # circle, 2 for the segment, 2 and an atom pick for the randomized
 # radius).  In process (`python3 tools/lane_costs.py`, the least of 7
-# processes) a trial costs the ns below where count_lanes decides its
-# blocks on whole integers (lane), and where it takes the float chain on
-# every block (chain).  A fresh process breaks even with numpy's import
-# at about these draws per request (`python3 tools/lane_costs.py
-# --break-even`, seeds 0 and 1: a line through the medians of 12 paired
-# differences at 200 000 to 800 000 draws; 2-core host, Python 3.11,
-# numpy 2.4):
+# processes) a trial costs the ns below, its block decided on whole
+# integers.  A fresh process breaks even with numpy's import at about
+# these draws per request (`python3 tools/lane_costs.py --break-even`,
+# seeds 0 and 1: a line through the medians of 12 paired differences at
+# 200 000 to 800 000 draws; 2-core host, Python 3.11, numpy 2.4):
 #
-#                         ns per trial     break-even (draws), two runs
-#     model               lane   chain     lane                chain
-#     circle              115    271       667 000   721 000   268 000  272 000
-#     segment             184    436       940 000   944 000   356 000  365 000
-#     randomized radius   213    505       804 000   806 000   304 000  285 000
+#     model               ns per trial   break-even (draws), two runs
+#     circle              115            667 000   721 000
+#     segment             184            940 000   944 000
+#     randomized radius   213            804 000   806 000
 #
-# 18 * CHUNK_TRIALS = 589 824 draws lies below every lane break-even, and
+# 18 * CHUNK_TRIALS = 589 824 draws lies below every break-even, and
 # below the 610 000 an earlier run put the circle's at, so a circle
 # request of 250 000 trials and a segment request of 250 000 trials
 # (500 000 draws) skip numpy, as every request of the benchmark's
-# circular_mc and segment_mc now does.
-#
-# A fold record takes the float chain on every block where no margin fits
-# (`circular._FoldIndicator._plan`: a window within the margin of 0 or of the
-# period, as at r/R = 1e-15) or where its margin bands would catch a lane in
-# most blocks (the circle from about n = 1e12).  Such a record, and one whose
-# bands catch a lane in more than about one block in 128 (the circle past
-# about n = 3e9), declares _lane_draws = _CHAIN_DRAWS (see
-# run_bernoulli_trials): it takes the lane path only while the process has
-# spent at most that much of the allowance, its own request included.
-# 7 * CHUNK_TRIALS = 229 376 draws, the allowance before the integer decision,
-# lies below every chain break-even above, and below the 255 000 of a circle
-# at r/R = 1e-15 measured the same way (8 runs at 150 000 to 350 000 draws);
-# the circle at n = 1e11, whose bands send about one block in six to the
-# chain, breaks even at 410 000.  Past n = 1e12 the chain's float % is slower:
-# the circle at n = 1e13 broke even at 146 000 draws, so from there to this
-# allowance it counts slower than numpy would, as it did before the integer
-# decision.
+# circular_mc and segment_mc now does.  A fold record offers count_lanes
+# only where its integer plan holds (`circular._FoldIndicator._plan`), so
+# that at most about one block in 128 falls back on the float chain; every
+# other record is counted on numpy.
 #
 # A larger allowance would also raise the cost of a many-row sweep of small
 # requests: the allowance is spent, not reset per request, so such a sweep
@@ -140,7 +122,6 @@ CHUNK_TRIALS = 32768
 # rest on numpy.  The allowance picks the path only, so callers in several
 # threads may race on it.
 _SCALAR_DRAWS = 18 * CHUNK_TRIALS
-_CHAIN_DRAWS = 7 * CHUNK_TRIALS
 _scalar_left = _SCALAR_DRAWS
 
 # Ceiling on worker threads.  The estimate does not depend on `workers`, and
@@ -421,15 +402,15 @@ def _count_scalar(indicator, trials: int, schedule: SeedSchedule) -> int:
     lanes once."""
     ones, counters, mask = _lane_constants()
     counters = (counters + schedule._counter(0) * ones) & mask
+    count = indicator.count_lanes
     adds = [(((j + 1) * _GAMMA) & _MASK64) * ones
             for j in range(indicator.n_draws)]
     advance = ((_LANES * _GAMMA) & _MASK64) * ones
     total = 0
     for lo in range(0, trials, _LANES):
         keys = _mix(counters, mask)
-        total += indicator.count_lanes([_mix((keys + add) & mask, mask)
-                                        for add in adds],
-                                       min(_LANES, trials - lo))
+        total += count([_mix((keys + add) & mask, mask) for add in adds],
+                       min(_LANES, trials - lo))
         counters = (counters + advance) & mask
     return total
 
@@ -463,16 +444,16 @@ def run_bernoulli_trials(indicator, trials: int, schedule: SeedSchedule,
     trials of a block of _LANES, given as n_draws ints, word j holding
     draw j of trial i in its 128-bit lane i: the lane's low 64 bits are a
     mixed word w, its high 64 bits are zero, and the draw is
-    (w >> 11) * 2**-53.  The lanes from m on hold no trial.
+    (w >> 11) * 2**-53.  The lanes from m on hold no trial.  A
+    count_lanes of None offers none, as on a fold record with no integer
+    plan.
 
-    While numpy is not yet imported, a request of such an indicator whose
-    trials x n_draws fit the process's remaining allowance
-    (`_scalar_left`, _SCALAR_DRAWS draws at start) spends its draws from
-    it and is counted by `_count_scalar`, which never imports numpy.  A
-    fold record whose lane path costs more a trial declares _lane_draws,
-    the most of the allowance the process may have spent, its request
-    included, for it to take that path (see _SCALAR_DRAWS).  Every other
-    request, and every one after numpy is loaded, takes the vector path.
+    While numpy is not yet imported, a request of an indicator with
+    count_lanes whose trials x n_draws fit the process's remaining
+    allowance (`_scalar_left`, _SCALAR_DRAWS draws at start) spends its
+    draws from it and is counted by `_count_scalar`, which never imports
+    numpy.  Every other request, and every one after numpy is loaded,
+    takes the vector path.
     Both paths count the same draws exactly, so the path never changes
     the result.
 
@@ -494,9 +475,8 @@ def run_bernoulli_trials(indicator, trials: int, schedule: SeedSchedule,
     spare = _integer(getattr(indicator, "n_scratch", 0))
     if draws is None or draws < 1 or spare not in (0, 1, 2):
         raise ValueError("need an integer n_draws >= 1 and n_scratch 0 to 2")
-    if (hasattr(indicator, "count_lanes") and "numpy" not in sys.modules
-            and trials * draws <= _scalar_left - _SCALAR_DRAWS
-            + getattr(indicator, "_lane_draws", _SCALAR_DRAWS)):
+    if ("numpy" not in sys.modules and trials * draws <= _scalar_left
+            and getattr(indicator, "count_lanes", None) is not None):
         _scalar_left -= trials * draws
         return estimate_from_counts(
             _count_scalar(indicator, trials, schedule), trials)

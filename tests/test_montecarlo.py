@@ -1,5 +1,6 @@
 """Deterministic Monte Carlo machinery: seeding, intervals, trial runner."""
 
+import itertools
 import json
 import math
 import os
@@ -19,7 +20,7 @@ from patrolgeom import circular, linear, montecarlo, randomradius
 from patrolgeom.buffon import NeedleProblem, _NeedleIndicator, buffon_mc
 from patrolgeom.circular import TWO_PI, _detection_arc, mc_probability
 from patrolgeom.linear import mc_probability_linear
-from patrolgeom.montecarlo import (_CHAIN_DRAWS, _LANES, _SCALAR_DRAWS,
+from patrolgeom.montecarlo import (_LANES, _SCALAR_DRAWS,
                                    CHUNK_TRIALS, MAX_WORKERS, DrawWorkspace,
                                    EstimateWithCI,
                                    SeedSchedule, TrialSource, _count_scalar,
@@ -729,35 +730,59 @@ def test_a_draw_on_a_cumulative_weight_takes_the_next_atom_on_both_paths():
     assert indicator.evaluate_batch(u).tolist() == [False, True, True, True]
 
 
-def _lane_and_batch_flags(indicator, columns):
-    """Each trial's flag from count_lanes, given the trial's ticks alone,
-    and from evaluate_batch, given its draws tick*2**-53."""
-    lanes = [indicator.count_lanes(*_lane_words([[k] for k in ticks])) == 1
-             for ticks in zip(*columns, strict=True)]
+def _batch_flags(indicator, columns):
+    """Each trial's flag from evaluate_batch, given its draws tick*2**-53."""
     u = np.column_stack([np.array(ticks, dtype=float) * 2.0 ** -53
                          for ticks in columns])
-    return lanes, indicator.evaluate_batch(u).tolist()
+    return indicator.evaluate_batch(u).tolist()
+
+
+def _lane_and_batch_flags(indicator, columns):
+    """Each trial's flag from count_lanes, given the trial's ticks alone,
+    and from evaluate_batch."""
+    lanes = [indicator.count_lanes(*_lane_words([[k] for k in ticks])) == 1
+             for ticks in zip(*columns, strict=True)]
+    return lanes, _batch_flags(indicator, columns)
+
+
+def _chain_and_batch_flags(indicator, columns):
+    """Each trial's flag from the float chain, `_count_ticks`, given the
+    trial's ticks alone, and from evaluate_batch."""
+    chain = [indicator._count_ticks([[k] for k in ticks]) == 1
+             for ticks in zip(*columns, strict=True)]
+    return chain, _batch_flags(indicator, columns)
+
+
+def _trial_ticks(schedule, trials, n_draws):
+    """The schedule's draws of trials [0, trials) as ticks, u*2**53, one
+    column per draw."""
+    rows = [[int(src.uniform() * 2 ** 53) for _ in range(n_draws)]
+            for src in map(schedule.trial_source, range(trials))]
+    return [list(column) for column in zip(*rows)]
 
 
 @pytest.mark.parametrize("n", [10 ** 300, 10 ** 305, 17 * 10 ** 307],
                          ids=["1e300", "1e305", "1.7e308"])
 def test_a_subnormal_tick_counts_as_the_float_draws(n):
     # the period 2/n lies below 2**-969, so period*2**-53 is subnormal and
-    # inexact: the lane path scales each tick by 2**-53 and then by the
-    # period.  Draw 0 = 0 leaves x alone against the window's far edge,
-    # whose ticks k are stepped through one by one.  r sets p = 0.3
+    # inexact, and no margin fits: the record has no lane count, and its
+    # float chain scales each tick by 2**-53 and then by the period, as
+    # evaluate_batch does.  Draw 0 = 0 leaves x alone against the window's
+    # far edge, whose ticks k are stepped through one by one.  r sets p = 0.3
     indicator = linear._indicator(LinearPatrolScenario(
         R=1.0, r=0.3 / n * math.sin(math.atan2(1.0, 2.0)), n=n, v=2.0, u=1.0))
+    assert indicator.count_lanes is None
     period = indicator._period
     assert indicator._scale * 2.0 ** -53 < sys.float_info.min
     edge = (indicator._lo + indicator._length) % period
     k = round(edge / period * 2 ** 53)
     ticks = list(range(k - 300, k + 300))
-    lanes, batch = _lane_and_batch_flags(indicator, [[0] * len(ticks), ticks])
-    assert lanes == batch
+    chain, batch = _chain_and_batch_flags(indicator, [[0] * len(ticks), ticks])
+    assert chain == batch
     assert True in batch and False in batch
     for seed in (1, 2 ** 64 - 1):
-        assert (_count_scalar(indicator, 5000, SeedSchedule(seed))
+        assert (indicator._count_ticks(_trial_ticks(SeedSchedule(seed), 5000,
+                                                    2))
                 == _vector_count(indicator, 5000, seed))
 
 
@@ -788,14 +813,17 @@ def test_draws_beside_and_on_a_cumulative_weight_pick_the_same_atom(weights):
                                  (5e-324, 10 ** 300)],
                          ids=["1e-308", "1e-310", "5e-324"])
 def test_a_circle_at_subnormal_r_over_R_counts_alike_on_both_paths(r, n):
+    # no margin fits, so the record has no lane count; its float chain
+    # flags each trial as evaluate_batch does
     indicator = circular._indicator(CircularPatrolScenario(R=1.0, r=r, n=n,
                                                            v=2.0, u=1.0))
+    assert indicator.count_lanes is None
     schedule = SeedSchedule(6)
     ticks = [int(schedule.trial_source(i).uniform() * 2 ** 53)
              for i in range(2000)]
-    lanes, batch = _lane_and_batch_flags(indicator, [ticks])
-    assert lanes == batch
-    assert (_count_scalar(indicator, 20000, schedule)
+    chain, batch = _chain_and_batch_flags(indicator, [ticks])
+    assert chain == batch
+    assert (indicator._count_ticks(_trial_ticks(schedule, 20000, 1))
             == _vector_count(indicator, 20000, 6))
 
 
@@ -886,7 +914,7 @@ def test_a_block_with_a_lane_in_a_band_takes_the_float_chain(monkeypatch):
 
 def test_the_integer_plan_is_made_by_the_first_block_alone():
     # exact() never builds it; a record where no margin fits has none, and
-    # counts every block through the float chain
+    # no lane count, so numpy counts it
     indicator = _fold_indicator("random_radius")
     indicator.exact()
     assert "_plan" not in vars(indicator)
@@ -895,8 +923,8 @@ def test_the_integer_plan_is_made_by_the_first_block_alone():
     for lo, length in ((math.nan, 1.0), (0.0, math.inf), (0.0, 1e-300),
                        (0.0, math.nextafter(TWO_PI, 0.0)), (1e300, 1.0)):
         unfit = circular._FoldIndicator(1, TWO_PI, lo, length)
-        assert unfit._plan is None, (lo, length)
-        assert (_count_scalar(unfit, 3000, SeedSchedule(2))
+        assert unfit._plan is None and unfit.count_lanes is None, (lo, length)
+        assert (unfit._count_ticks(_trial_ticks(SeedSchedule(2), 3000, 1))
                 == _vector_count(unfit, 3000, 2))
 
 
@@ -909,24 +937,29 @@ def test_an_atom_whose_window_spans_the_period_detects_each_lane_it_picks():
                 == _vector_count(atoms, 5000, seed))
 
 
-def test_a_record_whose_bands_catch_lanes_declares_the_chain_allowance(
-        monkeypatch):
+def test_a_record_whose_bands_catch_lanes_has_no_lane_count():
     # the margin grows with n: at n = 1e11 its bands catch a lane in about
-    # one block in six, which then takes the float chain, and at 1e13 in
-    # nearly every block, so that record has no plan
+    # one block in six, and at 1e13 in nearly every block, past the one in
+    # 128 a plan allows; at r/R = 1e-15 no margin fits.  numpy counts these
     def circle(n, r):
         return circular._indicator(CircularPatrolScenario(R=1.0, r=r, n=n,
                                                           v=2.0, u=1.0))
 
-    assert _fold_indicator("circle")._lane_draws == _SCALAR_DRAWS
-    for record in (circle(10, 1e-15), circle(10 ** 13, 4e-14)):
-        assert record._plan is None and record._lane_draws == _CHAIN_DRAWS
-    wide = circle(10 ** 11, 4e-12)
-    assert wide._plan is not None and wide._lane_draws == _CHAIN_DRAWS
-    calls = _counting_chain(wide, monkeypatch)
-    assert (_count_scalar(wide, 20 * _LANES, SeedSchedule(4))
-            == _vector_count(wide, 20 * _LANES, 4))
-    assert 0 < len(calls) < 20
+    reference = _fold_indicator("circle")
+    assert reference._plan is not None and reference.count_lanes is not None
+    for record in (circle(10, 1e-15), circle(10 ** 11, 4e-12),
+                   circle(10 ** 13, 4e-14)):
+        assert record._plan is None and record.count_lanes is None
+
+
+@pytest.mark.parametrize("model", _FOLD_MODELS)
+def test_every_benchmark_mc_corner_keeps_its_lane_count(model):
+    # the corners of the benchmark's Monte Carlo scenarios, r/R 0.005 to
+    # 0.2, v/u 0 to 20 and n 1 to 1000: each record keeps its integer plan,
+    # so circular_mc and segment_mc requests within the allowance skip numpy
+    for e, w, n in itertools.product((0.005, 0.2), (0.0, 20.0), (1, 1000)):
+        record = _fold_indicator(model, e, w, n)
+        assert record.count_lanes is not None, (e, w, n)
 
 
 def test_a_window_of_a_whole_period_reads_exactly_one():
@@ -1049,36 +1082,31 @@ def test_the_scalar_allowance_is_spent_across_requests():
         expected, [False, False, True, True])]
 
 
-_CHAIN_PROBE = """
+_UNFIT_PROBE = """
 import json, sys
-from patrolgeom.montecarlo import _CHAIN_DRAWS
 from patrolgeom.circular import mc_probability
 from patrolgeom.scenario import CircularPatrolScenario
 reference = CircularPatrolScenario(R=100.0, r=5.0, n=10, v=2.0, u=1.0)
-chain = CircularPatrolScenario(R=1.0, r=1e-15, n=10, v=2.0, u=1.0)
+unfit = CircularPatrolScenario(R=1.0, r=1e-15, n=10, v=2.0, u=1.0)
 out = []
-for scenario, trials in ((chain, _CHAIN_DRAWS - 10), (reference, 10),
-                         (chain, 1), (reference, 1)):
+for scenario, trials in ((reference, 10), (unfit, 1)):
     out.append([mc_probability(scenario, trials, 3).successes,
                 "numpy" in sys.modules])
 print(json.dumps(out))
 """
 
 
-def test_a_record_on_the_float_chain_spends_only_the_chain_allowance():
-    # a fresh process: a record where no margin fits declares _lane_draws =
-    # _CHAIN_DRAWS, so it counts without numpy only while the process has
-    # spent at most that much of the allowance, its own draws included; a
-    # record decided on integers may spend past it
+def test_a_record_without_a_plan_is_counted_on_numpy():
+    # a fresh process: a record decided on integers counts without numpy,
+    # and one where no margin fits has no lane count, so even its single
+    # trial loads numpy, with the allowance nearly whole
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    proc = subprocess.run([sys.executable, "-c", _CHAIN_PROBE],
+    proc = subprocess.run([sys.executable, "-c", _UNFIT_PROBE],
                           capture_output=True, text=True, env=env,
                           timeout=120, check=True)
-    chain = CircularPatrolScenario(R=1.0, r=1e-15, n=10, v=2.0, u=1.0)
+    unfit = CircularPatrolScenario(R=1.0, r=1e-15, n=10, v=2.0, u=1.0)
     assert json.loads(proc.stdout) == [
-        [mc_probability(chain, _CHAIN_DRAWS - 10, 3).successes, False],
         [mc_probability(_CIRCLE, 10, 3).successes, False],
-        [mc_probability(chain, 1, 3).successes, True],
-        [mc_probability(_CIRCLE, 1, 3).successes, True]]
+        [mc_probability(unfit, 1, 3).successes, True]]
