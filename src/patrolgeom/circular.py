@@ -47,8 +47,9 @@ no shift; the segment and the randomized radius state their own numbers.
 The dense-grid oracles of the test suite are the independent check.
 
 The Monte Carlo lane path (`_FoldIndicator.count_lanes`) decides a block of
-1024 trials on whole integers where it can prove the float chain's flags,
-and takes the chain itself where it cannot.  A trial's last draw is
+1024 trials on whole integers where it can prove the float flags, and
+takes the one-position float test (`_FoldIndicator._flag`, which ends in
+covers) on each trial where it cannot.  A trial's last draw is
 k*2**-53 and, on a shifted record, its draw 0 is k0*2**-53, with k and k0
 below 2**53; its exact position in the period P = span/n, on M = 73 bits,
 is phi = 2**M * frac((k*scale*2**-53 - k0*2**-53 - lo)/P).  Let T1, T0 and
@@ -61,18 +62,19 @@ first two roundings.  Then h = (k*T1 + k0*T0 + O) mod 2**M lies within
 of phi, around the circle of 2**M.  Each product is below 2**126, so the
 sum fits a 128-bit lane and one big-int operation forms h for every lane.
 
-The float chain rounds at most four times, each by at most 2**-53 of the
-exact result, a product by 2**-1075 more where it underflows (a sum that
-underflows is exact): x = fl(u*scale) for the draw u = k*2**-53, at most
-scale; fl(x - k0*2**-53), at most max(scale, 1); fl(. - lo), at most
-max(scale, 1) + |lo|; and, where fmod, which is exact, leaves a negative
-remainder r, fl(r + P), at most P.  Those four bounds sum to less than
+`_flag`, by evaluate_batch's operations, rounds at most four times, each
+by at most 2**-53 of the exact result, a product by 2**-1075 more where it
+underflows (a sum that underflows is exact): x = fl(u*scale) for the draw
+u = k*2**-53, at most scale; fl(x - k0*2**-53), at most max(scale, 1);
+fl(. - lo), at most max(scale, 1) + |lo|; and, where fmod, which is exact,
+leaves a negative remainder r, fl(r + P), at most P.  Those four bounds
+sum to less than
 
     E = 2**-52*(2*scale + 1 + |lo| + P) + 2**-1072.
 
 So where the exact position lies more than E from 0, from P and from the
 window's length L, fmod takes the same multiple of P as on the exact
-position, and the chain's flag is the exact one.  With F = E*2**M/P
+position, and the float flag is the exact one.  With F = E*2**M/P
 rounded up and m = F + I rounded up, a lane whose h is more than m from 0
 (mod 2**M) and from lam = L*2**M/P has the flag h <= lam.  count_lanes
 adds m to O, so the band around 0 becomes [0, 2m], and tests three
@@ -80,18 +82,19 @@ thresholds per atom, each as bit M of h + 2**M - t: h >= 2m + 1 (clear of
 0), h >= ceil(lam) (not surely detected) and h >= floor(lam) + 2m + 1
 (surely missed).  A lane between the first two is detected, one past the
 third is not, and one below the first or between the last two lies in a
-band.  A block with a lane in a band takes the float chain, and an atom
-whose window spans the period (L >= P) detects every lane it picks.  The
-bands hold about 4m/2**M of the positions, so about 4m*1024/2**M lanes of
-a block.  A record where no margin fits (a number that is not finite, or
-a window within 2m of 0 or of 2**M), or where that passes 1/128, so that
-more than about one block in 128 would fall back, has no integer plan and
-no count_lanes: numpy counts it.  F grows with 1/P, so the bands widen
-only at huge n (past about 3e9 for the circle).  For the models'
-records, whose scale/P and 1/P lie within a few ulps of n or n/2, the
-coefficients lie that near integers too, I is under a tick's worth of h,
-and m is a few ticks' worth: at the reference circle the bands hold about
-2e-14 of the positions, and no block of 2000 took the chain.
+band.  A block with a lane in a band is counted by `_flag`, trial by
+trial, and an atom whose window spans the period (L >= P) detects every
+lane it picks.  The bands hold about 4m/2**M of the positions, so about
+4m*1024/2**M lanes of a block.  A record where no margin fits (a number
+that is not finite, or a window within 2m of 0 or of 2**M), or where that
+passes 1/128, so that more than about one block in 128 would fall back,
+has no integer plan and no count_lanes: numpy counts it.  F grows with
+1/P, so the bands widen only at huge n (past about 3e9 for the circle).
+For the models' records, whose scale/P and 1/P lie within a few ulps of n
+or n/2, the coefficients lie that near integers too, I is under a tick's
+worth of h, and m is a few ticks' worth: at the reference circle the
+bands hold about 2e-14 of the positions, and no block of 2000 fell back
+on `_flag`.
 The closed forms read e and sin(alpha) alone, and raise OverflowError where
 their value leaves the float range.
 """
@@ -102,13 +105,12 @@ import functools
 import math
 import sys
 from bisect import bisect_right
-from itertools import accumulate, repeat
-from operator import le, mod, mul, sub
+from itertools import accumulate
 from typing import Iterable, Sequence
 
 from .frames import TWO_PI, _finite_angle, _vehicle_angle, wrap_positive
-from .montecarlo import (_INV_2_53, _LANES, EstimateWithCI, SeedSchedule,
-                         _lane_constants, _ticks, run_bernoulli_trials)
+from .montecarlo import (_LANES, EstimateWithCI, SeedSchedule, _draws,
+                         _lane_constants, run_bernoulli_trials)
 from .scenario import CircularPatrolScenario, _Record, _validate_as
 
 __all__ = [
@@ -307,20 +309,19 @@ class _FoldIndicator:
     weight picks the last atom.  Without weights lo and length are numbers,
     one atom of weight 1.  exact() is the measure of the detected
     positions, in which an atom whose window is at least span/n long counts
-    its whole weight.  evaluate_batch tests a (m, n_draws) block of trials,
-    count_lanes counts the detections of a lane block of mixed words, and
-    covers tests one position x of a record without weights.  These are
-    the only spellings of the fold test, and they flag the same trials.
-    evaluate_batch and covers take the same floating-point operations in
-    the same order: Python's float % and np.mod both take fmod and then
-    fix the sign.  count_lanes decides a block on whole integers where the
-    module docstring's margin proves the float flags, and otherwise takes
-    the float chain on the block's integer ticks k, whose draws are
-    k*2**-53 (`_count_ticks`), through the operations of evaluate_batch.
-    The chain picks the atom by comparing k with ceil(c*2**53) for each
+    its whole weight.  The fold test has three spellings, one per path,
+    and they flag the same trials: evaluate_batch tests a (m, n_draws)
+    block of trials on numpy, count_lanes (`_count_block`) decides a lane
+    block of ticks on whole integers, and covers tests one position
+    against one atom's window.  `_flag` takes a trial's draws through
+    evaluate_batch's floating-point operations, in the same order, and
+    ends in covers: Python's float % and np.mod both take fmod and then
+    fix the sign.  count_lanes decides a block on integers where the
+    module docstring's margin proves the float flags, and otherwise
+    counts `_flag` over the block's trials, their draws k*2**-53.  It
+    picks the atom of tick k by comparing k with ceil(c*2**53) for each
     kept cumulative weight c: for an integer k, k >= ceil(c*2**53) iff
-    k*2**-53 >= c.  The integer decision picks the atom by the same
-    comparisons.  A record with no integer plan has count_lanes None."""
+    k*2**-53 >= c.  A record with no integer plan has count_lanes None."""
 
     def __init__(self, n, span, lo, length, weights=None, shift=False):
         # draw 0 is either the shift or the atom's pick, never both
@@ -330,9 +331,9 @@ class _FoldIndicator:
         self._scale = self._period if shift else span
         self._cum = (None if weights is None
                      else tuple(accumulate(weights))[:-1])
-        # the atom pick on ticks, of the float chain and the integer plan
-        self._cum_ticks = (None if weights is None else
-                           tuple(math.ceil(c / _INV_2_53) for c in self._cum))
+        # the atoms' windows, of covers and the integer plan
+        self._los, self._lengths = (((lo,), (length,)) if weights is None
+                                    else (lo, length))
         self._atoms = (((1.0, length),) if weights is None
                        else tuple(zip(weights, length)))
 
@@ -369,30 +370,36 @@ class _FoldIndicator:
         np.mod(x, self._period, out=x)
         return x <= length
 
-    def covers(self, x: float) -> bool:
-        """The fold test of one position x, as the other two tests take it;
-        for a record without weights."""
-        return (x - self._lo) % self._period <= self._length
+    def covers(self, x: float, atom: int = 0) -> bool:
+        """The fold test of one position x against the atom's window, as
+        the other two tests take it."""
+        return (x - self._los[atom]) % self._period <= self._lengths[atom]
+
+    def _flag(self, *draws: float) -> bool:
+        """One trial's flag from its draws, through evaluate_batch's
+        operations in its order: the last draw times the scale, less draw
+        0 on a shifted record, then covers against the atom draw 0 picks,
+        as np.searchsorted(side="right") picks it."""
+        x = draws[-1] * self._scale
+        if self._shift:
+            x -= draws[0]
+        return self.covers(x, bisect_right(self._cum or (), draws[0]))
 
     @functools.cached_property
     def _plan(self):
         """count_lanes's integer decision, made when a request first asks
         for count_lanes, or None where no margin fits or the margin bands
-        catch a lane in more than about one block in 128: (ticks, low,
-        flags, T1, T0, atoms).  ticks, low and flags hold 2**53 - 1,
-        2**M - 1 and 2**M in every lane, and T1 and T0 are the module
-        docstring's coefficients, T0 0 without shift.  Per atom, (pick, O,
-        clear, near, missed) holds in every lane 2**M - ceil(c*2**53) for
-        the atom's cumulative weight c (pick None for the last atom), the
-        atom's offset O plus the margin m, and 2**M less each of its three
-        thresholds; O is None for a window that spans the period.  Each
-        number is exact: a float is a whole number of 2**-1074."""
-        if self._cum is None:
-            los, lengths = (self._lo,), (self._length,)
-        else:
-            los, lengths = self._lo, self._length
+        catch a lane in more than about one block in 128: (low, flags, T1,
+        T0, atoms).  low and flags hold 2**M - 1 and 2**M in every lane,
+        and T1 and T0 are the module docstring's coefficients, T0 0
+        without shift.  Per atom, (pick, O, clear, near, missed) holds in
+        every lane 2**M - ceil(c*2**53) for the atom's cumulative weight c
+        (pick None for the last atom), the atom's offset O plus the margin
+        m, and 2**M less each of its three thresholds; O is None for a
+        window that spans the period.  Each number is exact: a float is a
+        whole number of 2**-1074."""
         period, scale = self._period, self._scale
-        if not (all(map(math.isfinite, (scale, *los, *lengths)))
+        if not (all(map(math.isfinite, (scale, *self._los, *self._lengths)))
                 and 0.0 < period < math.inf):
             return None
         per, one, top = _units(period), _units(1.0), 1 << _FOLD_BITS
@@ -402,9 +409,12 @@ class _FoldIndicator:
         # I = 2**53*(|d1| + |d0|) + 1/2, rounded up
         rounding = -(-(((d1 + d0) << 54) + per) // (2 * per))
         ones = _lane_constants()[0]
-        picks = [(top - c) * ones for c in self._cum_ticks or ()] + [None]
+        # a tick k picks past the weight c iff k*2**-53 >= c, so iff
+        # k >= ceil(c*2**53)
+        picks = [(top - math.ceil(c * 2.0 ** 53)) * ones
+                 for c in self._cum or ()] + [None]
         atoms, widest = [], 0
-        for pick, lo, length in zip(picks, los, lengths):
+        for pick, lo, length in zip(picks, self._los, self._lengths):
             if length >= period:
                 atoms.append((pick, None, 0, 0, 0))
                 continue
@@ -425,8 +435,8 @@ class _FoldIndicator:
         # fall back, and numpy counts the record
         if 128 * 4 * widest * _LANES > top:
             return None
-        return (((1 << 53) - 1) * ones, (top - 1) * ones, ones << _FOLD_BITS,
-                t1 % top, t0 % top, tuple(atoms))
+        return ((top - 1) * ones, ones << _FOLD_BITS, t1 % top, t0 % top,
+                tuple(atoms))
 
     @property
     def count_lanes(self):
@@ -436,16 +446,15 @@ class _FoldIndicator:
         return None if self._plan is None else self._count_block
 
     def _count_block(self, words: Sequence[int], m: int) -> int:
-        """Detections among the first m trials of a lane block of mixed
-        words, one per draw, as evaluate_batch flags the draws: on whole
-        integers where every lane clears the margin (module docstring),
-        else through the float chain.  The thresholds are tested inline,
-        not in a call per atom, so a block costs a few Python calls,
-        whatever its trials."""
-        ticks, low, flags, t1, t0, atoms = self._plan
+        """Detections among the first m trials of a lane block of tick
+        lanes, one word per draw, as evaluate_batch flags the draws: on
+        whole integers where every lane clears the margin (module
+        docstring), else by `_flag` on each trial's draws.  The thresholds
+        are tested inline, not in a call per atom, so a block decided on
+        integers costs a few Python calls, whatever its trials."""
+        low, flags, t1, t0, atoms = self._plan
         valid = flags if m == _LANES else flags & ((1 << 128 * m) - 1)
-        x = ((words[-1] >> 11) & ticks) * t1
-        first = (words[0] >> 11) & ticks if len(words) > 1 else 0
+        x, first = words[-1] * t1, words[0]
         if self._shift:
             x += first * t0
         hits = sure = 0
@@ -465,24 +474,7 @@ class _FoldIndicator:
             sure |= detected ^ ((h + missed) & lanes)
         if sure == valid:
             return hits.bit_count()
-        return self._count_ticks([_ticks(word, m) for word in words])
-
-    def _count_ticks(self, columns: Sequence[Sequence[int]]) -> int:
-        """The float chain: detections among a block's trials, each column
-        one draw's integer ticks over the block, as evaluate_batch flags
-        the draws tick*2**-53, through C-level maps."""
-        # float * int, not int * float: int's own multiply is tried first
-        x = map(mul, map(mul, repeat(_INV_2_53), columns[-1]),
-                repeat(self._scale))
-        if self._shift:
-            x = map(sub, x, map(mul, repeat(_INV_2_53), columns[0]))
-        lo, length = repeat(self._lo), repeat(self._length)
-        if self._cum is not None:
-            atoms = list(map(bisect_right, repeat(self._cum_ticks), columns[0]))
-            lo = map(self._lo.__getitem__, atoms)
-            length = map(self._length.__getitem__, atoms)
-        return sum(map(le, map(mod, map(sub, x, lo), repeat(self._period)),
-                       length))
+        return sum(map(self._flag, *(_draws(word, m) for word in words)))
 
 
 def _units(x: float) -> int:

@@ -31,13 +31,14 @@ runner counts it in plain Python over the same splitmix64 draws
 (`_count_scalar`).  That path packs 1024 trials into one Python int, a
 128-bit lane each, so each step of splitmix64 is one big-int operation for
 all of them (`_mix`, of which `mix64` is the one-lane case).  Every draw
-is one lane step: add a constant to every lane, then mix; the constants
-are multiplied out over the lanes once per request.  Blocks are mixed
-whole, all 1024 lanes, the last one too, and count_lanes is handed the
-block's mixed words as they are, one int per draw, with the number of
-lanes that hold trials: the 64-bit word w in a lane is the draw
-(w >> 11) * 2**-53.  count_lanes decides the block on those ints, without
-a Python call per trial.
+is one lane step (`_mixed`): add a constant to every lane, mix, and keep
+each lane's tick, w >> 11 of its mixed 64-bit word w; the constants are
+multiplied out over the lanes once per request.  Blocks are mixed whole,
+all 1024 lanes, the last one too, and count_lanes is handed the block's
+tick lanes, one int per draw, with the number of lanes that hold trials:
+the tick k in a lane is the draw k * 2**-53 that `TrialSource.uniform`
+makes.  This module alone turns a mixed word into a tick.  count_lanes
+decides the block on those ints, without a Python call per trial.
 The allowance is spent, not reset, so a long run of small requests turns
 to numpy once it is gone.  An indicator whose count_lanes is None, such as
 a fold record with no integer plan, is counted on numpy.  The count is the
@@ -47,9 +48,7 @@ same on either path.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
-import operator
 import sys
 import threading
 from typing import Iterator, Optional
@@ -106,21 +105,19 @@ CHUNK_TRIALS = 32768
 # request of 250 000 trials and a segment request of 250 000 trials
 # (500 000 draws) skip numpy, as every request of the benchmark's
 # circular_mc and segment_mc now does.  A fold record offers count_lanes
-# only where its integer plan holds (`circular._FoldIndicator._plan`), so
-# that at most about one block in 128 falls back on the float chain; every
-# other record is counted on numpy.
+# only where its integer plan holds (`circular._FoldIndicator._plan`), and
+# every other record is counted on numpy.
 #
 # A larger allowance would also raise the cost of a many-row sweep of small
 # requests: the allowance is spent, not reset per request, so such a sweep
 # pays the scalar cost only until the allowance runs out, at most about one
 # import.  `cli`'s sweep avoids even that: it hands _check_run its grid's
-# row count, and
-# _check_run, not the caller, decides to import numpy before the first row
-# where rows x trials exceed what is left.  rows x trials is a lower bound
-# on the draws (a segment trial takes two), so a segment grid whose rows x
-# trials fit but whose draws do not still runs its first rows here and the
-# rest on numpy.  The allowance picks the path only, so callers in several
-# threads may race on it.
+# row count, and _check_run, not the caller, decides to import numpy
+# before the first row where rows x trials exceed what is left.  rows x
+# trials is a lower bound on the draws (a segment trial takes two), so a
+# segment grid whose rows x trials fit but whose draws do not still runs
+# its first rows here and the rest on numpy.  The allowance picks the path
+# only, so callers in several threads may race on it.
 _SCALAR_DRAWS = 18 * CHUNK_TRIALS
 _scalar_left = _SCALAR_DRAWS
 
@@ -165,28 +162,29 @@ def mix64(x: int) -> int:
 
 
 @functools.cache
-def _lane_constants() -> tuple[int, int, int]:
-    """(ones, ramp, mask) over _LANES lanes: 1, i*GAMMA mod 2**64 and
-    2**64 - 1 in lane i."""
+def _lane_constants() -> tuple[int, int, int, int]:
+    """(ones, ramp, mask, ticks) over _LANES lanes: 1, i*GAMMA mod 2**64,
+    2**64 - 1 and 2**53 - 1 in lane i."""
     lanes = [((i * _GAMMA) & _MASK64).to_bytes(_LANE_BYTES, "little")
              for i in range(_LANES)]
     ones = int.from_bytes(b"\1".ljust(_LANE_BYTES, b"\0") * _LANES, "little")
-    return ones, int.from_bytes(b"".join(lanes), "little"), _MASK64 * ones
+    return (ones, int.from_bytes(b"".join(lanes), "little"), _MASK64 * ones,
+            ((1 << 53) - 1) * ones)
 
 
-def _mixed(base: int, add: int) -> int:
-    """The lane step: each lane of base plus add, mod 2**64, mixed."""
-    ones, _, mask = _lane_constants()
-    return _mix((base + (add & _MASK64) * ones) & mask, mask)
+def _mixed(base: int, lane_add: int) -> int:
+    """The lane step: each lane of base plus that lane of lane_add, mod
+    2**64, mixed, as its tick w >> 11 of the mixed word w.  The ticks mask
+    clears what the shift moves in from the next lane."""
+    _, _, mask, ticks = _lane_constants()
+    return (_mix((base + lane_add) & mask, mask) >> 11) & ticks
 
 
-def _ticks(x: int, m: int) -> list[int]:
-    """The ticks of the first m lanes of a mixed x, in lane order: w >> 11
-    of each 64-bit word w, whose draw `TrialSource.uniform` makes as
-    tick * 2**-53.  The high half of each lane is zero, so the shift moves
-    nothing into a low word from its neighbour."""
-    words = memoryview((x >> 11).to_bytes(_LANES * _LANE_BYTES, sys.byteorder))
-    return words.cast("Q")[_LOW_WORDS][:m].tolist()
+def _draws(x: int, m: int) -> list[float]:
+    """The draws of the first m tick lanes of x, in lane order: tick k as
+    the draw k * 2**-53 that `TrialSource.uniform` makes."""
+    words = memoryview(x.to_bytes(_LANES * _LANE_BYTES, sys.byteorder))
+    return [k * _INV_2_53 for k in words.cast("Q")[_LOW_WORDS][:m].tolist()]
 
 
 def _mix64_inplace(x: np.ndarray, scratch: np.ndarray) -> None:
@@ -233,6 +231,9 @@ class DrawWorkspace:
     def __init__(self, capacity: int, draws: int):
         import numpy as np
 
+        capacity, draws = _integers(capacity=capacity, draws=draws)
+        if capacity < 0 or draws < 1:
+            raise ValueError("need capacity >= 0 and draws >= 1")
         self.capacity = capacity
         self.draws = draws
         self._ramp = _ramp(capacity)
@@ -303,6 +304,7 @@ class SeedSchedule(_Record):
         """
         import numpy as np
 
+        start, stop, draws = _integers(start=start, stop=stop, draws=draws)
         if not 0 <= start <= stop:
             raise ValueError("need 0 <= start <= stop")
         m = stop - start
@@ -346,8 +348,9 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     """95% Wilson score interval for a binomial proportion.
 
     Never collapses to a point at 0 or n successes, unlike the normal
-    approximation interval.
+    approximation interval.  Both counts must be integers.
     """
+    _integers(successes=successes, trials=trials)
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if not 0 <= successes <= trials:
@@ -372,15 +375,22 @@ def estimate_from_counts(successes: int, trials: int) -> EstimateWithCI:
                           ci_high=max(ci_high, mean))
 
 
+def _integers(**values) -> list[int]:
+    """The named values as ints, numpy integers included, or ValueError
+    "<name> must be an integer" at the first that is not, a bool too."""
+    for name, value in values.items():
+        if _integer(value) is None:
+            raise ValueError(f"{name} must be an integer")
+    return [_integer(value) for value in values.values()]
+
+
 def _check_run(trials: int, workers: int, runs: int = 0) -> None:
     """The argument checks of run_bernoulli_trials, which a caller may make
     before it starts any output.  A caller about to make `runs` such
     requests, a sweep's rows, also loads numpy here where runs x trials
     exceed what is left of the allowance (_SCALAR_DRAWS); runs 0, the
     runner's own call, never does."""
-    for name, value in (("trials", trials), ("workers", workers)):
-        if _integer(value) is None:
-            raise ValueError(f"{name} must be an integer")
+    _integers(trials=trials, workers=workers)
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if workers < 1:
@@ -394,13 +404,13 @@ def _check_run(trials: int, workers: int, runs: int = 0) -> None:
 def _count_scalar(indicator, trials: int, schedule: SeedSchedule) -> int:
     """Successes of indicator.count_lanes over trials [0, trials) in plain
     Python: the draws of `TrialSource`, handed to it one block of _LANES
-    trials at a time, as n_draws mixed lane words and the number m of
-    lanes that hold trials.  Each block is mixed whole, the last one too,
-    by two lane steps: the counters of trial lo + i become its key, and
-    the key plus j*GAMMA its draw j.  The steps' constants, j*GAMMA and the
-    counters' advance _LANES*GAMMA per block, are multiplied out over the
-    lanes once."""
-    ones, counters, mask = _lane_constants()
+    trials at a time, as n_draws words of tick lanes and the number m of
+    lanes that hold trials.  Each block is mixed whole, the last one too:
+    the counters of trial lo + i, mixed, become its key, and the key plus
+    j*GAMMA, by a lane step, the tick of its draw j.  The constants, j*GAMMA
+    and the counters' advance _LANES*GAMMA per block, are multiplied out
+    over the lanes once."""
+    ones, counters, mask, _ = _lane_constants()
     counters = (counters + schedule._counter(0) * ones) & mask
     count = indicator.count_lanes
     adds = [(((j + 1) * _GAMMA) & _MASK64) * ones
@@ -409,7 +419,7 @@ def _count_scalar(indicator, trials: int, schedule: SeedSchedule) -> int:
     total = 0
     for lo in range(0, trials, _LANES):
         keys = _mix(counters, mask)
-        total += count([_mix((keys + add) & mask, mask) for add in adds],
+        total += count([_mixed(keys, add) for add in adds],
                        min(_LANES, trials - lo))
         counters = (counters + advance) & mask
     return total
@@ -420,11 +430,10 @@ def _trial_draws(key: int, count: int) -> Iterator[float]:
     They stay floats, not ticks: the caller's int(m * u) floors the rounded
     product, where an exact integer product of m and the tick would not
     round."""
-    ramp = _lane_constants()[1]
+    ones, ramp = _lane_constants()[:2]
     for lo in range(0, count, _LANES):
-        yield from map(operator.mul, itertools.repeat(_INV_2_53),
-                       _ticks(_mixed(ramp, key + (lo + 1) * _GAMMA),
-                              min(_LANES, count - lo)))
+        add = ((key + (lo + 1) * _GAMMA) & _MASK64) * ones
+        yield from _draws(_mixed(ramp, add), min(_LANES, count - lo))
 
 
 def run_bernoulli_trials(indicator, trials: int, schedule: SeedSchedule,
@@ -441,12 +450,11 @@ def run_bernoulli_trials(indicator, trials: int, schedule: SeedSchedule,
     a bool included, is a ValueError, raised before either path is
     chosen.  An indicator may also offer count_lanes(words, m), the number
     of trials evaluate_batch would flag, bit for bit, among the first m
-    trials of a block of _LANES, given as n_draws ints, word j holding
-    draw j of trial i in its 128-bit lane i: the lane's low 64 bits are a
-    mixed word w, its high 64 bits are zero, and the draw is
-    (w >> 11) * 2**-53.  The lanes from m on hold no trial.  A
-    count_lanes of None offers none, as on a fold record with no integer
-    plan.
+    trials of a block of _LANES, given as n_draws ints of tick lanes: lane
+    i of word j, 128 bits, holds the tick k < 2**53 of draw j of trial i,
+    whose draw is k * 2**-53, and all its other bits are zero.  The lanes
+    from m on hold no trial.  A count_lanes of None offers none, as on a
+    fold record with no integer plan.
 
     While numpy is not yet imported, a request of an indicator with
     count_lanes whose trials x n_draws fit the process's remaining

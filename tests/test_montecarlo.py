@@ -13,7 +13,7 @@ from statistics import NormalDist
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from patrolgeom import circular, linear, montecarlo, randomradius
@@ -78,6 +78,35 @@ def test_uniform_block_matches_scalar_sources_bit_for_bit():
 def test_uniform_block_validates_range():
     with pytest.raises(ValueError):
         SeedSchedule(0).uniform_block(5, 3, 1)
+
+
+@pytest.mark.parametrize("make,message", [
+    (lambda: SeedSchedule(0).uniform_block(0, 4, 0), "draws >= 1"),
+    (lambda: SeedSchedule(0).uniform_block(0, 4, -1), "draws >= 1"),
+    (lambda: SeedSchedule(0).uniform_block(0, 4, 1.5),
+     "^draws must be an integer$"),
+    (lambda: SeedSchedule(0).uniform_block(0.5, 4, 1),
+     "^start must be an integer$"),
+    (lambda: SeedSchedule(0).uniform_block(0, 4.0, 1),
+     "^stop must be an integer$"),
+    (lambda: SeedSchedule(0).uniform_block(0, 4, True),
+     "^draws must be an integer$"),
+    (lambda: DrawWorkspace(4, 0), "draws >= 1"),
+    (lambda: DrawWorkspace(-1, 1), "capacity >= 0"),
+    (lambda: DrawWorkspace(4.0, 1), "^capacity must be an integer$"),
+], ids=["no-draws", "negative-draws", "fractional-draws", "fractional-start",
+        "float-stop", "bool-draws", "workspace-no-draws",
+        "negative-capacity", "float-capacity"])
+def test_block_and_workspace_sizes_are_integers_in_range(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
+def test_numpy_integer_sizes_read_as_ints():
+    fresh = SeedSchedule(4).uniform_block(np.int64(2), np.uint8(9),
+                                          np.int32(2))
+    assert fresh.tolist() == SeedSchedule(4).uniform_block(2, 9, 2).tolist()
+    assert DrawWorkspace(np.int64(4), np.uint8(2)).capacity == 4
 
 
 def test_uniform_block_columns_are_contiguous():
@@ -159,11 +188,23 @@ def test_wilson_interval_input_validation():
     (0, 0, "trials must be >= 1"),
     (5, 3, r"successes must lie in \[0, trials\]"),
     (-1, 3, r"successes must lie in \[0, trials\]"),
-], ids=["no-trials", "too-many", "negative"])
+    (1.5, 3, "^successes must be an integer$"),
+    (1, 2.5, "^trials must be an integer$"),
+    (1, math.inf, "^trials must be an integer$"),
+    (True, 3, "^successes must be an integer$"),
+], ids=["no-trials", "too-many", "negative", "fractional-successes",
+        "fractional-trials", "infinite-trials", "bool-successes"])
 def test_estimate_from_counts_checks_its_counts_first(successes, trials,
                                                        message):
     with pytest.raises(ValueError, match=message):
         estimate_from_counts(successes, trials)
+    with pytest.raises(ValueError, match=message):
+        wilson_interval(successes, trials)
+
+
+def test_numpy_integer_counts_read_as_ints():
+    assert (estimate_from_counts(np.int64(3), np.uint16(10))
+            == estimate_from_counts(3, 10))
 
 
 def test_wilson_interval_narrows_with_more_trials():
@@ -609,22 +650,22 @@ def test_a_seed_that_is_not_an_integer_is_a_value_error(seed):
 
 def _lane_words(columns):
     """(words, m) for count_lanes: trial i of each column of ticks in lane i
-    of its draw's word, tick k as the mixed word k << 11, whose draw is
-    k*2**-53; at most _LANES trials."""
+    of its draw's word, tick k < 2**53 as itself, whose draw is k*2**-53;
+    at most _LANES trials."""
     m = len(columns[0])
     assert 1 <= m <= _LANES
-    return [sum(k << 128 * i + 11 for i, k in enumerate(ticks))
+    assert all(0 <= k < 2 ** 53 for ticks in columns for k in ticks)
+    return [sum(k << 128 * i for i, k in enumerate(ticks))
             for ticks in columns], m
 
 
 def _word_ticks(word, m):
-    """The ticks of the first m lanes of a lane word, w >> 11 of each
-    lane's 64-bit word w, after checking that the word is an int whose
-    lanes hold 64-bit words alone."""
+    """The ticks of the first m lanes of a lane word, after checking that
+    the word is an int whose lanes hold ticks below 2**53 alone."""
     assert type(word) is int and 0 <= word < 2 ** (128 * _LANES)
     lanes = [(word >> 128 * i) & (2 ** 128 - 1) for i in range(m)]
-    assert all(lane < 2 ** 64 for lane in lanes)
-    return [lane >> 11 for lane in lanes]
+    assert all(lane < 2 ** 53 for lane in lanes)
+    return lanes
 
 
 _POINT_MASS = RadiusDistribution.from_atoms([(1.0, 1.0)])
@@ -654,12 +695,14 @@ _SEEDS = st.one_of(st.integers(-2 ** 70, -1), st.integers(0, 2 ** 64 - 1),
                    st.integers(2 ** 64, 2 ** 70))
 
 
+# the models' space: r/R (half that on the segment), v/u and n
+_RATIOS = st.floats(-3.0, math.log10(0.7)).map(lambda x: 10.0 ** x)
+_SPEEDS = st.one_of(st.just(0.0), st.floats(-4.0, 4.0).map(lambda x: 10.0 ** x))
+_FLEETS = st.one_of(st.integers(1, 100), st.integers(1, 10 ** 6))
+
+
 @settings(derandomize=True, deadline=None, max_examples=150)
-@given(st.sampled_from(_FOLD_MODELS),
-       st.floats(-3.0, math.log10(0.7)).map(lambda x: 10.0 ** x),
-       st.one_of(st.just(0.0),
-                 st.floats(-4.0, 4.0).map(lambda x: 10.0 ** x)),
-       st.one_of(st.integers(1, 100), st.integers(1, 10 ** 6)),
+@given(st.sampled_from(_FOLD_MODELS), _RATIOS, _SPEEDS, _FLEETS,
        st.integers(1, 300), _SEEDS)
 def test_scalar_and_vector_paths_count_the_same_successes(model, e, w, n,
                                                           trials, seed):
@@ -745,12 +788,11 @@ def _lane_and_batch_flags(indicator, columns):
     return lanes, _batch_flags(indicator, columns)
 
 
-def _chain_and_batch_flags(indicator, columns):
-    """Each trial's flag from the float chain, `_count_ticks`, given the
-    trial's ticks alone, and from evaluate_batch."""
-    chain = [indicator._count_ticks([[k] for k in ticks]) == 1
-             for ticks in zip(*columns, strict=True)]
-    return chain, _batch_flags(indicator, columns)
+def _flags(indicator, columns):
+    """Each trial's flag from `_flag`, the one-position float test that
+    count_lanes falls back on, given the trial's draws tick*2**-53."""
+    return [indicator._flag(*(k * 2.0 ** -53 for k in ticks))
+            for ticks in zip(*columns, strict=True)]
 
 
 def _trial_ticks(schedule, trials, n_draws):
@@ -766,7 +808,7 @@ def _trial_ticks(schedule, trials, n_draws):
 def test_a_subnormal_tick_counts_as_the_float_draws(n):
     # the period 2/n lies below 2**-969, so period*2**-53 is subnormal and
     # inexact, and no margin fits: the record has no lane count, and its
-    # float chain scales each tick by 2**-53 and then by the period, as
+    # float test scales each tick by 2**-53 and then by the period, as
     # evaluate_batch does.  Draw 0 = 0 leaves x alone against the window's
     # far edge, whose ticks k are stepped through one by one.  r sets p = 0.3
     indicator = linear._indicator(LinearPatrolScenario(
@@ -777,12 +819,12 @@ def test_a_subnormal_tick_counts_as_the_float_draws(n):
     edge = (indicator._lo + indicator._length) % period
     k = round(edge / period * 2 ** 53)
     ticks = list(range(k - 300, k + 300))
-    chain, batch = _chain_and_batch_flags(indicator, [[0] * len(ticks), ticks])
-    assert chain == batch
+    batch = _batch_flags(indicator, [[0] * len(ticks), ticks])
+    assert _flags(indicator, [[0] * len(ticks), ticks]) == batch
     assert True in batch and False in batch
     for seed in (1, 2 ** 64 - 1):
-        assert (indicator._count_ticks(_trial_ticks(SeedSchedule(seed), 5000,
-                                                    2))
+        assert (sum(_flags(indicator, _trial_ticks(SeedSchedule(seed), 5000,
+                                                   2)))
                 == _vector_count(indicator, 5000, seed))
 
 
@@ -813,7 +855,7 @@ def test_draws_beside_and_on_a_cumulative_weight_pick_the_same_atom(weights):
                                  (5e-324, 10 ** 300)],
                          ids=["1e-308", "1e-310", "5e-324"])
 def test_a_circle_at_subnormal_r_over_R_counts_alike_on_both_paths(r, n):
-    # no margin fits, so the record has no lane count; its float chain
+    # no margin fits, so the record has no lane count; its float test
     # flags each trial as evaluate_batch does
     indicator = circular._indicator(CircularPatrolScenario(R=1.0, r=r, n=n,
                                                            v=2.0, u=1.0))
@@ -821,16 +863,16 @@ def test_a_circle_at_subnormal_r_over_R_counts_alike_on_both_paths(r, n):
     schedule = SeedSchedule(6)
     ticks = [int(schedule.trial_source(i).uniform() * 2 ** 53)
              for i in range(2000)]
-    chain, batch = _chain_and_batch_flags(indicator, [ticks])
-    assert chain == batch
-    assert (indicator._count_ticks(_trial_ticks(schedule, 20000, 1))
+    assert _flags(indicator, [ticks]) == _batch_flags(indicator, [ticks])
+    assert (sum(_flags(indicator, _trial_ticks(schedule, 20000, 1)))
             == _vector_count(indicator, 20000, 6))
 
 
-def _edge_ticks(indicator, atom):
+def _edge_ticks(indicator, atom, copies=None):
     """Ticks of the last draw that put a trial on an edge of the atom's
-    window, lo + j*period (the wrap) or lo + length + j*period, with
-    draw 0 = 1/2 on a shifted record."""
+    window, lo + j*period (the wrap) or lo + length + j*period, for j
+    below copies (every copy in the scale, by default), with draw
+    0 = 1/2 on a shifted record."""
     lo, length = indicator._lo, indicator._length
     if indicator._cum is not None:
         lo, length = lo[atom], length[atom]
@@ -838,25 +880,43 @@ def _edge_ticks(indicator, atom):
     u0 = 0.5 if indicator._shift else 0.0
     return sorted({round(((edge + j * period + u0) / scale) % 1.0 * 2 ** 53)
                    % 2 ** 53 for edge in (lo, lo + length)
-                   for j in range(round(scale / period))})
+                   for j in range(copies or round(scale / period))})
 
 
-def _atom_tick(indicator, atom):
-    """A tick of draw 0 that picks the atom, or 1/2 on a record without
-    weights."""
+def _atom_tick(indicator, atom, first=False):
+    """A tick of draw 0 that picks the atom, its middle one or, with first,
+    its lowest, which lies on the kept cumulative weight before it where
+    that is a whole tick; 1/2 on a record without weights."""
     if indicator._cum is None:
         return 2 ** 52
-    bounds = (0, *indicator._cum_ticks, 2 ** 53)
-    return (bounds[atom] + bounds[atom + 1]) // 2
+    bounds = (0, *(math.ceil(c * 2 ** 53) for c in indicator._cum), 2 ** 53)
+    return bounds[atom] if first else (bounds[atom] + bounds[atom + 1]) // 2
 
 
-def _counting_chain(indicator, monkeypatch):
-    """A list that gains an entry each time count_lanes falls back on the
-    indicator's float chain."""
-    calls, chain = [], indicator._count_ticks
-    monkeypatch.setattr(indicator, "_count_ticks",
-                        lambda columns: calls.append(1) or chain(columns))
-    return calls
+def _edge_columns(indicator, atom, copies=None, first=False):
+    """Columns of ticks of trials that pick the atom (`_atom_tick`) and step
+    across its window's edges (`_edge_ticks`) by 0 and 2**i ticks either
+    way, i < 45."""
+    steps = [0] + [sign * 2 ** i for i in range(45) for sign in (-1, 1)]
+    ticks = [(k + step) % 2 ** 53
+             for k in _edge_ticks(indicator, atom, copies) for step in steps]
+    return [ticks] if indicator.n_draws == 1 else [
+        [_atom_tick(indicator, atom, first)] * len(ticks), ticks]
+
+
+def _counting_fallback(indicator, monkeypatch):
+    """A list that gains an entry for each block on which count_lanes falls
+    back on `_flag`: the fallback reads the block's n_draws words as draws
+    (`circular._draws`), and the read of its last word adds the entry."""
+    blocks, reads, draws = [], itertools.count(1), circular._draws
+
+    def read(word, m):
+        if next(reads) % indicator.n_draws == 0:
+            blocks.append(1)
+        return draws(word, m)
+
+    monkeypatch.setattr(circular, "_draws", read)
+    return blocks
 
 
 @pytest.mark.parametrize("model", _FOLD_MODELS + ("shifted_span_3",))
@@ -864,51 +924,74 @@ def test_the_integer_decision_flags_as_the_float_chain_across_each_edge(
         model, monkeypatch):
     # each atom's ticks step across both edges of its window, the wrap at
     # lo included, by 0 and 2**i ticks either way, i < 45: the near ones lie
-    # in the margin's band and take the float chain, the far ones are
-    # decided on integers, and every trial is flagged as evaluate_batch
+    # in the margin's band and fall back on the float test, the far ones
+    # are decided on integers, and every trial is flagged as evaluate_batch
     # flags it, one trial at a time and a block at a time.  The models'
     # coefficients lie within a few ulps of integers; on a shifted record
     # of span 3, draw 0's is n/3 * 2**20, so its integer rounding, not the
-    # float chain's, sets the margin
+    # float test's, sets the margin
     indicator = (circular._FoldIndicator(10, 3.0, -0.13, 0.11, shift=True)
                  if model == "shifted_span_3" else _fold_indicator(model))
     assert indicator._plan is not None
-    chain = indicator._count_ticks
-    calls = _counting_chain(indicator, monkeypatch)
-    steps = [0] + [sign * 2 ** i for i in range(45) for sign in (-1, 1)]
+    calls = _counting_fallback(indicator, monkeypatch)
     flags = []
     for atom in range(len(indicator._atoms)):
-        ticks = [(k + step) % 2 ** 53 for k in _edge_ticks(indicator, atom)
-                 for step in steps]
-        columns = [ticks] if indicator.n_draws == 1 else [
-            [_atom_tick(indicator, atom)] * len(ticks), ticks]
+        columns = _edge_columns(indicator, atom)
         lanes, batch = _lane_and_batch_flags(indicator, columns)
         assert lanes == batch
         flags += lanes
         fallbacks = len(calls)
-        for lo in range(0, len(ticks), _LANES):
+        for lo in range(0, len(lanes), _LANES):
             block = [column[lo:lo + _LANES] for column in columns]
-            assert indicator.count_lanes(*_lane_words(block)) == chain(block)
+            assert (indicator.count_lanes(*_lane_words(block))
+                    == sum(_batch_flags(indicator, block)))
         # some lanes of each atom lie in a band and some clear it
         assert 0 < fallbacks < len(lanes)
         del calls[:]
     assert True in flags and False in flags
 
 
+def test_a_band_block_counts_as_evaluate_batch_across_the_model_space():
+    # one block per example, its trials stepping across the edges of each
+    # atom's first window, so that lanes lie in a band: the block falls
+    # back on `_flag`, and its count is still evaluate_batch's.  Draw 0 is
+    # each atom's lowest tick, on the weight before it where that is a
+    # whole tick, as _ATOMS's are
+    fell = []
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(st.sampled_from(_FOLD_MODELS), _RATIOS, _SPEEDS, _FLEETS)
+    def check(model, e, w, n):
+        indicator = _fold_indicator(model, e, w, n)
+        assume(indicator.count_lanes is not None)
+        columns = [sum(parts, []) for parts in zip(*(
+            _edge_columns(indicator, atom, copies=1, first=True)
+            for atom in range(len(indicator._atoms))))]
+        with pytest.MonkeyPatch.context() as patch:
+            calls = _counting_fallback(indicator, patch)
+            assert (indicator.count_lanes(*_lane_words(columns))
+                    == sum(_batch_flags(indicator, columns)))
+        fell.append(calls == [1])
+
+    check()
+    assert True in fell
+
+
 def test_a_block_with_a_lane_in_a_band_takes_the_float_chain(monkeypatch):
     indicator = _fold_indicator("random_radius")
-    chain = indicator._count_ticks
-    calls = _counting_chain(indicator, monkeypatch)
+    calls = _counting_fallback(indicator, monkeypatch)
     schedule = SeedSchedule(5)
     columns = [[int(src.uniform() * 2 ** 53) for _ in range(2)]
                for src in map(schedule.trial_source, range(_LANES))]
     columns = [list(column) for column in zip(*columns)]
-    assert indicator.count_lanes(*_lane_words(columns)) == chain(columns)
+    assert (indicator.count_lanes(*_lane_words(columns))
+            == sum(_batch_flags(indicator, columns)))
     assert calls == []
     # lane 700 moves onto an edge of atom 1's window
     columns[0][700] = _atom_tick(indicator, 1)
     columns[1][700] = _edge_ticks(indicator, 1)[1]
-    assert indicator.count_lanes(*_lane_words(columns)) == chain(columns)
+    assert (indicator.count_lanes(*_lane_words(columns))
+            == sum(_batch_flags(indicator, columns)))
     assert calls == [1]
 
 
@@ -924,7 +1007,7 @@ def test_the_integer_plan_is_made_by_the_first_block_alone():
                        (0.0, math.nextafter(TWO_PI, 0.0)), (1e300, 1.0)):
         unfit = circular._FoldIndicator(1, TWO_PI, lo, length)
         assert unfit._plan is None and unfit.count_lanes is None, (lo, length)
-        assert (unfit._count_ticks(_trial_ticks(SeedSchedule(2), 3000, 1))
+        assert (sum(_flags(unfit, _trial_ticks(SeedSchedule(2), 3000, 1)))
                 == _vector_count(unfit, 3000, 2))
 
 
