@@ -42,59 +42,31 @@ p*min(1, n*L/span) over the atoms, which `exact_probability` returns; an
 atom whose window spans the whole period span/n counts exactly p there.
 Its fold test takes a position modulo span/n onto the window of the
 position's atom, for each Monte Carlo trial and, in `detects`, for one
-launch angle against a fleet of one.  Here span is 2*pi, with one atom and
-no shift; the segment and the randomized radius state their own numbers.
-The dense-grid oracles of the test suite are the independent check.
+launch angle against a fleet of one.  Here span is 2*pi, with one atom;
+the segment and the randomized radius state their own numbers.  The
+dense-grid oracles of the test suite are the independent check.
 
-The Monte Carlo lane path (`_FoldIndicator.count_lanes`) decides a block of
-1024 trials on whole integers where it can prove the float flags, and
-takes the one-position float test (`_FoldIndicator._flag`, which ends in
-covers) on each trial where it cannot.  A trial's last draw is
-k*2**-53 and, on a shifted record, its draw 0 is k0*2**-53, with k and k0
-below 2**53; its exact position in the period P = span/n, on M = 73 bits,
-is phi = 2**M * frac((k*scale*2**-53 - k0*2**-53 - lo)/P).  Let T1, T0 and
-O be the integers nearest k's coefficient 2**M*scale*2**-53/P, k0's
--2**M*2**-53/P and -2**M*lo/P, each reduced mod 2**M, and d1, d0 the
-first two roundings.  Then h = (k*T1 + k0*T0 + O) mod 2**M lies within
+The fold test reads a position only modulo the period P = span/n, and a
+uniform position on the span is uniform modulo P, so a Monte Carlo trial
+draws its position within one period: x = fl(P*u) for its last draw
+u = k*2**-53, k a tick below 2**53.  Its flag is covers(x): with
+y = fl(x - lo), (y mod P) <= L.  x, and so y, never decreases as k grows.
+x lies below P, or at P only where P is subnormal, and there x - lo is
+exact.  So where L < P and lo lies in [-L, 0], as every model's does, y
+lies in [0, 2P), and Python's % and np.mod, which take fmod and then fix
+the sign, read y mod P exactly: y below P and y - P (exact) from P on.
+The flag then holds on at most two tick intervals, y <= L and
+P <= y <= P + L.  For any lo in (-P, P) y lies in (-P, 2P), and below 0
+the flag reads fl(y + P) <= L.  On each of these regions of y, below 0,
+below P and from P on, the flag holds on a first run of ticks and then
+fails.  `_FoldIndicator._plan` finds where each region starts, by
+bisection on y, and where its run of flags ends, by bisection on covers
+itself, so the intervals are covers' own flags.  count_lanes then tests a
+lane block of ticks against the interval ends on whole integers: k lies
+at or past an end a iff bit 53 of k + 2**53 - a is set, and over an
+atom's disjoint intervals a tick is flagged iff an odd number of their
+ends lie at or below it.
 
-    I = 2**53*(|d1| + |d0|) + 1/2
-
-of phi, around the circle of 2**M.  Each product is below 2**126, so the
-sum fits a 128-bit lane and one big-int operation forms h for every lane.
-
-`_flag`, by evaluate_batch's operations, rounds at most four times, each
-by at most 2**-53 of the exact result, a product by 2**-1075 more where it
-underflows (a sum that underflows is exact): x = fl(u*scale) for the draw
-u = k*2**-53, at most scale; fl(x - k0*2**-53), at most max(scale, 1);
-fl(. - lo), at most max(scale, 1) + |lo|; and, where fmod, which is exact,
-leaves a negative remainder r, fl(r + P), at most P.  Those four bounds
-sum to less than
-
-    E = 2**-52*(2*scale + 1 + |lo| + P) + 2**-1072.
-
-So where the exact position lies more than E from 0, from P and from the
-window's length L, fmod takes the same multiple of P as on the exact
-position, and the float flag is the exact one.  With F = E*2**M/P
-rounded up and m = F + I rounded up, a lane whose h is more than m from 0
-(mod 2**M) and from lam = L*2**M/P has the flag h <= lam.  count_lanes
-adds m to O, so the band around 0 becomes [0, 2m], and tests three
-thresholds per atom, each as bit M of h + 2**M - t: h >= 2m + 1 (clear of
-0), h >= ceil(lam) (not surely detected) and h >= floor(lam) + 2m + 1
-(surely missed).  A lane between the first two is detected, one past the
-third is not, and one below the first or between the last two lies in a
-band.  A block with a lane in a band is counted by `_flag`, trial by
-trial, and an atom whose window spans the period (L >= P) detects every
-lane it picks.  The bands hold about 4m/2**M of the positions, so about
-4m*1024/2**M lanes of a block.  A record where no margin fits (a number
-that is not finite, or a window within 2m of 0 or of 2**M), or where that
-passes 1/128, so that more than about one block in 128 would fall back,
-has no integer plan and no count_lanes: numpy counts it.  F grows with
-1/P, so the bands widen only at huge n (past about 3e9 for the circle).
-For the models' records, whose scale/P and 1/P lie within a few ulps of n
-or n/2, the coefficients lie that near integers too, I is under a tick's
-worth of h, and m is a few ticks' worth: at the reference circle the
-bands hold about 2e-14 of the positions, and no block of 2000 fell back
-on `_flag`.
 The closed forms read e and sin(alpha) alone, and raise OverflowError where
 their value leaves the float range.
 """
@@ -104,12 +76,11 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from bisect import bisect_right
 from itertools import accumulate
 from typing import Iterable, Sequence
 
 from .frames import TWO_PI, _finite_angle, _vehicle_angle, wrap_positive
-from .montecarlo import (_LANES, EstimateWithCI, SeedSchedule, _draws,
+from .montecarlo import (_LANES, EstimateWithCI, SeedSchedule,
                          _lane_constants, run_bernoulli_trials)
 from .scenario import CircularPatrolScenario, _Record, _validate_as
 
@@ -131,9 +102,8 @@ __all__ = [
 # of L across the bracket.
 _HALVINGS = 64
 
-# M of the module docstring: count_lanes holds a position in the period on
-# this many bits of a 128-bit lane
-_FOLD_BITS = 73
+# A draw is k*2**-53 for a tick k below this
+_TICKS = 1 << 53
 
 
 # ---- arc sets on the circle ----
@@ -300,38 +270,33 @@ def exact_probability(s: CircularPatrolScenario) -> float:
 class _FoldIndicator:
     """One patrol model's record, read alike by its exact answer and its
     Monte Carlo test: n vehicles span/n apart and the atoms' windows.  A
-    trial's position x is span*(last draw), or, where shift is set,
-    (span/n)*(last draw) less draw 0, and the trial is detected iff
-    (x - lo) mod (span/n) <= length.  Given the atom weights, lo and length
-    are per-atom sequences and draw 0 picks each trial's atom, even where
-    there is one: the atom's index is the number of cumulative weights, the
-    last left out, at or below the draw, so a draw at or past the last kept
-    weight picks the last atom.  Without weights lo and length are numbers,
-    one atom of weight 1.  exact() is the measure of the detected
-    positions, in which an atom whose window is at least span/n long counts
-    its whole weight.  The fold test has three spellings, one per path,
-    and they flag the same trials: evaluate_batch tests a (m, n_draws)
-    block of trials on numpy, count_lanes (`_count_block`) decides a lane
-    block of ticks on whole integers, and covers tests one position
-    against one atom's window.  `_flag` takes a trial's draws through
-    evaluate_batch's floating-point operations, in the same order, and
-    ends in covers: Python's float % and np.mod both take fmod and then
-    fix the sign.  count_lanes decides a block on integers where the
-    module docstring's margin proves the float flags, and otherwise
-    counts `_flag` over the block's trials, their draws k*2**-53.  It
-    picks the atom of tick k by comparing k with ceil(c*2**53) for each
-    kept cumulative weight c: for an integer k, k >= ceil(c*2**53) iff
-    k*2**-53 >= c.  A record with no integer plan has count_lanes None."""
+    trial's position x is (span/n)*(last draw), and the trial is detected
+    iff (x - lo) mod (span/n) <= length.  Given the atom weights, lo and
+    length are per-atom sequences and draw 0 picks each trial's atom, even
+    where there is one: the atom's index is the number of cumulative
+    weights, the last left out, at or below the draw, so a draw at or past
+    the last kept weight picks the last atom.  Without weights lo and
+    length are numbers, one atom of weight 1, and a trial takes one draw.
+    exact() is the measure of the detected positions, in which an atom
+    whose window is at least span/n long counts its whole weight.  The
+    fold test has three spellings, one per path, and they flag the same
+    trials: evaluate_batch tests a (m, n_draws) block of trials on numpy,
+    count_lanes (`_count_block`) tests a lane block of ticks against the
+    tick intervals on which covers holds (module docstring), and covers
+    tests one position against one atom's window.  count_lanes picks the
+    atom of tick k by comparing k with ceil(c*2**53) for each kept
+    cumulative weight c: for an integer k, k >= ceil(c*2**53) iff
+    k*2**-53 >= c.  count_lanes needs a period P in (0, inf), every lo
+    finite and, for a window shorter than the period, lo in (-P, P); a
+    record without them has count_lanes None, and numpy counts it."""
 
-    def __init__(self, n, span, lo, length, weights=None, shift=False):
-        # draw 0 is either the shift or the atom's pick, never both
-        self.n_draws = 2 if shift or weights is not None else 1
-        self._n, self._span, self._shift = n, span, shift
+    def __init__(self, n, span, lo, length, weights=None):
+        self.n_draws = 1 if weights is None else 2
+        self._n, self._span = n, span
         self._period, self._lo, self._length = span / n, lo, length
-        self._scale = self._period if shift else span
         self._cum = (None if weights is None
                      else tuple(accumulate(weights))[:-1])
-        # the atoms' windows, of covers and the integer plan
+        # the atoms' windows, of covers and the tick intervals
         self._los, self._lengths = (((lo,), (length,)) if weights is None
                                     else (lo, length))
         self._atoms = (((1.0, length),) if weights is None
@@ -353,9 +318,7 @@ class _FoldIndicator:
         """Detection flags; computes in place, overwriting u."""
         import numpy as np
 
-        x = np.multiply(u[:, -1], self._scale, out=u[:, -1])
-        if self._shift:
-            np.subtract(x, u[:, 0], out=x)
+        x = np.multiply(u[:, -1], self._period, out=u[:, -1])
         length = self._length
         if self._cum is not None:
             # column 0 holds lo, then, once subtracted, length; idx never
@@ -375,123 +338,106 @@ class _FoldIndicator:
         the other two tests take it."""
         return (x - self._los[atom]) % self._period <= self._lengths[atom]
 
-    def _flag(self, *draws: float) -> bool:
-        """One trial's flag from its draws, through evaluate_batch's
-        operations in its order: the last draw times the scale, less draw
-        0 on a shifted record, then covers against the atom draw 0 picks,
-        as np.searchsorted(side="right") picks it."""
-        x = draws[-1] * self._scale
-        if self._shift:
-            x -= draws[0]
-        return self.covers(x, bisect_right(self._cum or (), draws[0]))
+    def _ticks(self, atom: int) -> list[int]:
+        """The ends of the tick intervals [a, b) on which covers holds for
+        the atom's window, at the position fl(P*k*2**-53) of tick k, in
+        order: the module docstring's regions of y = fl(x - lo) start
+        where y reaches 0 and P, and covers holds on a first run of each
+        region's ticks."""
+        period, lo = self._period, self._los[atom]
+
+        def position(k: int) -> float:
+            return k * 2.0 ** -53 * period
+
+        def first(a: int, b: int, test) -> int:
+            """The least tick in [a, b) that passes test, which the ticks
+            fail and then pass in order, or b where none does."""
+            while a < b:
+                mid = (a + b) // 2
+                if test(mid):
+                    b = mid
+                else:
+                    a = mid + 1
+            return a
+
+        starts = [first(0, _TICKS, lambda k: position(k) - lo >= bound)
+                  for bound in (0.0, period)]
+        ends = []
+        for a, b in zip([0, *starts], [*starts, _TICKS]):
+            c = first(a, b, lambda k: not self.covers(position(k), atom))
+            if a < c:
+                ends += [a, c]
+        return ends
 
     @functools.cached_property
     def _plan(self):
-        """count_lanes's integer decision, made when a request first asks
-        for count_lanes, or None where no margin fits or the margin bands
-        catch a lane in more than about one block in 128: (low, flags, T1,
-        T0, atoms).  low and flags hold 2**M - 1 and 2**M in every lane,
-        and T1 and T0 are the module docstring's coefficients, T0 0
-        without shift.  Per atom, (pick, O, clear, near, missed) holds in
-        every lane 2**M - ceil(c*2**53) for the atom's cumulative weight c
-        (pick None for the last atom), the atom's offset O plus the margin
-        m, and 2**M less each of its three thresholds; O is None for a
-        window that spans the period.  Each number is exact: a float is a
-        whole number of 2**-1074."""
-        period, scale = self._period, self._scale
-        if not (all(map(math.isfinite, (scale, *self._los, *self._lengths)))
-                and 0.0 < period < math.inf):
+        """count_lanes's tick intervals, made when a request first asks
+        for count_lanes, or None where the record lacks the class
+        docstring's conditions: (valid, atoms).  valid holds 2**53 in
+        every lane, and each atom is (pick, whole, adds): pick holds
+        2**53 - ceil(c*2**53) in every lane for the atom's cumulative
+        weight c (None for the last atom), whole is true where an interval
+        starts at tick 0 (every tick lies at or past that end), and adds
+        holds 2**53 - a in every lane for each other end a of the atom's
+        intervals (`_ticks`) below 2**53.  A window that spans the period
+        has the one interval of every tick."""
+        period = self._period
+        if not (0.0 < period < math.inf
+                and all(map(math.isfinite, self._los))):
             return None
-        per, one, top = _units(period), _units(1.0), 1 << _FOLD_BITS
-        t1, d1 = _nearest(_units(scale) << _FOLD_BITS - 53, per)
-        t0, d0 = (_nearest(-one << _FOLD_BITS - 53, per) if self._shift
-                  else (0, 0))
-        # I = 2**53*(|d1| + |d0|) + 1/2, rounded up
-        rounding = -(-(((d1 + d0) << 54) + per) // (2 * per))
         ones = _lane_constants()[0]
         # a tick k picks past the weight c iff k*2**-53 >= c, so iff
         # k >= ceil(c*2**53)
-        picks = [(top - math.ceil(c * 2.0 ** 53)) * ones
+        picks = [(_TICKS - min(math.ceil(c * 2.0 ** 53), _TICKS)) * ones
                  for c in self._cum or ()] + [None]
-        atoms, widest = [], 0
-        for pick, lo, length in zip(picks, self._los, self._lengths):
+        atoms = []
+        for atom, (pick, lo, length) in enumerate(
+                zip(picks, self._los, self._lengths)):
             if length >= period:
-                atoms.append((pick, None, 0, 0, 0))
-                continue
-            # 2**52*E, and m = F + I with F = E*2**M/P rounded up
-            error = 2 * _units(scale) + one + abs(_units(lo)) + per + (4 << 52)
-            margin = -(-(error << _FOLD_BITS) // (per << 52)) + rounding
-            window = _units(length) << _FOLD_BITS
-            clear, near = 2 * margin + 1, -(-window // per)
-            missed = window // per + 2 * margin + 1
-            if clear > near or missed > top:
+                ends = [0]
+            elif -period < lo < period:
+                ends = self._ticks(atom)
+            else:
                 return None
-            offset = _nearest(-_units(lo) << _FOLD_BITS, per)[0] + margin
-            atoms.append((pick, offset % top * ones, (top - clear) * ones,
-                          (top - near) * ones, (top - missed) * ones))
-            widest = max(widest, margin)
-        # a block's lanes in a band, about 4*m*_LANES/2**M of them (module
-        # docstring): past 1/128, more than about one block in 128 would
-        # fall back, and numpy counts the record
-        if 128 * 4 * widest * _LANES > top:
-            return None
-        return ((top - 1) * ones, ones << _FOLD_BITS, t1 % top, t0 % top,
-                tuple(atoms))
+            atoms.append((pick, ends[:1] == [0], tuple(
+                (_TICKS - a) * ones for a in ends if 0 < a < _TICKS)))
+        return _TICKS * ones, tuple(atoms)
 
     @property
     def count_lanes(self):
         """`_count_block`, the lane count of the numpy-free path
         (`montecarlo.run_bernoulli_trials`), or None where the record has
-        no integer plan; the plan is made on first access."""
+        no tick intervals; they are made on first access."""
         return None if self._plan is None else self._count_block
 
     def _count_block(self, words: Sequence[int], m: int) -> int:
         """Detections among the first m trials of a lane block of tick
-        lanes, one word per draw, as evaluate_batch flags the draws: on
-        whole integers where every lane clears the margin (module
-        docstring), else by `_flag` on each trial's draws.  The thresholds
-        are tested inline, not in a call per atom, so a block decided on
-        integers costs a few Python calls, whatever its trials."""
-        low, flags, t1, t0, atoms = self._plan
-        valid = flags if m == _LANES else flags & ((1 << 128 * m) - 1)
-        x, first = words[-1] * t1, words[0]
-        if self._shift:
-            x += first * t0
-        hits = sure = 0
-        rest = valid
-        for pick, offset, clear, near, missed in atoms:
+        lanes, one word per draw, as evaluate_batch flags the draws.  Bit
+        53 of a lane of k + adds is set iff the lane's tick lies at or past
+        that end, so the XOR over an atom's ends flags its intervals; the
+        picks cut the lanes between atoms the same way.  A block costs a
+        few big-int operations per end, whatever its trials."""
+        valid, atoms = self._plan
+        if m < _LANES:
+            valid &= (1 << 128 * m) - 1
+        k, first = words[-1], words[0]
+        hits, rest = 0, valid
+        for pick, whole, adds in atoms:
             lanes = rest
             if pick is not None:  # the lanes of the later atoms
                 rest = (first + pick) & valid
                 lanes ^= rest
-            if offset is None:
-                hits |= lanes
-                sure |= lanes
-                continue
-            h = (x + offset) & low
-            detected = ((h + clear) & lanes) ^ ((h + near) & lanes)
-            hits |= detected
-            sure |= detected ^ ((h + missed) & lanes)
-        if sure == valid:
-            return hits.bit_count()
-        return sum(map(self._flag, *(_draws(word, m) for word in words)))
-
-
-def _units(x: float) -> int:
-    """A finite float as a whole number of 2**-1074, its least spacing."""
-    num, den = x.as_integer_ratio()
-    return num << 1075 - den.bit_length()
-
-
-def _nearest(num: int, den: int) -> tuple[int, int]:
-    """(t, |t*den - num|) for t the integer nearest num/den, den > 0."""
-    t = (2 * num + den) // (2 * den)
-    return t, abs(t * den - num)
+            flags = lanes if whole else 0
+            for add in adds:
+                flags ^= k + add
+            hits |= flags & lanes
+        return hits.bit_count()
 
 
 def _indicator(s: CircularPatrolScenario) -> _FoldIndicator:
-    """psi = 2*pi*u ~ U[0, 2*pi), tested against the nearest vehicle's arc:
-    folding psi modulo the fleet spacing collapses all n arcs onto one."""
+    """psi = (2*pi/n)*u ~ U[0, 2*pi/n), tested against the nearest
+    vehicle's arc: folding a launch angle modulo the fleet spacing
+    collapses all n arcs onto one, so one spacing holds every case."""
     _validate_as(s, CircularPatrolScenario)
     return _FoldIndicator(s.n, TWO_PI, *_detection_arc(s))
 

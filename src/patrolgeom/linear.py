@@ -28,14 +28,16 @@ Equivalently, the detected offsets b - a form one window of length
     (b - a - lo) mod (2R/n) <= 2*reach,   lo = -(shift + reach),
 
 the fold test the circular model runs on launch angles, on the same
-record (`circular._FoldIndicator`): span 2, one atom of weight 1, shifted
-by draw 0.  The model computes it in units of R, as the circle reads
-e = r/R: the period is 2/n, a/R lies in [0, 1], and no value the test
-forms exceeds 4 in magnitude, for every R the float range holds, where
-2R/n itself overflows from R = 9e307.  Its Monte Carlo draw map is
-x = period*u1 - u0: the last draw scaled by the period, less draw 0.  The
-record's exact sum min(1, n*length/2) is the closed form's p wherever the
-window is a chord, and a window of a period or more reads exactly 1.
+record (`circular._FoldIndicator`): span 2 and one atom of weight 1.  The
+model computes it in units of R, as the circle reads e = r/R: the period
+is 2/n, a/R lies in [0, 1], and no value the test forms exceeds 4 in
+magnitude, for every R the float range holds, where 2R/n itself
+overflows from R = 9e307.  The test reads b - a only modulo the period,
+and b is uniform on one period and independent of a, so (b - a) mod
+(2R/n) is uniform whatever a is: the Monte Carlo draw map is the one
+draw x = period*u, the offset itself.  The record's exact sum
+min(1, n*length/2) is the closed form's p wherever the window is a
+chord, and a window of a period or more reads exactly 1.
 At v = 0 the fleet stands still: the reach is r and there is no shift.
 Where the reach is at least half the period, the window 2*reach is at
 least one period long, so the record's exact() reads 1 and its tests
@@ -115,18 +117,18 @@ def detects_linear(sample: CrossingSample, s: LinearPatrolScenario) -> bool:
 
 
 def _indicator(s: LinearPatrolScenario) -> _FoldIndicator:
-    """The fold test of the module docstring, in units of R.  Two draws per
-    trial: slot 0 is a/R, slot 1 gives b/R = u*2/n, so the draw map is the
-    offset x = (b - a)/R = period*u1 - u0.  The reach is capped at one
-    period, which keeps lo finite where sin(alpha) underflows.  The shift
-    v*r/(u*R) never exceeds the reach, so the min keeps it finite where v/u
-    overflows, and takes the reach where v/u overflows while r/R underflows
-    (inf*0 is NaN, and Python's min keeps its first argument then)."""
+    """The fold test of the module docstring, in units of R.  One draw per
+    trial, the offset x = (b - a)/R mod period = period*u.  The reach is
+    capped at one period, which keeps lo finite where sin(alpha)
+    underflows.  The shift v*r/(u*R) never exceeds the reach, so lo lies in
+    [-length, 0]; the min keeps it finite where v/u overflows, and takes
+    the reach where v/u overflows while r/R underflows (inf*0 is NaN, and
+    Python's min keeps its first argument then)."""
     _validate_as(s, LinearPatrolScenario)
     period = 2.0 / s.n
     reach = min(_reach(s) / s.R, period)
     lo = -(min(reach, s.v / s.u * (s.r / s.R)) + reach)
-    return _FoldIndicator(s.n, 2.0, lo, 2.0 * reach, shift=True)
+    return _FoldIndicator(s.n, 2.0, lo, 2.0 * reach)
 
 
 def exact_probability_linear(s: LinearPatrolScenario) -> float:

@@ -41,8 +41,8 @@ makes.  This module alone turns a mixed word into a tick.  count_lanes
 decides the block on those ints, without a Python call per trial.
 The allowance is spent, not reset, so a long run of small requests turns
 to numpy once it is gone.  An indicator whose count_lanes is None, such as
-a fold record with no integer plan, is counted on numpy.  The count is the
-same on either path.
+a fold record whose lo is not finite, is counted on numpy.  The count is
+the same on either path.
 """
 
 from __future__ import annotations
@@ -86,38 +86,37 @@ CHUNK_TRIALS = 32768
 
 # Draws (trials x n_draws) a process may count on the scalar path, which
 # never imports numpy (see run_bernoulli_trials).  It is counted in draws
-# because the path's cost per trial grows with its draws (1 for the
-# circle, 2 for the segment, 2 and an atom pick for the randomized
-# radius).  In process (`python3 tools/lane_costs.py`, the least of 7
-# processes) a trial costs the ns below, its block decided on whole
-# integers.  A fresh process breaks even with numpy's import at about
-# these draws per request (`python3 tools/lane_costs.py --break-even`,
-# seeds 0 and 1: a line through the medians of 12 paired differences at
-# 200 000 to 800 000 draws; 2-core host, Python 3.11, numpy 2.4):
+# because the path's cost per trial grows with its draws (1 for the circle
+# and the segment, 2 and an atom pick for the randomized radius).  In
+# process (`python3 tools/lane_costs.py`, the least of 14 processes) a
+# trial costs the ns below, its block counted on its tick intervals.  A
+# fresh process breaks even with numpy's import at about these draws per
+# request (`python3 tools/lane_costs.py --break-even`, seeds 0 and 1: a
+# line through the medians of 12 paired differences at 200 000 to 800 000
+# draws; 2-core host, Python 3.11, numpy 2.4):
 #
 #     model               ns per trial   break-even (draws), two runs
-#     circle              115            667 000   721 000
-#     segment             184            940 000   944 000
-#     randomized radius   213            804 000   806 000
+#     circle              117            847 000   742 000
+#     segment             116            895 000   823 000
+#     randomized radius   197          1 090 000   905 000
 #
 # 18 * CHUNK_TRIALS = 589 824 draws lies below every break-even, and
-# below the 610 000 an earlier run put the circle's at, so a circle
-# request of 250 000 trials and a segment request of 250 000 trials
-# (500 000 draws) skip numpy, as every request of the benchmark's
-# circular_mc and segment_mc now does.  A fold record offers count_lanes
-# only where its integer plan holds (`circular._FoldIndicator._plan`), and
-# every other record is counted on numpy.
+# below the 610 000 an earlier run put the circle's at; the two runs above
+# would allow 25 and 22 * CHUNK_TRIALS, but the break-evens move with the
+# host's speed between sessions, so the allowance stays.  A circle or a
+# segment request of 250 000 trials (250 000 draws) skips numpy, as every
+# request of the benchmark's circular_mc and segment_mc does.  Every
+# model's fold record offers count_lanes (`circular._FoldIndicator._plan`).
 #
 # A larger allowance would also raise the cost of a many-row sweep of small
 # requests: the allowance is spent, not reset per request, so such a sweep
 # pays the scalar cost only until the allowance runs out, at most about one
 # import.  `cli`'s sweep avoids even that: it hands _check_run its grid's
 # row count, and _check_run, not the caller, decides to import numpy
-# before the first row where rows x trials exceed what is left.  rows x
-# trials is a lower bound on the draws (a segment trial takes two), so a
-# segment grid whose rows x trials fit but whose draws do not still runs
-# its first rows here and the rest on numpy.  The allowance picks the path
-# only, so callers in several threads may race on it.
+# before the first row where rows x trials exceed what is left.  A sweep
+# runs circle or segment trials, of one draw each, so rows x trials are
+# its draws; only a randomized radius trial takes two.  The allowance
+# picks the path only, so callers in several threads may race on it.
 _SCALAR_DRAWS = 18 * CHUNK_TRIALS
 _scalar_left = _SCALAR_DRAWS
 
@@ -454,7 +453,7 @@ def run_bernoulli_trials(indicator, trials: int, schedule: SeedSchedule,
     i of word j, 128 bits, holds the tick k < 2**53 of draw j of trial i,
     whose draw is k * 2**-53, and all its other bits are zero.  The lanes
     from m on hold no trial.  A count_lanes of None offers none, as on a
-    fold record with no integer plan.
+    fold record whose lo is not finite.
 
     While numpy is not yet imported, a request of an indicator with
     count_lanes whose trials x n_draws fit the process's remaining

@@ -11,8 +11,8 @@ radius states reproduces the ensemble mean.
 
 Patrol radius k*R turns the scan ratio e = r/R into e/k and leaves v/u
 alone, so each atom k is the circular model's arc at e/k.  The model's
-record is the circular model's `_FoldIndicator`, with the same span (2*pi,
-no shift) and one atom (p, lo, L) per multiplier.  The exact probability
+record is the circular model's `_FoldIndicator`, with the same span, 2*pi,
+and one atom (p, lo, L) per multiplier.  The exact probability
 is its exact sum, in which an atom whose arc spans the fleet spacing
 counts exactly p.  Its Monte Carlo test takes a first draw that picks
 each trial's atom, hence its arc, even where there is one atom; a draw at
@@ -145,7 +145,7 @@ def exact_probability_random_radius(s: CircularPatrolScenario,
 
 def _indicator(s: CircularPatrolScenario, d: RadiusDistribution):
     """Two draws per trial: slot 0 picks the atom by cumulative weight, slot
-    1 the launch angle psi ~ U[0, 2*pi), tested against that atom's arc:
+    1 the launch angle psi ~ U[0, 2*pi/n), tested against that atom's arc:
     the arc at patrol radius k*R (launch circle k*R + r), whose scan ratio
     is e/k.  The scenario must be valid and the smallest ring clear r."""
     _validate_as(s, CircularPatrolScenario)

@@ -229,14 +229,15 @@ def test_mc_probability_deterministic_across_workers(ref_circular):
 
 
 def test_mc_indicator_agrees_with_scalar_detects(ref_circular):
-    # replay the first trials by hand: one uniform draw yields psi, and the
-    # estimator must match an explicit any-vehicle scan at that psi
+    # replay the first trials by hand: one uniform draw yields psi within
+    # one fleet spacing, and the estimator must match an explicit
+    # any-vehicle scan at that psi
     trials = 200
     sched = SeedSchedule(42)
     manual = 0
     for i in range(trials):
         u = sched.uniform_block(i, i + 1, 1)[0, 0]
-        psi = u * TWO_PI
+        psi = u * (TWO_PI / ref_circular.n)
         manual += any(detects(psi, k, ref_circular)
                       for k in range(ref_circular.n))
     est = mc_probability(ref_circular, trials, seed=42)

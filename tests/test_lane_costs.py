@@ -17,7 +17,6 @@ def test_costs_are_positive_for_each_model():
     for model in lane_costs.MODELS:
         assert lane_costs.indicator(model).count_lanes is not None
         assert lane_costs.ns_per_trial(model, 1024, 1) > 0.0
-        assert lane_costs.band_block_us(model, 1) > 0.0
 
 
 def test_break_even_times_every_path_of_each_model(capsys):

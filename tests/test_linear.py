@@ -150,15 +150,17 @@ def test_detects_linear_accepts_b_at_the_end_of_its_range(R, n):
 @pytest.mark.parametrize("n", [1, 7, 1000])
 def test_detects_linear_agrees_with_the_mc_indicator(R, n):
     s = LinearPatrolScenario(R=R, r=0.1 * R / n, n=n, v=2.0, u=1.0)
-    u = SeedSchedule(77).uniform_block(0, 2000, 2)
+    # one draw per trial, the offset b - a in units of R: the crossing
+    # a = 0, b = u*2R/n
+    u = SeedSchedule(77).uniform_block(0, 2000, 1)
     flags = _indicator(s).evaluate_batch(u.copy())
     assert 0 < np.count_nonzero(flags) < flags.size
     checked = 0
-    for (ua, ub), flag in zip(u.tolist(), flags.tolist()):
+    for (ub,), flag in zip(u.tolist(), flags.tolist()):
         b = ub * (2.0 / n) * R
         if b == math.inf:  # 2R/n leaves the float range at R = 1e308, n = 1
             continue
-        assert detects_linear(CrossingSample(a=ua * R, b=b), s) == flag
+        assert detects_linear(CrossingSample(a=0.0, b=b), s) == flag
         checked += 1
     assert checked >= 1500
 

@@ -13,7 +13,7 @@ from statistics import NormalDist
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from patrolgeom import circular, linear, montecarlo, randomradius
@@ -481,15 +481,15 @@ _ATOMS = RadiusDistribution.from_atoms([(0.8, 0.25), (1.0, 0.5), (1.2, 0.25)])
 
 def _circle_reference(u):
     lo, length = _detection_arc(_CIRCLE)
-    return np.mod(u[:, 0] * TWO_PI - lo, TWO_PI / _CIRCLE.n) <= length
+    period = TWO_PI / _CIRCLE.n
+    return np.mod(u[:, 0] * period - lo, period) <= length
 
 
 def _segment_reference(u):
+    # the offset b - a, uniform on one period whatever a is
     s = _SEGMENT
-    a = u[:, 0] * s.R
-    b = u[:, 1] * (2.0 * s.R / s.n)
     period = 2.0 * s.R / s.n
-    x = np.mod(b - a + s.v * s.r / s.u, period)
+    x = np.mod(u[:, 0] * period + s.v * s.r / s.u, period)
     return np.minimum(x, period - x) <= s.r / math.sin(math.atan2(s.u, s.v))
 
 
@@ -506,7 +506,8 @@ def _random_radius_reference(u):
     lo = np.array([a for a, _ in arcs])
     length = np.array([b for _, b in arcs])
     idx = np.minimum(np.searchsorted(cum, u[:, 0], side="right"), lo.size - 1)
-    return np.mod(u[:, 1] * TWO_PI - lo[idx], TWO_PI / _CIRCLE.n) <= length[idx]
+    period = TWO_PI / _CIRCLE.n
+    return np.mod(u[:, 1] * period - lo[idx], period) <= length[idx]
 
 
 # (indicator, out-of-place formula with the same floating-point operations)
@@ -564,10 +565,10 @@ def test_indicator_counts_ignore_chunk_size_and_workers(name, monkeypatch):
 
 def test_fold_models_keep_their_success_counts():
     # the counts of the shared fold kernel at REF, 10**5 trials, seed 1729
-    assert mc_probability(_CIRCLE, 100_000, 1729).successes == 35689
-    assert mc_probability_linear(_SEGMENT, 100_000, 1729).successes == 56118
+    assert mc_probability(_CIRCLE, 100_000, 1729).successes == 35375
+    assert mc_probability_linear(_SEGMENT, 100_000, 1729).successes == 55824
     assert mc_probability_random_radius(
-        _CIRCLE, _ATOMS, 100_000, 1729).successes == 36245
+        _CIRCLE, _ATOMS, 100_000, 1729).successes == 36528
 
 
 @pytest.mark.parametrize("trials,workers,message", [
@@ -600,7 +601,7 @@ def test_a_numpy_integer_seed_reads_as_the_equal_int(seed):
     indicator = circular._indicator(_CIRCLE)
     assert (_count_scalar(indicator, 1000, SeedSchedule(seed))
             == _count_scalar(indicator, 1000, SeedSchedule(5)))
-    assert mc_probability(_CIRCLE, 1000, seed).successes == 367
+    assert mc_probability(_CIRCLE, 1000, seed).successes == 333
     for run in (lambda k: mc_probability_linear(_SEGMENT, 1000, k),
                 lambda k: mc_probability_random_radius(_CIRCLE, _ATOMS, 1000, k),
                 lambda k: buffon_mc(NeedleProblem(1.0, 1.3), 1000, k),
@@ -788,43 +789,39 @@ def _lane_and_batch_flags(indicator, columns):
     return lanes, _batch_flags(indicator, columns)
 
 
-def _flags(indicator, columns):
-    """Each trial's flag from `_flag`, the one-position float test that
-    count_lanes falls back on, given the trial's draws tick*2**-53."""
-    return [indicator._flag(*(k * 2.0 ** -53 for k in ticks))
-            for ticks in zip(*columns, strict=True)]
-
-
-def _trial_ticks(schedule, trials, n_draws):
-    """The schedule's draws of trials [0, trials) as ticks, u*2**53, one
-    column per draw."""
-    rows = [[int(src.uniform() * 2 ** 53) for _ in range(n_draws)]
-            for src in map(schedule.trial_source, range(trials))]
-    return [list(column) for column in zip(*rows)]
+def _covers_count(indicator, schedule, trials):
+    """Successes of a one-atom record's covers, the one-position test, on
+    the schedule's trials [0, trials): each position is the trial's draw
+    times the period, as evaluate_batch forms it."""
+    assert indicator.n_draws == 1
+    return sum(indicator.covers(src.uniform() * indicator._period)
+               for src in map(schedule.trial_source, range(trials)))
 
 
 @pytest.mark.parametrize("n", [10 ** 300, 10 ** 305, 17 * 10 ** 307],
                          ids=["1e300", "1e305", "1.7e308"])
 def test_a_subnormal_tick_counts_as_the_float_draws(n):
     # the period 2/n lies below 2**-969, so period*2**-53 is subnormal and
-    # inexact, and no margin fits: the record has no lane count, and its
-    # float test scales each tick by 2**-53 and then by the period, as
-    # evaluate_batch does.  Draw 0 = 0 leaves x alone against the window's
-    # far edge, whose ticks k are stepped through one by one.  r sets p = 0.3
+    # inexact: the position fl(period*k*2**-53) keeps one value over runs
+    # of ticks, and still never decreases in k, so the record has tick
+    # intervals.  The ticks k across the window's far edge, stepped
+    # through one by one, are flagged as evaluate_batch flags them.  r
+    # sets p = 0.3
     indicator = linear._indicator(LinearPatrolScenario(
         R=1.0, r=0.3 / n * math.sin(math.atan2(1.0, 2.0)), n=n, v=2.0, u=1.0))
-    assert indicator.count_lanes is None
+    assert indicator.count_lanes is not None
     period = indicator._period
-    assert indicator._scale * 2.0 ** -53 < sys.float_info.min
+    assert period * 2.0 ** -53 < sys.float_info.min
     edge = (indicator._lo + indicator._length) % period
     k = round(edge / period * 2 ** 53)
     ticks = list(range(k - 300, k + 300))
-    batch = _batch_flags(indicator, [[0] * len(ticks), ticks])
-    assert _flags(indicator, [[0] * len(ticks), ticks]) == batch
+    lanes, batch = _lane_and_batch_flags(indicator, [ticks])
+    assert lanes == batch
     assert True in batch and False in batch
     for seed in (1, 2 ** 64 - 1):
-        assert (sum(_flags(indicator, _trial_ticks(SeedSchedule(seed), 5000,
-                                                   2)))
+        schedule = SeedSchedule(seed)
+        assert (_count_scalar(indicator, 5000, schedule)
+                == _covers_count(indicator, schedule, 5000)
                 == _vector_count(indicator, 5000, seed))
 
 
@@ -851,36 +848,42 @@ def test_draws_beside_and_on_a_cumulative_weight_pick_the_same_atom(weights):
             == _vector_count(atoms, 5000, 4))
 
 
+
 @pytest.mark.parametrize("r,n", [(1e-308, 10 ** 308), (1e-310, 10 ** 308),
                                  (5e-324, 10 ** 300)],
                          ids=["1e-308", "1e-310", "5e-324"])
 def test_a_circle_at_subnormal_r_over_R_counts_alike_on_both_paths(r, n):
-    # no margin fits, so the record has no lane count; its float test
-    # flags each trial as evaluate_batch does
+    # a subnormal window in a period near 2**-1000: the record has tick
+    # intervals, and its lane count, its one-position test and numpy flag
+    # each trial alike
     indicator = circular._indicator(CircularPatrolScenario(R=1.0, r=r, n=n,
                                                            v=2.0, u=1.0))
-    assert indicator.count_lanes is None
+    assert indicator.count_lanes is not None
     schedule = SeedSchedule(6)
     ticks = [int(schedule.trial_source(i).uniform() * 2 ** 53)
              for i in range(2000)]
-    assert _flags(indicator, [ticks]) == _batch_flags(indicator, [ticks])
-    assert (sum(_flags(indicator, _trial_ticks(schedule, 20000, 1)))
+    lanes, batch = _lane_and_batch_flags(indicator, [ticks])
+    assert lanes == batch
+    assert (_count_scalar(indicator, 20000, schedule)
+            == _covers_count(indicator, schedule, 20000)
             == _vector_count(indicator, 20000, 6))
 
 
-def _edge_ticks(indicator, atom, copies=None):
+def _edge_ticks(indicator, atom):
     """Ticks of the last draw that put a trial on an edge of the atom's
-    window, lo + j*period (the wrap) or lo + length + j*period, for j
-    below copies (every copy in the scale, by default), with draw
-    0 = 1/2 on a shifted record."""
-    lo, length = indicator._lo, indicator._length
-    if indicator._cum is not None:
-        lo, length = lo[atom], length[atom]
-    period, scale = indicator._period, indicator._scale
-    u0 = 0.5 if indicator._shift else 0.0
-    return sorted({round(((edge + j * period + u0) / scale) % 1.0 * 2 ** 53)
-                   % 2 ** 53 for edge in (lo, lo + length)
-                   for j in range(copies or round(scale / period))})
+    window, lo (the wrap) or lo + length, taken into the period."""
+    lo, length = indicator._los[atom], indicator._lengths[atom]
+    period = indicator._period
+    return sorted({round((edge / period) % 1.0 * 2 ** 53) % 2 ** 53
+                   for edge in (lo, lo + length)})
+
+
+def _interval_ends(indicator, atom):
+    """The ends of the atom's tick intervals, as count_lanes reads them;
+    0 alone where the window spans the period."""
+    if indicator._lengths[atom] >= indicator._period:
+        return [0]
+    return indicator._ticks(atom)
 
 
 def _atom_tick(indicator, atom, first=False):
@@ -893,156 +896,156 @@ def _atom_tick(indicator, atom, first=False):
     return bounds[atom] if first else (bounds[atom] + bounds[atom + 1]) // 2
 
 
-def _edge_columns(indicator, atom, copies=None, first=False):
+def _edge_columns(indicator, atom, ticks, first=False, steps=45):
     """Columns of ticks of trials that pick the atom (`_atom_tick`) and step
-    across its window's edges (`_edge_ticks`) by 0 and 2**i ticks either
-    way, i < 45."""
-    steps = [0] + [sign * 2 ** i for i in range(45) for sign in (-1, 1)]
-    ticks = [(k + step) % 2 ** 53
-             for k in _edge_ticks(indicator, atom, copies) for step in steps]
+    across each of the given ticks of the last draw by 0 and 2**i ticks
+    either way, i < steps."""
+    moves = [0] + [sign * 2 ** i for i in range(steps) for sign in (-1, 1)]
+    ticks = [(k + move) % 2 ** 53 for k in ticks for move in moves]
     return [ticks] if indicator.n_draws == 1 else [
         [_atom_tick(indicator, atom, first)] * len(ticks), ticks]
 
 
-def _counting_fallback(indicator, monkeypatch):
-    """A list that gains an entry for each block on which count_lanes falls
-    back on `_flag`: the fallback reads the block's n_draws words as draws
-    (`circular._draws`), and the read of its last word adds the entry."""
-    blocks, reads, draws = [], itertools.count(1), circular._draws
-
-    def read(word, m):
-        if next(reads) % indicator.n_draws == 0:
-            blocks.append(1)
-        return draws(word, m)
-
-    monkeypatch.setattr(circular, "_draws", read)
-    return blocks
+def _assert_lanes_flag_as_the_batch(indicator, columns):
+    """count_lanes flags the columns' trials as evaluate_batch does, one
+    trial at a time and a block at a time; the flags."""
+    lanes, batch = _lane_and_batch_flags(indicator, columns)
+    assert lanes == batch
+    for lo in range(0, len(lanes), _LANES):
+        block = [column[lo:lo + _LANES] for column in columns]
+        assert (indicator.count_lanes(*_lane_words(block))
+                == sum(_batch_flags(indicator, block)))
+    return lanes
 
 
 @pytest.mark.parametrize("model", _FOLD_MODELS + ("shifted_span_3",))
 def test_the_integer_decision_flags_as_the_float_chain_across_each_edge(
-        model, monkeypatch):
+        model):
     # each atom's ticks step across both edges of its window, the wrap at
-    # lo included, by 0 and 2**i ticks either way, i < 45: the near ones lie
-    # in the margin's band and fall back on the float test, the far ones
-    # are decided on integers, and every trial is flagged as evaluate_batch
-    # flags it, one trial at a time and a block at a time.  The models'
-    # coefficients lie within a few ulps of integers; on a shifted record
-    # of span 3, draw 0's is n/3 * 2**20, so its integer rounding, not the
-    # float test's, sets the margin
-    indicator = (circular._FoldIndicator(10, 3.0, -0.13, 0.11, shift=True)
+    # lo included, by 0 and 2**i ticks either way, i < 45, and every trial
+    # is flagged as evaluate_batch flags it.  The edges are placed from lo
+    # and length alone, not from the tick intervals.  The record of span 3
+    # has its window off the position 0, lo > 0, so that its y starts
+    # below 0 (the circular module docstring's first region); it keeps its
+    # id from when its draw 0 was a shift
+    indicator = (circular._FoldIndicator(10, 3.0, 0.13, 0.11)
                  if model == "shifted_span_3" else _fold_indicator(model))
-    assert indicator._plan is not None
-    calls = _counting_fallback(indicator, monkeypatch)
     flags = []
     for atom in range(len(indicator._atoms)):
-        columns = _edge_columns(indicator, atom)
-        lanes, batch = _lane_and_batch_flags(indicator, columns)
-        assert lanes == batch
-        flags += lanes
-        fallbacks = len(calls)
-        for lo in range(0, len(lanes), _LANES):
-            block = [column[lo:lo + _LANES] for column in columns]
-            assert (indicator.count_lanes(*_lane_words(block))
-                    == sum(_batch_flags(indicator, block)))
-        # some lanes of each atom lie in a band and some clear it
-        assert 0 < fallbacks < len(lanes)
-        del calls[:]
+        flags += _assert_lanes_flag_as_the_batch(indicator, _edge_columns(
+            indicator, atom, _edge_ticks(indicator, atom)))
     assert True in flags and False in flags
 
 
-def test_a_band_block_counts_as_evaluate_batch_across_the_model_space():
-    # one block per example, its trials stepping across the edges of each
-    # atom's first window, so that lanes lie in a band: the block falls
-    # back on `_flag`, and its count is still evaluate_batch's.  Draw 0 is
-    # each atom's lowest tick, on the weight before it where that is a
-    # whole tick, as _ATOMS's are
-    fell = []
-
-    @settings(derandomize=True, deadline=None, max_examples=60)
-    @given(st.sampled_from(_FOLD_MODELS), _RATIOS, _SPEEDS, _FLEETS)
-    def check(model, e, w, n):
-        indicator = _fold_indicator(model, e, w, n)
-        assume(indicator.count_lanes is not None)
-        columns = [sum(parts, []) for parts in zip(*(
-            _edge_columns(indicator, atom, copies=1, first=True)
-            for atom in range(len(indicator._atoms))))]
-        with pytest.MonkeyPatch.context() as patch:
-            calls = _counting_fallback(indicator, patch)
-            assert (indicator.count_lanes(*_lane_words(columns))
-                    == sum(_batch_flags(indicator, columns)))
-        fell.append(calls == [1])
-
-    check()
-    assert True in fell
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(st.sampled_from(_FOLD_MODELS), _RATIOS, _SPEEDS, _FLEETS)
+def test_count_lanes_flags_as_evaluate_batch_around_each_interval_end(
+        model, e, w, n):
+    # each atom's trials step across each end of its tick intervals by 0,
+    # 1 and 2**i ticks either way, i < 53, with draw 0 on the atom's
+    # lowest tick, on the weight before it where that is a whole tick.  A
+    # model's lo lies in [-length, 0], so an atom has at most two intervals
+    indicator = _fold_indicator(model, e, w, n)
+    for atom in range(len(indicator._atoms)):
+        lo, length = indicator._los[atom], indicator._lengths[atom]
+        ends = _interval_ends(indicator, atom)
+        assert -length <= lo <= 0.0 and len(ends) <= 4
+        _assert_lanes_flag_as_the_batch(indicator, _edge_columns(
+            indicator, atom, ends, first=True, steps=53))
 
 
-def test_a_block_with_a_lane_in_a_band_takes_the_float_chain(monkeypatch):
-    indicator = _fold_indicator("random_radius")
-    calls = _counting_fallback(indicator, monkeypatch)
-    schedule = SeedSchedule(5)
-    columns = [[int(src.uniform() * 2 ** 53) for _ in range(2)]
-               for src in map(schedule.trial_source, range(_LANES))]
-    columns = [list(column) for column in zip(*columns)]
-    assert (indicator.count_lanes(*_lane_words(columns))
-            == sum(_batch_flags(indicator, columns)))
-    assert calls == []
-    # lane 700 moves onto an edge of atom 1's window
-    columns[0][700] = _atom_tick(indicator, 1)
-    columns[1][700] = _edge_ticks(indicator, 1)[1]
-    assert (indicator.count_lanes(*_lane_words(columns))
-            == sum(_batch_flags(indicator, columns)))
-    assert calls == [1]
+def _circle(r, n, v=2.0, R=1.0):
+    return circular._indicator(CircularPatrolScenario(R=R, r=r, n=n, v=v,
+                                                      u=1.0))
 
 
-def test_the_integer_plan_is_made_by_the_first_block_alone():
-    # exact() never builds it; a record where no margin fits has none, and
-    # no lane count, so numpy counts it
-    indicator = _fold_indicator("random_radius")
-    indicator.exact()
-    assert "_plan" not in vars(indicator)
-    _count_scalar(indicator, 10, SeedSchedule(1))
-    assert vars(indicator)["_plan"] is not None
-    for lo, length in ((math.nan, 1.0), (0.0, math.inf), (0.0, 1e-300),
-                       (0.0, math.nextafter(TWO_PI, 0.0)), (1e300, 1.0)):
-        unfit = circular._FoldIndicator(1, TWO_PI, lo, length)
-        assert unfit._plan is None and unfit.count_lanes is None, (lo, length)
-        assert (sum(_flags(unfit, _trial_ticks(SeedSchedule(2), 3000, 1)))
-                == _vector_count(unfit, 3000, 2))
+_ULP_WINDOW = math.nextafter(TWO_PI / 10, 0.0)
+# one-atom records at the edges of the fold test's domain
+_EDGE_RECORDS = {
+    "saturated": lambda: _circle(0.2, 1000),
+    "subnormal_e": lambda: _circle(1e-310, 10),
+    "w_1e12": lambda: _circle(1e-300, 10, v=1e12),
+    "n_1e13": lambda: _circle(4e-14, 10 ** 13),
+    "ulp_window": lambda: circular._FoldIndicator(10, TWO_PI, -_ULP_WINDOW,
+                                                  _ULP_WINDOW),
+    "below_an_ulp_circle": lambda: _circle(1e-17, 2 ** 50, v=0.0),
+    "below_an_ulp_segment": lambda: linear._indicator(LinearPatrolScenario(
+        R=1.7408721375619056e17, r=1.0, n=2 ** 46, v=0.0, u=1.0)),
+}
 
 
-def test_an_atom_whose_window_spans_the_period_detects_each_lane_it_picks():
-    atoms = circular._FoldIndicator(10, TWO_PI, (0.0, -0.3, 0.1),
-                                    (0.2, TWO_PI / 10, 0.1), (0.3, 0.3, 0.4))
-    assert atoms._plan[-1][1][1] is None
-    for seed in (3, 4):
-        assert (_count_scalar(atoms, 5000, SeedSchedule(seed))
-                == _vector_count(atoms, 5000, seed))
-
-
-def test_a_record_whose_bands_catch_lanes_has_no_lane_count():
-    # the margin grows with n: at n = 1e11 its bands catch a lane in about
-    # one block in six, and at 1e13 in nearly every block, past the one in
-    # 128 a plan allows; at r/R = 1e-15 no margin fits.  numpy counts these
-    def circle(n, r):
-        return circular._indicator(CircularPatrolScenario(R=1.0, r=r, n=n,
-                                                          v=2.0, u=1.0))
-
-    reference = _fold_indicator("circle")
-    assert reference._plan is not None and reference.count_lanes is not None
-    for record in (circle(10, 1e-15), circle(10 ** 11, 4e-12),
-                   circle(10 ** 13, 4e-14)):
-        assert record._plan is None and record.count_lanes is None
+@pytest.mark.parametrize("name", sorted(_EDGE_RECORDS))
+def test_edge_records_count_their_tick_intervals(name):
+    # every trial around each interval end is flagged as evaluate_batch
+    # flags it, an atom has at most two intervals, and their share of the
+    # 2**53 ticks, the Monte Carlo estimate's exact mean, lies within a few
+    # ticks of exact(): per end, x and y = x - lo round by at most 2**-53
+    # of P and of 2P, three ticks' worth, and the tick grid adds one, and
+    # exact()'s n*L/span rounds twice, at most 2**-52 below 1
+    indicator = _EDGE_RECORDS[name]()
+    ends = _interval_ends(indicator, 0)
+    assert len(ends) <= 4 and indicator.count_lanes is not None
+    flags = _assert_lanes_flag_as_the_batch(
+        indicator, _edge_columns(indicator, 0, ends, steps=53))
+    assert True in flags
+    ticks = sum(b - a for a, b in zip(ends[::2], ends[1::2]))
+    if ends == [0]:
+        ticks = 2 ** 53
+    bound = (4 * len(ends) + 2) * 2.0 ** -53
+    assert abs(ticks / 2 ** 53 - indicator.exact()) <= bound
 
 
 @pytest.mark.parametrize("model", _FOLD_MODELS)
 def test_every_benchmark_mc_corner_keeps_its_lane_count(model):
     # the corners of the benchmark's Monte Carlo scenarios, r/R 0.005 to
-    # 0.2, v/u 0 to 20 and n 1 to 1000: each record keeps its integer plan,
+    # 0.2, v/u 0 to 20 and n 1 to 1000: each record has tick intervals,
     # so circular_mc and segment_mc requests within the allowance skip numpy
     for e, w, n in itertools.product((0.005, 0.2), (0.0, 20.0), (1, 1000)):
         record = _fold_indicator(model, e, w, n)
         assert record.count_lanes is not None, (e, w, n)
+
+
+def test_the_integer_plan_is_made_by_the_first_block_alone():
+    # exact() never builds it; a record whose lo is not finite, or lies a
+    # period or more from 0 under a shorter window, has none, and no lane
+    # count, so numpy counts it, as covers does
+    indicator = _fold_indicator("random_radius")
+    indicator.exact()
+    assert "_plan" not in vars(indicator)
+    _count_scalar(indicator, 10, SeedSchedule(1))
+    assert vars(indicator)["_plan"] is not None
+    for lo, length in ((math.nan, 1.0), (1e300, 1.0), (-1e300, 1.0),
+                       (-TWO_PI, 1.0)):
+        unfit = circular._FoldIndicator(1, TWO_PI, lo, length)
+        assert unfit._plan is None and unfit.count_lanes is None, (lo, length)
+        assert (_covers_count(unfit, SeedSchedule(2), 3000)
+                == _vector_count(unfit, 3000, 2))
+    for lo, length in ((0.0, math.inf), (0.0, 1e-300),
+                       (0.0, math.nextafter(TWO_PI, 0.0)), (1.0, 0.5)):
+        fit = circular._FoldIndicator(1, TWO_PI, lo, length)
+        assert (_count_scalar(fit, 3000, SeedSchedule(2))
+                == _covers_count(fit, SeedSchedule(2), 3000)
+                == _vector_count(fit, 3000, 2)), (lo, length)
+
+
+def test_an_atom_whose_window_spans_the_period_detects_each_lane_it_picks():
+    atoms = circular._FoldIndicator(10, TWO_PI, (0.0, -0.3, 0.1),
+                                    (0.2, TWO_PI / 10, 0.1), (0.3, 0.3, 0.4))
+    # one interval of every tick: no end past tick 0
+    assert atoms._plan[1][1][1:] == (True, ())
+    for seed in (3, 4):
+        assert (_count_scalar(atoms, 5000, SeedSchedule(seed))
+                == _vector_count(atoms, 5000, seed))
+
+
+def test_a_record_at_any_fleet_size_has_a_lane_count():
+    # the 73-bit plan's margin grew with n and failed past about 3e9
+    # vehicles, and at r/R = 1e-15; the tick intervals hold at any n
+    for record in (_circle(1e-15, 10), _circle(4e-12, 10 ** 11),
+                   _circle(4e-14, 10 ** 13)):
+        assert record.count_lanes is not None
+        assert (_count_scalar(record, 3000, SeedSchedule(8))
+                == _vector_count(record, 3000, 8))
 
 
 def test_a_window_of_a_whole_period_reads_exactly_one():
@@ -1115,6 +1118,9 @@ def test_the_lane_path_enters_no_python_frame_per_trial(model):
     # trial adds 1024
     indicator = _fold_indicator(model)
     schedule = SeedSchedule(11)
+    # the tick intervals are found once per record, by bisection, before
+    # the first block: make them first, so that neither count holds them
+    assert indicator.count_lanes is not None
     one = _python_calls(lambda: _count_scalar(indicator, _LANES, schedule))
     eight = _python_calls(lambda: _count_scalar(indicator, 8 * _LANES, schedule))
     assert eight - one <= 7 * 32
@@ -1133,8 +1139,7 @@ segment = LinearPatrolScenario(R=100.0, r=5.0, n=5, v=2.0, u=1.0)
 atoms = RadiusDistribution.from_atoms([(0.8, 0.25), (1.0, 0.5), (1.2, 0.25)])
 out = []
 for run in (lambda: mc_probability(circle, 30000, 7),
-            lambda: mc_probability_linear(segment, (_SCALAR_DRAWS - 30000) // 2,
-                                          8),
+            lambda: mc_probability_linear(segment, _SCALAR_DRAWS - 30000, 8),
             lambda: mc_probability_random_radius(circle, atoms, 1, 9),
             lambda: mc_probability(circle, 10, 10)):
     out.append([run().successes, "numpy" in sys.modules])
@@ -1144,10 +1149,9 @@ print(json.dumps(out))
 
 def test_the_scalar_allowance_is_spent_across_requests():
     # a fresh process: the first two requests spend the allowance of draws
-    # exactly (30 000 one-draw circle trials, then two-draw segment trials),
-    # the third's two draws no longer fit and load numpy, and the fourth,
-    # though small, stays on numpy
-    assert (_SCALAR_DRAWS - 30000) % 2 == 0
+    # exactly (30 000 circle trials, then segment trials, one draw each),
+    # the third's two draws (a randomized radius trial) no longer fit and
+    # load numpy, and the fourth, though small, stays on numpy
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
@@ -1156,8 +1160,7 @@ def test_the_scalar_allowance_is_spent_across_requests():
                           timeout=120, check=True)
     expected = [
         mc_probability(_CIRCLE, 30000, 7).successes,
-        mc_probability_linear(_SEGMENT, (_SCALAR_DRAWS - 30000) // 2,
-                              8).successes,
+        mc_probability_linear(_SEGMENT, _SCALAR_DRAWS - 30000, 8).successes,
         mc_probability_random_radius(_CIRCLE, _ATOMS, 1, 9).successes,
         mc_probability(_CIRCLE, 10, 10).successes,
     ]
@@ -1166,22 +1169,23 @@ def test_the_scalar_allowance_is_spent_across_requests():
 
 
 _UNFIT_PROBE = """
-import json, sys
-from patrolgeom.circular import mc_probability
+import json, math, sys
+from patrolgeom.circular import TWO_PI, _FoldIndicator, mc_probability
+from patrolgeom.montecarlo import SeedSchedule, run_bernoulli_trials
 from patrolgeom.scenario import CircularPatrolScenario
 reference = CircularPatrolScenario(R=100.0, r=5.0, n=10, v=2.0, u=1.0)
-unfit = CircularPatrolScenario(R=1.0, r=1e-15, n=10, v=2.0, u=1.0)
+unfit = _FoldIndicator(1, TWO_PI, math.nan, 1.0)
 out = []
-for scenario, trials in ((reference, 10), (unfit, 1)):
-    out.append([mc_probability(scenario, trials, 3).successes,
-                "numpy" in sys.modules])
+for run in (lambda: mc_probability(reference, 10, 3),
+            lambda: run_bernoulli_trials(unfit, 1, SeedSchedule(3))):
+    out.append([run().successes, "numpy" in sys.modules])
 print(json.dumps(out))
 """
 
 
 def test_a_record_without_a_plan_is_counted_on_numpy():
-    # a fresh process: a record decided on integers counts without numpy,
-    # and one where no margin fits has no lane count, so even its single
+    # a fresh process: a record with tick intervals counts without numpy,
+    # and one whose lo is not finite has no lane count, so even its single
     # trial loads numpy, with the allowance nearly whole
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ)
@@ -1189,7 +1193,7 @@ def test_a_record_without_a_plan_is_counted_on_numpy():
     proc = subprocess.run([sys.executable, "-c", _UNFIT_PROBE],
                           capture_output=True, text=True, env=env,
                           timeout=120, check=True)
-    unfit = CircularPatrolScenario(R=1.0, r=1e-15, n=10, v=2.0, u=1.0)
+    unfit = circular._FoldIndicator(1, TWO_PI, math.nan, 1.0)
     assert json.loads(proc.stdout) == [
         [mc_probability(_CIRCLE, 10, 3).successes, False],
-        [mc_probability(unfit, 1, 3).successes, True]]
+        [run_bernoulli_trials(unfit, 1, SeedSchedule(3)).successes, True]]

@@ -170,13 +170,12 @@ def test_mc_lies_within_four_standard_errors_of_exact(a, b, v, u, n, d, seed):
             assert abs(est.mean - p) <= 4.0 * se + 1.0 / TRIALS
 
 
-# Windows shorter than about one ulp of the Monte Carlo position.  The
-# circle forms x = 2*pi*u, at magnitude 2*pi, and the segment subtracts
-# draw 0, at magnitude 1, so a window below span*2**-53 is resolved only
-# by how it happens to align with the representable positions: at 10^5
-# trials the circle's MC reads 0.011-0.012 against exact 0.00358 and the
-# segment's 0.0024-0.0026 against 0.000404, 32-46 standard errors out.
-# The property above never draws such a window.
+# Windows shorter than about one ulp of the span.  A position drawn at the
+# span's magnitude resolves such a window only by how it aligns with the
+# representable positions: drawn so, at 10^5 trials the circle's MC read
+# 0.011-0.012 against exact 0.00358 and the segment's 0.0024-0.0026
+# against 0.000404, 32-46 standard errors out.  The position is drawn
+# within one period, x = (span/n)*u, which resolves them.
 UNRESOLVED_WINDOWS = [
     CircularPatrolScenario(R=1.0, r=1e-17, n=2 ** 50, v=0.0, u=1.0),
     LinearPatrolScenario(R=1.7408721375619056e17, r=1.0, n=2 ** 46, v=0.0,
@@ -184,10 +183,6 @@ UNRESOLVED_WINDOWS = [
 ]
 
 
-@pytest.mark.xfail(strict=True, reason="the MC position is formed at the "
-                   "span's magnitude, so a window below span*2**-53 is "
-                   "resolved only by alignment; drawing the position within "
-                   "one period would fix it")
 @pytest.mark.parametrize("s", UNRESOLVED_WINDOWS, ids=["circle", "segment"])
 def test_mc_resolves_a_window_below_one_ulp_of_the_span(s):
     trials = 100_000
@@ -198,6 +193,65 @@ def test_mc_resolves_a_window_below_one_ulp_of_the_span(s):
     se = math.sqrt(p * (1.0 - p) / trials)
     for seed in range(3):
         assert abs(mc(s, trials, seed).mean - p) <= 4.0 * se + 1.0 / trials
+
+
+def _within_four_standard_errors(exact, mc) -> None:
+    """exact() and mc() both raise, or the estimate lies within four
+    standard errors of exact, plus one trial's worth, as in the circle's
+    property above."""
+    p, est = _outcome(exact), _outcome(mc)
+    assert (p is None) == (est is None)
+    if p is not None:
+        se = math.sqrt(p * (1.0 - p) / TRIALS)
+        assert abs(est.mean - p) <= 4.0 * se + 1.0 / TRIALS
+
+
+@ROBUST
+@given(positive, positive, st.one_of(st.just(0.0), positive), positive,
+       fleets, seeds)
+@example(1.7408721375619056e17, 1.0, 0.0, 1.0, 2 ** 46, 0)
+def test_segment_mc_lies_within_four_standard_errors_of_exact(a, b, v, u, n,
+                                                              seed):
+    r, R = sorted((a, b))
+    assume(2.0 * r < R)
+    s = LinearPatrolScenario(R=R, r=r, n=n, v=v, u=u)
+    _within_four_standard_errors(lambda: exact_probability_linear(s),
+                                 lambda: mc_probability_linear(s, TRIALS,
+                                                               seed))
+
+
+# Trials of the property below: enough that a bias of a few times p at
+# p = 1e-3 lies past four standard errors
+SUB_ULP_TRIALS = 20_000
+
+
+# log10 of an arc below one ulp of 2*pi: the alignment bias shows within
+# a few decades of the ulp, and the rest of the float range is drawn too
+SUB_ULP = math.log10(TWO_PI * 2.0 ** -53)
+
+
+@ROBUST
+@given(st.one_of(st.floats(SUB_ULP - 4.0, SUB_ULP), st.floats(-300.0, SUB_ULP)),
+       st.one_of(st.just(0.0), st.floats(-4.0, 4.0)), st.floats(-3.0, -0.5),
+       st.booleans(), seeds)
+def test_circle_mc_resolves_windows_below_one_ulp_of_the_span(log_e, log_w,
+                                                              log_p, binary,
+                                                              seed):
+    # e = r/R and w = v/u set an arc L below 2*pi*2**-53, and n the fleet
+    # whose n*L/(2*pi) is about p, or, with binary, the power of two
+    # nearest it: a window that a position drawn at the span's magnitude
+    # resolves only by how it aligns with the representable positions
+    w = 0.0 if log_w == 0.0 else 10.0 ** log_w
+    e = 10.0 ** log_e / (w + math.hypot(1.0, w))
+    length = _detection_arc(CircularPatrolScenario(R=1.0, r=e, n=1, v=w,
+                                                   u=1.0))[1]
+    assume(0.0 < length < TWO_PI * 2.0 ** -53)
+    n = 10.0 ** log_p * TWO_PI / length
+    n = 2 ** round(math.log2(n)) if binary else max(1, round(n))
+    s = CircularPatrolScenario(R=1.0, r=e, n=n, v=w, u=1.0)
+    p, est = exact_probability(s), mc_probability(s, SUB_ULP_TRIALS, seed)
+    se = math.sqrt(p * (1.0 - p) / SUB_ULP_TRIALS)
+    assert abs(est.mean - p) <= 4.0 * se + 1.0 / SUB_ULP_TRIALS
 
 
 @ROBUST

@@ -6,13 +6,11 @@
 Without --break-even, prints each fold model's `_count_scalar` cost in ns
 per trial in this process, the least of CALLS calls over TRIALS trials, at
 R=100, r=5, n=10, v=2, u=1 (the segment n=5; the randomized radius atoms
-(0.8, 0.25), (1.0, 0.5), (1.2, 0.25)), each block decided on whole
-integers as the record's plan allows.  Beside it, band_us: the fallback
-of a block with a lane in a band, `_flag` over its draws, in us per
-block of 1024 trials, the least of CALLS calls.
+(0.8, 0.25), (1.0, 0.5), (1.2, 0.25)), each block counted on the
+record's tick intervals.
 
 With --break-even, runs one Monte Carlo request of each model per size,
-given in draws (trials x draws per trial), in a fresh process, on the
+given in draws (trials x the record's n_draws), in a fresh process, on the
 lane path (the process's allowance lifted, numpy never loaded) and on
 numpy (imported first), REPEATS times in shuffled order, and times each
 whole process.  Per size it prints the median times and the median of
@@ -41,16 +39,13 @@ SRC = TOOLS.parent / "src"
 sys.path.insert(0, str(SRC))
 
 from patrolgeom import circular, linear, randomradius  # noqa: E402
-from patrolgeom.montecarlo import (_LANES, CHUNK_TRIALS,  # noqa: E402
-                                   SeedSchedule, _count_scalar, _draws,
-                                   run_bernoulli_trials)
+from patrolgeom.montecarlo import (CHUNK_TRIALS, SeedSchedule,  # noqa: E402
+                                   _count_scalar, run_bernoulli_trials)
 from patrolgeom.randomradius import RadiusDistribution  # noqa: E402
 from patrolgeom.scenario import (CircularPatrolScenario,  # noqa: E402
                                  LinearPatrolScenario)
 
 MODELS = ("circle", "segment", "randomized radius")
-# draws per trial of each model
-_DRAWS = {"circle": 1, "segment": 2, "randomized radius": 2}
 # the in-process timing: the least of CALLS calls over TRIALS trials (50
 # lane blocks); the break-even's processes per model, path and size
 TRIALS, CALLS, REPEATS = 51200, 5, 12
@@ -92,38 +87,13 @@ def ns_per_trial(model: str, trials: int, calls: int) -> float:
     return best / trials * 1e9
 
 
-def band_block_us(model: str, calls: int) -> float:
-    """The least of `calls` timings of the fallback of one whole block
-    (`circular._FoldIndicator._count_block`), `_flag` over the draws of
-    the first _LANES trials at seed 7, in us per block.  Its work does not
-    depend on which lanes lie in a band."""
-    record, words = indicator(model), []
-
-    class Words:
-        """Keeps the first block's tick lanes; detects none."""
-
-        n_draws = record.n_draws
-
-        def count_lanes(self, block, m):
-            words.extend(block)
-            return 0
-
-    _count_scalar(Words(), _LANES, SeedSchedule(7))
-    best = None
-    for _ in range(calls):
-        start = time.perf_counter()
-        sum(map(record._flag, *(_draws(word, _LANES) for word in words)))
-        took = time.perf_counter() - start
-        best = took if best is None else min(best, took)
-    return best * 1e6
-
-
 def _process_s(model: str, path: str, draws: int) -> float:
     """Wall seconds of one fresh process counting `draws` draws of the
     model on the path."""
     script = (f"import sys\nsys.path.insert(0, {str(TOOLS)!r})\n"
               + _PATHS[path] + "import lane_costs\n"
-              + f"lane_costs.run({model!r}, {max(1, draws // _DRAWS[model])})")
+              + f"lane_costs.run({model!r}, "
+              + f"{max(1, draws // indicator(model).n_draws)})")
     env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS="1")
     start = time.perf_counter()
     subprocess.run([sys.executable, "-c", script], env=env, check=True)
@@ -188,10 +158,9 @@ def main(argv: list[str] | None = None) -> int:
     if args.break_even:
         _fit([int(s) for s in args.sizes.split(",")], REPEATS, args.seed)
         return 0
-    print(f"{'model':<18} {'ns/trial':>9} {'band_us':>9}")
+    print(f"{'model':<18} {'ns/trial':>9}")
     for model in MODELS:
-        print(f"{model:<18} {ns_per_trial(model, TRIALS, CALLS):9.1f} "
-              f"{band_block_us(model, CALLS):9.1f}")
+        print(f"{model:<18} {ns_per_trial(model, TRIALS, CALLS):9.1f}")
     return 0
 
 
