@@ -53,19 +53,21 @@ u = k*2**-53, k a tick below 2**53.  Its flag is covers(x): with
 y = fl(x - lo), (y mod P) <= L.  x, and so y, never decreases as k grows.
 x lies below P, or at P only where P is subnormal, and there x - lo is
 exact.  So where L < P and lo lies in [-L, 0], as every model's does, y
-lies in [0, 2P), and Python's % and np.mod, which take fmod and then fix
-the sign, read y mod P exactly: y below P and y - P (exact) from P on.
+lies in [0, 2P), and Python's %, which takes fmod and then fixes the
+sign, reads y mod P exactly: y below P and y - P (exact) from P on.
 The flag then holds on at most two tick intervals, y <= L and
 P <= y <= P + L.  For any lo in (-P, P) y lies in (-P, 2P), and below 0
 the flag reads fl(y + P) <= L.  On each of these regions of y, below 0,
 below P and from P on, the flag holds on a first run of ticks and then
-fails.  `_FoldIndicator._plan` finds where each region starts, by
+fails.  `_FoldIndicator._ticks` finds where each region starts, by
 bisection on y, and where its run of flags ends, by bisection on covers
-itself, so the intervals are covers' own flags.  count_lanes then tests a
-lane block of ticks against the interval ends on whole integers: k lies
-at or past an end a iff bit 53 of k + 2**53 - a is set, and over an
-atom's disjoint intervals a tick is flagged iff an odd number of their
-ends lie at or below it.
+itself, so the intervals are covers' own flags.  Both Monte Carlo paths
+read them, and over an atom's disjoint intervals a tick is flagged iff
+an odd number of their ends lie at or below it.  count_lanes tests a
+lane block of ticks against the ends on whole integers: k lies at or
+past an end a iff bit 53 of k + 2**53 - a is set.  evaluate_batch reads
+each end as the draw a*2**-53, exact as a <= 2**53, so a draw lies at or
+past it iff its tick does.
 
 The closed forms read e and sin(alpha) alone, and raise OverflowError where
 their value leaves the float range.
@@ -279,21 +281,21 @@ class _FoldIndicator:
     length are numbers, one atom of weight 1, and a trial takes one draw.
     exact() is the measure of the detected positions, in which an atom
     whose window is at least span/n long counts its whole weight.  The
-    fold test has three spellings, one per path, and they flag the same
-    trials: evaluate_batch tests a (m, n_draws) block of trials on numpy,
-    count_lanes (`_count_block`) tests a lane block of ticks against the
-    tick intervals on which covers holds (module docstring), and covers
-    tests one position against one atom's window.  count_lanes picks the
-    atom of tick k by comparing k with ceil(c*2**53) for each kept
-    cumulative weight c: for an integer k, k >= ceil(c*2**53) iff
-    k*2**-53 >= c.  count_lanes needs a period P in (0, inf), every lo
-    finite and, for a window shorter than the period, lo in (-P, P); a
-    record without them has count_lanes None, and numpy counts it."""
+    fold test has two spellings, and they flag the same trials: covers
+    tests one position against one atom's window, and the tick intervals
+    on which covers holds (module docstring), with each atom's pick tick,
+    are the one table (`_table`) that both Monte Carlo paths read:
+    evaluate_batch tests a (m, n_draws) block of draws on numpy and
+    count_lanes a lane block of ticks.  Both pick the atom of tick k by
+    comparing k with ceil(c*2**53) for each kept cumulative weight c: for
+    an integer k, k >= ceil(c*2**53) iff k*2**-53 >= c.  A record needs a
+    period P in (0, inf), every lo finite and, for a window shorter than
+    the period, lo in (-P, P); any other has no tick intervals and is a
+    ValueError."""
 
     def __init__(self, n, span, lo, length, weights=None):
         self.n_draws = 1 if weights is None else 2
-        self._n, self._span = n, span
-        self._period, self._lo, self._length = span / n, lo, length
+        self._n, self._span, self._period = n, span, span / n
         self._cum = (None if weights is None
                      else tuple(accumulate(weights))[:-1])
         # the atoms' windows, of covers and the tick intervals
@@ -301,6 +303,13 @@ class _FoldIndicator:
                                     else (lo, length))
         self._atoms = (((1.0, length),) if weights is None
                        else tuple(zip(weights, length)))
+        period = self._period
+        if not (0.0 < period < math.inf and all(
+                abs(lo) < period or length >= period and math.isfinite(lo)
+                for lo, length in zip(self._los, self._lengths))):
+            raise ValueError("a fold record needs a period in (0, inf) and "
+                             "each lo finite, within a period of 0 under a "
+                             "shorter window")
 
     def exact(self) -> float:
         """min(1, sum of p*min(1, n*L/span)) over the atoms (p, L): n
@@ -315,27 +324,33 @@ class _FoldIndicator:
             for p, length in self._atoms))
 
     def evaluate_batch(self, u: np.ndarray) -> np.ndarray:
-        """Detection flags; computes in place, overwriting u."""
+        """Detection flags, read off the table: a trial is detected iff its
+        last draw lies at or past an odd number of its atom's interval
+        ends, each read as the draw a*2**-53.  Given weights, draw 0 picks
+        the atom against the pick ticks as draws, and column 0 then holds
+        each trial's atom's ends in turn, an end 2**53 (the draw 1) where
+        its atom has fewer."""
         import numpy as np
 
-        x = np.multiply(u[:, -1], self._period, out=u[:, -1])
-        length = self._length
-        if self._cum is not None:
-            # column 0 holds lo, then, once subtracted, length; idx never
-            # passes the last atom, and mode="clip" is set only because
-            # under the default mode="raise" np.take buffers out
-            idx = np.searchsorted(self._cum, u[:, 0], side="right")
-            np.subtract(x, np.take(self._lo, idx, out=u[:, 0], mode="clip"),
-                        out=x)
-            length = np.take(length, idx, out=u[:, 0], mode="clip")
-        else:
-            np.subtract(x, self._lo, out=x)
-        np.mod(x, self._period, out=x)
-        return x <= length
+        x, table = u[:, -1], self._table
+        flags = np.zeros(len(x), dtype=bool)
+        if self._cum is None:
+            for a in table[0][1]:
+                flags ^= x >= a * 2.0 ** -53
+            return flags
+        # idx never passes the last atom, and mode="clip" is set only
+        # because under the default mode="raise" np.take buffers out
+        idx = np.searchsorted([pick * 2.0 ** -53 for pick, _ in table[:-1]],
+                              u[:, 0], side="right")
+        for j in range(max(len(ends) for _, ends in table)):
+            column = [(ends[j] if j < len(ends) else _TICKS) * 2.0 ** -53
+                      for _, ends in table]
+            flags ^= x >= np.take(column, idx, out=u[:, 0], mode="clip")
+        return flags
 
     def covers(self, x: float, atom: int = 0) -> bool:
-        """The fold test of one position x against the atom's window, as
-        the other two tests take it."""
+        """The fold test of one position x against the atom's window, which
+        defines the tick intervals of the other test."""
         return (x - self._los[atom]) % self._period <= self._lengths[atom]
 
     def _ticks(self, atom: int) -> list[int]:
@@ -370,53 +385,42 @@ class _FoldIndicator:
         return ends
 
     @functools.cached_property
+    def _table(self) -> tuple[tuple[int | None, list[int]], ...]:
+        """Both Monte Carlo tests' record, made on their first block: per
+        atom (pick, ends), pick the tick ceil(c*2**53), at most 2**53, of
+        the atom's cumulative weight c (None for the last atom), from which
+        on draw 0 picks a later atom, and ends those of the atom's tick
+        intervals (`_ticks`), just tick 0 where the window spans the
+        period."""
+        picks = [min(math.ceil(c * 2.0 ** 53), _TICKS)
+                 for c in self._cum or ()]
+        return tuple(zip(picks + [None], (
+            [0] if length >= self._period else self._ticks(atom)
+            for atom, length in enumerate(self._lengths))))
+
+    @functools.cached_property
     def _plan(self):
-        """count_lanes's tick intervals, made when a request first asks
-        for count_lanes, or None where the record lacks the class
-        docstring's conditions: (valid, atoms).  valid holds 2**53 in
-        every lane, and each atom is (pick, whole, adds): pick holds
-        2**53 - ceil(c*2**53) in every lane for the atom's cumulative
-        weight c (None for the last atom), whole is true where an interval
-        starts at tick 0 (every tick lies at or past that end), and adds
-        holds 2**53 - a in every lane for each other end a of the atom's
-        intervals (`_ticks`) below 2**53.  A window that spans the period
-        has the one interval of every tick."""
-        period = self._period
-        if not (0.0 < period < math.inf
-                and all(map(math.isfinite, self._los))):
-            return None
+        """The table spread over the lanes for count_lanes: (valid,
+        atoms).  valid holds 2**53 in every lane, and each atom is (pick,
+        whole, adds): pick holds 2**53 - pick in every lane (None for the
+        last atom), whole is true where an interval starts at tick 0 (every
+        tick lies at or past that end), and adds holds 2**53 - a in every
+        lane for each other end a below 2**53."""
         ones = _lane_constants()[0]
-        # a tick k picks past the weight c iff k*2**-53 >= c, so iff
-        # k >= ceil(c*2**53)
-        picks = [(_TICKS - min(math.ceil(c * 2.0 ** 53), _TICKS)) * ones
-                 for c in self._cum or ()] + [None]
-        atoms = []
-        for atom, (pick, lo, length) in enumerate(
-                zip(picks, self._los, self._lengths)):
-            if length >= period:
-                ends = [0]
-            elif -period < lo < period:
-                ends = self._ticks(atom)
-            else:
-                return None
-            atoms.append((pick, ends[:1] == [0], tuple(
-                (_TICKS - a) * ones for a in ends if 0 < a < _TICKS)))
-        return _TICKS * ones, tuple(atoms)
+        return _TICKS * ones, tuple(
+            (None if pick is None else (_TICKS - pick) * ones,
+             ends[:1] == [0],
+             tuple((_TICKS - a) * ones for a in ends if 0 < a < _TICKS))
+            for pick, ends in self._table)
 
-    @property
-    def count_lanes(self):
-        """`_count_block`, the lane count of the numpy-free path
-        (`montecarlo.run_bernoulli_trials`), or None where the record has
-        no tick intervals; they are made on first access."""
-        return None if self._plan is None else self._count_block
-
-    def _count_block(self, words: Sequence[int], m: int) -> int:
+    def count_lanes(self, words: Sequence[int], m: int) -> int:
         """Detections among the first m trials of a lane block of tick
-        lanes, one word per draw, as evaluate_batch flags the draws.  Bit
-        53 of a lane of k + adds is set iff the lane's tick lies at or past
-        that end, so the XOR over an atom's ends flags its intervals; the
-        picks cut the lanes between atoms the same way.  A block costs a
-        few big-int operations per end, whatever its trials."""
+        lanes, one word per draw, the lane count of the numpy-free path
+        (`montecarlo.run_bernoulli_trials`).  Bit 53 of a lane of k + adds
+        is set iff the lane's tick lies at or past that end, so the XOR
+        over an atom's ends flags its intervals; the picks cut the lanes
+        between atoms the same way.  A block costs a few big-int
+        operations per end, whatever its trials."""
         valid, atoms = self._plan
         if m < _LANES:
             valid &= (1 << 128 * m) - 1

@@ -40,9 +40,9 @@ the tick k in a lane is the draw k * 2**-53 that `TrialSource.uniform`
 makes.  This module alone turns a mixed word into a tick.  count_lanes
 decides the block on those ints, without a Python call per trial.
 The allowance is spent, not reset, so a long run of small requests turns
-to numpy once it is gone.  An indicator whose count_lanes is None, such as
-a fold record whose lo is not finite, is counted on numpy.  The count is
-the same on either path.
+to numpy once it is gone.  An indicator that offers no count_lanes, such
+as the needle's, is counted on numpy.  The count is the same on either
+path.
 """
 
 from __future__ import annotations
@@ -91,22 +91,23 @@ CHUNK_TRIALS = 32768
 # process (`python3 tools/lane_costs.py`, the least of 14 processes) a
 # trial costs the ns below, its block counted on its tick intervals.  A
 # fresh process breaks even with numpy's import at about these draws per
-# request (`python3 tools/lane_costs.py --break-even`, seeds 0 and 1: a
+# request (`python3 tools/lane_costs.py --break-even`, seeds 0 to 4: a
 # line through the medians of 12 paired differences at 200 000 to 800 000
-# draws; 2-core host, Python 3.11, numpy 2.4):
+# draws, the median of the five runs; 2-core host, Python 3.11, numpy 2.4):
 #
-#     model               ns per trial   break-even (draws), two runs
-#     circle              117            847 000   742 000
-#     segment             116            895 000   823 000
-#     randomized radius   197          1 090 000   905 000
+#     model               ns per trial   break-even (draws)
+#     circle              117            654 000
+#     segment             116            594 000
+#     randomized radius   197            795 000
 #
-# 18 * CHUNK_TRIALS = 589 824 draws lies below every break-even, and
-# below the 610 000 an earlier run put the circle's at; the two runs above
-# would allow 25 and 22 * CHUNK_TRIALS, but the break-evens move with the
-# host's speed between sessions, so the allowance stays.  A circle or a
-# segment request of 250 000 trials (250 000 draws) skips numpy, as every
-# request of the benchmark's circular_mc and segment_mc does.  Every
-# model's fold record offers count_lanes (`circular._FoldIndicator._plan`).
+# 18 * CHUNK_TRIALS = 589 824 draws lies below each median break-even,
+# the segment's by 1%.  Single runs spread by about 100 000 draws: two of
+# the segment's five fell below the allowance (544 000 and 561 000), and
+# the break-evens move with the host's speed between sessions, so the
+# allowance stays.  A circle or a segment request of 250 000 trials
+# (250 000 draws) skips numpy, as every request of the benchmark's
+# circular_mc and segment_mc does.  Every model's fold record offers
+# count_lanes (`circular._FoldIndicator`).
 #
 # A larger allowance would also raise the cost of a many-row sweep of small
 # requests: the allowance is spent, not reset per request, so such a sweep
@@ -452,8 +453,7 @@ def run_bernoulli_trials(indicator, trials: int, schedule: SeedSchedule,
     trials of a block of _LANES, given as n_draws ints of tick lanes: lane
     i of word j, 128 bits, holds the tick k < 2**53 of draw j of trial i,
     whose draw is k * 2**-53, and all its other bits are zero.  The lanes
-    from m on hold no trial.  A count_lanes of None offers none, as on a
-    fold record whose lo is not finite.
+    from m on hold no trial.  A count_lanes of None offers none.
 
     While numpy is not yet imported, a request of an indicator with
     count_lanes whose trials x n_draws fit the process's remaining

@@ -1,5 +1,6 @@
-"""tools/lane_costs.py, the lane path's cost per trial and its break-even
-with numpy's import, at tiny sizes."""
+"""tools/lane_costs.py, the lane path's cost per trial, the numpy kernel's
+per row and the lane path's break-even with numpy's import, at tiny
+sizes."""
 
 import importlib.util
 from pathlib import Path
@@ -15,8 +16,8 @@ _spec.loader.exec_module(lane_costs)
 
 def test_costs_are_positive_for_each_model():
     for model in lane_costs.MODELS:
-        assert lane_costs.indicator(model).count_lanes is not None
         assert lane_costs.ns_per_trial(model, 1024, 1) > 0.0
+        assert lane_costs.batch_ns_per_row(model, 64, 2) > 0.0
 
 
 def test_break_even_times_every_path_of_each_model(capsys):

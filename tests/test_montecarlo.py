@@ -1,5 +1,6 @@
 """Deterministic Monte Carlo machinery: seeding, intervals, trial runner."""
 
+import bisect
 import itertools
 import json
 import math
@@ -748,6 +749,7 @@ def test_a_draw_past_the_last_cumulative_weight_takes_the_last_atom():
     expected = _count_scalar(whole, 5000, SeedSchedule(3))
     assert _count_scalar(short, 5000, SeedSchedule(3)) == expected
     assert _vector_count(short, 5000, 3) == expected
+    assert _covers_count(short, SeedSchedule(3), 5000) == expected
 
 
 def test_a_trial_on_the_window_edge_is_detected_on_both_paths():
@@ -781,21 +783,48 @@ def _batch_flags(indicator, columns):
     return indicator.evaluate_batch(u).tolist()
 
 
-def _lane_and_batch_flags(indicator, columns):
-    """Each trial's flag from count_lanes, given the trial's ticks alone,
-    and from evaluate_batch."""
-    lanes = [indicator.count_lanes(*_lane_words([[k] for k in ticks])) == 1
-             for ticks in zip(*columns, strict=True)]
-    return lanes, _batch_flags(indicator, columns)
+def _lane_flags(indicator, columns):
+    """Each trial's flag from count_lanes, given the trial's ticks alone."""
+    return [indicator.count_lanes(*_lane_words([[k] for k in ticks])) == 1
+            for ticks in zip(*columns, strict=True)]
+
+
+def _covers_flag(indicator, draws):
+    """A trial's flag from covers, the one-position test that defines the
+    fold test, given its draws: draw 0 picks the atom by the class
+    docstring's rule, the number of kept cumulative weights at or below
+    it, and the last draw times the period is the position."""
+    atom = (0 if indicator._cum is None
+            else bisect.bisect_right(indicator._cum, draws[0]))
+    return indicator.covers(draws[-1] * indicator._period, atom)
+
+
+def _covers_flags(indicator, columns):
+    """Each trial's flag from covers, given its draws tick*2**-53."""
+    return [_covers_flag(indicator, [k * 2.0 ** -53 for k in ticks])
+            for ticks in zip(*columns, strict=True)]
 
 
 def _covers_count(indicator, schedule, trials):
-    """Successes of a one-atom record's covers, the one-position test, on
-    the schedule's trials [0, trials): each position is the trial's draw
-    times the period, as evaluate_batch forms it."""
-    assert indicator.n_draws == 1
-    return sum(indicator.covers(src.uniform() * indicator._period)
+    """Successes of covers on the schedule's trials [0, trials), each
+    flagged from its n_draws draws by `_covers_flag`."""
+    return sum(_covers_flag(indicator,
+                            [src.uniform() for _ in range(indicator.n_draws)])
                for src in map(schedule.trial_source, range(trials)))
+
+
+def _assert_paths_flag_as_covers(indicator, columns):
+    """count_lanes and evaluate_batch each flag the columns' trials as
+    covers does, one trial at a time, and count_lanes a block at a time
+    too; the flags."""
+    flags = _covers_flags(indicator, columns)
+    assert _lane_flags(indicator, columns) == flags
+    assert _batch_flags(indicator, columns) == flags
+    for lo in range(0, len(flags), _LANES):
+        block = [column[lo:lo + _LANES] for column in columns]
+        assert (indicator.count_lanes(*_lane_words(block))
+                == sum(flags[lo:lo + _LANES]))
+    return flags
 
 
 @pytest.mark.parametrize("n", [10 ** 300, 10 ** 305, 17 * 10 ** 307],
@@ -805,19 +834,17 @@ def test_a_subnormal_tick_counts_as_the_float_draws(n):
     # inexact: the position fl(period*k*2**-53) keeps one value over runs
     # of ticks, and still never decreases in k, so the record has tick
     # intervals.  The ticks k across the window's far edge, stepped
-    # through one by one, are flagged as evaluate_batch flags them.  r
-    # sets p = 0.3
+    # through one by one, are flagged on both paths as covers flags them.
+    # r sets p = 0.3
     indicator = linear._indicator(LinearPatrolScenario(
         R=1.0, r=0.3 / n * math.sin(math.atan2(1.0, 2.0)), n=n, v=2.0, u=1.0))
-    assert indicator.count_lanes is not None
     period = indicator._period
     assert period * 2.0 ** -53 < sys.float_info.min
-    edge = (indicator._lo + indicator._length) % period
+    edge = (indicator._los[0] + indicator._lengths[0]) % period
     k = round(edge / period * 2 ** 53)
     ticks = list(range(k - 300, k + 300))
-    lanes, batch = _lane_and_batch_flags(indicator, [ticks])
-    assert lanes == batch
-    assert True in batch and False in batch
+    flags = _assert_paths_flag_as_covers(indicator, [ticks])
+    assert True in flags and False in flags
     for seed in (1, 2 ** 64 - 1):
         schedule = SeedSchedule(seed)
         assert (_count_scalar(indicator, 5000, schedule)
@@ -838,13 +865,13 @@ def test_draws_beside_and_on_a_cumulative_weight_pick_the_same_atom(weights):
     picks = [k for c in cum for k in range(math.floor(c * 2 ** 53) - 2,
                                            math.ceil(c * 2 ** 53) + 3)]
     assert any(k * 2.0 ** -53 in cum for k in picks)
-    lanes, batch = _lane_and_batch_flags(indicator,
-                                         [picks, [3 * 2 ** 50] * len(picks)])
-    assert lanes == batch == [
+    assert _assert_paths_flag_as_covers(
+        indicator, [picks, [3 * 2 ** 50] * len(picks)]) == [
         sum(k * 2.0 ** -53 >= c for c in cum) != 1 for k in picks]
     atoms = circular._FoldIndicator(10, TWO_PI, (0.0, -0.3, 0.1),
                                     (0.2, 0.5, 0.1), weights)
     assert (_count_scalar(atoms, 5000, SeedSchedule(4))
+            == _covers_count(atoms, SeedSchedule(4), 5000)
             == _vector_count(atoms, 5000, 4))
 
 
@@ -854,16 +881,14 @@ def test_draws_beside_and_on_a_cumulative_weight_pick_the_same_atom(weights):
                          ids=["1e-308", "1e-310", "5e-324"])
 def test_a_circle_at_subnormal_r_over_R_counts_alike_on_both_paths(r, n):
     # a subnormal window in a period near 2**-1000: the record has tick
-    # intervals, and its lane count, its one-position test and numpy flag
-    # each trial alike
+    # intervals, and its lane count and numpy flag each trial as its
+    # one-position test does
     indicator = circular._indicator(CircularPatrolScenario(R=1.0, r=r, n=n,
                                                            v=2.0, u=1.0))
-    assert indicator.count_lanes is not None
     schedule = SeedSchedule(6)
     ticks = [int(schedule.trial_source(i).uniform() * 2 ** 53)
              for i in range(2000)]
-    lanes, batch = _lane_and_batch_flags(indicator, [ticks])
-    assert lanes == batch
+    _assert_paths_flag_as_covers(indicator, [ticks])
     assert (_count_scalar(indicator, 20000, schedule)
             == _covers_count(indicator, schedule, 20000)
             == _vector_count(indicator, 20000, 6))
@@ -876,14 +901,6 @@ def _edge_ticks(indicator, atom):
     period = indicator._period
     return sorted({round((edge / period) % 1.0 * 2 ** 53) % 2 ** 53
                    for edge in (lo, lo + length)})
-
-
-def _interval_ends(indicator, atom):
-    """The ends of the atom's tick intervals, as count_lanes reads them;
-    0 alone where the window spans the period."""
-    if indicator._lengths[atom] >= indicator._period:
-        return [0]
-    return indicator._ticks(atom)
 
 
 def _atom_tick(indicator, atom, first=False):
@@ -906,33 +923,21 @@ def _edge_columns(indicator, atom, ticks, first=False, steps=45):
         [_atom_tick(indicator, atom, first)] * len(ticks), ticks]
 
 
-def _assert_lanes_flag_as_the_batch(indicator, columns):
-    """count_lanes flags the columns' trials as evaluate_batch does, one
-    trial at a time and a block at a time; the flags."""
-    lanes, batch = _lane_and_batch_flags(indicator, columns)
-    assert lanes == batch
-    for lo in range(0, len(lanes), _LANES):
-        block = [column[lo:lo + _LANES] for column in columns]
-        assert (indicator.count_lanes(*_lane_words(block))
-                == sum(_batch_flags(indicator, block)))
-    return lanes
-
-
 @pytest.mark.parametrize("model", _FOLD_MODELS + ("shifted_span_3",))
 def test_the_integer_decision_flags_as_the_float_chain_across_each_edge(
         model):
     # each atom's ticks step across both edges of its window, the wrap at
     # lo included, by 0 and 2**i ticks either way, i < 45, and every trial
-    # is flagged as evaluate_batch flags it.  The edges are placed from lo
-    # and length alone, not from the tick intervals.  The record of span 3
-    # has its window off the position 0, lo > 0, so that its y starts
-    # below 0 (the circular module docstring's first region); it keeps its
-    # id from when its draw 0 was a shift
+    # is flagged on both paths as covers flags it.  The edges are placed
+    # from lo and length alone, not from the tick intervals.  The record of
+    # span 3 has its window off the position 0, lo > 0, so that its y
+    # starts below 0 (the circular module docstring's first region); it
+    # keeps its id from when its draw 0 was a shift
     indicator = (circular._FoldIndicator(10, 3.0, 0.13, 0.11)
                  if model == "shifted_span_3" else _fold_indicator(model))
     flags = []
     for atom in range(len(indicator._atoms)):
-        flags += _assert_lanes_flag_as_the_batch(indicator, _edge_columns(
+        flags += _assert_paths_flag_as_covers(indicator, _edge_columns(
             indicator, atom, _edge_ticks(indicator, atom)))
     assert True in flags and False in flags
 
@@ -943,14 +948,14 @@ def test_count_lanes_flags_as_evaluate_batch_around_each_interval_end(
         model, e, w, n):
     # each atom's trials step across each end of its tick intervals by 0,
     # 1 and 2**i ticks either way, i < 53, with draw 0 on the atom's
-    # lowest tick, on the weight before it where that is a whole tick.  A
-    # model's lo lies in [-length, 0], so an atom has at most two intervals
+    # lowest tick, on the weight before it where that is a whole tick, and
+    # each path flags them as covers does.  A model's lo lies in
+    # [-length, 0], so an atom has at most two intervals
     indicator = _fold_indicator(model, e, w, n)
-    for atom in range(len(indicator._atoms)):
+    for atom, (_, ends) in enumerate(indicator._table):
         lo, length = indicator._los[atom], indicator._lengths[atom]
-        ends = _interval_ends(indicator, atom)
         assert -length <= lo <= 0.0 and len(ends) <= 4
-        _assert_lanes_flag_as_the_batch(indicator, _edge_columns(
+        _assert_paths_flag_as_covers(indicator, _edge_columns(
             indicator, atom, ends, first=True, steps=53))
 
 
@@ -976,16 +981,16 @@ _EDGE_RECORDS = {
 
 @pytest.mark.parametrize("name", sorted(_EDGE_RECORDS))
 def test_edge_records_count_their_tick_intervals(name):
-    # every trial around each interval end is flagged as evaluate_batch
-    # flags it, an atom has at most two intervals, and their share of the
-    # 2**53 ticks, the Monte Carlo estimate's exact mean, lies within a few
-    # ticks of exact(): per end, x and y = x - lo round by at most 2**-53
+    # every trial around each interval end is flagged on both paths as
+    # covers flags it, an atom has at most two intervals, and their share
+    # of the 2**53 ticks, the Monte Carlo estimate's exact mean, lies within
+    # a few ticks of exact(): per end, x and y = x - lo round by at most 2**-53
     # of P and of 2P, three ticks' worth, and the tick grid adds one, and
     # exact()'s n*L/span rounds twice, at most 2**-52 below 1
     indicator = _EDGE_RECORDS[name]()
-    ends = _interval_ends(indicator, 0)
-    assert len(ends) <= 4 and indicator.count_lanes is not None
-    flags = _assert_lanes_flag_as_the_batch(
+    ends = indicator._table[0][1]
+    assert len(ends) <= 4
+    flags = _assert_paths_flag_as_covers(
         indicator, _edge_columns(indicator, 0, ends, steps=53))
     assert True in flags
     ticks = sum(b - a for a, b in zip(ends[::2], ends[1::2]))
@@ -999,28 +1004,30 @@ def test_edge_records_count_their_tick_intervals(name):
 def test_every_benchmark_mc_corner_keeps_its_lane_count(model):
     # the corners of the benchmark's Monte Carlo scenarios, r/R 0.005 to
     # 0.2, v/u 0 to 20 and n 1 to 1000: each record has tick intervals,
-    # so circular_mc and segment_mc requests within the allowance skip numpy
+    # so circular_mc and segment_mc requests within the allowance skip
+    # numpy, and a block counts on them as covers does
     for e, w, n in itertools.product((0.005, 0.2), (0.0, 20.0), (1, 1000)):
         record = _fold_indicator(model, e, w, n)
-        assert record.count_lanes is not None, (e, w, n)
+        assert (_count_scalar(record, _LANES, SeedSchedule(5))
+                == _covers_count(record, SeedSchedule(5), _LANES)), (e, w, n)
 
 
 def test_the_integer_plan_is_made_by_the_first_block_alone():
-    # exact() never builds it; a record whose lo is not finite, or lies a
-    # period or more from 0 under a shorter window, has none, and no lane
-    # count, so numpy counts it, as covers does
+    # exact() never builds it, nor the tick intervals it spreads; a record
+    # whose lo is not finite, or lies a period or more from 0 under a
+    # shorter window, or whose period is not in (0, inf), has no tick
+    # intervals and is a ValueError when it is made
     indicator = _fold_indicator("random_radius")
     indicator.exact()
-    assert "_plan" not in vars(indicator)
+    assert "_plan" not in vars(indicator) and "_table" not in vars(indicator)
     _count_scalar(indicator, 10, SeedSchedule(1))
     assert vars(indicator)["_plan"] is not None
-    for lo, length in ((math.nan, 1.0), (1e300, 1.0), (-1e300, 1.0),
-                       (-TWO_PI, 1.0)):
-        unfit = circular._FoldIndicator(1, TWO_PI, lo, length)
-        assert unfit._plan is None and unfit.count_lanes is None, (lo, length)
-        assert (_covers_count(unfit, SeedSchedule(2), 3000)
-                == _vector_count(unfit, 3000, 2))
-    for lo, length in ((0.0, math.inf), (0.0, 1e-300),
+    for span, lo, length in ((TWO_PI, math.nan, 1.0), (TWO_PI, 1e300, 1.0),
+                             (TWO_PI, -1e300, 1.0), (TWO_PI, -TWO_PI, 1.0),
+                             (0.0, 0.0, 1.0), (math.inf, 0.0, 1.0)):
+        with pytest.raises(ValueError, match="^a fold record needs"):
+            circular._FoldIndicator(1, span, lo, length)
+    for lo, length in ((0.0, math.inf), (-1e300, math.inf), (0.0, 1e-300),
                        (0.0, math.nextafter(TWO_PI, 0.0)), (1.0, 0.5)):
         fit = circular._FoldIndicator(1, TWO_PI, lo, length)
         assert (_count_scalar(fit, 3000, SeedSchedule(2))
@@ -1035,6 +1042,7 @@ def test_an_atom_whose_window_spans_the_period_detects_each_lane_it_picks():
     assert atoms._plan[1][1][1:] == (True, ())
     for seed in (3, 4):
         assert (_count_scalar(atoms, 5000, SeedSchedule(seed))
+                == _covers_count(atoms, SeedSchedule(seed), 5000)
                 == _vector_count(atoms, 5000, seed))
 
 
@@ -1043,8 +1051,8 @@ def test_a_record_at_any_fleet_size_has_a_lane_count():
     # vehicles, and at r/R = 1e-15; the tick intervals hold at any n
     for record in (_circle(1e-15, 10), _circle(4e-12, 10 ** 11),
                    _circle(4e-14, 10 ** 13)):
-        assert record.count_lanes is not None
         assert (_count_scalar(record, 3000, SeedSchedule(8))
+                == _covers_count(record, SeedSchedule(8), 3000)
                 == _vector_count(record, 3000, 8))
 
 
@@ -1120,7 +1128,7 @@ def test_the_lane_path_enters_no_python_frame_per_trial(model):
     schedule = SeedSchedule(11)
     # the tick intervals are found once per record, by bisection, before
     # the first block: make them first, so that neither count holds them
-    assert indicator.count_lanes is not None
+    assert indicator._plan
     one = _python_calls(lambda: _count_scalar(indicator, _LANES, schedule))
     eight = _python_calls(lambda: _count_scalar(indicator, 8 * _LANES, schedule))
     assert eight - one <= 7 * 32
@@ -1169,31 +1177,34 @@ def test_the_scalar_allowance_is_spent_across_requests():
 
 
 _UNFIT_PROBE = """
-import json, math, sys
-from patrolgeom.circular import TWO_PI, _FoldIndicator, mc_probability
+import json, sys
+from patrolgeom.circular import mc_probability
 from patrolgeom.montecarlo import SeedSchedule, run_bernoulli_trials
 from patrolgeom.scenario import CircularPatrolScenario
+class Below:
+    n_draws = 1
+    def evaluate_batch(self, u):
+        return u[:, 0] < 0.4
 reference = CircularPatrolScenario(R=100.0, r=5.0, n=10, v=2.0, u=1.0)
-unfit = _FoldIndicator(1, TWO_PI, math.nan, 1.0)
 out = []
 for run in (lambda: mc_probability(reference, 10, 3),
-            lambda: run_bernoulli_trials(unfit, 1, SeedSchedule(3))):
+            lambda: run_bernoulli_trials(Below(), 5, SeedSchedule(3))):
     out.append([run().successes, "numpy" in sys.modules])
 print(json.dumps(out))
 """
 
 
 def test_a_record_without_a_plan_is_counted_on_numpy():
-    # a fresh process: a record with tick intervals counts without numpy,
-    # and one whose lo is not finite has no lane count, so even its single
-    # trial loads numpy, with the allowance nearly whole
+    # a fresh process: a fold record counts without numpy, and an
+    # indicator that offers no count_lanes (as the needle offers none)
+    # loads numpy even for a few trials, with the allowance nearly whole
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
     proc = subprocess.run([sys.executable, "-c", _UNFIT_PROBE],
                           capture_output=True, text=True, env=env,
                           timeout=120, check=True)
-    unfit = circular._FoldIndicator(1, TWO_PI, math.nan, 1.0)
+    below = _ThresholdIndicator(0.4)
     assert json.loads(proc.stdout) == [
         [mc_probability(_CIRCLE, 10, 3).successes, False],
-        [run_bernoulli_trials(unfit, 1, SeedSchedule(3)).successes, True]]
+        [run_bernoulli_trials(below, 5, SeedSchedule(3)).successes, True]]

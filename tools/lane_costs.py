@@ -7,7 +7,9 @@ Without --break-even, prints each fold model's `_count_scalar` cost in ns
 per trial in this process, the least of CALLS calls over TRIALS trials, at
 R=100, r=5, n=10, v=2, u=1 (the segment n=5; the randomized radius atoms
 (0.8, 0.25), (1.0, 0.5), (1.2, 0.25)), each block counted on the
-record's tick intervals.
+record's tick intervals.  Beside it, the model's numpy kernel,
+evaluate_batch, in ns per row on a block of CHUNK_TRIALS trials: the
+least of CALLS warm calls, each on a fresh copy of one seeded block.
 
 With --break-even, runs one Monte Carlo request of each model per size,
 given in draws (trials x the record's n_draws), in a fresh process, on the
@@ -87,6 +89,23 @@ def ns_per_trial(model: str, trials: int, calls: int) -> float:
     return best / trials * 1e9
 
 
+def batch_ns_per_row(model: str, rows: int, calls: int) -> float:
+    """The least of `calls` timings of evaluate_batch on a fresh copy of one
+    seeded block of `rows` trials, after a call that makes the record's
+    table, in ns per row.  Each copy keeps the block's layout, a column per
+    draw, as the runner's workspace holds it."""
+    record = indicator(model)
+    block = SeedSchedule(7).uniform_block(0, rows, record.n_draws)
+    record.evaluate_batch(block.copy(order="F"))
+    best = math.inf
+    for _ in range(calls):
+        u = block.copy(order="F")
+        start = time.perf_counter()
+        record.evaluate_batch(u)
+        best = min(best, time.perf_counter() - start)
+    return best / rows * 1e9
+
+
 def _process_s(model: str, path: str, draws: int) -> float:
     """Wall seconds of one fresh process counting `draws` draws of the
     model on the path."""
@@ -158,9 +177,10 @@ def main(argv: list[str] | None = None) -> int:
     if args.break_even:
         _fit([int(s) for s in args.sizes.split(",")], REPEATS, args.seed)
         return 0
-    print(f"{'model':<18} {'ns/trial':>9}")
+    print(f"{'model':<18} {'ns/trial':>9} {'batch ns/row':>13}")
     for model in MODELS:
-        print(f"{model:<18} {ns_per_trial(model, TRIALS, CALLS):9.1f}")
+        print(f"{model:<18} {ns_per_trial(model, TRIALS, CALLS):9.1f} "
+              f"{batch_ns_per_row(model, CHUNK_TRIALS, CALLS):13.2f}")
     return 0
 
 
