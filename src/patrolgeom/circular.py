@@ -59,15 +59,17 @@ The flag then holds on at most two tick intervals, y <= L and
 P <= y <= P + L.  For any lo in (-P, P) y lies in (-P, 2P), and below 0
 the flag reads fl(y + P) <= L.  On each of these regions of y, below 0,
 below P and from P on, the flag holds on a first run of ticks and then
-fails.  `_FoldIndicator._ticks` finds where each region starts, by
-bisection on y, and where its run of flags ends, by bisection on covers
-itself, so the intervals are covers' own flags.  Both Monte Carlo paths
-read them, and over an atom's disjoint intervals a tick is flagged iff
-an odd number of their ends lie at or below it.  count_lanes tests a
-lane block of ticks against the ends on whole integers: k lies at or
-past an end a iff bit 53 of k + 2**53 - a is set.  evaluate_batch reads
-each end as the draw a*2**-53, exact as a <= 2**53, so a draw lies at or
-past it iff its tick does.
+fails.  `_FoldIndicator._ticks` finds where each region starts, by a
+search on y, and where its run of flags ends, by a search on covers
+itself, so the intervals are covers' own flags.  Each search starts
+from the end's estimate in real arithmetic, a few ticks off, and so
+tests a few ticks, not the 53 of a bisection over all of them.  Both
+Monte Carlo paths read them, and over an atom's disjoint intervals a
+tick is flagged iff an odd number of their ends lie at or below it.
+count_lanes tests a lane block of ticks against the ends on whole
+integers: k lies at or past an end a iff bit 53 of k + 2**53 - a is set.
+evaluate_batch reads each end as the draw a*2**-53, exact as a <= 2**53,
+so a draw lies at or past it iff its tick does.
 
 The closed forms read e and sin(alpha) alone, and raise OverflowError where
 their value leaves the float range.
@@ -78,11 +80,11 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from itertools import accumulate
+from itertools import accumulate, zip_longest
 from typing import Iterable, Sequence
 
 from .frames import TWO_PI, _finite_angle, _vehicle_angle, wrap_positive
-from .montecarlo import (_LANES, EstimateWithCI, SeedSchedule,
+from .montecarlo import (_INV_2_53, _LANES, EstimateWithCI, SeedSchedule,
                          _lane_constants, run_bernoulli_trials)
 from .scenario import CircularPatrolScenario, _Record, _validate_as
 
@@ -294,22 +296,18 @@ class _FoldIndicator:
     ValueError."""
 
     def __init__(self, n, span, lo, length, weights=None):
-        self.n_draws = 1 if weights is None else 2
         self._n, self._span, self._period = n, span, span / n
-        self._cum = (None if weights is None
-                     else tuple(accumulate(weights))[:-1])
-        # the atoms' windows, of covers and the tick intervals
-        self._los, self._lengths = (((lo,), (length,)) if weights is None
-                                    else (lo, length))
-        self._atoms = (((1.0, length),) if weights is None
-                       else tuple(zip(weights, length)))
-        period = self._period
-        if not (0.0 < period < math.inf and all(
+        self.n_draws, self._cum = ((1, None) if weights is None else
+                                   (2, tuple(accumulate(weights))[:-1]))
+        # the atoms' weights and windows, of exact, covers and the ticks
+        self._weights, self._los, self._lengths = (
+            ((1.0,), (lo,), (length,)) if weights is None
+            else (weights, lo, length))
+        if not (0.0 < (period := self._period) < math.inf and all(
                 abs(lo) < period or length >= period and math.isfinite(lo)
                 for lo, length in zip(self._los, self._lengths))):
             raise ValueError("a fold record needs a period in (0, inf) and "
-                             "each lo finite, within a period of 0 under a "
-                             "shorter window")
+                             "lo finite, in (-P, P) under a shorter window")
 
     def exact(self) -> float:
         """min(1, sum of p*min(1, n*L/span)) over the atoms (p, L): n
@@ -321,30 +319,25 @@ class _FoldIndicator:
         n, span, period = self._n, self._span, self._period
         return min(1.0, math.fsum(
             p if length >= period else p * (n * length / span)
-            for p, length in self._atoms))
+            for p, length in zip(self._weights, self._lengths)))
 
     def evaluate_batch(self, u: np.ndarray) -> np.ndarray:
         """Detection flags, read off the table: a trial is detected iff its
         last draw lies at or past an odd number of its atom's interval
         ends, each read as the draw a*2**-53.  Given weights, draw 0 picks
-        the atom against the pick ticks as draws, and column 0 then holds
-        each trial's atom's ends in turn, an end 2**53 (the draw 1) where
-        its atom has fewer."""
+        the atom against the picks as draws, and column 0 then holds each
+        trial's atom's ends in turn (`_columns`)."""
         import numpy as np
 
-        x, table = u[:, -1], self._table
-        flags = np.zeros(len(x), dtype=bool)
+        x, flags = u[:, -1], np.zeros(len(u), dtype=bool)
         if self._cum is None:
-            for a in table[0][1]:
-                flags ^= x >= a * 2.0 ** -53
+            for a in self._table[0][1]:
+                flags ^= x >= a * _INV_2_53
             return flags
         # idx never passes the last atom, and mode="clip" is set only
         # because under the default mode="raise" np.take buffers out
-        idx = np.searchsorted([pick * 2.0 ** -53 for pick, _ in table[:-1]],
-                              u[:, 0], side="right")
-        for j in range(max(len(ends) for _, ends in table)):
-            column = [(ends[j] if j < len(ends) else _TICKS) * 2.0 ** -53
-                      for _, ends in table]
+        idx = np.searchsorted(self._columns[0], u[:, 0], side="right")
+        for column in self._columns[1]:
             flags ^= x >= np.take(column, idx, out=u[:, 0], mode="clip")
         return flags
 
@@ -359,27 +352,35 @@ class _FoldIndicator:
         order: the module docstring's regions of y = fl(x - lo) start
         where y reaches 0 and P, and covers holds on a first run of each
         region's ticks."""
-        period, lo = self._period, self._los[atom]
+        period, lo, length = self._period, self._los[atom], self._lengths[atom]
 
-        def position(k: int) -> float:
-            return k * 2.0 ** -53 * period
-
-        def first(a: int, b: int, test) -> int:
+        def first(a: int, b: int, test, t: float) -> int:
             """The least tick in [a, b) that passes test, which the ticks
-            fail and then pass in order, or b where none does."""
-            while a < b:
-                mid = (a + b) // 2
-                if test(mid):
-                    b = mid
-                else:
-                    a = mid + 1
-            return a
+            fail and then pass in order, or b where none does.  It lies
+            within a few ticks of g, the real (lo + t)/P*2**53 rounded up,
+            unless P is subnormal, so the search steps out from g by strides
+            that double with the distance from g until the ticks [p, q]
+            bracket it, then bisects."""
+            g = p = q = math.ceil(min(b, max(a, (lo + t) / period * _TICKS)))
+            while q < b and not test(q):
+                p, q = q + 1, min(2 * q - g + 1, b)
+            while p > a and test(p - 1):
+                p, q = max(2 * p - g - 1, a), p - 1
+            while p < q:
+                mid = (p + q) // 2
+                p, q = (p, mid) if test(mid) else (mid + 1, q)
+            return p
 
-        starts = [first(0, _TICKS, lambda k: position(k) - lo >= bound)
-                  for bound in (0.0, period)]
+        # where lo <= 0, as in every model, tick 0 has y = -lo >= 0 and so
+        # starts region 1; an empty region holds no run to search
+        starts = [0 if t == 0.0 and lo <= 0.0 else first(
+            0, _TICKS, lambda k: k * _INV_2_53 * period - lo >= t, t)
+            for t in (0.0, period)]
         ends = []
-        for a, b in zip([0, *starts], [*starts, _TICKS]):
-            c = first(a, b, lambda k: not self.covers(position(k), atom))
+        for t, a, b in zip((length - period, length, length + period),
+                           [0, *starts], [*starts, _TICKS]):
+            c = a if a == b else first(a, b, lambda k: not self.covers(
+                k * _INV_2_53 * period, atom), t)
             if a < c:
                 ends += [a, c]
         return ends
@@ -392,11 +393,21 @@ class _FoldIndicator:
         on draw 0 picks a later atom, and ends those of the atom's tick
         intervals (`_ticks`), just tick 0 where the window spans the
         period."""
-        picks = [min(math.ceil(c * 2.0 ** 53), _TICKS)
-                 for c in self._cum or ()]
+        picks = [min(math.ceil(c * _TICKS), _TICKS) for c in self._cum or ()]
         return tuple(zip(picks + [None], (
             [0] if length >= self._period else self._ticks(atom)
             for atom, length in enumerate(self._lengths))))
+
+    @functools.cached_property
+    def _columns(self):
+        """The weighted table as draws, exact as every tick is at most
+        2**53: the picks, and per j the column of each atom's j-th end, the
+        draw 1, which no draw reaches, where an atom has fewer ends."""
+        import numpy as np
+
+        columns = zip_longest(*(e for _, e in self._table), fillvalue=_TICKS)
+        return (np.array([pick for pick, _ in self._table[:-1]]) * _INV_2_53,
+                np.array(list(columns)) * _INV_2_53)
 
     @functools.cached_property
     def _plan(self):

@@ -96,16 +96,17 @@ CHUNK_TRIALS = 32768
 # draws, the median of the five runs; 2-core host, Python 3.11, numpy 2.4):
 #
 #     model               ns per trial   break-even (draws)
-#     circle              117            654 000
-#     segment             116            594 000
-#     randomized radius   197            795 000
+#     circle              117            634 000
+#     segment             116            624 000
+#     randomized radius   197            783 000
 #
-# 18 * CHUNK_TRIALS = 589 824 draws lies below each median break-even,
-# the segment's by 1%.  Single runs spread by about 100 000 draws: two of
-# the segment's five fell below the allowance (544 000 and 561 000), and
-# the break-evens move with the host's speed between sessions, so the
-# allowance stays.  A circle or a segment request of 250 000 trials
-# (250 000 draws) skips numpy, as every request of the benchmark's
+# The allowance is the tool's rule applied to those runs and to five
+# earlier ones of the same kernel: the largest multiple of CHUNK_TRIALS
+# below each single break-even.  The least, a segment's 544 000 draws in
+# an earlier run, allows 16 * CHUNK_TRIALS = 524 288 draws; single runs
+# spread by about 100 000 draws, and the break-evens move as the shared
+# host's load changes.  A circle or a segment request of 250 000
+# trials (250 000 draws) skips numpy, as every request of the benchmark's
 # circular_mc and segment_mc does.  Every model's fold record offers
 # count_lanes (`circular._FoldIndicator`).
 #
@@ -118,7 +119,7 @@ CHUNK_TRIALS = 32768
 # runs circle or segment trials, of one draw each, so rows x trials are
 # its draws; only a randomized radius trial takes two.  The allowance
 # picks the path only, so callers in several threads may race on it.
-_SCALAR_DRAWS = 18 * CHUNK_TRIALS
+_SCALAR_DRAWS = 16 * CHUNK_TRIALS
 _scalar_left = _SCALAR_DRAWS
 
 # Ceiling on worker threads.  The estimate does not depend on `workers`, and

@@ -894,6 +894,49 @@ def test_a_circle_at_subnormal_r_over_R_counts_alike_on_both_paths(r, n):
             == _vector_count(indicator, 20000, 6))
 
 
+def _bisected_ends(indicator, atom):
+    """The atom's tick-interval ends found by plain bisection over all 2**53
+    ticks, on the tests `_FoldIndicator._ticks` uses: y = fl(x - lo)
+    reaching 0 and P, then covers failing within each region."""
+    period, lo = indicator._period, indicator._los[atom]
+
+    def first(a, b, test):
+        while a < b:
+            mid = (a + b) // 2
+            a, b = (a, mid) if test(mid) else (mid + 1, b)
+        return a
+
+    starts = [first(0, 2 ** 53, lambda k: k * 2.0 ** -53 * period - lo >= t)
+              for t in (0.0, period)]
+    ends = []
+    for a, b in zip([0, *starts], [*starts, 2 ** 53]):
+        c = first(a, b, lambda k: not indicator.covers(k * 2.0 ** -53 * period,
+                                                       atom))
+        if a < c:
+            ends += [a, c]
+    return ends
+
+
+@pytest.mark.parametrize("n,span,lo,length", [
+    (1, 3.5e-323, -1e-323, 1.5e-323), (1, 2.0 ** -1060, -2.0 ** -1062,
+                                       2.0 ** -1061),
+    (3, 1e-320, 1e-321, 1e-322), (1, 1e-310, -3e-311, 5e-311),
+    (7, 2.0 ** -1070, 0.0, 5e-324), (10, 3.0, 0.13, 0.11),
+    (2 ** 60, 1.0, -2.0 ** -62, 2.0 ** -61)])
+def test_the_tick_search_finds_the_ends_a_bisection_finds(n, span, lo, length):
+    # a subnormal period holds one position over long runs of ticks, so
+    # the estimate of an end in real arithmetic misses it by 222 to about
+    # 2.3*10**15 ticks, below and above, on the first five records, and
+    # the search steps out to it by doubling strides; on the last two,
+    # normal periods, it misses by at most a tick.  Each path flags the
+    # trials around every end as covers does
+    indicator = circular._FoldIndicator(n, span, lo, length)
+    ends = indicator._ticks(0)
+    assert ends == _bisected_ends(indicator, 0)
+    _assert_paths_flag_as_covers(indicator, _edge_columns(indicator, 0, ends,
+                                                          steps=53))
+
+
 def _edge_ticks(indicator, atom):
     """Ticks of the last draw that put a trial on an edge of the atom's
     window, lo (the wrap) or lo + length, taken into the period."""
@@ -936,7 +979,7 @@ def test_the_integer_decision_flags_as_the_float_chain_across_each_edge(
     indicator = (circular._FoldIndicator(10, 3.0, 0.13, 0.11)
                  if model == "shifted_span_3" else _fold_indicator(model))
     flags = []
-    for atom in range(len(indicator._atoms)):
+    for atom in range(len(indicator._los)):
         flags += _assert_paths_flag_as_covers(indicator, _edge_columns(
             indicator, atom, _edge_ticks(indicator, atom)))
     assert True in flags and False in flags
