@@ -325,8 +325,8 @@ class _FoldIndicator:
         """Detection flags, read off the table: a trial is detected iff its
         last draw lies at or past an odd number of its atom's interval
         ends, each read as the draw a*2**-53.  Given weights, draw 0 picks
-        the atom against the picks as draws, and column 0 then holds each
-        trial's atom's ends in turn (`_columns`)."""
+        the atom, the number of picks as draws at or below it, and column 0
+        then holds each trial's atom's ends in turn (`_columns`)."""
         import numpy as np
 
         x, flags = u[:, -1], np.zeros(len(u), dtype=bool)
@@ -334,10 +334,13 @@ class _FoldIndicator:
             for a in self._table[0][1]:
                 flags ^= x >= a * _INV_2_53
             return flags
+        picks, columns = self._columns
+        idx = np.zeros(len(u), dtype=np.intp)
+        for pick in picks:
+            idx += u[:, 0] >= pick
         # idx never passes the last atom, and mode="clip" is set only
         # because under the default mode="raise" np.take buffers out
-        idx = np.searchsorted(self._columns[0], u[:, 0], side="right")
-        for column in self._columns[1]:
+        for column in columns:
             flags ^= x >= np.take(column, idx, out=u[:, 0], mode="clip")
         return flags
 

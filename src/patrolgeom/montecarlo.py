@@ -1,10 +1,14 @@
 """Deterministic Monte Carlo machinery.
 
-Every estimate is a pure function of (indicator, trials, root seed).  Trials
-are seeded individually from the root seed through a fixed 64-bit mixing rule,
-so the result does not depend on chunk size, scheduling order, or worker
-count, and the scalar reference draws (`TrialSource`) and the vectorized
-ones (`SeedSchedule.uniform_block`) are bit-identical.
+Every estimate is a pure function of (indicator, trials, root seed).  The
+draws are one SplitMix64 sequence seeded at the root: in a request of D
+draws per trial, draw j of trial t is the sequence's output t*D + j,
+mix64(root + (t*D + j + 1)*GAMMA mod 2**64), mapped to [0, 1) by its top 53
+bits.  A draw is thus a function of its trial and its place alone, so the
+result does not depend on chunk size, scheduling order, or worker count,
+and the scalar reference draws (`TrialSource`) and the vectorized ones
+(`SeedSchedule.uniform_block`) are bit-identical.  No two draws of a run
+share a state while trials*D < 2**64.
 
 The vectorized path is allocation-free per chunk.  Each worker of
 `run_bernoulli_trials` owns one `DrawWorkspace`, allocated once, and walks
@@ -12,12 +16,12 @@ its own share of the fixed chunk sequence; worker 0 runs on the calling
 thread and the others on plain `threading.Thread`s.  A workspace is one
 float64 buffer of draws + 2 rows.  `SeedSchedule.uniform_block` runs
 splitmix64 through ufuncs writing into it, with the two trailing rows,
-viewed as uint64, as the keys and the mixing scratch, and stores the draws
-draw-major in the leading rows, returning the (m, draws) transpose: each
-column u[:, j] is contiguous.  The block is runner-owned scratch, so an
-indicator may overwrite it while computing in place, and an indicator that
-declares n_scratch is also handed that many of the trailing rows, dead once
-the draws are made.
+viewed as uint64, as the states being mixed and the mixing scratch, and
+stores the draws draw-major in the leading rows, returning the (m, draws)
+transpose: each column u[:, j] is contiguous.  The block is runner-owned
+scratch, so an indicator may overwrite it while computing in place, and an
+indicator that declares n_scratch is also handed that many of the
+trailing rows, dead once the draws are made.
 
 numpy is imported by the functions that use it, not at module level, so
 the closed-form commands, which never call them, start without loading it.
@@ -30,12 +34,13 @@ draws (trials x n_draws) fit what is left of a per-process allowance, the
 runner counts it in plain Python over the same splitmix64 draws
 (`_count_scalar`).  That path packs 1024 trials into one Python int, a
 128-bit lane each, so each step of splitmix64 is one big-int operation for
-all of them (`_mix`, of which `mix64` is the one-lane case).  Every draw
-is one lane step (`_mixed`): add a constant to every lane, mix, and keep
-each lane's tick, w >> 11 of its mixed 64-bit word w; the constants are
-multiplied out over the lanes once per request.  Blocks are mixed whole,
-all 1024 lanes, the last one too, and count_lanes is handed the block's
-tick lanes, one int per draw, with the number of lanes that hold trials:
+all of them (`_mix`, of which `mix64` is the one-lane case).  Each draw
+of a block is one word of states, lane i holding trial i's, and one lane
+step (`_mixed`): mix every lane and keep its tick, w >> 11 of its mixed
+64-bit word w; the words start and advance by constants multiplied out
+over the lanes once per request.  Blocks are mixed whole, all 1024 lanes,
+the last one too, and count_lanes is handed the block's tick lanes, one
+int per draw, with the number of lanes that hold trials:
 the tick k in a lane is the draw k * 2**-53 that `TrialSource.uniform`
 makes.  This module alone turns a mixed word into a tick.  count_lanes
 decides the block on those ints, without a Python call per trial.
@@ -88,7 +93,7 @@ CHUNK_TRIALS = 32768
 # never imports numpy (see run_bernoulli_trials).  It is counted in draws
 # because the path's cost per trial grows with its draws (1 for the circle
 # and the segment, 2 and an atom pick for the randomized radius).  In
-# process (`python3 tools/lane_costs.py`, the least of 14 processes) a
+# process (`python3 tools/lane_costs.py`, the least of 7 processes) a
 # trial costs the ns below, its block counted on its tick intervals.  A
 # fresh process breaks even with numpy's import at about these draws per
 # request (`python3 tools/lane_costs.py --break-even`, seeds 0 to 4: a
@@ -96,19 +101,20 @@ CHUNK_TRIALS = 32768
 # draws, the median of the five runs; 2-core host, Python 3.11, numpy 2.4):
 #
 #     model               ns per trial   break-even (draws)
-#     circle              117            634 000
-#     segment             116            624 000
-#     randomized radius   197            783 000
+#     circle              60             1 002 000
+#     segment             60             1 019 000
+#     randomized radius   131              909 000
 #
-# The allowance is the tool's rule applied to those runs and to five
-# earlier ones of the same kernel: the largest multiple of CHUNK_TRIALS
-# below each single break-even.  The least, a segment's 544 000 draws in
-# an earlier run, allows 16 * CHUNK_TRIALS = 524 288 draws; single runs
-# spread by about 100 000 draws, and the break-evens move as the shared
-# host's load changes.  A circle or a segment request of 250 000
-# trials (250 000 draws) skips numpy, as every request of the benchmark's
-# circular_mc and segment_mc does.  Every model's fold record offers
-# count_lanes (`circular._FoldIndicator`).
+# The allowance is the tool's rule applied to those runs: the largest
+# multiple of CHUNK_TRIALS below each single break-even.  The least, a
+# randomized radius's 830 000 draws, allows 25 * CHUNK_TRIALS = 819 200
+# draws; single runs spread by about 300 000 draws, and the break-evens
+# move as the shared host's load changes.  The lines cross 0 past the
+# largest size fitted; two runs at 500 000 to 1 300 000 draws, which
+# bracket it, read 989 000 to 1 091 000.  A circle or a segment request
+# of 250 000 trials (250 000 draws) skips numpy, as every request of the
+# benchmark's circular_mc and segment_mc does.  Every model's fold record
+# offers count_lanes (`circular._FoldIndicator`).
 #
 # A larger allowance would also raise the cost of a many-row sweep of small
 # requests: the allowance is spent, not reset per request, so such a sweep
@@ -119,7 +125,7 @@ CHUNK_TRIALS = 32768
 # runs circle or segment trials, of one draw each, so rows x trials are
 # its draws; only a randomized radius trial takes two.  The allowance
 # picks the path only, so callers in several threads may race on it.
-_SCALAR_DRAWS = 16 * CHUNK_TRIALS
+_SCALAR_DRAWS = 25 * CHUNK_TRIALS
 _scalar_left = _SCALAR_DRAWS
 
 # Ceiling on worker threads.  The estimate does not depend on `workers`, and
@@ -173,12 +179,12 @@ def _lane_constants() -> tuple[int, int, int, int]:
             ((1 << 53) - 1) * ones)
 
 
-def _mixed(base: int, lane_add: int) -> int:
-    """The lane step: each lane of base plus that lane of lane_add, mod
-    2**64, mixed, as its tick w >> 11 of the mixed word w.  The ticks mask
-    clears what the shift moves in from the next lane."""
+def _mixed(x: int) -> int:
+    """The lane step: each lane of x, a 64-bit state, mixed, as its tick
+    w >> 11 of the mixed word w.  The ticks mask clears what the shift
+    moves in from the next lane."""
     _, _, mask, ticks = _lane_constants()
-    return (_mix((base + lane_add) & mask, mask) >> 11) & ticks
+    return (_mix(x, mask) >> 11) & ticks
 
 
 def _draws(x: int, m: int) -> list[float]:
@@ -204,14 +210,14 @@ def _mix64_inplace(x: np.ndarray, scratch: np.ndarray) -> None:
 
 
 @functools.lru_cache(maxsize=1)
-def _ramp(capacity: int) -> np.ndarray:
-    """i*GAMMA mod 2**64 for i < capacity, read-only: trial keys are a fixed
-    offset from it.  The workspaces of a run share one, and a request of
-    another size replaces it."""
+def _ramp(capacity: int, draws: int) -> np.ndarray:
+    """i*draws*GAMMA mod 2**64 for i < capacity, read-only: the states of a
+    block's draw j are a fixed offset from it.  The workspaces of a run
+    share one, and a request of another size replaces it."""
     import numpy as np
 
     ramp = np.arange(capacity, dtype=np.uint64)
-    np.multiply(ramp, _GAMMA, out=ramp)
+    np.multiply(ramp, (draws * _GAMMA) & _MASK64, out=ramp)
     ramp.flags.writeable = False
     return ramp
 
@@ -220,14 +226,13 @@ class DrawWorkspace:
     """Reusable buffer for `SeedSchedule.uniform_block` on up to `capacity`
     trials of `draws` draws each: one float64 array of draws + 2 rows of
     `capacity`, the draws first.  The two trailing rows, viewed as uint64,
-    hold the trial keys and the mixing scratch while the draws are made;
-    after that they are free, and `run_bernoulli_trials` hands them to an
-    indicator that declares n_scratch.  Reusing one across chunks makes the
-    draw path allocation-free; each block it returns is overwritten by the
-    next call that is handed the same workspace."""
+    hold the states being mixed and the mixing scratch while the draws are
+    made; after that they are free, and `run_bernoulli_trials` hands them
+    to an indicator that declares n_scratch.  Reusing one across chunks
+    makes the draw path allocation-free; each block it returns is
+    overwritten by the next call that is handed the same workspace."""
 
-    __slots__ = ("capacity", "draws", "_ramp", "_rows", "_keys", "_scratch",
-                 "_last")
+    __slots__ = ("capacity", "draws", "_ramp", "_rows", "_bits", "_scratch")
 
     def __init__(self, capacity: int, draws: int):
         import numpy as np
@@ -237,19 +242,20 @@ class DrawWorkspace:
             raise ValueError("need capacity >= 0 and draws >= 1")
         self.capacity = capacity
         self.draws = draws
-        self._ramp = _ramp(capacity)
+        self._ramp = _ramp(capacity, draws)
         self._rows = np.empty((draws + 2, capacity))
-        self._keys, self._scratch = self._rows[draws:].view(np.uint64)
-        # the last draw's row, as uint64: the earlier draws are mixed there
-        self._last = self._rows[draws - 1].view(np.uint64)
+        self._bits, self._scratch = self._rows[draws:].view(np.uint64)
 
 
 class TrialSource:
-    """Random source for one trial, driven by a counter under a fixed key:
-    the scalar reference for the draws of `SeedSchedule.uniform_block`.
+    """Random source for one trial, a run of the SplitMix64 sequence from
+    the trial's state `key`: the scalar reference for the draws of
+    `SeedSchedule.uniform_block`.
 
     Draw j (1-based) is mix64(key + j*GAMMA) mapped to [0, 1) by its top 53
-    bits: u = (bits >> 11) * 2**-53.
+    bits: u = (bits >> 11) * 2**-53.  From `SeedSchedule.trial_source`, key
+    is root_seed + index*D*GAMMA, so draw j is the sequence's output
+    index*D + j - 1.
     """
 
     __slots__ = ("key", "_count")
@@ -266,39 +272,41 @@ class TrialSource:
 
 
 class SeedSchedule(_Record):
-    """Derives independent per-trial states from one root seed.
+    """One SplitMix64 sequence from one root seed, cut into trials.
 
-    Trial i receives the key mix64(root_seed + (i + 1)*GAMMA).  GAMMA is odd,
-    so i -> root_seed + (i + 1)*GAMMA is injective mod 2**64, and mix64 is a
-    bijection: distinct trial indices always get distinct keys.
+    In a request of D draws per trial, draw j of trial i is the sequence's
+    output i*D + j, mix64(root_seed + (i*D + j + 1)*GAMMA mod 2**64).  GAMMA
+    is odd, so the states root_seed + k*GAMMA are distinct mod 2**64 for
+    k < 2**64, and mix64 is a bijection: no two draws of a request of
+    trials*D < 2**64 draws share a state or an output word.
     """
 
     root_seed: int
 
-    def _counter(self, index: int) -> int:
-        """root_seed + (index + 1)*GAMMA mod 2**64, which mix64 turns into
-        the key of trial index: the one place the seed is read.  A numpy
-        integer seed reads as the equal int; a bool or a non-integer is a
-        ValueError."""
+    def _state(self, index: int, draws: int) -> int:
+        """root_seed + index*draws*GAMMA mod 2**64, the state from which
+        trial index of `draws` draws takes its draws: the one place the
+        seed is read.  A numpy integer seed reads as the equal int; a bool
+        or a non-integer is a ValueError."""
         seed = _integer(self.root_seed)
         if seed is None:
             raise ValueError("seed must be an integer")
-        return (seed + (index + 1) * _GAMMA) & _MASK64
+        return (seed + index * draws * _GAMMA) & _MASK64
 
-    def trial_key(self, index: int) -> int:
-        if index < 0:
-            raise ValueError("trial index must be nonnegative")
-        return mix64(self._counter(index))
-
-    def trial_source(self, index: int) -> TrialSource:
-        return TrialSource(self.trial_key(index))
+    def trial_source(self, index: int, draws: int) -> TrialSource:
+        """The draws of trial index in a request of `draws` per trial."""
+        index, draws = _integers(index=index, draws=draws)
+        if index < 0 or draws < 1:
+            raise ValueError("need trial index >= 0 and draws >= 1")
+        return TrialSource(self._state(index, draws))
 
     def uniform_block(self, start: int, stop: int, draws: int,
                       out: Optional[DrawWorkspace] = None) -> np.ndarray:
         """Uniform draws for trials [start, stop), shape (stop-start, draws).
 
-        Row i is bit-identical to the first `draws` uniforms produced by
-        trial_source(start + i).  The result is the transpose of a
+        Row i is bit-identical to the `draws` uniforms produced by
+        trial_source(start + i, draws): row i's draw j is the sequence's
+        output (start + i)*draws + j.  The result is the transpose of a
         draw-major (draws, stop-start) block, so each column is contiguous.
         Without `out` the block is a fresh array; with a workspace it lives
         in the workspace and the next call with that workspace reuses it.
@@ -313,17 +321,13 @@ class SeedSchedule(_Record):
             out = DrawWorkspace(m, draws)
         elif m > out.capacity or draws != out.draws:
             raise ValueError("workspace does not fit the requested block")
-        keys, scratch, last = out._keys[:m], out._scratch[:m], out._last[:m]
-        block = out._rows[:draws, :m]
-        # key of trial start + i: mix64(root_seed + (start + 1 + i)*GAMMA)
-        np.add(out._ramp[:m], self._counter(start), out=keys)
-        _mix64_inplace(keys, scratch)
+        bits, scratch = out._bits[:m], out._scratch[:m]
+        ramp, block = out._ramp[:m], out._rows[:draws, :m]
+        state = self._state(start, draws)
         for j in range(draws):
-            # the last draw is mixed in place of the keys, its last reader,
-            # and each earlier one in the last draw's row.  No row converts
-            # onto itself: numpy copies an operand that overlaps its output.
-            bits = keys if j == draws - 1 else last
-            np.add(keys, ((j + 1) * _GAMMA) & _MASK64, out=bits)
+            # each draw is mixed in a trailing row, so that no row converts
+            # onto itself: numpy copies an operand that overlaps its output
+            np.add(ramp, (state + (j + 1) * _GAMMA) & _MASK64, out=bits)
             _mix64_inplace(bits, scratch)
             np.right_shift(bits, 11, out=bits)
             np.multiply(bits, _INV_2_53, out=block[j])
@@ -406,23 +410,23 @@ def _count_scalar(indicator, trials: int, schedule: SeedSchedule) -> int:
     """Successes of indicator.count_lanes over trials [0, trials) in plain
     Python: the draws of `TrialSource`, handed to it one block of _LANES
     trials at a time, as n_draws words of tick lanes and the number m of
-    lanes that hold trials.  Each block is mixed whole, the last one too:
-    the counters of trial lo + i, mixed, become its key, and the key plus
-    j*GAMMA, by a lane step, the tick of its draw j.  The constants, j*GAMMA
-    and the counters' advance _LANES*GAMMA per block, are multiplied out
-    over the lanes once."""
-    ones, counters, mask, _ = _lane_constants()
-    counters = (counters + schedule._counter(0) * ones) & mask
+    lanes that hold trials.  Each block is mixed whole, the last one too.
+    Draw j keeps one word of states, lane i holding trial lo + i's: a lane
+    step (`_mixed`) makes it the draw's ticks, and the word then advances
+    by _LANES*n_draws*GAMMA.  The words' start and advance are multiplied
+    out over the lanes once."""
+    ones, ramp, mask, _ = _lane_constants()
+    draws = _integer(indicator.n_draws)
+    state = schedule._state(0, draws)
+    words = [(ramp * draws + ((state + (j + 1) * _GAMMA) & _MASK64) * ones)
+             & mask for j in range(draws)]
+    advance = ((_LANES * draws * _GAMMA) & _MASK64) * ones
     count = indicator.count_lanes
-    adds = [(((j + 1) * _GAMMA) & _MASK64) * ones
-            for j in range(indicator.n_draws)]
-    advance = ((_LANES * _GAMMA) & _MASK64) * ones
     total = 0
     for lo in range(0, trials, _LANES):
-        keys = _mix(counters, mask)
-        total += count([_mixed(keys, add) for add in adds],
+        total += count([_mixed(word) for word in words],
                        min(_LANES, trials - lo))
-        counters = (counters + advance) & mask
+        words = [(word + advance) & mask for word in words]
     return total
 
 
@@ -431,10 +435,10 @@ def _trial_draws(key: int, count: int) -> Iterator[float]:
     They stay floats, not ticks: the caller's int(m * u) floors the rounded
     product, where an exact integer product of m and the tick would not
     round."""
-    ones, ramp = _lane_constants()[:2]
+    ones, ramp, mask, _ = _lane_constants()
     for lo in range(0, count, _LANES):
         add = ((key + (lo + 1) * _GAMMA) & _MASK64) * ones
-        yield from _draws(_mixed(ramp, add), min(_LANES, count - lo))
+        yield from _draws(_mixed((ramp + add) & mask), min(_LANES, count - lo))
 
 
 def run_bernoulli_trials(indicator, trials: int, schedule: SeedSchedule,
@@ -478,7 +482,7 @@ def run_bernoulli_trials(indicator, trials: int, schedule: SeedSchedule,
     global _scalar_left
 
     _check_run(trials, workers)
-    schedule._counter(0)  # a bad seed raises before any draw
+    schedule._state(0, 1)  # a bad seed raises before any draw
     draws = _integer(indicator.n_draws)
     spare = _integer(getattr(indicator, "n_scratch", 0))
     if draws is None or draws < 1 or spare not in (0, 1, 2):

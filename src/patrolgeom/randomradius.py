@@ -209,17 +209,17 @@ def ergodic_time_average(proc: PiecewiseRadiusProcess,
     validate_process(proc)
     inverse = [1.0 / k for k in proc.states]
     m = len(inverse)
-    key = SeedSchedule(seed).trial_key(0)
     full = int(proc.horizon // proc.dwell)
+    origin = SeedSchedule(seed)._state(0, full)
     remainder = proc.horizon - full * proc.dwell
     if proc.transition == "cyclic":
         path = itertools.cycle(range(m))
     else:
-        # state 0, then state int(m*u) per draw u of trial 0's source;
+        # state 0, then state int(m*u) per draw u of trial 0 of full draws;
         # u <= 1 - 2**-53 puts m*u more than half an ulp below m, so it
         # rounds below m
         path = itertools.chain([0], (int(m * u)
-                                     for u in _trial_draws(key, full)))
+                                     for u in _trial_draws(origin, full)))
     per_dwell = [proc.dwell * k for k in inverse]
     acc = 0.0
     for idx in itertools.islice(path, full):

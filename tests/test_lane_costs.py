@@ -1,6 +1,6 @@
 """tools/lane_costs.py, the lane path's cost per trial, the numpy kernel's
-per row and the lane path's break-even with numpy's import, at tiny
-sizes."""
+per row, the seeding layer's per draw and the lane path's break-even with
+numpy's import, at tiny sizes."""
 
 import importlib.util
 from pathlib import Path
@@ -18,6 +18,8 @@ def test_costs_are_positive_for_each_model():
     for model in lane_costs.MODELS:
         assert lane_costs.ns_per_trial(model, 1024, 1) > 0.0
         assert lane_costs.batch_ns_per_row(model, 64, 2) > 0.0
+    for draws in (1, 2):
+        assert lane_costs.seed_ns_per_draw(draws, 64, 2) > 0.0
 
 
 def test_break_even_times_every_path_of_each_model(capsys):

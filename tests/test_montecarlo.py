@@ -32,8 +32,29 @@ from patrolgeom.randomradius import (PiecewiseRadiusProcess, RadiusDistribution,
                                      mc_probability_random_radius)
 from patrolgeom.scenario import CircularPatrolScenario, LinearPatrolScenario
 
-# Reference outputs of the well-known 64-bit split-and-mix generator for
-# seed 1234567; the trial-key schedule reproduces them by construction.
+def _splitmix64(seed):
+    """SplitMix64 (Steele, Lea and Flood, OOPSLA 2014) spelled from its
+    published constants, independent of the package: the outputs in turn
+    of the generator seeded with seed."""
+    mask = 2 ** 64 - 1
+    state = seed & mask
+    while True:
+        state = (state + 0x9E3779B97F4A7C15) & mask
+        z = state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        yield z ^ (z >> 31)
+
+
+def _outputs(seed, start, stop):
+    """Outputs [start, stop) of _splitmix64(seed), as draws: the top 53
+    bits times 2**-53."""
+    return [(z >> 11) * 2.0 ** -53
+            for z in itertools.islice(_splitmix64(seed), start, stop)]
+
+
+# Published first outputs of SplitMix64 at seed 0 and at seed 1234567
+_SPLITMIX_0 = (0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F)
 _SPLITMIX_1234567 = (
     6457827717110365317,
     3203168211198807973,
@@ -41,10 +62,16 @@ _SPLITMIX_1234567 = (
 )
 
 
-def test_trial_keys_match_reference_sequence():
-    sched = SeedSchedule(1234567)
-    for i, expected in enumerate(_SPLITMIX_1234567):
-        assert sched.trial_key(i) == expected
+def test_draws_are_the_splitmix64_sequence_from_the_root():
+    # the reference reproduces the published outputs, and a one-draw
+    # trial t takes output t, through both mix64 and TrialSource
+    for seed, published in ((0, _SPLITMIX_0), (1234567, _SPLITMIX_1234567)):
+        assert tuple(itertools.islice(_splitmix64(seed), 3)) == published
+        schedule = SeedSchedule(seed)
+        for t, z in enumerate(published):
+            source = schedule.trial_source(t, 1)
+            assert mix64(source.key + 0x9E3779B97F4A7C15) == z
+            assert source.uniform() == (z >> 11) * 2.0 ** -53
 
 
 def test_mix64_is_injective_on_a_large_sample():
@@ -52,18 +79,54 @@ def test_mix64_is_injective_on_a_large_sample():
     assert len(keys) == 100_000
 
 
-def test_trial_keys_distinct_within_and_across_seeds():
-    a = [SeedSchedule(0).trial_key(i) for i in range(10_000)]
-    b = [SeedSchedule(1).trial_key(i) for i in range(10_000)]
+def test_draws_distinct_within_and_across_seeds():
+    a = SeedSchedule(0).uniform_block(0, 10_000, 1).ravel().tolist()
+    b = SeedSchedule(1).uniform_block(0, 10_000, 1).ravel().tolist()
     assert len(set(a)) == 10_000
     assert len(set(b)) == 10_000
-    # different roots should not replay each other's key stream
+    # different roots should not replay each other's draws
     assert len(set(a) & set(b)) == 0
 
 
-def test_trial_key_rejects_negative_index():
-    with pytest.raises(ValueError):
-        SeedSchedule(0).trial_key(-1)
+def test_trial_source_rejects_a_negative_index_or_no_draws():
+    for index, draws in ((-1, 1), (0, 0), (3, -2)):
+        with pytest.raises(ValueError, match="^need trial index >= 0"):
+            SeedSchedule(0).trial_source(index, draws)
+
+
+# Requests that cross the edges of a chunk and of a 1024-lane block, end in
+# a partial last block, and, from a root near 2**64, wrap the state
+_STREAM_CASES = [(seed, draws, trials)
+                 for seed in (5, 2 ** 64 - 3)
+                 for draws in (1, 2, 3)
+                 for trials in (_LANES + 1, 2 * _LANES + 517)]
+
+
+@pytest.mark.parametrize("seed,draws,trials", _STREAM_CASES)
+def test_uniform_block_rows_are_the_sequence_outputs(seed, draws, trials):
+    # row t's draw j is output t*D + j of the root's sequence, in blocks
+    # from trial 0 and across the runner's first chunk boundary
+    schedule, ws = SeedSchedule(seed), DrawWorkspace(_LANES, draws)
+    for lo, hi in ((0, trials), (0, _LANES), (_LANES - 1, trials),
+                   (CHUNK_TRIALS - 2, CHUNK_TRIALS + 3)):
+        outputs = _outputs(seed, lo * draws, hi * draws)
+        expected = [outputs[t * draws:(t + 1) * draws]
+                    for t in range(hi - lo)]
+        assert schedule.uniform_block(lo, hi, draws).tolist() == expected
+        if hi - lo <= _LANES:
+            assert (schedule.uniform_block(lo, hi, draws, out=ws).tolist()
+                    == expected)
+
+
+@pytest.mark.parametrize("seed,draws,trials", _STREAM_CASES)
+def test_lane_words_are_the_sequence_outputs(seed, draws, trials):
+    # lane i of the scalar path's word j in block b holds the tick of
+    # output (b*_LANES + i)*D + j, the last block partial
+    recorder = _Recorder(draws)
+    assert _count_scalar(recorder, trials, SeedSchedule(seed)) == 0
+    outputs = _outputs(seed, 0, trials * draws)
+    assert recorder.seen == [tuple(outputs[t * draws:(t + 1) * draws])
+                             for t in range(trials)]
 
 
 def test_uniform_block_matches_scalar_sources_bit_for_bit():
@@ -71,7 +134,7 @@ def test_uniform_block_matches_scalar_sources_bit_for_bit():
     block = sched.uniform_block(3, 40, 4)
     assert block.shape == (37, 4)
     for row, index in enumerate(range(3, 40)):
-        src = sched.trial_source(index)
+        src = sched.trial_source(index, 4)
         scalar = [src.uniform() for _ in range(4)]
         assert block[row].tolist() == scalar
 
@@ -125,7 +188,7 @@ def test_uniform_block_into_workspace_matches_fresh_and_scalar(start):
         assert into.shape == fresh.shape == (stop - start, 3)
         assert np.array_equal(into.view(np.uint64), fresh.view(np.uint64))
         for row, index in enumerate(range(start, stop)):
-            src = sched.trial_source(index)
+            src = sched.trial_source(index, 3)
             assert into[row].tolist() == [src.uniform() for _ in range(3)]
 
 
@@ -147,13 +210,13 @@ def test_workspace_rejects_a_block_it_cannot_hold():
 
 
 def test_uniform_draws_lie_in_the_requested_interval():
-    src = SeedSchedule(9).trial_source(0)
+    src = SeedSchedule(9).trial_source(0, 1000)
     for _ in range(1000):
         x = src.uniform()
         assert 0.0 <= x < 1.0
-    # same key replays the same stream
-    a = SeedSchedule(9).trial_source(5)
-    b = SeedSchedule(9).trial_source(5)
+    # the same trial replays the same stream
+    a = SeedSchedule(9).trial_source(5, 10)
+    b = SeedSchedule(9).trial_source(5, 10)
     assert [a.uniform() for _ in range(10)] == [b.uniform() for _ in range(10)]
 
 
@@ -455,7 +518,7 @@ def test_runner_matches_a_manual_count_across_chunk_boundaries():
     trials = CHUNK_TRIALS + 123
     sched = SeedSchedule(13)
     manual = sum(1 for i in range(trials)
-                 if sched.trial_source(i).uniform() < 0.25)
+                 if sched.trial_source(i, 1).uniform() < 0.25)
     est = run_bernoulli_trials(_ThresholdIndicator(0.25), trials, sched)
     assert est.successes == manual
 
@@ -566,10 +629,10 @@ def test_indicator_counts_ignore_chunk_size_and_workers(name, monkeypatch):
 
 def test_fold_models_keep_their_success_counts():
     # the counts of the shared fold kernel at REF, 10**5 trials, seed 1729
-    assert mc_probability(_CIRCLE, 100_000, 1729).successes == 35375
-    assert mc_probability_linear(_SEGMENT, 100_000, 1729).successes == 55824
+    assert mc_probability(_CIRCLE, 100_000, 1729).successes == 35548
+    assert mc_probability_linear(_SEGMENT, 100_000, 1729).successes == 55830
     assert mc_probability_random_radius(
-        _CIRCLE, _ATOMS, 100_000, 1729).successes == 36528
+        _CIRCLE, _ATOMS, 100_000, 1729).successes == 36232
 
 
 @pytest.mark.parametrize("trials,workers,message", [
@@ -602,12 +665,12 @@ def test_a_numpy_integer_seed_reads_as_the_equal_int(seed):
     indicator = circular._indicator(_CIRCLE)
     assert (_count_scalar(indicator, 1000, SeedSchedule(seed))
             == _count_scalar(indicator, 1000, SeedSchedule(5)))
-    assert mc_probability(_CIRCLE, 1000, seed).successes == 333
+    assert mc_probability(_CIRCLE, 1000, seed).successes == 347
     for run in (lambda k: mc_probability_linear(_SEGMENT, 1000, k),
                 lambda k: mc_probability_random_radius(_CIRCLE, _ATOMS, 1000, k),
                 lambda k: buffon_mc(NeedleProblem(1.0, 1.3), 1000, k),
                 lambda k: ergodic_time_average(process, k),
-                lambda k: SeedSchedule(k).trial_key(3),
+                lambda k: SeedSchedule(k).trial_source(3, 2).key,
                 lambda k: SeedSchedule(k).uniform_block(2, 9, 2).tolist()):
         assert run(seed) == run(5)
 
@@ -641,8 +704,7 @@ def test_a_seed_that_is_not_an_integer_is_a_value_error(seed):
                 lambda: mc_probability_random_radius(_CIRCLE, _ATOMS, 10, seed),
                 lambda: buffon_mc(NeedleProblem(1.0, 1.3), 10, seed),
                 lambda: ergodic_time_average(process, seed),
-                lambda: schedule.trial_key(0),
-                lambda: schedule.trial_source(0),
+                lambda: schedule.trial_source(0, 1),
                 lambda: schedule.uniform_block(0, 4, 1)):
         with pytest.raises(ValueError, match="^seed must be an integer$"):
             run()
@@ -810,7 +872,8 @@ def _covers_count(indicator, schedule, trials):
     flagged from its n_draws draws by `_covers_flag`."""
     return sum(_covers_flag(indicator,
                             [src.uniform() for _ in range(indicator.n_draws)])
-               for src in map(schedule.trial_source, range(trials)))
+               for src in (schedule.trial_source(i, indicator.n_draws)
+                           for i in range(trials)))
 
 
 def _assert_paths_flag_as_covers(indicator, columns):
@@ -886,7 +949,7 @@ def test_a_circle_at_subnormal_r_over_R_counts_alike_on_both_paths(r, n):
     indicator = circular._indicator(CircularPatrolScenario(R=1.0, r=r, n=n,
                                                            v=2.0, u=1.0))
     schedule = SeedSchedule(6)
-    ticks = [int(schedule.trial_source(i).uniform() * 2 ** 53)
+    ticks = [int(schedule.trial_source(i, 1).uniform() * 2 ** 53)
              for i in range(2000)]
     _assert_paths_flag_as_covers(indicator, [ticks])
     assert (_count_scalar(indicator, 20000, schedule)
@@ -1137,10 +1200,10 @@ def test_lane_draws_equal_trial_source_draws(seed, n_draws, trials):
     schedule = SeedSchedule(seed)
     recorder = _Recorder(n_draws)
     assert _count_scalar(recorder, trials, schedule) == 0
-    sources = map(schedule.trial_source, range(trials))
+    sources = (schedule.trial_source(i, n_draws) for i in range(trials))
     assert recorder.seen == [tuple(src.uniform() for _ in range(n_draws))
                              for src in sources]
-    key = schedule.trial_key(trials)
+    key = schedule.trial_source(trials, n_draws).key
     source = TrialSource(key)
     assert list(_trial_draws(key, trials)) == [source.uniform()
                                                for _ in range(trials)]

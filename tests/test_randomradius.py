@@ -334,11 +334,11 @@ def test_ergodic_average_cyclic_visits_states_evenly():
 
 def _ergodic_reference(proc, seed):
     """The trajectory average walked one dwell at a time, each random step
-    drawing one TrialSource.uniform."""
+    drawing one TrialSource.uniform of trial 0 of full draws."""
     inverse = [1.0 / k for k in proc.states]
     m = len(inverse)
-    source = SeedSchedule(seed).trial_source(0)
     full = int(proc.horizon // proc.dwell)
+    source = SeedSchedule(seed).trial_source(0, full)
     remainder = proc.horizon - full * proc.dwell
     acc, idx = 0.0, 0
     for step in range(full + (1 if remainder > 0.0 else 0)):

@@ -161,12 +161,13 @@ def test_requests_of_200_000_draws_never_load_numpy():
 
 
 def test_a_sweep_of_small_requests_turns_to_numpy():
-    # 40 rows of 20 000 one-draw trials: 800 000 draws exceed the
-    # process's scalar allowance of _SCALAR_DRAWS, so the sweep imports
-    # numpy before its first row and spends none of the allowance
+    # one row of 20 000 one-draw trials more than the process's scalar
+    # allowance of _SCALAR_DRAWS holds: the sweep imports numpy before its
+    # first row and spends none of the allowance
+    rows = _SCALAR_DRAWS // 20000 + 1
     result = _probe(["sweep", *REF, "--parameter", "r", "--start", "1",
-                     "--stop", "20", "--steps", "40", "--estimators", "mc",
-                     "--trials", "20000"])
+                     "--stop", "20", "--steps", str(rows), "--estimators",
+                     "mc", "--trials", "20000"])
     assert result["codes"] == [0]
     assert "numpy" in result["modules"]
     assert result["scalar_left"] == _SCALAR_DRAWS

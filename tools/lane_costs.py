@@ -10,6 +10,9 @@ R=100, r=5, n=10, v=2, u=1 (the segment n=5; the randomized radius atoms
 record's tick intervals.  Beside it, the model's numpy kernel,
 evaluate_batch, in ns per row on a block of CHUNK_TRIALS trials: the
 least of CALLS warm calls, each on a fresh copy of one seeded block.
+Below the table, the seeding layer: `SeedSchedule.uniform_block` in ns per
+draw on a block of CHUNK_TRIALS trials of 1 and of 2 draws, the least of
+CALLS calls into one `DrawWorkspace`.
 
 With --break-even, runs one Monte Carlo request of each model per size,
 given in draws (trials x the record's n_draws), in a fresh process, on the
@@ -41,8 +44,9 @@ SRC = TOOLS.parent / "src"
 sys.path.insert(0, str(SRC))
 
 from patrolgeom import circular, linear, randomradius  # noqa: E402
-from patrolgeom.montecarlo import (CHUNK_TRIALS, SeedSchedule,  # noqa: E402
-                                   _count_scalar, run_bernoulli_trials)
+from patrolgeom.montecarlo import (CHUNK_TRIALS, DrawWorkspace,  # noqa: E402
+                                   SeedSchedule, _count_scalar,
+                                   run_bernoulli_trials)
 from patrolgeom.randomradius import RadiusDistribution  # noqa: E402
 from patrolgeom.scenario import (CircularPatrolScenario,  # noqa: E402
                                  LinearPatrolScenario)
@@ -104,6 +108,21 @@ def batch_ns_per_row(model: str, rows: int, calls: int) -> float:
         record.evaluate_batch(u)
         best = min(best, time.perf_counter() - start)
     return best / rows * 1e9
+
+
+def seed_ns_per_draw(draws: int, rows: int, calls: int) -> float:
+    """The least of `calls` timings of uniform_block on `rows` trials of
+    `draws` draws into one workspace, after a warm-up call, in ns per
+    draw."""
+    schedule, workspace = SeedSchedule(7), DrawWorkspace(rows, draws)
+    schedule.uniform_block(0, rows, draws, out=workspace)
+    best = math.inf
+    for call in range(calls):
+        start = time.perf_counter()
+        schedule.uniform_block(call * rows, (call + 1) * rows, draws,
+                               out=workspace)
+        best = min(best, time.perf_counter() - start)
+    return best / (rows * draws) * 1e9
 
 
 def _process_s(model: str, path: str, draws: int) -> float:
@@ -181,6 +200,9 @@ def main(argv: list[str] | None = None) -> int:
     for model in MODELS:
         print(f"{model:<18} {ns_per_trial(model, TRIALS, CALLS):9.1f} "
               f"{batch_ns_per_row(model, CHUNK_TRIALS, CALLS):13.2f}")
+    for draws in (1, 2):
+        print(f"uniform_block, {draws} draw{'s' * (draws > 1)}: "
+              f"{seed_ns_per_draw(draws, CHUNK_TRIALS, CALLS):.2f} ns/draw")
     return 0
 
 
